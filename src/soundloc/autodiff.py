@@ -124,6 +124,15 @@ class Tape:
         self._nodes.append((out, bwd))
         return out
 
+    def clear(self) -> None:
+        """Drop every record; the tensors keep their values.
+
+        Records and tensors refer to each other, so a used tape is cyclic
+        garbage that waits for the cyclic collector. A pass that needs no
+        backward clears its tape, and reference counting frees it at once.
+        """
+        self._nodes.clear()
+
 
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every leaf's ``.grad``.

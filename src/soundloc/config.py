@@ -42,6 +42,7 @@ class TrainConfig:
         if self.lambda_reg < 0:
             raise ConfigError("lambda_reg must be >= 0")
         self.model.validate()
+        self.decode.validate()
 
 
 def desk_scale_config() -> TrainConfig:

@@ -56,6 +56,25 @@ class DecodeConfig:
     min_score: float = NMS_MIN_SCORE
     max_out: int = NMS_MAX_OUT
 
+    def validate(self) -> None:
+        # written as `not (ok)` so that NaN fails every check
+        if self.method not in ("gaussian", "hard"):
+            raise ConfigError(
+                f"method must be 'gaussian' or 'hard', got {self.method!r}")
+        if not self.sigma > 0:
+            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 <= self.iou_thresh <= 1:
+            raise ConfigError(f"iou_thresh must be in [0, 1], got {self.iou_thresh}")
+        if not 0 <= self.score_thresh <= 1:
+            raise ConfigError(
+                f"score_thresh must be in [0, 1], got {self.score_thresh}")
+        if not self.min_score >= 0:
+            raise ConfigError(f"min_score must be >= 0, got {self.min_score}")
+        if min(self.pre_nms_topk, self.max_out) < 1:
+            raise ConfigError(
+                f"pre_nms_topk and max_out must be >= 1, got "
+                f"{self.pre_nms_topk} and {self.max_out}")
+
 
 @dataclass
 class ModelConfig:
@@ -98,6 +117,7 @@ def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
     tape = Tape(dtype=np.float32)
     bound = pr.bind(tape, arrays)
     _, points, head_out = forward_video(bound, cfg, fused_seq.data, tape)
+    tape.clear()   # no backward pass: free the records now
     cands = recover_intervals(
         head_out, points, fused_seq.stride_sec, fused_seq.video_id,
         duration_sec=fused_seq.duration_sec,

@@ -1,6 +1,8 @@
 """Tests for the reverse-mode autodiff engine."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -349,3 +351,21 @@ class TestTapeIsolation:
         for (v1, g1), (v2, g2) in zip(serial, parallel):
             assert v1 == v2
             np.testing.assert_array_equal(g1, g2)
+
+    @pytest.mark.parametrize("clear", [False, True])
+    def test_clear_lets_reference_counting_free_the_tape(self, clear):
+        t = scalar_tape()
+        x = t.leaf(np.arange(4.0).reshape(2, 2))
+        y = ad.gelu(ad.matmul(x, x))
+        before = y.values.copy()
+        if clear:
+            t.clear()
+        np.testing.assert_array_equal(y.values, before)
+        ref = weakref.ref(t)
+        gc.disable()
+        try:
+            del t, x, y
+            # without clearing, the records keep the tape alive in a cycle
+            assert (ref() is None) == clear
+        finally:
+            gc.enable()

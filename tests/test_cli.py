@@ -1,12 +1,15 @@
 """Tests for the command-line interface, config files and training loop."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from soundloc import cli
+from soundloc import model as model_mod
 from soundloc import data as dio
 from soundloc.backbone import BackboneConfig
 from soundloc.config import TrainConfig, desk_scale_config, load_config, save_config
@@ -215,6 +218,26 @@ class TestCheckpoints:
         b = predict_intervals(loaded, cfg.model, ds.fused[vid], cfg.decode)
         assert a == b
 
+    def test_predict_frees_its_tape_without_the_cyclic_collector(
+            self, tiny_dataset, monkeypatch):
+        tapes = []
+
+        class WatchedTape(model_mod.Tape):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(model_mod, "Tape", WatchedTape)
+        cfg = tiny_train_config()
+        ds = load_dataset(tiny_dataset)
+        gc.disable()
+        try:
+            predict_intervals(init_model_arrays(cfg.model, seed=5), cfg.model,
+                              ds.fused[ds.videos()[0]], cfg.decode)
+            assert len(tapes) == 1 and tapes[0]() is None
+        finally:
+            gc.enable()
+
     def test_shape_mismatch_names_first_parameter(self, tmp_path):
         cfg = tiny_train_config()
         arrays = init_model_arrays(cfg.model, seed=0)
@@ -323,3 +346,24 @@ class TestPredictEvalCli:
                        "--device", "cuda"])
         assert rc == 2
         assert "error[validation]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("sigma", 0.0), ("sigma", -1.0), ("sigma", float("nan")),
+        ("pre_nms_topk", -5), ("pre_nms_topk", 0), ("max_out", 0),
+        ("method", "linear"), ("iou_thresh", 1.5), ("iou_thresh", -0.1),
+        ("score_thresh", 1.5), ("score_thresh", -0.1), ("min_score", -0.001),
+    ])
+    def test_predict_bad_decode_config_exit_code(self, trained, tmp_path, capsys,
+                                                  key, value):
+        cfg = tiny_train_config()
+        setattr(cfg.decode, key, value)
+        bad_cfg = tmp_path / "bad.ini"
+        save_config(cfg, bad_cfg)
+        out = tmp_path / "x.json"
+        rc = cli.main(["predict", "--checkpoint", trained["ckpt"],
+                       "--features", str(trained["data"] / "features"),
+                       "--out", str(out), "--config", str(bad_cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and key in err
+        assert not out.exists()
