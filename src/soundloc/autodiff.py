@@ -3,8 +3,13 @@
 Eager, tape-based: every operation computes its value immediately and appends
 a backward closure to the owning :class:`Tape`. :func:`backward` replays the
 tape in exact reverse order, so gradients are exact up to floating point.
+A tape made with ``record=False`` keeps no closures, for inference.
 A tape and its tensors belong to a single thread; independent tapes may run
 concurrently because there is no shared mutable state.
+
+Besides elementwise ops, reductions and shape ops, the network primitives
+include :func:`local_attention`: windowed multi-head attention computed on a
+band of key offsets, linear in sequence length, with a hand-written backward.
 
 Values are float32 by default; gradient checking always runs in float64.
 """
@@ -91,10 +96,17 @@ class Tape:
     Topological order holds by construction: an op's inputs were produced by
     earlier ops or are leaves, and :func:`backward` walks the record in exact
     reverse order.
+
+    A tape made with ``record=False`` serves a forward pass that needs no
+    gradients: every op still computes its value and goes through
+    :meth:`record`, which keeps no backward closure, so the pass holds no
+    intermediate arrays and no reference cycles. :func:`backward` refuses
+    such a tape.
     """
 
-    def __init__(self, dtype=np.float32):
+    def __init__(self, dtype=np.float32, record: bool = True):
         self.dtype = np.dtype(dtype)
+        self.recording = record
         self._nodes: list[tuple[Tensor, Callable]] = []
         self._next_id = 0
 
@@ -121,15 +133,16 @@ class Tape:
 
     def record(self, out_values: np.ndarray, bwd: Callable) -> Tensor:
         out = self._new_tensor(out_values, is_leaf=False, requires_grad=True)
-        self._nodes.append((out, bwd))
+        if self.recording:
+            self._nodes.append((out, bwd))
         return out
 
     def clear(self) -> None:
         """Drop every record; the tensors keep their values.
 
         Records and tensors refer to each other, so a used tape is cyclic
-        garbage that waits for the cyclic collector. A pass that needs no
-        backward clears its tape, and reference counting frees it at once.
+        garbage that waits for the cyclic collector. Clearing it after the
+        backward pass lets reference counting free it at once.
         """
         self._nodes.clear()
 
@@ -140,6 +153,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
     ``loss`` must be a scalar on ``tape``. Repeated calls without clearing
     leaf grads accumulate (gradients add linearly).
     """
+    if not tape.recording:
+        raise ShapeError("backward needs a recording tape; this one was made "
+                         "with record=False")
     if loss.tape is not tape:
         raise ShapeError("loss does not belong to this tape")
     if loss.values.size != 1:
@@ -284,7 +300,7 @@ def relu(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Tanh approximation, so independent builds agree to ~1e-6."""
     x = a.values
-    inner = _GELU_C * (x + _GELU_A * x ** 3)
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))   # x ** 3 is slow on float32
     th = np.tanh(inner)
     out = 0.5 * x * (1.0 + th)
 
@@ -541,6 +557,84 @@ def softmax_lastdim(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         acc(x, y * (g - dot))
 
     return x.tape.record(y, bwd)
+
+
+def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
+                    valid: np.ndarray, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention within a sliding window.
+
+    ``q``, ``k`` and ``v`` are (T, D); head h owns columns
+    [h * D/H, (h + 1) * D/H). Query i attends key j = i + o - window // 2,
+    o in [0, window), when 0 <= j < T and ``valid[j]``; it always attends
+    itself, so no row is ever fully masked. Scores, softmax weights and the
+    weighted sum live on a (w, T, H) band, one slice per key offset, and the
+    backward pass reuses it: time and memory grow linearly in T, and the
+    whole attention is one tape record.
+    """
+    tape = _same_tape(q, k, v)
+    if window < 1 or window % 2 == 0:
+        raise ConfigError(f"attention window must be odd and positive, got {window}")
+    if q.values.ndim != 2 or k.values.shape != q.values.shape \
+            or v.values.shape != q.values.shape:
+        raise ShapeError(
+            f"local_attention needs equal (T, D) inputs, got {q.values.shape}, "
+            f"{k.values.shape} and {v.values.shape}")
+    t, d = q.values.shape
+    if t == 0:
+        raise EmptyInputError("local_attention input has zero timesteps")
+    if num_heads < 1 or d % num_heads != 0:
+        raise ConfigError(f"width {d} not divisible by {num_heads} heads")
+    valid = np.asarray(valid, dtype=bool)
+    if valid.shape != (t,):
+        raise ShapeError(f"valid mask must have shape ({t},), got {valid.shape}")
+
+    heads = (t, num_heads, d // num_heads)
+    r = min(window // 2, t - 1)   # farther offsets reach no key
+    w = 2 * r + 1
+    dt = np.result_type(q.values, k.values, v.values)
+    scale = dt.type(1.0 / np.sqrt(heads[2]))
+    q3 = q.values.reshape(heads)
+    k_pad = np.zeros((t + 2 * r,) + heads[1:], dtype=dt)
+    k_pad[r:r + t] = k.values.reshape(heads)
+    v_pad = np.zeros((t + 2 * r,) + heads[1:], dtype=dt)
+    v_pad[r:r + t] = v.values.reshape(heads)
+    # keep[o, i]: query i may attend key i + o - r
+    ok = np.zeros(t + 2 * r, dtype=bool)
+    ok[r:r + t] = valid
+    keep = np.lib.stride_tricks.sliding_window_view(ok, t).copy()
+    keep[r] = True
+    keep = keep[:, :, None]
+
+    scores = np.empty((w, t, num_heads), dtype=dt)
+    for o in range(w):
+        np.einsum("thd,thd->th", q3, k_pad[o:o + t], out=scores[o])
+    shifted = np.where(keep, scores * scale, -np.inf)
+    e = np.exp(shifted - shifted.max(axis=0))
+    y = e / e.sum(axis=0)
+    out = np.zeros(heads, dtype=dt)
+    for o in range(w):
+        out += y[o][:, :, None] * v_pad[o:o + t]
+
+    def bwd(g, acc):
+        g3 = g.reshape(heads)
+        gt = np.result_type(g3, dt)
+        dy = np.empty(y.shape, dtype=gt)
+        d_v = np.zeros(v_pad.shape, dtype=gt)
+        for o in range(w):
+            np.einsum("thd,thd->th", g3, v_pad[o:o + t], out=dy[o])
+            d_v[o:o + t] += y[o][:, :, None] * g3
+        ds = y * (dy - (dy * y).sum(axis=0)) * scale
+        d_q = np.zeros(heads, dtype=gt)
+        d_k = np.zeros(k_pad.shape, dtype=gt)
+        for o in range(w):
+            ds_o = ds[o][:, :, None]
+            d_q += ds_o * k_pad[o:o + t]
+            d_k[o:o + t] += ds_o * q3
+        acc(q, d_q.reshape(t, d))
+        acc(k, d_k[r:r + t].reshape(t, d))
+        acc(v, d_v[r:r + t].reshape(t, d))
+
+    return tape.record(out.reshape(t, d), bwd)
 
 
 # ---------------------------------------------------------------------------

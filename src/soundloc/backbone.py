@@ -3,6 +3,9 @@
 A convolutional embedding projects the fused features to model width, then a
 stack of transformer blocks with windowed local self-attention and learnable
 per-channel branch scaling runs, downsampling by 2 on the configured blocks.
+The attention is computed on a band of key offsets
+(:func:`soundloc.autodiff.local_attention`), so a forward pass costs time and
+memory linear in the sequence length.
 The outputs form a feature pyramid: one level after the last full-resolution
 block, one after every downsampling block.
 
@@ -155,19 +158,14 @@ def embed(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig,
     return h
 
 
-def _band_mask(t: int, window: int, valid: np.ndarray) -> np.ndarray:
-    """Keys each query may attend: the window band, clipped to valid range."""
-    offs = np.arange(t)
-    band = np.abs(offs[:, None] - offs[None, :]) <= window // 2
-    keep = band & valid[None, :]
-    np.fill_diagonal(keep, True)  # self is always attendable
-    return keep
-
-
 def windowed_msa(x: Tensor, p: Mapping[str, Tensor], prefix: str,
                  window: int, num_heads: int,
                  valid: np.ndarray | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention restricted to a local window."""
+    """Multi-head scaled dot-product attention restricted to a local window.
+
+    Projections to queries, keys and values, one banded
+    :func:`~soundloc.autodiff.local_attention`, then the output projection.
+    """
     if window % 2 == 0:
         raise ConfigError(f"attention window must be odd, got {window}")
     t, d = x.shape
@@ -175,25 +173,12 @@ def windowed_msa(x: Tensor, p: Mapping[str, Tensor], prefix: str,
         raise ConfigError(f"width {d} not divisible by {num_heads} heads")
     if valid is None:
         valid = np.ones(t, dtype=bool)
-    d_head = d // num_heads
-    scale = 1.0 / np.sqrt(d_head)
-    keep = _band_mask(t, window, valid)
 
     q = ad.add(ad.matmul(x, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
     k = ad.add(ad.matmul(x, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
     v = ad.add(ad.matmul(x, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-
-    head_outs = []
-    for h in range(num_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        q_h = ad.slice_cols(q, lo, hi)
-        k_h = ad.slice_cols(k, lo, hi)
-        v_h = ad.slice_cols(v, lo, hi)
-        scores = ad.mul(ad.matmul(q_h, ad.transpose(k_h)), x.tape.constant(scale))
-        attn = ad.softmax_lastdim(scores, mask=keep)
-        head_outs.append(ad.matmul(attn, v_h))
-    merged = head_outs[0] if num_heads == 1 else ad.concat_cols(head_outs)
-    return ad.add(ad.matmul(merged, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    attn = ad.local_attention(q, k, v, window, valid, num_heads)
+    return ad.add(ad.matmul(attn, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
 
 def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,

@@ -15,6 +15,7 @@ On-disk formats:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,9 +93,9 @@ class AnnotationSet:
         c = len(self.class_names)
         if c < 1:
             raise ValidationError("class_names must be non-empty")
-        if not (self.duration_sec > 0):
+        if not (0 < self.duration_sec < math.inf):
             raise ValidationError(
-                f"video {self.video_id!r}: duration_sec must be positive")
+                f"video {self.video_id!r}: duration_sec must be positive and finite")
         for i, ev in enumerate(self.events):
             if not (0 <= ev.start_sec < ev.end_sec <= self.duration_sec):
                 raise ValidationError(
@@ -357,8 +358,9 @@ def load_predictions(path) -> dict[str, list[dict]]:
             _require(isinstance(score, (int, float)) and 0.0 <= score <= 1.0,
                      f"{path}: video {vid!r} det {i}: score must be in [0, 1]")
             _require(isinstance(start, (int, float)) and isinstance(end, (int, float))
-                     and start < end,
-                     f"{path}: video {vid!r} det {i}: start must precede end")
+                     and -math.inf < start < end < math.inf,
+                     f"{path}: video {vid!r} det {i}: start must precede end, "
+                     f"both finite")
             parsed.append({"label": label, "score": float(score),
                            "start_sec": float(start), "end_sec": float(end)})
         out[vid] = parsed

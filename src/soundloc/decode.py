@@ -44,9 +44,10 @@ class Interval:
     end_sec: float
 
     def __post_init__(self):
-        if not (self.start_sec < self.end_sec):
+        if not (-math.inf < self.start_sec < self.end_sec < math.inf):
             raise ValidationError(
-                f"interval must have start < end, got [{self.start_sec}, {self.end_sec}]")
+                f"interval must have finite start < end, got "
+                f"[{self.start_sec}, {self.end_sec}]")
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValidationError(f"score must be finite in [0, 1], got {self.score}")
 
@@ -88,11 +89,13 @@ def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
         return []
     score, start, end, label = (np.concatenate(c) for c in zip(*cols))
 
-    bad = np.flatnonzero(~(start < end))
+    # starts are clipped at 0, so this is Interval's rule
+    bad = np.flatnonzero(~((start < end) & (end < np.inf)))
     if bad.size:
         i = bad[0]
         raise ValidationError(
-            f"interval must have start < end, got [{float(start[i])}, {float(end[i])}]")
+            f"interval must have finite start < end, got "
+            f"[{float(start[i])}, {float(end[i])}]")
 
     rows = np.arange(score.size)
     if 0 < pre_nms_topk < score.size:

@@ -114,10 +114,9 @@ def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
                       decode_cfg: DecodeConfig | None = None) -> list[Interval]:
     """Pure inference for one video: forward, recover, suppress, cap."""
     dc = decode_cfg or DecodeConfig()
-    tape = Tape(dtype=np.float32)
+    tape = Tape(dtype=np.float32, record=False)   # no backward pass
     bound = pr.bind(tape, arrays)
     _, points, head_out = forward_video(bound, cfg, fused_seq.data, tape)
-    tape.clear()   # no backward pass: free the records now
     cands = recover_intervals(
         head_out, points, fused_seq.stride_sec, fused_seq.video_id,
         duration_sec=fused_seq.duration_sec,

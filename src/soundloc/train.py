@@ -119,6 +119,7 @@ def train_step(arrays: dict[str, np.ndarray], cfg: ModelConfig,
     loss = ad.div(ad.add(cls_total,
                          ad.mul(tape.constant(lambda_reg), reg_total)), denom)
     ad.backward(tape, loss)
+    tape.clear()   # no cycle left: reference counting frees the step's tape
     scalars = {
         "total": float(loss.values),
         "l_cls": float(cls_total.values),

@@ -88,6 +88,16 @@ class TestForwardBasics:
         out = ad.layer_norm(x, t.leaf([0.0, 0.0]), t.leaf([7.0, 7.0]))
         np.testing.assert_allclose(out.values, np.full((3, 2), 7.0))
 
+    def test_gelu_float32_cube_within_pinned_tolerance(self):
+        x = np.random.default_rng(4).normal(scale=3.0, size=(64, 256))
+        x = x.astype(np.float32)
+        got = ad.gelu(ad.Tape(dtype=np.float32).leaf(x)).values
+        x64 = x.astype(np.float64)
+        want = 0.5 * x64 * (1.0 + np.tanh(
+            math.sqrt(2.0 / math.pi) * (x64 + 0.044715 * x64 ** 3)))
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
     def test_softmax_symmetry(self):
         t = scalar_tape()
         out = ad.softmax_lastdim(t.leaf([0.0, 0.0]))
@@ -351,6 +361,28 @@ class TestTapeIsolation:
         for (v1, g1), (v2, g2) in zip(serial, parallel):
             assert v1 == v2
             np.testing.assert_array_equal(g1, g2)
+
+    def test_no_record_tape_same_values_and_no_records(self):
+        rng = np.random.default_rng(2)
+        x0, w0 = rng.normal(size=(9, 4)), rng.normal(size=(4, 4))
+        outs = {}
+        for record in (True, False):
+            t = ad.Tape(dtype=np.float32, record=record)
+            x = t.constant(x0)
+            h = ad.gelu(ad.matmul(x, t.leaf(w0)))
+            y = ad.local_attention(h, h, x, 5, np.ones(9, dtype=bool), 2)
+            outs[record] = ad.sum_all(ad.square(y)).values
+            assert len(t._nodes) == (5 if record else 0)
+        assert outs[True].tobytes() == outs[False].tobytes()
+
+    def test_backward_on_no_record_tape_raises(self):
+        t = ad.Tape(dtype=np.float64, record=False)
+        x = t.leaf(np.ones(3))
+        with pytest.raises(ShapeError, match="record=False"):
+            ad.backward(t, ad.sum_all(ad.square(x)))
+        with pytest.raises(ShapeError, match="record=False"):
+            ad.backward(t, t.leaf(1.0))
+        assert x.grad is None
 
     @pytest.mark.parametrize("clear", [False, True])
     def test_clear_lets_reference_counting_free_the_tape(self, clear):

@@ -15,7 +15,42 @@ from soundloc.backbone import (
     transformer_block,
     windowed_msa,
 )
-from soundloc.errors import ConfigError
+from soundloc.errors import ConfigError, ShapeError
+
+
+def _band_mask(t: int, window: int, valid: np.ndarray) -> np.ndarray:
+    """Oracle: keys each query may attend, as a dense (T, T) mask."""
+    offs = np.arange(t)
+    band = np.abs(offs[:, None] - offs[None, :]) <= window // 2
+    keep = band & valid[None, :]
+    np.fill_diagonal(keep, True)  # self is always attendable
+    return keep
+
+
+def dense_windowed_msa(x, p, prefix, window, num_heads, valid=None):
+    """Oracle: the quadratic attention, dense T x T scores per head, masked."""
+    t, d = x.shape
+    if valid is None:
+        valid = np.ones(t, dtype=bool)
+    d_head = d // num_heads
+    scale = 1.0 / np.sqrt(d_head)
+    keep = _band_mask(t, window, valid)
+
+    q = ad.add(ad.matmul(x, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
+    k = ad.add(ad.matmul(x, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
+    v = ad.add(ad.matmul(x, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
+
+    head_outs = []
+    for h in range(num_heads):
+        lo, hi = h * d_head, (h + 1) * d_head
+        q_h = ad.slice_cols(q, lo, hi)
+        k_h = ad.slice_cols(k, lo, hi)
+        v_h = ad.slice_cols(v, lo, hi)
+        scores = ad.mul(ad.matmul(q_h, ad.transpose(k_h)), x.tape.constant(scale))
+        attn = ad.softmax_lastdim(scores, mask=keep)
+        head_outs.append(ad.matmul(attn, v_h))
+    merged = head_outs[0] if num_heads == 1 else ad.concat_cols(head_outs)
+    return ad.add(ad.matmul(merged, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
 
 def tiny_cfg(**kw):
@@ -111,10 +146,59 @@ class TestWindowedAttention:
 
     def test_window_11_reach_from_position_zero(self):
         # T=8, w=11: position 0 may see keys {0..5}
-        from soundloc.backbone import _band_mask
         keep = _band_mask(8, 11, np.ones(8, dtype=bool))
         np.testing.assert_array_equal(
             keep[0], [True, True, True, True, True, True, False, False])
+        # zero queries give uniform weights over the attended keys, and
+        # one-hot values show which keys those are
+        tape = ad.Tape(dtype=np.float64)
+        out = ad.local_attention(tape.constant(np.zeros((8, 8))),
+                                 tape.constant(np.zeros((8, 8))),
+                                 tape.constant(np.eye(8)), 11,
+                                 np.ones(8, dtype=bool), 1)
+        np.testing.assert_allclose(out.values[0], [1 / 6] * 6 + [0.0] * 2,
+                                   rtol=1e-15)
+
+    def test_invalid_keys_are_skipped_but_self_is_kept(self):
+        tape = ad.Tape(dtype=np.float64)
+        valid = np.array([True, False, True, False, False])
+        out = ad.local_attention(tape.constant(np.zeros((5, 5))),
+                                 tape.constant(np.zeros((5, 5))),
+                                 tape.constant(np.eye(5)), 3, valid, 1)
+        np.testing.assert_array_equal(out.values > 0, [
+            [1, 0, 0, 0, 0],
+            [1, 1, 1, 0, 0],
+            [0, 0, 1, 0, 0],
+            [0, 0, 1, 1, 0],
+            [0, 0, 0, 0, 1]])
+
+    def test_bad_inputs_rejected(self):
+        tape = ad.Tape(dtype=np.float64)
+        a = tape.constant(np.zeros((4, 4)))
+        with pytest.raises(ShapeError):
+            ad.local_attention(a, a, tape.constant(np.zeros((3, 4))), 3,
+                               np.ones(4, dtype=bool), 1)
+        with pytest.raises(ShapeError):
+            ad.local_attention(a, a, a, 3, np.ones(5, dtype=bool), 1)
+        with pytest.raises(ConfigError):
+            ad.local_attention(a, a, a, 3, np.ones(4, dtype=bool), 3)
+        with pytest.raises(ConfigError):
+            ad.local_attention(a, a, a, 0, np.ones(4, dtype=bool), 1)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_grad_check_in_q_k_and_v(self, which):
+        rng = np.random.default_rng(which)
+        fixed = [rng.normal(size=(7, 4)) for _ in range(3)]
+        weights = rng.normal(size=(7, 4))
+        valid = np.array([True, True, False, True, False, True, True])
+
+        def f(x):
+            args = [x if i == which else x.tape.constant(a)
+                    for i, a in enumerate(fixed)]
+            out = ad.local_attention(*args, 3, valid, 2)
+            return ad.sum_all(ad.mul(out, x.tape.constant(weights)))
+
+        assert ad.grad_check(f, rng.normal(size=(7, 4))) <= 1e-4
 
     def test_uniform_weights_for_equal_inputs(self):
         cfg = tiny_cfg(num_blocks=1, stride_schedule=(1,), window=5)
@@ -132,6 +216,80 @@ class TestWindowedAttention:
         tape, p = bound_model(cfg)
         with pytest.raises(ConfigError):
             windowed_msa(tape.constant(np.zeros((4, 8))), p, "block0.attn", 4, 2)
+
+
+@st.composite
+def attention_cases(draw):
+    t = draw(st.integers(min_value=1, max_value=300))
+    wide = 2 * t + 1 + 2 * draw(st.integers(min_value=0, max_value=3))
+    window = draw(st.sampled_from([1, 3, 5, 11, wide]))
+    heads = draw(st.sampled_from([1, 2, 4]))
+    kind = draw(st.sampled_from(["random", "none", "all"]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    valid = {"random": rng.random(t) < rng.random(),
+             "none": np.zeros(t, dtype=bool),
+             "all": np.ones(t, dtype=bool)}[kind]
+    return t, window, heads, valid, seed
+
+
+class TestBandedAgainstDense:
+    """windowed_msa on the band against the dense oracle above."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(attention_cases())
+    def test_float32_forward(self, case):
+        t, window, heads, valid, seed = case
+        cfg = tiny_cfg(num_heads=heads, window=window)
+        tape, p = bound_model(cfg, seed=seed % 7, dtype=np.float32)
+        x = tape.constant(np.random.default_rng(seed).normal(size=(t, 8)))
+        got = windowed_msa(x, p, "block0.attn", window, heads, valid).values
+        want = dense_windowed_msa(x, p, "block0.attn", window, heads, valid).values
+        assert got.dtype == want.dtype == np.float32
+        assert (np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want))).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(attention_cases())
+    def test_float64_forward_and_gradients(self, case):
+        t, window, heads, valid, seed = case
+        cfg = tiny_cfg(num_heads=heads, window=window)
+        arrays = init_backbone_params(cfg, np.random.default_rng(seed % 7))
+        # branch weights large enough that softmax weights are far from uniform
+        for name in ("wq", "wk", "wv", "wo"):
+            arrays[f"block0.attn.{name}"] *= 50.0
+        rng = np.random.default_rng(seed)
+        x0 = rng.normal(size=(t, 8))
+        weights = rng.normal(size=(t, 8))
+
+        def run(msa):
+            tape = ad.Tape(dtype=np.float64)
+            p = pr.bind(tape, arrays)
+            x = tape.leaf(x0)
+            out = msa(x, p, "block0.attn", window, heads, valid)
+            ad.backward(tape, ad.sum_all(ad.mul(out, tape.constant(weights))))
+            grads = {n: p[n].grad for n in p if n.startswith("block0.attn.")}
+            return out.values, x.grad, grads
+
+        got, got_dx, got_dp = run(windowed_msa)
+        want, want_dx, want_dp = run(dense_windowed_msa)
+
+        def close(a, b):
+            return (np.abs(a - b) <= 1e-10 * np.maximum(1.0, np.abs(b))).all()
+
+        assert close(got, want)
+        assert close(got_dx, want_dx)
+        for name in want_dp:
+            assert close(got_dp[name], want_dp[name]), name
+
+    @pytest.mark.parametrize("t", [16, 4096])
+    def test_records_do_not_grow_with_length(self, t):
+        cfg = tiny_cfg()
+        tape, p = bound_model(cfg, dtype=np.float32)
+        x = tape.constant(np.ones((t, 8)))
+        before = len(tape._nodes)
+        windowed_msa(x, p, "block0.attn", 11, 2)
+        # 3 projections, one local_attention, the output projection
+        assert len(tape._nodes) - before == 9
 
 
 class TestTransformerBlock:
@@ -281,6 +439,19 @@ class TestPyramid:
             np.testing.assert_allclose(
                 lvl_pad.features.values[:n_valid],
                 lvl_plain.features.values, atol=1e-9)
+
+    def test_no_record_tape_same_values_and_no_records(self):
+        cfg = tiny_cfg(num_blocks=3, stride_schedule=(1, 2, 2))
+        arrays = init_backbone_params(cfg, np.random.default_rng(4))
+        x0 = np.random.default_rng(5).normal(size=(37, 6))
+        levels = {}
+        for record in (True, False):
+            tape = ad.Tape(dtype=np.float32, record=record)
+            pyr = build_pyramid(tape.constant(x0), pr.bind(tape, arrays), cfg)
+            levels[record] = [lvl.features.values for lvl in pyr.levels]
+            assert (len(tape._nodes) > 0) == record
+        for a, b in zip(levels[True], levels[False]):
+            assert np.array_equal(a, b)
 
     def test_full_grad_check_two_blocks(self):
         cfg = tiny_cfg(num_blocks=2, stride_schedule=(1, 2))

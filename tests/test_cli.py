@@ -2,12 +2,14 @@
 
 import gc
 import json
+import math
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from soundloc import autodiff as ad
 from soundloc import cli
 from soundloc import model as model_mod
 from soundloc import data as dio
@@ -23,7 +25,7 @@ from soundloc.model import (
     predict_intervals,
     save_checkpoint,
 )
-from soundloc.train import lr_at, train
+from soundloc.train import lr_at, train, train_step
 
 
 def tiny_spec(**kw):
@@ -238,6 +240,46 @@ class TestCheckpoints:
         finally:
             gc.enable()
 
+    def test_predict_records_nothing(self, tiny_dataset, monkeypatch):
+        calls, kept = [], []
+
+        class WatchedTape(model_mod.Tape):
+            def record(self, out_values, bwd):
+                calls.append(1)
+                out = super().record(out_values, bwd)
+                kept.append(len(self._nodes))
+                return out
+
+        monkeypatch.setattr(model_mod, "Tape", WatchedTape)
+        cfg = tiny_train_config()
+        ds = load_dataset(tiny_dataset)
+        predict_intervals(init_model_arrays(cfg.model, seed=5), cfg.model,
+                          ds.fused[ds.videos()[0]], cfg.decode)
+        assert calls and max(kept) == 0
+
+    def test_train_step_frees_its_tape_without_the_cyclic_collector(
+            self, tiny_dataset, monkeypatch):
+        tapes = []
+
+        class WatchedTape(ad.Tape):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad, "Tape", WatchedTape)
+        cfg = tiny_train_config()
+        ds = load_dataset(tiny_dataset)
+        gc.disable()
+        try:
+            grads, scalars = train_step(
+                init_model_arrays(cfg.model, seed=5), cfg.model,
+                ds.videos("train")[:2], ds, {}, cfg.lambda_reg)
+            assert len(tapes) == 1 and tapes[0]() is None
+        finally:
+            gc.enable()
+        assert math.isfinite(scalars["total"])
+        assert any(np.abs(g).sum() > 0 for g in grads.values())
+
     def test_shape_mismatch_names_first_parameter(self, tmp_path):
         cfg = tiny_train_config()
         arrays = init_model_arrays(cfg.model, seed=0)
@@ -337,6 +379,39 @@ class TestPredictEvalCli:
                        "--annotations", str(tiny_dataset / "annotations.json")])
         assert rc == 2
         assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("end_sec", math.inf), ("start_sec", -math.inf), ("start_sec", math.nan),
+        ("end_sec", math.nan)])
+    def test_eval_non_finite_prediction_rejected(self, tiny_dataset, tmp_path,
+                                                 capsys, key, value):
+        anns = dio.load_annotations(tiny_dataset / "annotations.json")
+        det = {"label": 0, "score": 0.9, "start_sec": 0.0, "end_sec": 1.0}
+        det[key] = value
+        pred_path = tmp_path / "inf.json"
+        pred_path.write_text(json.dumps(
+            {"videos": [{"video_id": anns[0].video_id, "detections": [det]}]}))
+        rc = cli.main(["eval", "--predictions", str(pred_path),
+                       "--annotations", str(tiny_dataset / "annotations.json")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[annotation-format]") and "finite" in err
+
+    @pytest.mark.parametrize("duration, end", [
+        (math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0)])
+    def test_eval_non_finite_annotation_rejected(self, tmp_path, capsys,
+                                                 duration, end):
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps({"class_names": ["a"], "videos": [
+            {"video_id": "v", "duration_sec": duration,
+             "events": [{"label": 0, "start_sec": 0.0, "end_sec": end}]}]}))
+        pred_path = tmp_path / "none.json"
+        dio.write_predictions({}, pred_path)
+        rc = cli.main(["eval", "--predictions", str(pred_path),
+                       "--annotations", str(ann_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[annotation-format]") and "finite" in err
 
     def test_device_must_be_cpu(self, trained, tmp_path, capsys):
         rc = cli.main(["predict", "--checkpoint", trained["ckpt"],

@@ -135,6 +135,17 @@ class TestInterval:
         with pytest.raises(ValidationError):
             iv(1.5, 0.0, 1.0)
 
+    @pytest.mark.parametrize("start, end", [
+        (0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
+    def test_rejects_infinite_boundaries(self, start, end):
+        with pytest.raises(ValidationError, match="finite start < end"):
+            iv(0.9, start, end)
+
+    def test_recover_with_infinite_duration_raises(self):
+        points, head_out = multi_level_output([(1, [[2.0]], [1.0, math.inf], [True])])
+        with pytest.raises(ValidationError, match="finite start < end"):
+            recover_intervals(head_out, points, 1.0, "v", math.inf)
+
 
 class TestRecoverIntervals:
     def single_point(self, t, stride, d_s, d_e, prob):
