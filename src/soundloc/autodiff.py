@@ -52,42 +52,8 @@ class Tensor:
     def shape(self) -> tuple:
         return self.values.shape
 
-    def item(self) -> float:
-        return float(self.values)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, leaf={self.is_leaf})"
-
-    # operator sugar; scalars and arrays are coerced to constants on the tape
-    def __add__(self, other):
-        return add(self, self.tape.as_tensor(other))
-
-    def __radd__(self, other):
-        return add(self.tape.as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, self.tape.as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(self.tape.as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, self.tape.as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(self.tape.as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, self.tape.as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(self.tape.as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -123,13 +89,6 @@ class Tape:
     def constant(self, values) -> Tensor:
         """Register a non-differentiable constant."""
         return self.leaf(values, requires_grad=False)
-
-    def as_tensor(self, value) -> Tensor:
-        if isinstance(value, Tensor):
-            if value.tape is not self:
-                raise ShapeError("tensors from different tapes cannot be combined")
-            return value
-        return self.constant(value)
 
     def record(self, out_values: np.ndarray, bwd: Callable) -> Tensor:
         out = self._new_tensor(out_values, is_leaf=False, requires_grad=True)

@@ -17,6 +17,7 @@ autodiff tape (see :mod:`soundloc.params`).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .data import FeatureSequence
 from .errors import ConfigError, EmptyInputError
 
 logger = logging.getLogger(__name__)
@@ -68,6 +68,9 @@ class BackboneConfig:
                 "strides increase")
         if self.input_dim < 1 or self.mlp_ratio < 1:
             raise ConfigError("input_dim and mlp_ratio must be positive")
+        if not math.isfinite(self.layerscale_init):
+            raise ConfigError(
+                f"layerscale_init must be finite, got {self.layerscale_init}")
 
 
 @dataclass
@@ -81,9 +84,6 @@ class PyramidLevel:
 class Pyramid:
     levels: list[PyramidLevel] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.levels)
-
     @property
     def lengths(self) -> list[int]:
         return [lvl.features.shape[0] for lvl in self.levels]
@@ -96,7 +96,7 @@ class Pyramid:
 # ---------------------------------------------------------------------------
 # initialization
 
-def _conv_init(rng, k, c_in, c_out):
+def conv_init(rng, k, c_in, c_out):
     std = np.sqrt(2.0 / (k * c_in))
     return rng.normal(0.0, std, size=(k, c_in, c_out)).astype(np.float32)
 
@@ -109,9 +109,9 @@ def init_backbone_params(cfg: BackboneConfig, rng: np.random.Generator) -> dict[
     cfg.validate()
     d = cfg.d_model
     p: dict[str, np.ndarray] = {}
-    p["embed.conv1.w"] = _conv_init(rng, 3, cfg.input_dim, d)
+    p["embed.conv1.w"] = conv_init(rng, 3, cfg.input_dim, d)
     p["embed.conv1.b"] = np.zeros(d, dtype=np.float32)
-    p["embed.conv2.w"] = _conv_init(rng, 3, d, d)
+    p["embed.conv2.w"] = conv_init(rng, 3, d, d)
     p["embed.conv2.b"] = np.zeros(d, dtype=np.float32)
     for i, stride in enumerate(cfg.stride_schedule):
         pref = f"block{i}"
@@ -131,7 +131,7 @@ def init_backbone_params(cfg: BackboneConfig, rng: np.random.Generator) -> dict[
         p[f"{pref}.mlp.b2"] = np.zeros(d, dtype=np.float32)
         p[f"{pref}.scale_mlp"] = np.full(d, cfg.layerscale_init, dtype=np.float32)
         if stride == 2:
-            p[f"{pref}.down.w"] = _conv_init(rng, 3, d, d)
+            p[f"{pref}.down.w"] = conv_init(rng, 3, d, d)
             p[f"{pref}.down.b"] = np.zeros(d, dtype=np.float32)
     return p
 
@@ -139,7 +139,8 @@ def init_backbone_params(cfg: BackboneConfig, rng: np.random.Generator) -> dict[
 # ---------------------------------------------------------------------------
 # forward pieces
 
-def _mask_column(tape: Tape, valid: np.ndarray) -> Tensor:
+def mask_column(tape: Tape, valid: np.ndarray) -> Tensor:
+    """(T, 1) constant: 1 at valid positions, 0 on the padded tail."""
     return tape.constant(valid.astype(np.float64)[:, None])
 
 
@@ -151,7 +152,7 @@ def embed(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig,
             f"embed expects feature dim {cfg.input_dim}, got {x.shape[1]}")
     if valid is None:
         valid = np.ones(x.shape[0], dtype=bool)
-    mask = _mask_column(x.tape, valid)
+    mask = mask_column(x.tape, valid)
     h = ad.mul(x, mask)
     h = ad.relu(ad.mul(ad.add(ad.conv1d(h, p["embed.conv1.w"]), p["embed.conv1.b"]), mask))
     h = ad.relu(ad.mul(ad.add(ad.conv1d(h, p["embed.conv2.w"]), p["embed.conv2.b"]), mask))
@@ -166,13 +167,8 @@ def windowed_msa(x: Tensor, p: Mapping[str, Tensor], prefix: str,
     Projections to queries, keys and values, one banded
     :func:`~soundloc.autodiff.local_attention`, then the output projection.
     """
-    if window % 2 == 0:
-        raise ConfigError(f"attention window must be odd, got {window}")
-    t, d = x.shape
-    if d % num_heads != 0:
-        raise ConfigError(f"width {d} not divisible by {num_heads} heads")
     if valid is None:
-        valid = np.ones(t, dtype=bool)
+        valid = np.ones(x.shape[0], dtype=bool)
 
     q = ad.add(ad.matmul(x, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
     k = ad.add(ad.matmul(x, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
@@ -207,32 +203,24 @@ def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,
     h = ad.add(ad.matmul(h, p[f"{pref}.mlp.w2"]), p[f"{pref}.mlp.b2"])
     z_hat = ad.add(ad.mul(h, p[f"{pref}.scale_mlp"]), z_bar)
 
-    z_hat = ad.mul(z_hat, _mask_column(x.tape, valid))
+    z_hat = ad.mul(z_hat, mask_column(x.tape, valid))
     if stride == 2:
         out = ad.add(ad.conv1d(z_hat, p[f"{pref}.down.w"], stride=2),
                      p[f"{pref}.down.b"])
         new_valid = valid[::2].copy()
-        out = ad.mul(out, _mask_column(x.tape, new_valid))
+        out = ad.mul(out, mask_column(x.tape, new_valid))
         return out, new_valid
     return z_hat, valid
 
 
-def build_pyramid(z0, p: Mapping[str, Tensor], cfg: BackboneConfig,
-                  tape: Tape | None = None,
+def build_pyramid(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig,
                   valid: np.ndarray | None = None) -> Pyramid:
     """Run embedding and all blocks, collecting the feature pyramid.
 
-    ``z0`` may be a fused FeatureSequence (wrapped as a constant on ``tape``)
-    or an already-bound Tensor. A level is emitted after the last stride-1
-    block and after every stride-2 block.
+    A level is emitted after the last stride-1 block and after every
+    stride-2 block.
     """
     cfg.validate()
-    if isinstance(z0, FeatureSequence):
-        if tape is None:
-            raise ConfigError("build_pyramid needs a tape to bind a FeatureSequence")
-        x = tape.constant(z0.data)
-    else:
-        x = z0
     t_in = x.shape[0]
     if t_in == 0:
         raise EmptyInputError("input sequence too short: zero timesteps")

@@ -25,15 +25,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="INI config file; defaults to the desk-scale preset")
     p.add_argument("--seed", type=int, default=None, help="override the seed")
-    p.add_argument("--device", default="cpu", help="compute device (cpu only)")
 
 
 def _resolve_config(args) -> TrainConfig:
     cfg = load_config(args.config) if args.config else desk_scale_config()
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.device != "cpu":
-        raise ValidationError(f"unsupported device {args.device!r}: cpu only")
     return cfg
 
 

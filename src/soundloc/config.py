@@ -8,6 +8,7 @@ sections or keys are rejected so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, field
 
 from .backbone import BackboneConfig
@@ -31,16 +32,17 @@ class TrainConfig:
     decode: DecodeConfig = field(default_factory=DecodeConfig)
 
     def validate(self) -> None:
-        if min(self.learning_rate, self.weight_decay, self.grad_clip) < 0:
-            raise ConfigError("learning_rate, weight_decay and grad_clip must be >= 0")
+        # written as `not (ok)` so that NaN fails every check
+        for key in ("learning_rate", "weight_decay", "grad_clip", "lambda_reg"):
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if min(self.batch_size, self.epochs) < 1 or self.warmup_epochs < 0:
             raise ConfigError("batch_size and epochs must be positive")
         if self.epochs < self.warmup_epochs:
             raise ConfigError(
                 f"epochs ({self.epochs}) must cover warmup_epochs "
                 f"({self.warmup_epochs})")
-        if self.lambda_reg < 0:
-            raise ConfigError("lambda_reg must be >= 0")
         self.model.validate()
         self.decode.validate()
 
@@ -131,8 +133,3 @@ def save_config(cfg: TrainConfig, path) -> None:
         }
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
-
-
-def config_snapshot(cfg: TrainConfig) -> dict:
-    """JSON-friendly dump of the full configuration."""
-    return asdict(cfg)

@@ -321,9 +321,7 @@ def save_annotations(annotations: list[AnnotationSet], path) -> None:
             for a in annotations
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_predictions(path) -> dict[str, list[dict]]:
@@ -374,6 +372,11 @@ def write_predictions(preds_by_video: dict[str, list[dict]], path) -> None:
             for vid in sorted(preds_by_video)
         ]
     }
+    write_json(doc, path)
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` as indented, key-sorted JSON ending in a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

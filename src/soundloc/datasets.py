@@ -58,9 +58,7 @@ def write_dataset(out_dir, spec: dio.SyntheticSpec,
         "num_videos": len(ids),
         "splits": splits,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dio.write_json(manifest, out / "manifest.json")
     return manifest
 
 

@@ -13,12 +13,12 @@ percentages only in the rendered table.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_json
 from .decode import Interval
 from .errors import EmptyInputError
 
@@ -163,9 +163,7 @@ class EvalReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     def format_table(self, row_name: str = "model") -> str:
         header = ["Method"] + [f"@{t:g}" for t in self.thresholds] + ["Avg"]

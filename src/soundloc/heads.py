@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import Pyramid
+from .backbone import Pyramid, conv_init, mask_column
 from .errors import EmptyInputError
 
 DEFAULT_RANGE_BASE = 4.0
@@ -73,29 +73,25 @@ class HeadOutput:
 
 def init_head_params(d_model: int, num_classes: int, rng: np.random.Generator,
                      prior_prob: float = PRIOR_PROB) -> dict[str, np.ndarray]:
-    def conv(k, c_in, c_out):
-        std = np.sqrt(2.0 / (k * c_in))
-        return rng.normal(0.0, std, size=(k, c_in, c_out)).astype(np.float32)
-
     p: dict[str, np.ndarray] = {}
     for branch in ("cls", "reg"):
         for i in (1, 2):
-            p[f"head.{branch}.conv{i}.w"] = conv(3, d_model, d_model)
+            p[f"head.{branch}.conv{i}.w"] = conv_init(rng, 3, d_model, d_model)
             p[f"head.{branch}.conv{i}.b"] = np.zeros(d_model, dtype=np.float32)
             p[f"head.{branch}.ln{i}.gamma"] = np.ones(d_model, dtype=np.float32)
             p[f"head.{branch}.ln{i}.beta"] = np.zeros(d_model, dtype=np.float32)
-    p["head.cls.out.w"] = conv(3, d_model, num_classes)
+    p["head.cls.out.w"] = conv_init(rng, 3, d_model, num_classes)
     # bias so that initial sigmoid outputs sit near the positive prior
     p["head.cls.out.b"] = np.full(
         num_classes, -math.log((1.0 - prior_prob) / prior_prob), dtype=np.float32)
-    p["head.reg.out.w"] = conv(3, d_model, 2)
+    p["head.reg.out.w"] = conv_init(rng, 3, d_model, 2)
     p["head.reg.out.b"] = np.zeros(2, dtype=np.float32)
     return p
 
 
 def _head_trunk(x: Tensor, p: Mapping[str, Tensor], branch: str,
                 valid: np.ndarray) -> Tensor:
-    mask = x.tape.constant(valid.astype(float)[:, None])
+    mask = mask_column(x.tape, valid)
     h = x
     for i in (1, 2):
         h = ad.add(ad.conv1d(h, p[f"head.{branch}.conv{i}.w"]),
@@ -107,21 +103,12 @@ def _head_trunk(x: Tensor, p: Mapping[str, Tensor], branch: str,
                   p[f"head.{branch}.out.b"])
 
 
-def classify(pyramid: Pyramid, p: Mapping[str, Tensor]) -> list[Tensor]:
-    """Class logits per level; probabilities are sigmoid(logit) downstream."""
-    return [_head_trunk(lvl.features, p, "cls", lvl.valid_mask)
-            for lvl in pyramid.levels]
-
-
-def regress(pyramid: Pyramid, p: Mapping[str, Tensor]) -> list[Tensor]:
-    """Raw boundary-distance outputs per level (pre-softplus)."""
-    return [_head_trunk(lvl.features, p, "reg", lvl.valid_mask)
-            for lvl in pyramid.levels]
-
-
 def run_heads(pyramid: Pyramid, p: Mapping[str, Tensor]) -> HeadOutput:
-    cls_logits = classify(pyramid, p)
-    reg_raw = regress(pyramid, p)
+    """Class logits and pre-softplus boundary distances for every level."""
+    cls_logits = [_head_trunk(lvl.features, p, "cls", lvl.valid_mask)
+                  for lvl in pyramid.levels]
+    reg_raw = [_head_trunk(lvl.features, p, "reg", lvl.valid_mask)
+               for lvl in pyramid.levels]
     distances = [ad.softplus(r) for r in reg_raw]
     return HeadOutput(
         cls_logits=cls_logits,

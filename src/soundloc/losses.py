@@ -11,7 +11,6 @@ shortest wins (ties: earlier start, then lower label). The total objective is
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +19,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import AnnotationSet
 from .errors import ValidationError
+from .backbone import mask_column
 from .heads import HeadOutput, PointSet
-
-logger = logging.getLogger(__name__)
 
 CENTER_SAMPLING_RADIUS = 1.5
 FOCAL_ALPHA = 0.25
@@ -169,30 +167,6 @@ def diou_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return loss
 
 
-def diou_loss_single(d_start: float, d_end: float,
-                     target_start: float, target_end: float) -> float:
-    """Plain-float DIoU loss for one pair; handles the all-degenerate case."""
-    enclose = max(d_end, target_end) + max(d_start, target_start)
-    if enclose == 0.0:
-        logger.warning("DIoU on two identical zero-length intervals, "
-                       "returning 0 by convention")
-        return 0.0
-    tape = ad.Tape(dtype=np.float64)
-    pred = tape.leaf(np.array([d_start, d_end]))
-    return float(diou_loss(pred, np.array([target_start, target_end])).values)
-
-
-@dataclass
-class LossBreakdown:
-    """Scalar summary of one objective evaluation."""
-
-    l_cls: float
-    l_reg: float
-    t_plus: int
-    lambda_reg: float
-    total: float
-
-
 def loss_sums(head_out: HeadOutput, assignment: Assignment,
               alpha: float = FOCAL_ALPHA, gamma: float = FOCAL_GAMMA
               ) -> tuple[Tensor, Tensor, int]:
@@ -208,7 +182,7 @@ def loss_sums(head_out: HeadOutput, assignment: Assignment,
     for li, logits in enumerate(head_out.cls_logits):
         valid = head_out.valid_masks[li]
         elem, _ = focal_loss(logits, assignment.cls_targets[li], alpha, gamma)
-        keep = tape.constant(valid.astype(float)[:, None])
+        keep = mask_column(tape, valid)
         cls_sum = ad.add(cls_sum, ad.sum_all(ad.mul(elem, keep)))
 
         pos = assignment.positive[li]
@@ -221,23 +195,26 @@ def loss_sums(head_out: HeadOutput, assignment: Assignment,
     return cls_sum, reg_sum, assignment.t_plus
 
 
+def objective(cls_sum: Tensor, reg_sum: Tensor, t_plus: int,
+              lambda_reg: float) -> tuple[Tensor, dict]:
+    """(cls_sum + lambda_reg * reg_sum) / max(t_plus, 1) and its scalars.
+
+    The scalars are ``total``, ``l_cls``, ``l_reg`` and ``t_plus``: what a
+    training step reports and the run manifest averages per epoch.
+    """
+    tape = cls_sum.tape
+    denom = tape.constant(float(max(t_plus, 1)))
+    total = ad.div(ad.add(cls_sum, ad.mul(tape.constant(lambda_reg), reg_sum)), denom)
+    return total, {"total": float(total.values), "l_cls": float(cls_sum.values),
+                   "l_reg": float(reg_sum.values), "t_plus": t_plus}
+
+
 def total_loss(head_out: HeadOutput, assignment: Assignment,
                lambda_reg: float = 1.0,
                alpha: float = FOCAL_ALPHA, gamma: float = FOCAL_GAMMA
-               ) -> tuple[Tensor, LossBreakdown]:
+               ) -> tuple[Tensor, dict]:
     """Combined objective for one video, normalized by max(T_plus, 1)."""
-    tape = head_out.cls_logits[0].tape
-    cls_sum, reg_sum, t_plus = loss_sums(head_out, assignment, alpha, gamma)
-    denom = tape.constant(float(max(t_plus, 1)))
-    total = ad.div(ad.add(cls_sum, ad.mul(tape.constant(lambda_reg), reg_sum)), denom)
-    breakdown = LossBreakdown(
-        l_cls=float(cls_sum.values),
-        l_reg=float(reg_sum.values),
-        t_plus=t_plus,
-        lambda_reg=lambda_reg,
-        total=float(total.values),
-    )
-    return total, breakdown
+    return objective(*loss_sums(head_out, assignment, alpha, gamma), lambda_reg)
 
 
 def _gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:

@@ -9,6 +9,7 @@ runs, so a checkpoint can be validated shape-by-shape against any config.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,6 +88,12 @@ class ModelConfig:
         self.backbone.validate()
         if self.num_classes < 1:
             raise ConfigError("num_classes must be positive")
+        # written as `not (ok)` so that NaN fails every check
+        if not 0 < self.range_base < math.inf:
+            raise ConfigError(
+                f"range_base must be finite and > 0, got {self.range_base}")
+        if not 0 < self.prior_prob < 1:
+            raise ConfigError(f"prior_prob must be in (0, 1), got {self.prior_prob}")
 
 
 def init_model_arrays(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
@@ -177,6 +184,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             arrays[name] = arr.reshape(dims).copy()
         except (struct.error, ValueError, UnicodeDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt checkpoint entry: {exc}") from exc
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: parameter {name!r} has non-finite values")
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
     return arrays

@@ -9,7 +9,6 @@ same config produce identical loss trajectories on the same platform.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -19,13 +18,14 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
+from . import data as dio
 from . import params as pr
-from .config import TrainConfig, config_snapshot
+from .config import TrainConfig
 from .datasets import Dataset
 from .decode import Interval
 from .errors import NumericError, ValidationError
 from .evaluate import mean_ap
-from .losses import Assignment, assign_targets, loss_sums
+from .losses import Assignment, assign_targets, loss_sums, objective
 from .model import (
     DecodeConfig,
     ModelConfig,
@@ -87,9 +87,7 @@ class RunManifest:
     wall_time_sec: float = 0.0
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dio.write_json(asdict(self), path)
 
 
 def train_step(arrays: dict[str, np.ndarray], cfg: ModelConfig,
@@ -115,17 +113,9 @@ def train_step(arrays: dict[str, np.ndarray], cfg: ModelConfig,
         reg_total = ad.add(reg_total, reg_sum)
         t_plus += video_pos
 
-    denom = tape.constant(float(max(t_plus, 1)))
-    loss = ad.div(ad.add(cls_total,
-                         ad.mul(tape.constant(lambda_reg), reg_total)), denom)
+    loss, scalars = objective(cls_total, reg_total, t_plus, lambda_reg)
     ad.backward(tape, loss)
     tape.clear()   # no cycle left: reference counting frees the step's tape
-    scalars = {
-        "total": float(loss.values),
-        "l_cls": float(cls_total.values),
-        "l_reg": float(reg_total.values),
-        "t_plus": t_plus,
-    }
     return pr.collect_grads(bound), scalars
 
 
@@ -160,11 +150,16 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
     val_ids = dataset.videos(val_split) if val_split in dataset.splits else []
     if not train_ids:
         raise ValidationError("training split is empty")
+    mcfg = cfg.model
     for vid in train_ids + val_ids:
         if vid not in dataset.fused:
             raise ValidationError(f"split references unknown video {vid!r}")
+        for ev in dataset.annotations[vid].events:
+            if ev.label >= mcfg.num_classes:
+                raise ValidationError(
+                    f"video {vid!r} has label {ev.label}, but the model has "
+                    f"num_classes {mcfg.num_classes}")
 
-    mcfg = cfg.model
     arrays = init_model_arrays(mcfg, cfg.seed)
     optimizer = AdamW(arrays, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
@@ -173,7 +168,7 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
     total_steps = steps_per_epoch * cfg.epochs
     warmup_steps = steps_per_epoch * cfg.warmup_epochs
 
-    manifest = RunManifest(config=config_snapshot(cfg), code_version=__version__)
+    manifest = RunManifest(config=asdict(cfg), code_version=__version__)
     assignments: dict[str, Assignment] = {}
     step = 0
     for epoch in range(cfg.epochs):

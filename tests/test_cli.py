@@ -13,13 +13,16 @@ from soundloc import autodiff as ad
 from soundloc import cli
 from soundloc import model as model_mod
 from soundloc import data as dio
+from soundloc import params as pr
 from soundloc.backbone import BackboneConfig
 from soundloc.config import TrainConfig, desk_scale_config, load_config, save_config
 from soundloc.datasets import load_dataset, write_dataset
 from soundloc.errors import CheckpointError, ConfigError, NumericError
+from soundloc.losses import assign_targets, total_loss
 from soundloc.model import (
     ModelConfig,
     check_checkpoint_shapes,
+    forward_video,
     init_model_arrays,
     load_checkpoint,
     predict_intervals,
@@ -196,6 +199,70 @@ class TestTraining:
         with pytest.raises(NumericError, match="epoch 0 batch 0"):
             train_mod.train(tiny_train_config(), ds, tmp_path / "nanrun")
 
+    def test_train_step_scalars_equal_total_loss(self, tiny_dataset):
+        # train_step and total_loss share one objective: on a one-video
+        # batch their scalars are the same floats
+        cfg = tiny_train_config(lambda_reg=0.5)
+        ds = load_dataset(tiny_dataset)
+        vid = ds.videos("train")[0]
+        arrays = init_model_arrays(cfg.model, seed=5)
+        _, got = train_step(arrays, cfg.model, [vid], ds, {}, cfg.lambda_reg)
+
+        tape = ad.Tape(dtype=np.float32)
+        _, points, head_out = forward_video(pr.bind(tape, arrays), cfg.model,
+                                            ds.fused[vid].data, tape)
+        a = assign_targets(points, ds.annotations[vid], ds.fused[vid].stride_sec,
+                           cfg.model.num_classes, valid_masks=head_out.valid_masks)
+        _, want = total_loss(head_out, a, cfg.lambda_reg)
+        assert want["t_plus"] > 0
+        assert got == want
+
+    def test_label_beyond_num_classes_rejected(self, tmp_path, capsys):
+        root = tmp_path / "ds7"
+        write_dataset(root, tiny_spec(num_classes=7), split_counts=(4, 2, 2))
+        ds = load_dataset(root)
+        labels = {ev.label for vid in ds.videos("train") + ds.videos("val")
+                  for ev in ds.annotations[vid].events}
+        assert max(labels) >= 3
+        cfg_path = tmp_path / "c.ini"
+        save_config(tiny_train_config(), cfg_path)
+        rc = cli.main(["train", "--data", str(root), "--out", str(tmp_path / "run"),
+                       "--config", str(cfg_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]") and "num_classes 3" in err
+        assert not list((tmp_path / "run" / "checkpoints").glob("*.ckpt"))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "learning_rate", float("nan")),
+        ("train", "learning_rate", -1e-3),
+        ("train", "weight_decay", float("inf")),
+        ("train", "grad_clip", float("nan")),
+        ("train", "lambda_reg", float("inf")),
+        ("train", "lambda_reg", -0.5),
+        ("model", "prior_prob", 0.0),
+        ("model", "prior_prob", 1.0),
+        ("model", "prior_prob", float("nan")),
+        ("model", "range_base", 0.0),
+        ("model", "range_base", float("inf")),
+        ("model", "range_base", float("nan")),
+        ("backbone", "layerscale_init", float("nan")),
+        ("backbone", "layerscale_init", float("-inf")),
+    ])
+    def test_bad_train_config_exit_code(self, tiny_dataset, tmp_path, capsys,
+                                        section, key, value):
+        cfg = tiny_train_config()
+        target = {"train": cfg, "model": cfg.model,
+                  "backbone": cfg.model.backbone}[section]
+        setattr(target, key, value)
+        bad_cfg = tmp_path / "bad.ini"
+        save_config(cfg, bad_cfg)
+        rc = cli.main(["train", "--data", str(tiny_dataset),
+                       "--out", str(tmp_path / "run"), "--config", str(bad_cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and key in err
+
 
 class TestCheckpoints:
     def test_roundtrip_exact(self, tmp_path):
@@ -295,6 +362,26 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:50])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("head.cls.out.b", float("nan")),
+        ("head.reg.out.b", float("inf")),
+        ("block0.attn.wq", float("-inf")),
+    ])
+    def test_non_finite_checkpoint_rejected(self, trained, tmp_path, capsys,
+                                            name, value):
+        arrays = load_checkpoint(trained["ckpt"])
+        arrays[name].flat[0] = value
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(arrays, path)
+        out = tmp_path / "x.json"
+        rc = cli.main(["predict", "--checkpoint", str(path),
+                       "--features", str(trained["data"] / "features"),
+                       "--out", str(out), "--config", str(trained["config"])])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[checkpoint]") and repr(name) in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -412,15 +499,6 @@ class TestPredictEvalCli:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("error[annotation-format]") and "finite" in err
-
-    def test_device_must_be_cpu(self, trained, tmp_path, capsys):
-        rc = cli.main(["predict", "--checkpoint", trained["ckpt"],
-                       "--features", str(trained["data"] / "features"),
-                       "--out", str(tmp_path / "x.json"),
-                       "--config", str(trained["config"]),
-                       "--device", "cuda"])
-        assert rc == 2
-        assert "error[validation]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("sigma", 0.0), ("sigma", -1.0), ("sigma", float("nan")),

@@ -15,7 +15,6 @@ from soundloc.losses import (
     Assignment,
     assign_targets,
     diou_loss,
-    diou_loss_single,
     focal_loss,
     total_loss,
 )
@@ -177,9 +176,6 @@ class TestDiou:
         # zero-length prediction at the target center: IoU 0, no center gap
         np.testing.assert_allclose(got, 1.0, atol=1e-12)
 
-    def test_identical_points_convention(self):
-        assert diou_loss_single(0.0, 0.0, 0.0, 0.0) == 0.0
-
     def test_degenerate_target_rejected(self):
         t = ad.Tape(dtype=np.float64)
         with pytest.raises(ValidationError):
@@ -250,9 +246,9 @@ class TestTotalLoss:
         tape = ad.Tape(dtype=np.float64)
         out = self.fake_output(tape)
         total, bd = total_loss(out, self.fake_assignment())
-        assert bd.t_plus == 0
-        assert bd.l_reg == 0.0
-        np.testing.assert_allclose(float(total.values), bd.l_cls)
+        assert bd["t_plus"] == 0
+        assert bd["l_reg"] == 0.0
+        np.testing.assert_allclose(float(total.values), bd["l_cls"])
 
     def test_lambda_zero_matches_focal_only(self):
         tape = ad.Tape(dtype=np.float64)
