@@ -519,12 +519,12 @@ def softmax_lastdim(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
 
 
 def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
-                    valid: np.ndarray, num_heads: int) -> Tensor:
+                    num_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention within a sliding window.
 
     ``q``, ``k`` and ``v`` are (T, D); head h owns columns
     [h * D/H, (h + 1) * D/H). Query i attends key j = i + o - window // 2,
-    o in [0, window), when 0 <= j < T and ``valid[j]``; it always attends
+    o in [0, window), when 0 <= j < T; offset o = window // 2 is the query
     itself, so no row is ever fully masked. Scores, softmax weights and the
     weighted sum live on a (w, T, H) band, one slice per key offset, and the
     backward pass reuses it: time and memory grow linearly in T, and the
@@ -543,9 +543,6 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
         raise EmptyInputError("local_attention input has zero timesteps")
     if num_heads < 1 or d % num_heads != 0:
         raise ConfigError(f"width {d} not divisible by {num_heads} heads")
-    valid = np.asarray(valid, dtype=bool)
-    if valid.shape != (t,):
-        raise ShapeError(f"valid mask must have shape ({t},), got {valid.shape}")
 
     heads = (t, num_heads, d // num_heads)
     r = min(window // 2, t - 1)   # farther offsets reach no key
@@ -557,12 +554,10 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
     k_pad[r:r + t] = k.values.reshape(heads)
     v_pad = np.zeros((t + 2 * r,) + heads[1:], dtype=dt)
     v_pad[r:r + t] = v.values.reshape(heads)
-    # keep[o, i]: query i may attend key i + o - r
+    # keep[o, i]: key i + o - r lies in [0, T), so query i may attend it
     ok = np.zeros(t + 2 * r, dtype=bool)
-    ok[r:r + t] = valid
-    keep = np.lib.stride_tricks.sliding_window_view(ok, t).copy()
-    keep[r] = True
-    keep = keep[:, :, None]
+    ok[r:r + t] = True
+    keep = np.lib.stride_tricks.sliding_window_view(ok, t)[:, :, None]
 
     scores = np.empty((w, t, num_heads), dtype=dt)
     for o in range(w):

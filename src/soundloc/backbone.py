@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import ConfigError, EmptyInputError
 
 logger = logging.getLogger(__name__)
@@ -77,7 +77,6 @@ class BackboneConfig:
 class PyramidLevel:
     features: Tensor          # (T_level, d_model)
     stride_units: int         # input timesteps per position
-    valid_mask: np.ndarray    # bool (T_level,), False marks padded tail
 
 
 @dataclass
@@ -139,61 +138,42 @@ def init_backbone_params(cfg: BackboneConfig, rng: np.random.Generator) -> dict[
 # ---------------------------------------------------------------------------
 # forward pieces
 
-def mask_column(tape: Tape, valid: np.ndarray) -> Tensor:
-    """(T, 1) constant: 1 at valid positions, 0 on the padded tail."""
-    return tape.constant(valid.astype(np.float64)[:, None])
-
-
-def embed(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig,
-          valid: np.ndarray | None = None) -> Tensor:
+def embed(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig) -> Tensor:
     """Two stride-1 convolutions with ReLU, projecting input dim -> d_model."""
     if x.shape[1] != cfg.input_dim:
         raise ConfigError(
             f"embed expects feature dim {cfg.input_dim}, got {x.shape[1]}")
-    if valid is None:
-        valid = np.ones(x.shape[0], dtype=bool)
-    mask = mask_column(x.tape, valid)
-    h = ad.mul(x, mask)
-    h = ad.relu(ad.mul(ad.add(ad.conv1d(h, p["embed.conv1.w"]), p["embed.conv1.b"]), mask))
-    h = ad.relu(ad.mul(ad.add(ad.conv1d(h, p["embed.conv2.w"]), p["embed.conv2.b"]), mask))
-    return h
+    h = ad.relu(ad.add(ad.conv1d(x, p["embed.conv1.w"]), p["embed.conv1.b"]))
+    return ad.relu(ad.add(ad.conv1d(h, p["embed.conv2.w"]), p["embed.conv2.b"]))
 
 
 def windowed_msa(x: Tensor, p: Mapping[str, Tensor], prefix: str,
-                 window: int, num_heads: int,
-                 valid: np.ndarray | None = None) -> Tensor:
+                 window: int, num_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention restricted to a local window.
 
     Projections to queries, keys and values, one banded
     :func:`~soundloc.autodiff.local_attention`, then the output projection.
     """
-    if valid is None:
-        valid = np.ones(x.shape[0], dtype=bool)
-
     q = ad.add(ad.matmul(x, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
     k = ad.add(ad.matmul(x, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
     v = ad.add(ad.matmul(x, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-    attn = ad.local_attention(q, k, v, window, valid, num_heads)
+    attn = ad.local_attention(q, k, v, window, num_heads)
     return ad.add(ad.matmul(attn, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
 
 def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,
-                      cfg: BackboneConfig,
-                      valid: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+                      cfg: BackboneConfig) -> Tensor:
     """One block of the scaled-branch recurrence, then optional downsampling.
 
     attn branch:  z_bar = scale_attn * MSA(LN(x))            [+ x if configured]
     mlp branch:   z_hat = scale_mlp * MLP(LN(z_bar)) + z_bar
     downsample:   stride-2 convolution when scheduled, identity otherwise.
-    Returns the block output and the propagated validity mask.
     """
-    if valid is None:
-        valid = np.ones(x.shape[0], dtype=bool)
     pref = f"block{block_index}"
     stride = cfg.stride_schedule[block_index]
 
     ln1 = ad.layer_norm(x, p[f"{pref}.ln1.gamma"], p[f"{pref}.ln1.beta"])
-    attn = windowed_msa(ln1, p, f"{pref}.attn", cfg.window, cfg.num_heads, valid)
+    attn = windowed_msa(ln1, p, f"{pref}.attn", cfg.window, cfg.num_heads)
     z_bar = ad.mul(attn, p[f"{pref}.scale_attn"])
     if cfg.msa_residual:
         z_bar = ad.add(z_bar, x)
@@ -202,19 +182,13 @@ def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,
     h = ad.gelu(ad.add(ad.matmul(ln2, p[f"{pref}.mlp.w1"]), p[f"{pref}.mlp.b1"]))
     h = ad.add(ad.matmul(h, p[f"{pref}.mlp.w2"]), p[f"{pref}.mlp.b2"])
     z_hat = ad.add(ad.mul(h, p[f"{pref}.scale_mlp"]), z_bar)
-
-    z_hat = ad.mul(z_hat, mask_column(x.tape, valid))
     if stride == 2:
-        out = ad.add(ad.conv1d(z_hat, p[f"{pref}.down.w"], stride=2),
-                     p[f"{pref}.down.b"])
-        new_valid = valid[::2].copy()
-        out = ad.mul(out, mask_column(x.tape, new_valid))
-        return out, new_valid
-    return z_hat, valid
+        return ad.add(ad.conv1d(z_hat, p[f"{pref}.down.w"], stride=2),
+                      p[f"{pref}.down.b"])
+    return z_hat
 
 
-def build_pyramid(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig,
-                  valid: np.ndarray | None = None) -> Pyramid:
+def build_pyramid(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig) -> Pyramid:
     """Run embedding and all blocks, collecting the feature pyramid.
 
     A level is emitted after the last stride-1 block and after every
@@ -224,20 +198,18 @@ def build_pyramid(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig,
     t_in = x.shape[0]
     if t_in == 0:
         raise EmptyInputError("input sequence too short: zero timesteps")
-    if valid is None:
-        valid = np.ones(t_in, dtype=bool)
 
     stride1_idx = [i for i, s in enumerate(cfg.stride_schedule) if s == 1]
     last_stride1 = stride1_idx[-1] if stride1_idx else -1
 
-    h = embed(x, p, cfg, valid)
+    h = embed(x, p, cfg)
     pyramid = Pyramid()
     stride_units = 1
     for i, s in enumerate(cfg.stride_schedule):
-        h, valid = transformer_block(h, p, i, cfg, valid)
+        h = transformer_block(h, p, i, cfg)
         stride_units *= s
         if s == 2 or i == last_stride1:
-            pyramid.levels.append(PyramidLevel(h, stride_units, valid.copy()))
+            pyramid.levels.append(PyramidLevel(h, stride_units))
 
     if any(length <= 1 for length in pyramid.lengths):
         logger.warning("degenerate pyramid: some level collapsed to length <= 1 "

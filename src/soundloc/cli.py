@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import data as dio
 from . import datasets
-from .config import TrainConfig, desk_scale_config, load_config, save_config
+from .config import TrainConfig, desk_scale_config, load_config
 from .decode import Interval
 from .errors import SoundlocError, ValidationError
 from .evaluate import mean_ap
@@ -105,8 +105,6 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     dataset = datasets.load_dataset(args.data)
-    args.out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, args.out / "config.ini")
     manifest = train(cfg, dataset, args.out)
     last = manifest.epochs[-1]
     print(f"trained {len(manifest.epochs)} epochs in "

@@ -151,7 +151,8 @@ def fuse_features(visual: FeatureSequence,
     mapping when lengths differ; the fused layout is the visual block
     followed by the audio block, so slicing columns [0, D_v) recovers the
     visual matrix exactly. Passing ``audio=None`` yields a fused sequence
-    equal to the visual one (single-modality mode).
+    equal to the visual one (single-modality mode). The two durations
+    (``T * stride_sec``) may differ by at most the larger stride.
     """
     if visual.modality != "visual":
         raise ValidationError(f"expected a visual sequence, got {visual.modality!r}")
@@ -168,6 +169,11 @@ def fuse_features(visual: FeatureSequence,
     if audio.num_timesteps == 0:
         raise EmptyInputError("audio sequence is empty")
 
+    gap = abs(visual.duration_sec - audio.duration_sec)
+    if not gap <= max(visual.stride_sec, audio.stride_sec):   # NaN fails too
+        raise ValidationError(
+            f"video {visual.video_id!r}: visual lasts {visual.duration_sec} s "
+            f"but audio {audio.duration_sec} s, more than one stride apart")
     t_v, t_a = visual.num_timesteps, audio.num_timesteps
     if t_a == t_v:
         audio_rows = audio.data
@@ -230,7 +236,7 @@ def load_features(path) -> FeatureSequence:
     try:
         video_id = blob[offset:offset + vid_len].decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FeatureFileError(f"{path}: video id is not valid UTF-8") from exc
+        raise FeatureFileError(f"{path}: video id does not decode as UTF-8") from exc
     offset += vid_len
 
     expected = t * d * 4

@@ -63,21 +63,31 @@ def write_dataset(out_dir, spec: dio.SyntheticSpec,
 
 
 def load_feature_dir(features_dir) -> dict[str, dio.FeatureSequence]:
-    """Fuse every visual/audio pair found in a features directory."""
+    """Fuse every visual/audio pair found in a features directory.
+
+    An audio file whose video has no visual file (an already-fused file is
+    not one) is an error, not a silent drop.
+    """
     root = Path(features_dir)
     if not root.is_dir():
         raise ValidationError(f"features directory not found: {root}")
     visual: dict[str, dio.FeatureSequence] = {}
     audio: dict[str, dio.FeatureSequence] = {}
+    audio_files: dict[str, str] = {}
     for path in sorted(root.glob("*.tslf")):
         seq = dio.load_features(path)
-        if seq.modality == "visual":
-            visual[seq.video_id] = seq
-        elif seq.modality == "audio":
+        if seq.modality == "audio":
             audio[seq.video_id] = seq
+            audio_files[seq.video_id] = path.name
         else:
             # already-fused files pass straight through
             visual[seq.video_id] = seq
+    paired = {vid for vid, seq in visual.items() if seq.modality == "visual"}
+    orphans = sorted(audio_files[vid] for vid in set(audio) - paired)
+    if orphans:
+        raise ValidationError(
+            f"{root}: audio files without a visual partner: "
+            f"{', '.join(orphans[:5])}")
     fused = {}
     for vid, v in sorted(visual.items()):
         if v.modality == "fused":

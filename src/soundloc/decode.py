@@ -72,8 +72,8 @@ def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
 
     # one row per candidate, in (level, point, class) order
     cols: list[tuple[np.ndarray, ...]] = []
-    for lvl, logits, dist, valid in zip(points.levels, head_out.cls_logits,
-                                        head_out.distances, head_out.valid_masks):
+    for lvl, logits, dist in zip(points.levels, head_out.cls_logits,
+                                 head_out.distances):
         probs = 1.0 / (1.0 + np.exp(-np.asarray(logits.values, dtype=np.float64)))
         d = np.asarray(dist.values, dtype=np.float64)
         starts = np.clip((lvl.timestamps - d[:, 0] * lvl.stride_units) * stride_sec,
@@ -82,7 +82,7 @@ def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
                        0.0, duration_sec)
         # a NaN boundary passes this mask and is rejected below, as Interval
         # rejects it
-        point_ok = np.asarray(valid, dtype=bool) & ~(starts >= ends)
+        point_ok = ~(starts >= ends)
         pt, cls = np.nonzero((probs >= score_thresh) & point_ok[:, None])
         cols.append((probs[pt, cls], starts[pt], ends[pt], cls))
     if not cols:

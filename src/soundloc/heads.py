@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import Pyramid, conv_init, mask_column
+from .backbone import Pyramid, conv_init
 from .errors import EmptyInputError
 
 DEFAULT_RANGE_BASE = 4.0
@@ -68,7 +68,6 @@ class HeadOutput:
     cls_logits: list[Tensor]    # (T_level, C)
     reg_raw: list[Tensor]       # (T_level, 2), pre-softplus
     distances: list[Tensor]     # (T_level, 2), nonnegative, stride units
-    valid_masks: list[np.ndarray]
 
 
 def init_head_params(d_model: int, num_classes: int, rng: np.random.Generator,
@@ -89,30 +88,21 @@ def init_head_params(d_model: int, num_classes: int, rng: np.random.Generator,
     return p
 
 
-def _head_trunk(x: Tensor, p: Mapping[str, Tensor], branch: str,
-                valid: np.ndarray) -> Tensor:
-    mask = mask_column(x.tape, valid)
+def _head_trunk(x: Tensor, p: Mapping[str, Tensor], branch: str) -> Tensor:
     h = x
     for i in (1, 2):
         h = ad.add(ad.conv1d(h, p[f"head.{branch}.conv{i}.w"]),
                    p[f"head.{branch}.conv{i}.b"])
         h = ad.layer_norm(h, p[f"head.{branch}.ln{i}.gamma"],
                           p[f"head.{branch}.ln{i}.beta"])
-        h = ad.mul(ad.relu(h), mask)
+        h = ad.relu(h)
     return ad.add(ad.conv1d(h, p[f"head.{branch}.out.w"]),
                   p[f"head.{branch}.out.b"])
 
 
 def run_heads(pyramid: Pyramid, p: Mapping[str, Tensor]) -> HeadOutput:
     """Class logits and pre-softplus boundary distances for every level."""
-    cls_logits = [_head_trunk(lvl.features, p, "cls", lvl.valid_mask)
-                  for lvl in pyramid.levels]
-    reg_raw = [_head_trunk(lvl.features, p, "reg", lvl.valid_mask)
-               for lvl in pyramid.levels]
+    cls_logits = [_head_trunk(lvl.features, p, "cls") for lvl in pyramid.levels]
+    reg_raw = [_head_trunk(lvl.features, p, "reg") for lvl in pyramid.levels]
     distances = [ad.softplus(r) for r in reg_raw]
-    return HeadOutput(
-        cls_logits=cls_logits,
-        reg_raw=reg_raw,
-        distances=distances,
-        valid_masks=[lvl.valid_mask for lvl in pyramid.levels],
-    )
+    return HeadOutput(cls_logits=cls_logits, reg_raw=reg_raw, distances=distances)

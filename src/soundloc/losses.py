@@ -5,7 +5,7 @@ center-sampling window, and the event's longer boundary distance falls in
 that pyramid level's regression range. Among several qualifying events the
 shortest wins (ties: earlier start, then lower label). The total objective is
 
-    (sum of focal over all valid points and classes
+    (sum of focal over all points and classes
      + lambda_reg * sum of DIoU over positive points) / max(T_plus, 1)
 """
 
@@ -19,7 +19,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import AnnotationSet
 from .errors import ValidationError
-from .backbone import mask_column
 from .heads import HeadOutput, PointSet
 
 CENTER_SAMPLING_RADIUS = 1.5
@@ -34,7 +33,6 @@ class Assignment:
     cls_targets: list[np.ndarray]   # (T_level, C) float 0/1
     positive: list[np.ndarray]      # (T_level,) bool
     reg_targets: list[np.ndarray]   # (T_level, 2) float, stride units
-    event_ids: list[np.ndarray]     # (T_level,) int, -1 for background
     t_plus: int = 0
 
     def recount(self) -> int:
@@ -43,33 +41,29 @@ class Assignment:
 
 def assign_targets(points: PointSet, ann: AnnotationSet,
                    stride_sec: float, num_classes: int,
-                   valid_masks: list[np.ndarray] | None = None,
                    center_radius: float = CENTER_SAMPLING_RADIUS) -> Assignment:
     """Label every pyramid point against one video's ground-truth events."""
-    events = [(ei, ev.label, ev.start_sec / stride_sec, ev.end_sec / stride_sec)
-              for ei, ev in enumerate(ann.events)]
+    events = [(ev.label, ev.start_sec / stride_sec, ev.end_sec / stride_sec)
+              for ev in ann.events]
 
-    out = Assignment([], [], [], [])
-    for li, lvl in enumerate(points.levels):
+    out = Assignment([], [], [])
+    for lvl in points.levels:
         ts = lvl.timestamps
         n = ts.shape[0]
         cls_t = np.zeros((n, num_classes), dtype=np.float32)
         pos = np.zeros(n, dtype=bool)
         reg_t = np.zeros((n, 2), dtype=np.float32)
-        ev_id = np.full(n, -1, dtype=np.int64)
-        valid = (valid_masks[li] if valid_masks is not None
-                 else np.ones(n, dtype=bool))
 
         # (length, start, label) keys; smaller wins
         best_key = np.full((n, 3), np.inf)
         best = np.full(n, -1, dtype=np.int64)
-        for ei, label, s_u, e_u in events:
+        for ei, (label, s_u, e_u) in enumerate(events):
             center = 0.5 * (s_u + e_u)
             radius = center_radius * lvl.stride_units
             inside = (ts >= max(s_u, center - radius)) & (ts <= min(e_u, center + radius))
             far = np.maximum(ts - s_u, e_u - ts)
             in_range = (far >= lvl.range_min) & (far < lvl.range_max)
-            ok = inside & in_range & valid
+            ok = inside & in_range
             if not ok.any():
                 continue
             key = np.array([e_u - s_u, s_u, float(label)])
@@ -79,17 +73,15 @@ def assign_targets(points: PointSet, ann: AnnotationSet,
 
         chosen = best >= 0
         for i in np.nonzero(chosen)[0]:
-            ei, label, s_u, e_u = events[best[i]]
+            label, s_u, e_u = events[best[i]]
             pos[i] = True
             cls_t[i, label] = 1.0
             reg_t[i, 0] = (ts[i] - s_u) / lvl.stride_units
             reg_t[i, 1] = (e_u - ts[i]) / lvl.stride_units
-            ev_id[i] = ei
 
         out.cls_targets.append(cls_t)
         out.positive.append(pos)
         out.reg_targets.append(reg_t)
-        out.event_ids.append(ev_id)
     out.t_plus = out.recount()
     return out
 
@@ -172,7 +164,7 @@ def loss_sums(head_out: HeadOutput, assignment: Assignment,
               ) -> tuple[Tensor, Tensor, int]:
     """Unnormalized loss sums for one video: (focal sum, DIoU sum, T_plus).
 
-    Focal runs over every valid point and class; DIoU only over positive
+    Focal runs over every point and class; DIoU only over positive
     points. Callers divide by their own positive count, which lets several
     videos share one normalizer in a batch.
     """
@@ -180,10 +172,8 @@ def loss_sums(head_out: HeadOutput, assignment: Assignment,
     cls_sum = tape.constant(0.0)
     reg_sum = tape.constant(0.0)
     for li, logits in enumerate(head_out.cls_logits):
-        valid = head_out.valid_masks[li]
-        elem, _ = focal_loss(logits, assignment.cls_targets[li], alpha, gamma)
-        keep = mask_column(tape, valid)
-        cls_sum = ad.add(cls_sum, ad.sum_all(ad.mul(elem, keep)))
+        _, focal_sum = focal_loss(logits, assignment.cls_targets[li], alpha, gamma)
+        cls_sum = ad.add(cls_sum, focal_sum)
 
         pos = assignment.positive[li]
         if pos.any():

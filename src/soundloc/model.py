@@ -105,12 +105,11 @@ def init_model_arrays(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     return arrays
 
 
-def forward_video(bound, cfg: ModelConfig, fused: np.ndarray, tape: Tape,
-                  valid: np.ndarray | None = None
+def forward_video(bound, cfg: ModelConfig, fused: np.ndarray, tape: Tape
                   ) -> tuple[Pyramid, PointSet, HeadOutput]:
     """Backbone + heads over one fused (T, D) feature matrix."""
     x = tape.constant(fused)
-    pyramid = build_pyramid(x, bound, cfg.backbone, valid=valid)
+    pyramid = build_pyramid(x, bound, cfg.backbone)
     points = generate_points(pyramid, cfg.range_base)
     head_out = run_heads(pyramid, bound)
     return pyramid, points, head_out

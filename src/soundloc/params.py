@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -30,9 +31,13 @@ def global_norm(grads: Mapping[str, np.ndarray]) -> float:
 
 
 def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint norm is at most max_norm."""
+    """Scale all gradients in place so their joint norm is at most max_norm.
+
+    Returns the norm before clipping. A non-finite norm leaves the gradients
+    as they are, for the caller to reject.
+    """
     norm = global_norm(grads)
-    if norm > max_norm and norm > 0:
+    if norm > max_norm and 0 < norm < math.inf:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale

@@ -20,7 +20,7 @@ from . import __version__
 from . import autodiff as ad
 from . import data as dio
 from . import params as pr
-from .config import TrainConfig
+from .config import TrainConfig, save_config
 from .datasets import Dataset
 from .decode import Interval
 from .errors import NumericError, ValidationError
@@ -107,7 +107,7 @@ def train_step(arrays: dict[str, np.ndarray], cfg: ModelConfig,
         if vid not in assignments:
             assignments[vid] = assign_targets(
                 points, dataset.annotations[vid], fused.stride_sec,
-                cfg.num_classes, valid_masks=head_out.valid_masks)
+                cfg.num_classes)
         cls_sum, reg_sum, video_pos = loss_sums(head_out, assignments[vid])
         cls_total = ad.add(cls_total, cls_sum)
         reg_total = ad.add(reg_total, reg_sum)
@@ -137,15 +137,12 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
           train_split: str = "train", val_split: str = "val") -> RunManifest:
     """Run the full optimization and return the populated manifest.
 
-    Writes per-epoch checkpoints plus ``best.ckpt`` (highest validation mAP)
-    and ``manifest.json`` under ``out_dir``.
+    Writes ``config.ini``, per-epoch checkpoints plus ``best.ckpt`` (highest
+    validation mAP) and ``manifest.json`` under ``out_dir``. The config, the
+    splits and the labels are checked first: a rejected run writes nothing.
     """
     cfg.validate()
     t0 = time.perf_counter()
-    out = Path(out_dir)
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-
     train_ids = dataset.videos(train_split)
     val_ids = dataset.videos(val_split) if val_split in dataset.splits else []
     if not train_ids:
@@ -154,12 +151,20 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
     for vid in train_ids + val_ids:
         if vid not in dataset.fused:
             raise ValidationError(f"split references unknown video {vid!r}")
+        if dataset.fused[vid].dim != mcfg.backbone.input_dim:
+            raise ValidationError(
+                f"video {vid!r} has feature dim {dataset.fused[vid].dim}, but "
+                f"the model has input_dim {mcfg.backbone.input_dim}")
         for ev in dataset.annotations[vid].events:
             if ev.label >= mcfg.num_classes:
                 raise ValidationError(
                     f"video {vid!r} has label {ev.label}, but the model has "
                     f"num_classes {mcfg.num_classes}")
 
+    out = Path(out_dir)
+    ckpt_dir = out / "checkpoints"
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out / "config.ini")
     arrays = init_model_arrays(mcfg, cfg.seed)
     optimizer = AdamW(arrays, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
@@ -180,11 +185,15 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
                 for i in range(0, len(order), cfg.batch_size)):
             grads, scalars = train_step(arrays, mcfg, batch, dataset,
                                         assignments, cfg.lambda_reg)
+            where = (f"at epoch {epoch} batch {bi} "
+                     f"(videos: {', '.join(sorted(batch))})")
             if not math.isfinite(scalars["total"]):
+                raise NumericError(f"non-finite loss {where}: {scalars}")
+            if not math.isfinite(pr.clip_by_global_norm(grads, cfg.grad_clip)):
+                bad = next(n for n in sorted(grads) if not np.isfinite(grads[n]).all())
                 raise NumericError(
-                    f"non-finite loss at epoch {epoch} batch {bi} "
-                    f"(videos: {', '.join(sorted(batch))}): {scalars}")
-            pr.clip_by_global_norm(grads, cfg.grad_clip)
+                    f"non-finite gradient norm {where}: parameter {bad!r} has "
+                    f"a non-finite gradient")
             optimizer.step(arrays, grads, lr_at(step, total_steps,
                                                 warmup_steps, cfg.learning_rate))
             step += 1

@@ -57,7 +57,7 @@ def composed_loss(x, arrays, cfg, ann):
     pyr = build_pyramid(x, p, cfg)
     pts = generate_points(pyr)
     head_out = run_heads(pyr, p)
-    a = assign_targets(pts, ann, 1.0, 3, valid_masks=head_out.valid_masks)
+    a = assign_targets(pts, ann, 1.0, 3)
     total, _ = total_loss(head_out, a)
     return total
 
@@ -145,8 +145,7 @@ def test_criterion_1_gradient_suite():
             pyr = build_pyramid(v.tape.constant(x0), p, cfg)
             pts = generate_points(pyr)
             head_out = run_heads(pyr, p)
-            a = assign_targets(pts, ann, 1.0, 3,
-                               valid_masks=head_out.valid_masks)
+            a = assign_targets(pts, ann, 1.0, 3)
             total, _ = total_loss(head_out, a)
             return total
 

@@ -370,7 +370,7 @@ class TestTapeIsolation:
             t = ad.Tape(dtype=np.float32, record=record)
             x = t.constant(x0)
             h = ad.gelu(ad.matmul(x, t.leaf(w0)))
-            y = ad.local_attention(h, h, x, 5, np.ones(9, dtype=bool), 2)
+            y = ad.local_attention(h, h, x, 5, 2)
             outs[record] = ad.sum_all(ad.square(y)).values
             assert len(t._nodes) == (5 if record else 0)
         assert outs[True].tobytes() == outs[False].tobytes()

@@ -15,26 +15,25 @@ from soundloc.backbone import (
     transformer_block,
     windowed_msa,
 )
+from soundloc.config import desk_scale_config
 from soundloc.errors import ConfigError, ShapeError
+from soundloc.model import forward_video, init_model_arrays
 
 
-def _band_mask(t: int, window: int, valid: np.ndarray) -> np.ndarray:
+def _band_mask(t: int, window: int) -> np.ndarray:
     """Oracle: keys each query may attend, as a dense (T, T) mask."""
     offs = np.arange(t)
-    band = np.abs(offs[:, None] - offs[None, :]) <= window // 2
-    keep = band & valid[None, :]
+    keep = np.abs(offs[:, None] - offs[None, :]) <= window // 2
     np.fill_diagonal(keep, True)  # self is always attendable
     return keep
 
 
-def dense_windowed_msa(x, p, prefix, window, num_heads, valid=None):
+def dense_windowed_msa(x, p, prefix, window, num_heads):
     """Oracle: the quadratic attention, dense T x T scores per head, masked."""
     t, d = x.shape
-    if valid is None:
-        valid = np.ones(t, dtype=bool)
     d_head = d // num_heads
     scale = 1.0 / np.sqrt(d_head)
-    keep = _band_mask(t, window, valid)
+    keep = _band_mask(t, window)
 
     q = ad.add(ad.matmul(x, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
     k = ad.add(ad.matmul(x, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
@@ -146,7 +145,7 @@ class TestWindowedAttention:
 
     def test_window_11_reach_from_position_zero(self):
         # T=8, w=11: position 0 may see keys {0..5}
-        keep = _band_mask(8, 11, np.ones(8, dtype=bool))
+        keep = _band_mask(8, 11)
         np.testing.assert_array_equal(
             keep[0], [True, True, True, True, True, True, False, False])
         # zero queries give uniform weights over the attended keys, and
@@ -154,48 +153,30 @@ class TestWindowedAttention:
         tape = ad.Tape(dtype=np.float64)
         out = ad.local_attention(tape.constant(np.zeros((8, 8))),
                                  tape.constant(np.zeros((8, 8))),
-                                 tape.constant(np.eye(8)), 11,
-                                 np.ones(8, dtype=bool), 1)
+                                 tape.constant(np.eye(8)), 11, 1)
         np.testing.assert_allclose(out.values[0], [1 / 6] * 6 + [0.0] * 2,
                                    rtol=1e-15)
-
-    def test_invalid_keys_are_skipped_but_self_is_kept(self):
-        tape = ad.Tape(dtype=np.float64)
-        valid = np.array([True, False, True, False, False])
-        out = ad.local_attention(tape.constant(np.zeros((5, 5))),
-                                 tape.constant(np.zeros((5, 5))),
-                                 tape.constant(np.eye(5)), 3, valid, 1)
-        np.testing.assert_array_equal(out.values > 0, [
-            [1, 0, 0, 0, 0],
-            [1, 1, 1, 0, 0],
-            [0, 0, 1, 0, 0],
-            [0, 0, 1, 1, 0],
-            [0, 0, 0, 0, 1]])
 
     def test_bad_inputs_rejected(self):
         tape = ad.Tape(dtype=np.float64)
         a = tape.constant(np.zeros((4, 4)))
         with pytest.raises(ShapeError):
-            ad.local_attention(a, a, tape.constant(np.zeros((3, 4))), 3,
-                               np.ones(4, dtype=bool), 1)
-        with pytest.raises(ShapeError):
-            ad.local_attention(a, a, a, 3, np.ones(5, dtype=bool), 1)
+            ad.local_attention(a, a, tape.constant(np.zeros((3, 4))), 3, 1)
         with pytest.raises(ConfigError):
-            ad.local_attention(a, a, a, 3, np.ones(4, dtype=bool), 3)
+            ad.local_attention(a, a, a, 3, 3)
         with pytest.raises(ConfigError):
-            ad.local_attention(a, a, a, 0, np.ones(4, dtype=bool), 1)
+            ad.local_attention(a, a, a, 0, 1)
 
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_grad_check_in_q_k_and_v(self, which):
         rng = np.random.default_rng(which)
         fixed = [rng.normal(size=(7, 4)) for _ in range(3)]
         weights = rng.normal(size=(7, 4))
-        valid = np.array([True, True, False, True, False, True, True])
 
         def f(x):
             args = [x if i == which else x.tape.constant(a)
                     for i, a in enumerate(fixed)]
-            out = ad.local_attention(*args, 3, valid, 2)
+            out = ad.local_attention(*args, 3, 2)
             return ad.sum_all(ad.mul(out, x.tape.constant(weights)))
 
         assert ad.grad_check(f, rng.normal(size=(7, 4))) <= 1e-4
@@ -224,13 +205,8 @@ def attention_cases(draw):
     wide = 2 * t + 1 + 2 * draw(st.integers(min_value=0, max_value=3))
     window = draw(st.sampled_from([1, 3, 5, 11, wide]))
     heads = draw(st.sampled_from([1, 2, 4]))
-    kind = draw(st.sampled_from(["random", "none", "all"]))
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    rng = np.random.default_rng(seed)
-    valid = {"random": rng.random(t) < rng.random(),
-             "none": np.zeros(t, dtype=bool),
-             "all": np.ones(t, dtype=bool)}[kind]
-    return t, window, heads, valid, seed
+    return t, window, heads, seed
 
 
 class TestBandedAgainstDense:
@@ -239,19 +215,19 @@ class TestBandedAgainstDense:
     @settings(max_examples=60, deadline=None)
     @given(attention_cases())
     def test_float32_forward(self, case):
-        t, window, heads, valid, seed = case
+        t, window, heads, seed = case
         cfg = tiny_cfg(num_heads=heads, window=window)
         tape, p = bound_model(cfg, seed=seed % 7, dtype=np.float32)
         x = tape.constant(np.random.default_rng(seed).normal(size=(t, 8)))
-        got = windowed_msa(x, p, "block0.attn", window, heads, valid).values
-        want = dense_windowed_msa(x, p, "block0.attn", window, heads, valid).values
+        got = windowed_msa(x, p, "block0.attn", window, heads).values
+        want = dense_windowed_msa(x, p, "block0.attn", window, heads).values
         assert got.dtype == want.dtype == np.float32
         assert (np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want))).all()
 
     @settings(max_examples=40, deadline=None)
     @given(attention_cases())
     def test_float64_forward_and_gradients(self, case):
-        t, window, heads, valid, seed = case
+        t, window, heads, seed = case
         cfg = tiny_cfg(num_heads=heads, window=window)
         arrays = init_backbone_params(cfg, np.random.default_rng(seed % 7))
         # branch weights large enough that softmax weights are far from uniform
@@ -265,7 +241,7 @@ class TestBandedAgainstDense:
             tape = ad.Tape(dtype=np.float64)
             p = pr.bind(tape, arrays)
             x = tape.leaf(x0)
-            out = msa(x, p, "block0.attn", window, heads, valid)
+            out = msa(x, p, "block0.attn", window, heads)
             ad.backward(tape, ad.sum_all(ad.mul(out, tape.constant(weights))))
             grads = {n: p[n].grad for n in p if n.startswith("block0.attn.")}
             return out.values, x.grad, grads
@@ -292,20 +268,32 @@ class TestBandedAgainstDense:
         assert len(tape._nodes) - before == 9
 
 
+class TestForwardRecords:
+    @pytest.mark.parametrize("t", [64, 1000])
+    def test_desk_forward_pass_record_count(self, t):
+        # embedding 6; five blocks of 20, plus 2 for each of the three
+        # downsamplings; heads 21 per level over four levels: 6 + 106 + 84,
+        # whatever the length
+        cfg = desk_scale_config().model
+        tape = ad.Tape(dtype=np.float32)
+        bound = pr.bind(tape, init_model_arrays(cfg, seed=0))
+        forward_video(bound, cfg, np.zeros((t, cfg.backbone.input_dim)), tape)
+        assert len(tape._nodes) == 196
+
+
 class TestTransformerBlock:
     def test_stride1_preserves_length(self):
         cfg = tiny_cfg(num_blocks=1, stride_schedule=(1,))
         tape, p = bound_model(cfg)
         x = tape.constant(np.random.default_rng(0).normal(size=(13, 8)))
-        out, valid = transformer_block(x, p, 0, cfg)
+        out = transformer_block(x, p, 0, cfg)
         assert out.shape == (13, 8)
-        assert valid.all()
 
     def test_stride2_ceil_length(self):
         cfg = tiny_cfg(num_blocks=1, stride_schedule=(2,))
         tape, p = bound_model(cfg)
         x = tape.constant(np.random.default_rng(0).normal(size=(9, 8)))
-        out, _ = transformer_block(x, p, 0, cfg)
+        out = transformer_block(x, p, 0, cfg)
         assert out.shape == (5, 8)
 
     def test_zero_scales_zero_output(self):
@@ -320,7 +308,7 @@ class TestTransformerBlock:
             tape = ad.Tape(dtype=np.float64)
             p = pr.bind(tape, arrays)
             x = tape.constant(rng.normal(size=(10, 8)))
-            out, _ = transformer_block(x, p, 0, cfg)
+            out = transformer_block(x, p, 0, cfg)
             np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
 
     def test_msa_residual_flag(self):
@@ -334,7 +322,7 @@ class TestTransformerBlock:
             arrays["block0.scale_mlp"][:] = 0.0
             tape = ad.Tape(dtype=np.float64)
             p = pr.bind(tape, arrays)
-            out, _ = transformer_block(tape.constant(x0), p, 0, cfg)
+            out = transformer_block(tape.constant(x0), p, 0, cfg)
             outs[flag] = out.values
         # zero scales: as-printed recurrence gives 0, residual variant keeps x
         np.testing.assert_allclose(outs[False], 0.0, atol=1e-15)
@@ -347,7 +335,7 @@ class TestTransformerBlock:
 
             def f(x):
                 p = pr.bind(x.tape, arrays)
-                out, _ = transformer_block(x, p, 0, cfg)
+                out = transformer_block(x, p, 0, cfg)
                 return ad.sum_all(ad.square(out))
 
             err = ad.grad_check(f, np.random.default_rng(4).normal(size=(6, 8)))
@@ -415,30 +403,6 @@ class TestPyramid:
         assert (moved[:t_hit - reach] <= 1e-9).all()
         assert (moved[t_hit + reach + 1:] <= 1e-9).all()
         assert moved[t_hit] > 1e-6
-
-    def test_padding_does_not_change_valid_positions(self):
-        cfg = tiny_cfg(num_blocks=2, stride_schedule=(1, 2))
-        rng = np.random.default_rng(13)
-        arrays = init_backbone_params(cfg, rng)
-        x0 = rng.normal(size=(20, 6))
-
-        def run(xv, valid):
-            tape = ad.Tape(dtype=np.float64)
-            p = pr.bind(tape, arrays)
-            return build_pyramid(tape.constant(xv), p, cfg, valid=valid)
-
-        plain = run(x0, None)
-        padded_x = np.concatenate([x0, rng.normal(size=(6, 6))])
-        valid = np.zeros(26, dtype=bool)
-        valid[:20] = True
-        padded = run(padded_x, valid)
-
-        for lvl_plain, lvl_pad in zip(plain.levels, padded.levels):
-            n_valid = int(lvl_pad.valid_mask.sum())
-            assert n_valid == lvl_plain.features.shape[0]
-            np.testing.assert_allclose(
-                lvl_pad.features.values[:n_valid],
-                lvl_plain.features.values, atol=1e-9)
 
     def test_no_record_tape_same_values_and_no_records(self):
         cfg = tiny_cfg(num_blocks=3, stride_schedule=(1, 2, 2))

@@ -1,19 +1,26 @@
 """Tests for the command-line interface, config files and training loop."""
 
+import contextlib
 import gc
+import io
 import json
 import math
+import shutil
+import tempfile
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundloc import autodiff as ad
 from soundloc import cli
 from soundloc import model as model_mod
 from soundloc import data as dio
 from soundloc import params as pr
+from soundloc import train as train_mod
 from soundloc.backbone import BackboneConfig
 from soundloc.config import TrainConfig, desk_scale_config, load_config, save_config
 from soundloc.datasets import load_dataset, write_dataset
@@ -51,11 +58,30 @@ def tiny_train_config(**kw):
     return cfg
 
 
+PARAM_NAMES = sorted(init_model_arrays(tiny_train_config().model, seed=0))
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("tinyds")
     write_dataset(root, tiny_spec(), split_counts=(4, 2, 2))
     return root
+
+
+def broken_copy(src: Path, dst: Path, how: str) -> Path:
+    """A copy of a dataset whose features break one audio/visual pairing."""
+    shutil.copytree(src, dst)
+    feats = dst / "features"
+    first = sorted(feats.glob("*.audio.tslf"))[0]
+    audio = dio.load_features(first)
+    if how == "short_audio":
+        # two strides shorter than its visual partner
+        dio.save_features(dio.FeatureSequence(
+            audio.video_id, "audio", audio.stride_sec, audio.data[:-2]), first)
+    else:
+        dio.save_features(dio.FeatureSequence(
+            "ghost", "audio", audio.stride_sec, audio.data), feats / "ghost.audio.tslf")
+    return dst
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -187,8 +213,6 @@ class TestTraining:
         assert good >= 9, f"only {good}/10 seeds decreased monotonically"
 
     def test_nan_loss_aborts_with_batch_id(self, tiny_dataset, tmp_path, monkeypatch):
-        from soundloc import train as train_mod
-
         def poisoned(arrays, cfg, batch, dataset, assignments, lambda_reg):
             grads = {k: np.zeros_like(v) for k, v in arrays.items()}
             return grads, {"total": float("nan"), "l_cls": 0.0,
@@ -198,6 +222,48 @@ class TestTraining:
         ds = load_dataset(tiny_dataset)
         with pytest.raises(NumericError, match="epoch 0 batch 0"):
             train_mod.train(tiny_train_config(), ds, tmp_path / "nanrun")
+
+    @settings(max_examples=12, deadline=None)
+    @given(names=st.lists(st.sampled_from(PARAM_NAMES), min_size=1, max_size=3,
+                          unique=True),
+           value=st.sampled_from([math.inf, -math.inf, math.nan]),
+           step=st.integers(0, 3))
+    def test_non_finite_gradient_exits_3_naming_the_parameter(
+            self, tiny_dataset, names, value, step):
+        # 4 training videos in batches of 2 for 2 epochs: steps 0..3
+        real_step, calls = train_mod.train_step, []
+
+        def poisoned(*args, **kwargs):
+            grads, scalars = real_step(*args, **kwargs)
+            if len(calls) == step:
+                for name in names:
+                    grads[name].flat[-1] = value
+            calls.append(1)
+            return grads, scalars
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            cfg_path = Path(tmp) / "c.ini"
+            save_config(tiny_train_config(), cfg_path)
+            mp.setattr(train_mod, "train_step", poisoned)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(["train", "--data", str(tiny_dataset),
+                               "--out", str(Path(tmp) / "run"),
+                               "--config", str(cfg_path)])
+            # only the epochs before the poisoned step were saved
+            saved = list(Path(tmp).glob("run/checkpoints/epoch_*.ckpt"))
+            assert len(saved) == step // 2
+        assert rc == 3 and len(calls) == step + 1
+        msg = err.getvalue()
+        assert msg.startswith("error[numeric]: non-finite gradient norm")
+        assert f"epoch {step // 2} batch {step % 2}" in msg
+        assert f"parameter {min(names)!r}" in msg
+
+    def test_non_finite_norm_leaves_gradients_unscaled(self):
+        grads = {"a": np.array([3.0, math.inf]), "b": np.array([math.nan])}
+        norm = pr.clip_by_global_norm(grads, 1.0)
+        assert math.isnan(norm)
+        assert grads["a"].tolist() == [3.0, math.inf]
 
     def test_train_step_scalars_equal_total_loss(self, tiny_dataset):
         # train_step and total_loss share one objective: on a one-video
@@ -212,7 +278,7 @@ class TestTraining:
         _, points, head_out = forward_video(pr.bind(tape, arrays), cfg.model,
                                             ds.fused[vid].data, tape)
         a = assign_targets(points, ds.annotations[vid], ds.fused[vid].stride_sec,
-                           cfg.model.num_classes, valid_masks=head_out.valid_masks)
+                           cfg.model.num_classes)
         _, want = total_loss(head_out, a, cfg.lambda_reg)
         assert want["t_plus"] > 0
         assert got == want
@@ -231,7 +297,26 @@ class TestTraining:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error[validation]") and "num_classes 3" in err
-        assert not list((tmp_path / "run" / "checkpoints").glob("*.ckpt"))
+        assert not (tmp_path / "run").exists()
+
+    def test_rejected_desk_run_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(data), "--videos", "8",
+                         "--classes", "7", "--seed", "1"]) == 0
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]") and "num_classes 5" in err
+        assert not out.exists()
+
+    def test_feature_dim_mismatch_writes_nothing(self, tiny_dataset, tmp_path,
+                                                 capsys):
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(tiny_dataset), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]") and "input_dim 40" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("train", "learning_rate", float("nan")),
@@ -499,6 +584,35 @@ class TestPredictEvalCli:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("error[annotation-format]") and "finite" in err
+
+    @pytest.mark.parametrize("how, needle", [
+        ("short_audio", "more than one stride apart"),
+        ("orphan_audio", "ghost.audio.tslf")])
+    def test_predict_unpaired_features_rejected(self, trained, tmp_path, capsys,
+                                                how, needle):
+        data = broken_copy(trained["data"], tmp_path / "data", how)
+        out = tmp_path / "x.json"
+        rc = cli.main(["predict", "--checkpoint", trained["ckpt"],
+                       "--features", str(data / "features"),
+                       "--out", str(out), "--config", str(trained["config"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]") and needle in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how, needle", [
+        ("short_audio", "more than one stride apart"),
+        ("orphan_audio", "ghost.audio.tslf")])
+    def test_train_unpaired_features_rejected(self, trained, tmp_path, capsys,
+                                              how, needle):
+        data = broken_copy(trained["data"], tmp_path / "data", how)
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(data), "--out", str(out),
+                       "--config", str(trained["config"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]") and needle in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("sigma", 0.0), ("sigma", -1.0), ("sigma", float("nan")),

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundloc import data as dio
+from soundloc.datasets import load_feature_dir
 from soundloc.errors import (
     AnnotationFormatError,
     ConfigError,
@@ -43,11 +46,49 @@ class TestFusion:
 
     def test_nearest_neighbor_resampling(self):
         v = make_seq(t=100, d=2)
-        a = make_seq(modality="audio", t=50, d=3, seed=3)
+        a = make_seq(modality="audio", t=50, d=3, seed=3, stride=2.0)
         fused = dio.fuse_features(v, a)
         assert fused.data.shape == (100, 5)
         idx = np.clip(np.rint(np.arange(100) * 0.5).astype(int), 0, 49)
         np.testing.assert_array_equal(fused.data[:, 2:], a.data[idx])
+
+    @settings(max_examples=200, deadline=None)
+    @given(t_v=st.integers(1, 64), t_a=st.integers(1, 64),
+           s_v=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+           s_a=st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    def test_durations_may_differ_by_at_most_one_stride(self, t_v, t_a, s_v, s_a):
+        # every duration here is exact in binary, so the boundary is sharp
+        v = make_seq(t=t_v, d=2, stride=s_v)
+        a = make_seq(modality="audio", t=t_a, d=3, seed=1, stride=s_a)
+        if abs(t_v * s_v - t_a * s_a) <= max(s_v, s_a):
+            assert dio.fuse_features(v, a).data.shape == (t_v, 5)
+        else:
+            with pytest.raises(ValidationError, match="more than one stride"):
+                dio.fuse_features(v, a)
+
+    def test_one_stride_apart_is_the_boundary(self):
+        v = make_seq(t=10, d=2, stride=1.0)
+        assert dio.fuse_features(v, make_seq(modality="audio", t=9, d=3)).dim == 5
+        with pytest.raises(ValidationError, match="more than one stride"):
+            dio.fuse_features(v, make_seq(modality="audio", t=8, d=3))
+
+    def test_orphan_audio_files_named_up_to_five(self, tmp_path):
+        dio.save_features(make_seq("paired"), tmp_path / "paired.visual.tslf")
+        dio.save_features(make_seq("paired", "audio"), tmp_path / "paired.audio.tslf")
+        for i in range(7):
+            dio.save_features(make_seq(f"lone{i}", "audio"),
+                              tmp_path / f"lone{i}.audio.tslf")
+        with pytest.raises(ValidationError, match="without a visual partner") as exc:
+            load_feature_dir(tmp_path)
+        named = [f"lone{i}.audio.tslf" for i in range(7) if f"lone{i}." in str(exc.value)]
+        assert named == [f"lone{i}.audio.tslf" for i in range(5)]
+
+    def test_audio_beside_a_fused_file_is_an_orphan(self, tmp_path):
+        dio.save_features(make_seq("v", "fused"), tmp_path / "v.fused.tslf")
+        assert list(load_feature_dir(tmp_path)) == ["v"]
+        dio.save_features(make_seq("v", "audio"), tmp_path / "v.audio.tslf")
+        with pytest.raises(ValidationError, match="v.audio.tslf"):
+            load_feature_dir(tmp_path)
 
     def test_mismatched_video_id(self):
         v = make_seq(video_id="a")

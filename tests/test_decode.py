@@ -35,8 +35,8 @@ def oracle_recover_intervals(head_out, points, stride_sec, video_id,
         lvl0 = points.levels[0]
         duration_sec = (lvl0.timestamps[-1] + 0.5 * lvl0.stride_units) * stride_sec
     out = []
-    for lvl, logits, dist, valid in zip(points.levels, head_out.cls_logits,
-                                        head_out.distances, head_out.valid_masks):
+    for lvl, logits, dist in zip(points.levels, head_out.cls_logits,
+                                 head_out.distances):
         probs = 1.0 / (1.0 + np.exp(-np.asarray(logits.values, dtype=np.float64)))
         d = np.asarray(dist.values, dtype=np.float64)
         starts = np.clip((lvl.timestamps - d[:, 0] * lvl.stride_units) * stride_sec,
@@ -45,7 +45,7 @@ def oracle_recover_intervals(head_out, points, stride_sec, video_id,
                        0.0, duration_sec)
         keep_pt, keep_cls = np.nonzero(probs >= score_thresh)
         for i, c in zip(keep_pt, keep_cls):
-            if not valid[i] or starts[i] >= ends[i]:
+            if starts[i] >= ends[i]:
                 continue
             out.append(Interval(video_id, int(c), float(probs[i, c]),
                                 float(starts[i]), float(ends[i])))
@@ -87,27 +87,24 @@ def iv(score, start, end, label=0, video="v"):
     return Interval(video, label, score, start, end)
 
 
-def head_output_from_arrays(logits, dist, valid=None):
+def head_output_from_arrays(logits, dist):
     tape = ad.Tape(dtype=np.float64)
     lt = tape.constant(np.asarray(logits, dtype=float))
     # distances are given directly; reg_raw is unused by decoding
     dt = tape.constant(np.asarray(dist, dtype=float))
-    if valid is None:
-        valid = np.ones(lt.shape[0], dtype=bool)
-    return HeadOutput([lt], [lt], [dt], [valid])
+    return HeadOutput([lt], [lt], [dt])
 
 
 def multi_level_output(levels):
-    """PointSet and HeadOutput from (stride, logits, dist, valid) per level."""
+    """PointSet and HeadOutput from (stride, logits, dist) per level."""
     tape = ad.Tape(dtype=np.float64)
-    points, logits, dists, valids = [], [], [], []
-    for stride, lg, dist, valid in levels:
+    points, logits, dists = [], [], []
+    for stride, lg, dist in levels:
         t = len(lg)
         points.append(LevelPoints((np.arange(t) + 0.5) * stride, stride, 0.0, math.inf))
         logits.append(tape.constant(np.asarray(lg, dtype=float)))
         dists.append(tape.constant(np.asarray(dist, dtype=float).reshape(t, 2)))
-        valids.append(np.asarray(valid, dtype=bool))
-    return PointSet(points), HeadOutput(logits, logits, dists, valids)
+    return PointSet(points), HeadOutput(logits, logits, dists)
 
 
 def count_intervals(monkeypatch):
@@ -142,7 +139,7 @@ class TestInterval:
             iv(0.9, start, end)
 
     def test_recover_with_infinite_duration_raises(self):
-        points, head_out = multi_level_output([(1, [[2.0]], [1.0, math.inf], [True])])
+        points, head_out = multi_level_output([(1, [[2.0]], [1.0, math.inf])])
         with pytest.raises(ValidationError, match="finite start < end"):
             recover_intervals(head_out, points, 1.0, "v", math.inf)
 
@@ -176,14 +173,6 @@ class TestRecoverIntervals:
         points, out = self.single_point(9, 1, -0.0, 5.0, 0.9)
         got = recover_intervals(out, points, 1.0, "v", duration_sec=8.0)
         assert got == []
-
-    def test_invalid_positions_skipped(self):
-        points = PointSet([LevelPoints(np.array([0.5, 1.5]), 1, 0.0, math.inf)])
-        out = head_output_from_arrays(
-            [[logit(0.9)], [logit(0.9)]], [[0.5, 0.5], [0.5, 0.5]],
-            valid=np.array([True, False]))
-        got = recover_intervals(out, points, 1.0, "v", 100.0)
-        assert len(got) == 1
 
     def test_topk_keeps_best(self):
         points = PointSet([LevelPoints((np.arange(10) + 0.5), 1, 0.0, math.inf)])
@@ -355,8 +344,7 @@ def pyramid_outputs(draw):
         nan_at = draw(st.integers(-4 * t, 2 * t - 1))
         if nan_at >= 0:
             dist[nan_at] = math.nan
-        valid = draw(st.lists(st.booleans(), min_size=t, max_size=t))
-        levels.append((stride, logits, dist, valid))
+        levels.append((stride, logits, dist))
     return multi_level_output(levels)
 
 
@@ -383,8 +371,8 @@ class TestRecoverMatchesOracle:
         # falls among them and the start, label and end tie-breaks decide
         p = logit(0.5)
         points, head_out = multi_level_output([
-            (1, [[p, p]] * 4, [1.0, 1.0] * 4, [True] * 4),
-            (2, [[p, p]] * 2, [0.5, 0.5] * 2, [True] * 2),
+            (1, [[p, p]] * 4, [1.0, 1.0] * 4),
+            (2, [[p, p]] * 2, [0.5, 0.5] * 2),
         ])
         for topk in (1, 5, 11, 12, 13):
             got = recover_intervals(head_out, points, 1.0, "v", 100.0, pre_nms_topk=topk)
@@ -393,13 +381,13 @@ class TestRecoverMatchesOracle:
             assert len(got) == min(topk, 12)
 
     def test_nan_boundary_raises(self):
-        points, head_out = multi_level_output([(1, [[2.0]], [math.nan, 1.0], [True])])
+        points, head_out = multi_level_output([(1, [[2.0]], [math.nan, 1.0])])
         with pytest.raises(ValidationError, match="start < end"):
             recover_intervals(head_out, points, 1.0, "v", 10.0)
 
     def test_nan_boundary_below_threshold_ignored(self):
         points, head_out = multi_level_output([
-            (1, [[-30.0], [2.0]], [math.nan, 1.0, 1.0, 1.0], [True, True])])
+            (1, [[-30.0], [2.0]], [math.nan, 1.0, 1.0, 1.0])])
         assert len(recover_intervals(head_out, points, 1.0, "v", 10.0)) == 1
 
 
@@ -408,8 +396,7 @@ class TestWorkCount:
         rng = np.random.default_rng(0)
         t, c = 2000, 5
         points, head_out = multi_level_output([
-            (1, rng.uniform(0.0, 4.0, (t, c)), rng.uniform(0.2, 3.0, (t, 2)),
-             np.ones(t, dtype=bool))])
+            (1, rng.uniform(0.0, 4.0, (t, c)), rng.uniform(0.2, 3.0, (t, 2)))])
         every = oracle_recover_intervals(head_out, points, 1.0, "v", float(t),
                                          pre_nms_topk=10 ** 6)
         assert len(every) == 10 ** 4

@@ -15,8 +15,7 @@ from soundloc.heads import generate_points, init_head_params, run_heads
 def fake_pyramid(tape, lengths, strides, d=8, seed=0):
     rng = np.random.default_rng(seed)
     levels = [
-        PyramidLevel(tape.constant(rng.normal(size=(t, d))), s,
-                     np.ones(t, dtype=bool))
+        PyramidLevel(tape.constant(rng.normal(size=(t, d))), s)
         for t, s in zip(lengths, strides)
     ]
     return Pyramid(levels)
@@ -129,7 +128,7 @@ class TestHeads:
 
         def f(x):
             p = pr.bind(x.tape, arrays)
-            pyr = Pyramid([PyramidLevel(x, 1, np.ones(x.shape[0], dtype=bool))])
+            pyr = Pyramid([PyramidLevel(x, 1)])
             out = run_heads(pyr, p)
             return ad.add(ad.sum_all(ad.square(out.cls_logits[0])),
                           ad.sum_all(ad.square(out.distances[0])))

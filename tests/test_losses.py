@@ -226,19 +226,17 @@ class TestTotalLoss:
         logits = tape.leaf(rng.normal(size=(t, c)))
         raw = tape.leaf(rng.normal(size=(t, 2)))
         dist = ad.softplus(raw)
-        return HeadOutput([logits], [raw], [dist], [np.ones(t, dtype=bool)])
+        return HeadOutput([logits], [raw], [dist])
 
     def fake_assignment(self, t=8, c=3, positives=()):
         cls_t = np.zeros((t, c), dtype=np.float32)
         pos = np.zeros(t, dtype=bool)
         reg_t = np.zeros((t, 2), dtype=np.float32)
-        ev = np.full(t, -1)
         for i, label, ds, de in positives:
             pos[i] = True
             cls_t[i, label] = 1.0
             reg_t[i] = (ds, de)
-            ev[i] = 0
-        a = Assignment([cls_t], [pos], [reg_t], [ev])
+        a = Assignment([cls_t], [pos], [reg_t])
         a.t_plus = a.recount()
         return a
 
@@ -268,7 +266,7 @@ class TestTotalLoss:
         raw[1] = [10.0, 10.0]              # softplus(10) ~ 10
         lt = tape.leaf(logits)
         rt = tape.leaf(raw)
-        out = HeadOutput([lt], [rt], [ad.softplus(rt)], [np.ones(t, dtype=bool)])
+        out = HeadOutput([lt], [rt], [ad.softplus(rt)])
         ds = float(out.distances[0].values[1, 0])
         a = self.fake_assignment(t=t, c=c, positives=[(1, 0, ds, ds)])
         total, _ = total_loss(out, a)
@@ -286,11 +284,10 @@ class TestTotalLoss:
         tape2 = ad.Tape(dtype=np.float64)
         logits = tape2.leaf(out.cls_logits[0].values[perm])
         raw = tape2.leaf(out.reg_raw[0].values[perm])
-        out2 = HeadOutput([logits], [raw], [ad.softplus(raw)],
-                          [np.ones(8, dtype=bool)])
+        out2 = HeadOutput([logits], [raw], [ad.softplus(raw)])
         inv = np.argsort(perm)
         a2 = Assignment([a.cls_targets[0][perm]], [a.positive[0][perm]],
-                        [a.reg_targets[0][perm]], [a.event_ids[0][perm]])
+                        [a.reg_targets[0][perm]])
         a2.t_plus = a2.recount()
         permuted, _ = total_loss(out2, a2)
         np.testing.assert_allclose(float(base.values), float(permuted.values),
