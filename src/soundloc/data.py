@@ -262,6 +262,18 @@ def _require(cond: bool, msg: str) -> None:
         raise AnnotationFormatError(msg)
 
 
+# the types of a JSON number; a bool is not one
+_NUMBER_TYPES = (int, float)
+
+
+def _to_float(x) -> float:
+    """``float(x)``, with an int too large for a float mapped to +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def load_annotations(path) -> list[AnnotationSet]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -285,7 +297,7 @@ def load_annotations(path) -> list[AnnotationSet]:
         vid = v.get("video_id")
         _require(isinstance(vid, str) and vid, f"{path}: missing video_id")
         duration = v.get("duration_sec")
-        _require(isinstance(duration, (int, float)),
+        _require(type(duration) in _NUMBER_TYPES,
                  f"{path}: video {vid!r}: duration_sec missing")
         events = v.get("events", [])
         _require(isinstance(events, list), f"{path}: video {vid!r}: events must be a list")
@@ -297,10 +309,10 @@ def load_annotations(path) -> list[AnnotationSet]:
             end = ev.get("end_sec")
             _require(isinstance(label, int) and not isinstance(label, bool),
                      f"{path}: video {vid!r} event {i}: label must be an integer")
-            _require(isinstance(start, (int, float)) and isinstance(end, (int, float)),
+            _require(type(start) in _NUMBER_TYPES and type(end) in _NUMBER_TYPES,
                      f"{path}: video {vid!r} event {i}: start/end must be numbers")
-            parsed.append(Event(label, float(start), float(end)))
-        ann = AnnotationSet(vid, float(duration), parsed, list(class_names))
+            parsed.append(Event(label, _to_float(start), _to_float(end)))
+        ann = AnnotationSet(vid, _to_float(duration), parsed, list(class_names))
         try:
             ann.validate()
         except ValidationError as exc:
@@ -330,8 +342,66 @@ def save_annotations(annotations: list[AnnotationSet], path) -> None:
     write_json(doc, path)
 
 
+_DET_KEYS = ("label", "score", "start_sec", "end_sec")
+
+
+def _detection_problem(det) -> str | None:
+    """What is wrong with one detection, as its error message ends; None if valid."""
+    if not isinstance(det, dict):
+        return "not an object"
+    label, score, start, end = (det.get(k) for k in _DET_KEYS)
+    if not (type(label) is int and 0 <= label < 2 ** 63):
+        return "bad label"
+    if not (type(score) in _NUMBER_TYPES and 0.0 <= score <= 1.0):
+        return "score must be in [0, 1]"
+    if not (type(start) in _NUMBER_TYPES and type(end) in _NUMBER_TYPES
+            and -math.inf < _to_float(start) < _to_float(end) < math.inf):
+        return "start must precede end, both finite"
+    return None
+
+
+def _raise_first_bad_detection(path, by_video: dict[str, list]) -> None:
+    """Raise the error of the first invalid detection in file order, if any."""
+    for vid, dets in by_video.items():
+        for i, det in enumerate(dets):
+            problem = _detection_problem(det)
+            if problem is not None:
+                raise AnnotationFormatError(f"{path}: video {vid!r} det {i}: {problem}")
+
+
+def _detection_columns(dets: list[dict]):
+    """(labels, score, start, end, as_parsed) if every detection passes, else None.
+
+    Accepts exactly what ``_detection_problem`` accepts: ints (no bools) that
+    fit int64 as labels, ints or floats that fit a float64 elsewhere.
+    ``as_parsed`` says that each detection holds just the four keys, with
+    floats where the output has floats, so it can be returned as it is.
+    """
+    labels, scores, starts, ends = ([d.get(k) for d in dets] for k in _DET_KEYS)
+    types = [set(map(type, col)) for col in (scores, starts, ends)]
+    if set(map(type, labels)) - {int} or any(t - {int, float} for t in types):
+        return None
+    try:
+        label = np.array(labels, dtype=np.int64)
+        score, start, end = (np.array(col, dtype=np.float64)
+                             for col in (scores, starts, ends))
+    except OverflowError:
+        return None
+    ok = ((label >= 0) & (score >= 0.0) & (score <= 1.0)
+          & (start > -math.inf) & (start < end) & (end < math.inf))
+    if not ok.all():
+        return None
+    as_parsed = set(map(len, dets)) <= {4} and not any(int in t for t in types)
+    return labels, score, start, end, as_parsed
+
+
 def load_predictions(path) -> dict[str, list[dict]]:
-    """Parse a prediction file into {video_id: [detection dicts]}."""
+    """Parse a prediction file into {video_id: [detection dicts]}.
+
+    Each video's structure is checked as it is read; the detection fields are
+    checked as columns over the whole file. Either way the error reported is
+    the first one in file order.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -342,33 +412,35 @@ def load_predictions(path) -> dict[str, list[dict]]:
 
     _require(isinstance(doc, dict) and isinstance(doc.get("videos"), list),
              f"{path}: top level must be an object with a videos list")
-    out: dict[str, list[dict]] = {}
+    out: dict[str, list] = {}
+
+    def require(cond: bool, msg: str) -> None:
+        # a bad detection in an earlier video comes first in file order
+        if not cond:
+            _raise_first_bad_detection(path, out)
+            raise AnnotationFormatError(msg)
+
     for v in doc["videos"]:
-        _require(isinstance(v, dict), f"{path}: each video must be an object")
+        require(isinstance(v, dict), f"{path}: each video must be an object")
         vid = v.get("video_id")
-        _require(isinstance(vid, str) and vid, f"{path}: missing video_id")
-        _require(vid not in out, f"{path}: duplicate video_id {vid!r}")
+        require(isinstance(vid, str) and vid, f"{path}: missing video_id")
+        require(vid not in out, f"{path}: duplicate video_id {vid!r}")
         dets = v.get("detections", [])
-        _require(isinstance(dets, list), f"{path}: video {vid!r}: detections must be a list")
-        parsed = []
-        for i, det in enumerate(dets):
-            _require(isinstance(det, dict), f"{path}: video {vid!r} det {i}: not an object")
-            label = det.get("label")
-            score = det.get("score")
-            start = det.get("start_sec")
-            end = det.get("end_sec")
-            _require(isinstance(label, int) and not isinstance(label, bool) and label >= 0,
-                     f"{path}: video {vid!r} det {i}: bad label")
-            _require(isinstance(score, (int, float)) and 0.0 <= score <= 1.0,
-                     f"{path}: video {vid!r} det {i}: score must be in [0, 1]")
-            _require(isinstance(start, (int, float)) and isinstance(end, (int, float))
-                     and -math.inf < start < end < math.inf,
-                     f"{path}: video {vid!r} det {i}: start must precede end, "
-                     f"both finite")
-            parsed.append({"label": label, "score": float(score),
-                           "start_sec": float(start), "end_sec": float(end)})
-        out[vid] = parsed
-    return out
+        require(isinstance(dets, list), f"{path}: video {vid!r}: detections must be a list")
+        out[vid] = dets
+        if set(map(type, dets)) - {dict}:
+            _raise_first_bad_detection(path, out)
+
+    cols = _detection_columns([d for dets in out.values() for d in dets])
+    if cols is None:
+        _raise_first_bad_detection(path, out)
+        raise AssertionError("column checks rejected a valid detection")
+    labels, score, start, end, as_parsed = cols
+    if as_parsed:
+        return out
+    rows = zip(labels, score.tolist(), start.tolist(), end.tolist())
+    return {vid: [dict(zip(_DET_KEYS, row)) for _, row in zip(dets, rows)]
+            for vid, dets in out.items()}
 
 
 def write_predictions(preds_by_video: dict[str, list[dict]], path) -> None:

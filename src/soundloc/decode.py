@@ -33,7 +33,7 @@ NMS_MIN_SCORE = 0.001
 NMS_MAX_OUT = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A scored detection or a ground-truth event."""
 
@@ -48,7 +48,7 @@ class Interval:
             raise ValidationError(
                 f"interval must have finite start < end, got "
                 f"[{self.start_sec}, {self.end_sec}]")
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
+        if not 0.0 <= self.score <= 1.0:   # NaN and +-inf fail too
             raise ValidationError(f"score must be finite in [0, 1], got {self.score}")
 
 

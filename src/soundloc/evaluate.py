@@ -1,9 +1,27 @@
 """Detection evaluation: temporal IoU, average precision and mAP.
 
-average_precision is the production path (vectorized PR construction with an
-all-point precision envelope); oracle_ap recomputes the same quantity with
-explicit quadratic matching and a direct Riemann sum over the PR staircase.
-Both share the tie rules, so on any input they must agree exactly.
+AP runs on float64 columns, one class at a time. Its pair table does not
+depend on the threshold and is built once per class:
+
+* predictions are ranked by score descending, then earlier start, then input
+  order (a stable ``np.lexsort``);
+* every same-video (prediction, ground truth) pair gets its tIoU, with the
+  arithmetic of ``tiou``;
+* pairs are sorted by (video, prediction rank, -tIoU, GT start, GT index).
+
+Greedy matching lets each prediction, in rank order, claim the best unmatched
+same-video GT with tIoU >= tau. Per threshold it runs in rounds over the pairs
+that reach tau: the first surviving pair of each video is that video's next
+match; then every pair whose GT is matched, or whose prediction ranks at or
+before its video's latest match, is dropped. A skipped prediction had no
+eligible GT and never gets one, since the eligible sets only shrink. So a
+class costs at most max-G numpy passes per threshold, G being a video's GT
+count, not one Python iteration per prediction.
+
+oracle_ap recomputes AP with explicit quadratic matching on Interval objects
+and a direct Riemann sum over the PR staircase; the per-object greedy
+implementation the kernel replaced is a second oracle in the tests. Both
+share the tie rules, so on any input they agree exactly.
 
 mAP averages AP over classes that own at least one ground-truth instance,
 per threshold; the reported average is the arithmetic mean over thresholds.
@@ -34,9 +52,100 @@ def tiou(a: Interval, b: Interval) -> float:
     return inter / union
 
 
-def _ranked(preds: list[Interval]) -> list[Interval]:
-    # score descending; ties by earlier start, then stable input order
-    return sorted(preds, key=lambda p: (-p.score, p.start_sec))
+@dataclass
+class _PairTable:
+    """One class slice ready for matching at any threshold.
+
+    Pair arrays run in (video, prediction rank, -tIoU, GT start, GT index)
+    order; ``gt`` is the GT's position in (video, start, index) order.
+    """
+
+    num_preds: int
+    num_gts: int
+    video: np.ndarray
+    rank: np.ndarray
+    gt: np.ndarray
+    iou: np.ndarray
+
+
+def _pair_table(p_video, p_score, p_start, p_end,
+                g_video, g_start, g_end) -> _PairTable:
+    """Rank the predictions and pair each with every GT of its video.
+
+    Video codes are integers shared by both sides; a prediction whose code
+    no GT carries gets no pair.
+    """
+    order = np.lexsort((p_start, -p_score))
+    r_video, r_start, r_end = p_video[order], p_start[order], p_end[order]
+    g_order = np.lexsort((g_start, g_video))
+    gv, gs, ge = g_video[g_order], g_start[g_order], g_end[g_order]
+
+    lo = np.searchsorted(gv, r_video, side="left")
+    count = np.searchsorted(gv, r_video, side="right") - lo
+    by_video = np.argsort(r_video, kind="stable")
+    preds = by_video[count[by_video] > 0]          # ranks, in (video, rank) order
+    n = count[preds]
+    first = np.cumsum(n) - n
+    rank = np.repeat(preds, n)
+    gt = np.repeat(lo[preds], n) + (np.arange(int(n.sum())) - np.repeat(first, n))
+
+    # evaluate.tiou's arithmetic, pair by pair
+    ps, pe, s, e = r_start[rank], r_end[rank], gs[gt], ge[gt]
+    inter = np.minimum(pe, e) - np.maximum(ps, s)
+    iou = np.zeros(inter.shape)
+    hit = inter > 0
+    iou[hit] = inter[hit] / ((pe[hit] - ps[hit]) + (e[hit] - s[hit]) - inter[hit])
+
+    regroup = np.lexsort((-iou, np.repeat(np.arange(preds.size), n)))
+    return _PairTable(len(order), len(g_order), r_video[rank][regroup],
+                      rank[regroup], gt[regroup], iou[regroup])
+
+
+def _greedy_tp(table: _PairTable, tau: float) -> np.ndarray:
+    """True-positive flags of the ranked predictions at threshold tau."""
+    keep = table.iou >= tau
+    video, rank, gt = table.video[keep], table.rank[keep], table.gt[keep]
+    tp = np.zeros(table.num_preds, dtype=bool)
+    matched = np.zeros(table.num_gts, dtype=bool)
+    while video.size:
+        head = np.empty(video.size, dtype=bool)
+        head[0] = True
+        np.not_equal(video[1:], video[:-1], out=head[1:])
+        firsts = np.flatnonzero(head)
+        tp[rank[firsts]] = True
+        matched[gt[firsts]] = True
+        latest = rank[firsts][np.cumsum(head) - 1]
+        alive = (rank > latest) & ~matched[gt]
+        video, rank, gt = video[alive], rank[alive], gt[alive]
+    return tp
+
+
+def _table_ap(table: _PairTable, tau: float) -> float:
+    """All-point-interpolated AP of one class slice at threshold tau."""
+    if not table.num_gts or not table.num_preds:
+        return 0.0
+    tp = _greedy_tp(table, tau)
+    tp_cum = np.cumsum(tp)
+    precision = tp_cum / np.arange(1, len(tp) + 1)
+    recall = tp_cum / float(table.num_gts)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    hits = np.flatnonzero(tp)
+    steps = np.diff(recall[hits], prepend=0.0)
+    return math.fsum((steps * envelope[hits]).tolist())
+
+
+def _columns(items: list[Interval], video_codes: dict[str, int]):
+    """(video code, score, start, end) columns; unknown videos get -1."""
+    video = np.array([video_codes.get(x.video_id, -1) for x in items],
+                     dtype=np.int64)
+    score = np.array([x.score for x in items], dtype=np.float64)
+    start = np.array([x.start_sec for x in items], dtype=np.float64)
+    end = np.array([x.end_sec for x in items], dtype=np.float64)
+    return video, score, start, end
+
+
+def _video_codes(gts: list[Interval]) -> dict[str, int]:
+    return {vid: i for i, vid in enumerate(dict.fromkeys(g.video_id for g in gts))}
 
 
 def average_precision(preds: list[Interval], gts: list[Interval],
@@ -46,45 +155,12 @@ def average_precision(preds: list[Interval], gts: list[Interval],
     Each prediction greedily claims the unmatched same-video ground truth
     with the highest tIoU >= tau (ties: earlier GT start, then input order).
     """
-    if not gts:
+    if not gts or not preds:
         return 0.0
-    if not preds:
-        return 0.0
-
-    gt_by_video: dict[str, list[tuple[int, Interval]]] = {}
-    for gi, gt in enumerate(gts):
-        gt_by_video.setdefault(gt.video_id, []).append((gi, gt))
-
-    matched = np.zeros(len(gts), dtype=bool)
-    ranked = _ranked(preds)
-    tp = np.zeros(len(ranked), dtype=bool)
-    for pi, pred in enumerate(ranked):
-        best = None
-        for gi, gt in gt_by_video.get(pred.video_id, ()):
-            if matched[gi]:
-                continue
-            ov = tiou(pred, gt)
-            if ov < tau:
-                continue
-            key = (-ov, gt.start_sec, gi)
-            if best is None or key < best[0]:
-                best = (key, gi)
-        if best is not None:
-            matched[best[1]] = True
-            tp[pi] = True
-
-    tp_cum = np.cumsum(tp)
-    precision = tp_cum / np.arange(1, len(ranked) + 1)
-    recall = tp_cum / float(len(gts))
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-
-    terms = []
-    prev_recall = 0.0
-    for i in range(len(ranked)):
-        if tp[i]:
-            terms.append((recall[i] - prev_recall) * envelope[i])
-            prev_recall = recall[i]
-    return math.fsum(terms)
+    codes = _video_codes(gts)
+    g_video, _, g_start, g_end = _columns(gts, codes)
+    table = _pair_table(*_columns(preds, codes), g_video, g_start, g_end)
+    return _table_ap(table, tau)
 
 
 def oracle_ap(preds: list[Interval], gts: list[Interval], tau: float) -> float:
@@ -187,13 +263,26 @@ def mean_ap(preds: list[Interval], gts: list[Interval],
         raise EmptyInputError("no ground-truth events: nothing to evaluate")
 
     labels = sorted({g.label_id for g in gts})
-    preds_by_label: dict[int, list[Interval]] = {c: [] for c in labels}
-    gts_by_label: dict[int, list[Interval]] = {c: [] for c in labels}
-    for g in gts:
-        gts_by_label[g.label_id].append(g)
-    for p in preds:
-        if p.label_id in preds_by_label:
-            preds_by_label[p.label_id].append(p)
+    label_codes = {c: i for i, c in enumerate(labels)}
+    video_codes = _video_codes(gts)
+    p_cols = _columns(preds, video_codes)
+    g_cols = _columns(gts, video_codes)
+    p_label = np.array([label_codes.get(p.label_id, -1) for p in preds],
+                       dtype=np.int64)
+    g_label = np.array([label_codes[g.label_id] for g in gts], dtype=np.int64)
+    # stable, so each class keeps input order; labels without GT sort first
+    p_order = np.argsort(p_label, kind="stable")
+    g_order = np.argsort(g_label, kind="stable")
+    p_bounds = np.searchsorted(p_label[p_order], np.arange(len(labels) + 1))
+    g_bounds = np.searchsorted(g_label[g_order], np.arange(len(labels) + 1))
+
+    aps_by_class = []
+    for i in range(len(labels)):
+        p_idx = p_order[p_bounds[i]:p_bounds[i + 1]]
+        g_idx = g_order[g_bounds[i]:g_bounds[i + 1]]
+        table = _pair_table(*(col[p_idx] for col in p_cols),
+                            g_cols[0][g_idx], g_cols[2][g_idx], g_cols[3][g_idx])
+        aps_by_class.append([_table_ap(table, tau) for tau in thresholds])
 
     def name(c: int) -> str:
         if class_names and 0 <= c < len(class_names):
@@ -202,12 +291,11 @@ def mean_ap(preds: list[Interval], gts: list[Interval],
 
     per_class: dict[str, list[float]] = {}
     maps = []
-    for tau in thresholds:
+    for t in range(len(thresholds)):
         aps = []
-        for c in labels:
-            ap = average_precision(preds_by_label[c], gts_by_label[c], tau)
-            per_class.setdefault(name(c), []).append(ap)
-            aps.append(ap)
+        for c, class_aps in zip(labels, aps_by_class):
+            per_class.setdefault(name(c), []).append(class_aps[t])
+            aps.append(class_aps[t])
         maps.append(math.fsum(aps) / len(aps))
 
     return EvalReport(

@@ -87,7 +87,20 @@ class RunManifest:
     wall_time_sec: float = 0.0
 
     def save(self, path) -> None:
-        dio.write_json(asdict(self), path)
+        """Write the manifest with checkpoint paths relative to its directory.
+
+        The in-memory paths stay as ``train`` made them, loadable from the
+        caller's working directory; on disk they do not depend on ``out_dir``.
+        """
+        root = Path(path).parent
+        doc = asdict(self)
+        doc["checkpoints"] = [_relative(p, root) for p in self.checkpoints]
+        doc["best_checkpoint"] = _relative(self.best_checkpoint, root)
+        dio.write_json(doc, path)
+
+
+def _relative(path: str, root: Path) -> str:
+    return Path(path).relative_to(root).as_posix() if path else path
 
 
 def train_step(arrays: dict[str, np.ndarray], cfg: ModelConfig,
@@ -223,8 +236,7 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
             "lr": lr_at(step - 1, total_steps, warmup_steps, cfg.learning_rate),
         })
 
-    if val_ids:
-        report, _ = evaluate_on(arrays, mcfg, dataset, val_ids, cfg.decode)
+    if val_ids:   # the last epoch scored the final weights
         manifest.final_report = report.to_dict()
     manifest.wall_time_sec = time.perf_counter() - t0
     manifest.save(out / "manifest.json")

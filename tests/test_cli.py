@@ -189,6 +189,39 @@ class TestTraining:
         b2 = (tmp_path / "r2" / "checkpoints" / "best.ckpt").read_bytes()
         assert b1 == b2
 
+    def test_validation_split_scored_once_per_epoch(self, tiny_dataset, tmp_path,
+                                                    monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        real = train_mod.evaluate_on
+        monkeypatch.setattr(train_mod, "evaluate_on", counted)
+        cfg = tiny_train_config(epochs=3)
+        manifest = train(cfg, load_dataset(tiny_dataset), tmp_path / "run")
+        assert len(calls) == cfg.epochs
+        # the final report is the last epoch's
+        assert manifest.final_report["average_map"] == manifest.epochs[-1]["val_map"]
+
+    def test_manifest_independent_of_output_directory(self, tiny_dataset, tmp_path):
+        ds = load_dataset(tiny_dataset)
+        docs = []
+        for out in (tmp_path / "one", tmp_path / "deeper" / "two"):
+            manifest = train(tiny_train_config(), ds, out)
+            # in memory the paths stay loadable from here
+            load_checkpoint(manifest.best_checkpoint)
+            load_checkpoint(manifest.checkpoints[0])
+            doc = json.loads((out / "manifest.json").read_text())
+            assert doc["best_checkpoint"] == "checkpoints/best.ckpt"
+            assert doc["checkpoints"] == ["checkpoints/epoch_000.ckpt",
+                                          "checkpoints/epoch_001.ckpt"]
+            assert (out / doc["best_checkpoint"]).is_file()
+            del doc["wall_time_sec"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     def test_loss_decreases_on_easy_data(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(epochs=4)
         ds = load_dataset(tiny_dataset)
@@ -585,6 +618,58 @@ class TestPredictEvalCli:
         err = capsys.readouterr().err
         assert err.startswith("error[annotation-format]") and "finite" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("score", True), ("start_sec", False), ("end_sec", True),
+        ("end_sec", 10 ** 400), ("start_sec", -(10 ** 400)), ("label", 2 ** 63),
+        ("label", 10 ** 400)])
+    def test_eval_bool_or_huge_prediction_rejected(self, tiny_dataset, tmp_path,
+                                                   capsys, key, value):
+        anns = dio.load_annotations(tiny_dataset / "annotations.json")
+        det = {"label": 0, "score": 0.9, "start_sec": 0.0, "end_sec": 1.0, key: value}
+        pred_path = tmp_path / "odd.json"
+        pred_path.write_text(json.dumps(
+            {"videos": [{"video_id": anns[0].video_id, "detections": [det]}]}))
+        rc = cli.main(["eval", "--predictions", str(pred_path),
+                       "--annotations", str(tiny_dataset / "annotations.json")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[annotation-format]")
+        assert "det 0:" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where, key, value, needle", [
+        ("video", "duration_sec", True, "duration_sec missing"),
+        ("event", "start_sec", False, "start/end must be numbers"),
+        ("event", "end_sec", True, "start/end must be numbers"),
+        ("video", "duration_sec", 10 ** 400, "positive and finite"),
+        ("event", "end_sec", 10 ** 400, "invalid times")])
+    def test_eval_bool_or_huge_annotation_rejected(self, tmp_path, capsys,
+                                                   where, key, value, needle):
+        video = {"video_id": "v", "duration_sec": 10.0,
+                 "events": [{"label": 0, "start_sec": 0.0, "end_sec": 1.0}]}
+        (video if where == "video" else video["events"][0])[key] = value
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps({"class_names": ["a"], "videos": [video]}))
+        pred_path = tmp_path / "none.json"
+        dio.write_predictions({}, pred_path)
+        rc = cli.main(["eval", "--predictions", str(pred_path),
+                       "--annotations", str(ann_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[annotation-format]") and needle in err
+
+    def test_eval_bool_prediction_no_longer_scores(self, tmp_path, capsys):
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps({"class_names": ["a"], "videos": [
+            {"video_id": "v", "duration_sec": 10.0,
+             "events": [{"label": 0, "start_sec": 0.0, "end_sec": 1.0}]}]}))
+        pred_path = tmp_path / "bools.json"
+        pred_path.write_text(json.dumps({"videos": [{"video_id": "v", "detections": [
+            {"label": 0, "score": True, "start_sec": False, "end_sec": True}]}]}))
+        rc = cli.main(["eval", "--predictions", str(pred_path),
+                       "--annotations", str(ann_path)])
+        assert rc == 4
+        assert "score must be in [0, 1]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("how, needle", [
         ("short_audio", "more than one stride apart"),
         ("orphan_audio", "ghost.audio.tslf")])
@@ -599,6 +684,58 @@ class TestPredictEvalCli:
         err = capsys.readouterr().err
         assert err.startswith("error[validation]") and needle in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("score", True), ("start_sec", False), ("end_sec", True),
+        ("end_sec", 10 ** 400), ("start_sec", -(10 ** 400)), ("label", 2 ** 63),
+        ("label", 10 ** 400)])
+    def test_eval_bool_or_huge_prediction_rejected(self, tiny_dataset, tmp_path,
+                                                   capsys, key, value):
+        anns = dio.load_annotations(tiny_dataset / "annotations.json")
+        det = {"label": 0, "score": 0.9, "start_sec": 0.0, "end_sec": 1.0, key: value}
+        pred_path = tmp_path / "odd.json"
+        pred_path.write_text(json.dumps(
+            {"videos": [{"video_id": anns[0].video_id, "detections": [det]}]}))
+        rc = cli.main(["eval", "--predictions", str(pred_path),
+                       "--annotations", str(tiny_dataset / "annotations.json")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[annotation-format]")
+        assert "det 0:" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where, key, value, needle", [
+        ("video", "duration_sec", True, "duration_sec missing"),
+        ("event", "start_sec", False, "start/end must be numbers"),
+        ("event", "end_sec", True, "start/end must be numbers"),
+        ("video", "duration_sec", 10 ** 400, "positive and finite"),
+        ("event", "end_sec", 10 ** 400, "invalid times")])
+    def test_eval_bool_or_huge_annotation_rejected(self, tmp_path, capsys,
+                                                   where, key, value, needle):
+        video = {"video_id": "v", "duration_sec": 10.0,
+                 "events": [{"label": 0, "start_sec": 0.0, "end_sec": 1.0}]}
+        (video if where == "video" else video["events"][0])[key] = value
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps({"class_names": ["a"], "videos": [video]}))
+        pred_path = tmp_path / "none.json"
+        dio.write_predictions({}, pred_path)
+        rc = cli.main(["eval", "--predictions", str(pred_path),
+                       "--annotations", str(ann_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[annotation-format]") and needle in err
+
+    def test_eval_bool_prediction_no_longer_scores(self, tmp_path, capsys):
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps({"class_names": ["a"], "videos": [
+            {"video_id": "v", "duration_sec": 10.0,
+             "events": [{"label": 0, "start_sec": 0.0, "end_sec": 1.0}]}]}))
+        pred_path = tmp_path / "bools.json"
+        pred_path.write_text(json.dumps({"videos": [{"video_id": "v", "detections": [
+            {"label": 0, "score": True, "start_sec": False, "end_sec": True}]}]}))
+        rc = cli.main(["eval", "--predictions", str(pred_path),
+                       "--annotations", str(ann_path)])
+        assert rc == 4
+        assert "score must be in [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("how, needle", [
         ("short_audio", "more than one stride apart"),

@@ -1,6 +1,8 @@
 """Tests for feature/annotation I/O, fusion and synthetic generation."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from soundloc.errors import (
     FeatureFileError,
     ValidationError,
 )
+
+BIG = 10 ** 400   # a JSON integer beyond the float range
 
 
 def make_seq(video_id="vid00000", modality="visual", t=7, d=5, seed=0, stride=1.0):
@@ -207,6 +211,24 @@ class TestAnnotationJson:
         with pytest.raises(AnnotationFormatError, match="'v1' event 0"):
             dio.load_annotations(self.write(tmp_path, doc))
 
+    @pytest.mark.parametrize("where, key, value, needle", [
+        ("video", "duration_sec", True, "duration_sec missing"),
+        ("event", "start_sec", False, "start/end must be numbers"),
+        ("event", "end_sec", True, "start/end must be numbers"),
+        ("video", "duration_sec", BIG, "duration_sec must be positive and finite"),
+        ("video", "duration_sec", -BIG, "duration_sec must be positive and finite"),
+        ("event", "end_sec", BIG, "invalid times"),
+        ("event", "start_sec", -BIG, "invalid times"),
+        ("event", "label", BIG, "outside [0, 2)")])
+    def test_bools_and_huge_ints_rejected(self, tmp_path, where, key, value, needle):
+        doc = self.minimal_doc()
+        target = doc["videos"][0]
+        if where == "event":
+            target = target["events"][0]
+        target[key] = value
+        with pytest.raises(AnnotationFormatError, match=re.escape(needle)):
+            dio.load_annotations(self.write(tmp_path, doc))
+
     def test_roundtrip(self, tmp_path):
         anns = dio.load_annotations(self.write(tmp_path, self.minimal_doc()))
         out = tmp_path / "out.json"
@@ -235,7 +257,186 @@ class TestAnnotationJson:
                 a.validate()
 
 
+def reference_load_predictions(path) -> dict[str, list[dict]]:
+    """Detection by detection, in file order; the oracle of load_predictions.
+
+    Numbers are ints or floats, never bools; a label fits int64; start and
+    end are compared as the floats they become, an int beyond the float
+    range counting as infinite.
+    """
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    def as_float(x):
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+
+    def require(cond, msg):
+        if not cond:
+            raise AnnotationFormatError(msg)
+
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    require(isinstance(doc, dict) and isinstance(doc.get("videos"), list),
+            f"{path}: top level must be an object with a videos list")
+    out: dict[str, list[dict]] = {}
+    for v in doc["videos"]:
+        require(isinstance(v, dict), f"{path}: each video must be an object")
+        vid = v.get("video_id")
+        require(isinstance(vid, str) and vid, f"{path}: missing video_id")
+        require(vid not in out, f"{path}: duplicate video_id {vid!r}")
+        dets = v.get("detections", [])
+        require(isinstance(dets, list), f"{path}: video {vid!r}: detections must be a list")
+        parsed = []
+        for i, det in enumerate(dets):
+            require(isinstance(det, dict), f"{path}: video {vid!r} det {i}: not an object")
+            label = det.get("label")
+            score = det.get("score")
+            start = det.get("start_sec")
+            end = det.get("end_sec")
+            require(isinstance(label, int) and not isinstance(label, bool)
+                    and 0 <= label < 2 ** 63,
+                    f"{path}: video {vid!r} det {i}: bad label")
+            require(number(score) and 0.0 <= score <= 1.0,
+                    f"{path}: video {vid!r} det {i}: score must be in [0, 1]")
+            require(number(start) and number(end)
+                    and -math.inf < as_float(start) < as_float(end) < math.inf,
+                    f"{path}: video {vid!r} det {i}: start must precede end, "
+                    f"both finite")
+            parsed.append({"label": label, "score": float(score),
+                           "start_sec": float(start), "end_sec": float(end)})
+        out[vid] = parsed
+    return out
+
+
+def outcome(load, path):
+    """(output as key-sorted JSON, None) or (None, error text)."""
+    try:
+        return json.dumps(load(path), sort_keys=True), None
+    except AnnotationFormatError as exc:
+        return None, str(exc)
+
+
+GOOD_LABELS = [0, 1, 16]
+GOOD_SCORES = [0.0, 0.5, 1.0, 0, 1]
+BAD_LABELS = [-1, True, False, 1.0, "0", None, 2 ** 63, 2 ** 63 - 1, BIG, -BIG]
+BAD_SCORES = [True, False, -0.1, 1.5, math.nan, math.inf, None, "0.5", BIG, -BIG]
+ODD_TIMES = [True, False, math.nan, math.inf, -math.inf, None, "1", BIG, -BIG,
+             2 ** 53, 2 ** 53 + 1, 2 ** 53 + 2, -1e308, 1e308, 0, 3]
+
+
+@st.composite
+def detections(draw, clean):
+    if not clean and draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([[], 5, "det", None]))
+    start = draw(st.sampled_from([0.0, 0.5, 2.0, -1.5]))
+    det = {"label": draw(st.sampled_from(GOOD_LABELS)),
+           "score": draw(st.sampled_from(GOOD_SCORES)),
+           "start_sec": start,
+           "end_sec": start + draw(st.sampled_from([0.25, 1.0, 30.0]))}
+    if not clean:
+        for key, pool in (("label", BAD_LABELS), ("score", BAD_SCORES),
+                          ("start_sec", ODD_TIMES), ("end_sec", ODD_TIMES)):
+            if draw(st.integers(0, 9)) == 0:
+                det[key] = draw(st.sampled_from(pool))
+            if draw(st.integers(0, 29)) == 0:
+                del det[key]
+        if draw(st.booleans()):
+            det["extra"] = 1
+    return det
+
+
+@st.composite
+def prediction_docs(draw, clean=False):
+    videos = []
+    for _ in range(draw(st.integers(0, 6))):
+        video = {"video_id": draw(st.sampled_from(["a", "b", "c", "d", "e", "f"])),
+                 "detections": draw(st.lists(detections(clean), max_size=6))}
+        if not clean and draw(st.integers(0, 7)) == 0:
+            how = draw(st.integers(0, 4))
+            if how == 0:
+                video = draw(st.sampled_from([[], 3, "v", None]))
+            elif how == 1:
+                video["video_id"] = draw(st.sampled_from(["", 7, None]))
+            elif how == 2:
+                del video["video_id"]
+            elif how == 3:
+                video["detections"] = draw(st.sampled_from([{}, "x", None, 1]))
+            else:
+                del video["detections"]
+        videos.append(video)
+    if clean:   # distinct ids
+        for v, vid in zip(videos, "abcdef"):
+            v["video_id"] = vid
+    return {"videos": videos}
+
+
 class TestPredictionsJson:
+    @settings(max_examples=400, deadline=None)
+    @given(prediction_docs())
+    def test_fuzz_same_output_or_same_first_error(self, tmp_path_factory, doc):
+        p = tmp_path_factory.mktemp("fuzz") / "pred.json"
+        p.write_text(json.dumps(doc))
+        got = outcome(dio.load_predictions, p)
+        assert got == outcome(reference_load_predictions, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(prediction_docs(clean=True))
+    def test_valid_files_load_equal(self, tmp_path_factory, doc):
+        p = tmp_path_factory.mktemp("valid") / "pred.json"
+        p.write_text(json.dumps(doc))
+        loaded = dio.load_predictions(p)
+        assert loaded == reference_load_predictions(p)
+        for dets in loaded.values():
+            for det in dets:
+                assert sorted(det) == ["end_sec", "label", "score", "start_sec"]
+                assert all(type(det[k]) is float
+                           for k in ("score", "start_sec", "end_sec"))
+
+    def test_float_detections_are_returned_as_parsed(self, tmp_path, monkeypatch):
+        doc = {"videos": [{"video_id": "v", "detections": [
+            {"label": 0, "score": 0.5, "start_sec": 1.0, "end_sec": 2.0}]}]}
+        monkeypatch.setattr(dio.json, "load", lambda fh: doc)
+        p = tmp_path / "pred.json"
+        p.write_text("{}")
+        assert dio.load_predictions(p)["v"][0] is doc["videos"][0]["detections"][0]
+
+    def test_ints_and_extra_keys_give_new_dicts(self, tmp_path):
+        p = tmp_path / "pred.json"
+        p.write_text(json.dumps({"videos": [{"video_id": "v", "detections": [
+            {"label": 0, "score": 1, "start_sec": 0, "end_sec": 2.5},
+            {"label": 1, "score": 0.5, "start_sec": 1.0, "end_sec": 2.0, "x": 1}]}]}))
+        assert json.dumps(dio.load_predictions(p)) == json.dumps({"v": [
+            {"label": 0, "score": 1.0, "start_sec": 0.0, "end_sec": 2.5},
+            {"label": 1, "score": 0.5, "start_sec": 1.0, "end_sec": 2.0}]})
+
+    @pytest.mark.parametrize("key, value, needle", [
+        ("score", True, "score must be in [0, 1]"),
+        ("start_sec", False, "start must precede end"),
+        ("end_sec", True, "start must precede end"),
+        ("end_sec", BIG, "start must precede end"),
+        ("start_sec", -BIG, "start must precede end"),
+        ("label", 2 ** 63, "bad label"),
+        ("label", True, "bad label")])
+    def test_bools_and_huge_ints_rejected(self, tmp_path, key, value, needle):
+        det = {"label": 0, "score": 0.5, "start_sec": 0.0, "end_sec": 1.0, key: value}
+        p = tmp_path / "pred.json"
+        p.write_text(json.dumps({"videos": [{"video_id": "v", "detections": [det]}]}))
+        with pytest.raises(AnnotationFormatError, match=r"'v' det 0: " + re.escape(needle)):
+            dio.load_predictions(p)
+
+    def test_bad_detection_precedes_later_structural_error(self, tmp_path):
+        p = tmp_path / "pred.json"
+        p.write_text(json.dumps({"videos": [
+            {"video_id": "a", "detections": [
+                {"label": 0, "score": 0.5, "start_sec": 0.0, "end_sec": 1.0},
+                {"label": 0, "score": 2.0, "start_sec": 0.0, "end_sec": 1.0}]},
+            {"video_id": "a", "detections": "x"}]}))
+        with pytest.raises(AnnotationFormatError, match="'a' det 1: score"):
+            dio.load_predictions(p)
+
     def test_roundtrip_and_validation(self, tmp_path):
         p = tmp_path / "pred.json"
         preds = {"v1": [{"label": 0, "score": 0.5, "start_sec": 1.0, "end_sec": 2.0}]}

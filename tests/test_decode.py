@@ -132,6 +132,25 @@ class TestInterval:
         with pytest.raises(ValidationError):
             iv(1.5, 0.0, 1.0)
 
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, -0.1, 1.1])
+    def test_bad_score_message(self, score):
+        with pytest.raises(ValidationError,
+                           match=r"score must be finite in \[0, 1\], got"):
+            iv(score, 0.0, 1.0)
+
+    @pytest.mark.parametrize("start, end", [
+        (math.nan, 1.0), (0.0, math.nan), (1.0, 1.0), (2.0, 1.0)])
+    def test_bad_boundaries_message(self, start, end):
+        with pytest.raises(ValidationError,
+                           match=r"interval must have finite start < end, got"):
+            iv(0.5, start, end)
+
+    def test_slotted_and_frozen(self):
+        x = iv(0.5, 0.0, 1.0)
+        assert not hasattr(x, "__dict__")
+        with pytest.raises(AttributeError):
+            x.score = 0.7
+
     @pytest.mark.parametrize("start, end", [
         (0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
     def test_rejects_infinite_boundaries(self, start, end):

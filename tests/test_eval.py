@@ -1,4 +1,9 @@
-"""Tests for tIoU, average precision and mAP reporting."""
+"""Tests for tIoU, average precision and mAP reporting.
+
+average_precision and mean_ap run on columns; they must equal, to the bit,
+both oracle_ap and per_object_ap below, the one-prediction-at-a-time greedy
+matcher they replaced.
+"""
 
 import math
 
@@ -7,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soundloc import decode
+from soundloc import evaluate
 from soundloc.decode import Interval
 from soundloc.errors import EmptyInputError
 from soundloc.evaluate import (
@@ -22,6 +29,47 @@ from soundloc.evaluate import (
 
 def iv(start, end, score=1.0, label=0, video="v"):
     return Interval(video, label, score, start, end)
+
+
+def per_object_ap(preds: list[Interval], gts: list[Interval], tau: float) -> float:
+    """Greedy matching one Interval at a time, with an all-point envelope."""
+    if not gts or not preds:
+        return 0.0
+
+    gt_by_video: dict[str, list[tuple[int, Interval]]] = {}
+    for gi, gt in enumerate(gts):
+        gt_by_video.setdefault(gt.video_id, []).append((gi, gt))
+
+    matched = np.zeros(len(gts), dtype=bool)
+    ranked = sorted(preds, key=lambda p: (-p.score, p.start_sec))
+    tp = np.zeros(len(ranked), dtype=bool)
+    for pi, pred in enumerate(ranked):
+        best = None
+        for gi, gt in gt_by_video.get(pred.video_id, ()):
+            if matched[gi]:
+                continue
+            ov = tiou(pred, gt)
+            if ov < tau:
+                continue
+            key = (-ov, gt.start_sec, gi)
+            if best is None or key < best[0]:
+                best = (key, gi)
+        if best is not None:
+            matched[best[1]] = True
+            tp[pi] = True
+
+    tp_cum = np.cumsum(tp)
+    precision = tp_cum / np.arange(1, len(ranked) + 1)
+    recall = tp_cum / float(len(gts))
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+
+    terms = []
+    prev_recall = 0.0
+    for i in range(len(ranked)):
+        if tp[i]:
+            terms.append((recall[i] - prev_recall) * envelope[i])
+            prev_recall = recall[i]
+    return math.fsum(terms)
 
 
 def random_instance(rng, n_pred_max=50, n_gt_max=20, n_classes=3, n_videos=3):
@@ -109,7 +157,8 @@ class TestOracleEquivalence:
             for tau in (0.1, 0.3, 0.5, 0.7):
                 a = average_precision(preds, gts, tau)
                 b = oracle_ap(preds, gts, tau)
-                assert a == b, f"seed={seed} tau={tau}: {a} != {b}"
+                assert a == b == per_object_ap(preds, gts, tau), (
+                    f"seed={seed} tau={tau}: {a} != {b}")
 
     def test_oracle_trivial_cases(self):
         assert oracle_ap([], [iv(0.0, 1.0)], 0.5) == 0.0
@@ -121,6 +170,106 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed)
         preds, gts = random_instance(rng, n_pred_max=20, n_gt_max=8)
         assert average_precision(preds, gts, 0.5) == oracle_ap(preds, gts, 0.5)
+
+
+TAUS = (0.0, 1e-12, 0.5, 1.0)
+
+
+@st.composite
+def eval_instances(draw):
+    """Class-labelled predictions and GTs on a coarse grid, so that scores,
+    starts and tIoUs tie; GTs per (video, class) up to 64, some classes and
+    videos without GT."""
+    n_videos = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 3))
+    coords = st.integers(0, 8)
+    lengths = st.integers(1, 4)
+
+    def interval(score, label, video):
+        s = draw(coords)
+        return Interval(f"v{video}", label, score, float(s), float(s + draw(lengths)))
+
+    gts = []
+    for _ in range(draw(st.integers(1, 4))):
+        # a run of GTs in one (video, class) cell; one cell can reach 64
+        label = draw(st.integers(0, n_classes - 1))
+        video = draw(st.integers(0, n_videos - 1))
+        for _ in range(draw(st.sampled_from([1, 2, 3, 8, 64]))):
+            gts.append(interval(1.0, label, video))
+    preds = []
+    for _ in range(draw(st.integers(0, 80))):
+        score = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        # label n_classes has no GT; video n_videos has no GT
+        preds.append(interval(score, draw(st.integers(0, n_classes)),
+                              draw(st.integers(0, n_videos))))
+    return draw(st.permutations(preds)), gts
+
+
+class TestColumnKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(eval_instances())
+    def test_average_precision_equals_both_oracles(self, instance):
+        preds, gts = instance
+        for label in {g.label_id for g in gts} | {p.label_id for p in preds}:
+            p = [x for x in preds if x.label_id == label]
+            g = [x for x in gts if x.label_id == label]
+            for tau in TAUS:
+                got = average_precision(p, g, tau)
+                assert got == oracle_ap(p, g, tau) == per_object_ap(p, g, tau)
+
+    @settings(max_examples=100, deadline=None)
+    @given(eval_instances())
+    def test_mean_ap_equals_per_class_oracles(self, instance):
+        preds, gts = instance
+        report = mean_ap(preds, gts, thresholds=TAUS, class_names=["a", "b"])
+        labels = sorted({g.label_id for g in gts})
+        names = [("a", "b")[c] if c < 2 else str(c) for c in labels]
+        assert list(report.per_class_ap) == names
+        for c, name in zip(labels, names):
+            p = [x for x in preds if x.label_id == c]
+            g = [x for x in gts if x.label_id == c]
+            assert report.per_class_ap[name] == [oracle_ap(p, g, t) for t in TAUS]
+            assert report.per_class_ap[name] == [per_object_ap(p, g, t) for t in TAUS]
+        for t, value in enumerate(report.map_per_threshold):
+            aps = [report.per_class_ap[n][t] for n in names]
+            assert value == math.fsum(aps) / len(aps)
+
+    def test_disjoint_gt_is_eligible_at_tau_zero(self):
+        preds = [iv(0.0, 1.0, 0.9), iv(5.0, 6.0, 0.8)]
+        gts = [iv(5.0, 6.0)]
+        # the first prediction claims the disjoint GT at tau 0 (tIoU 0 >= 0)
+        assert average_precision(preds, gts, 0.0) == 1.0
+        assert average_precision(preds, gts, 1e-12) == 0.5
+        assert oracle_ap(preds, gts, 0.0) == 1.0
+
+    def test_skipped_prediction_never_matches_later(self):
+        # p0 takes g0 (tIoU 1); p1 overlaps only g0 and is skipped; p2 takes g1
+        preds = [iv(0.0, 2.0, 0.9), iv(0.5, 2.0, 0.8), iv(4.0, 6.0, 0.7)]
+        gts = [iv(0.0, 2.0), iv(4.0, 6.0)]
+        tau = 0.5
+        assert (average_precision(preds, gts, tau) == oracle_ap(preds, gts, tau)
+                == per_object_ap(preds, gts, tau))
+
+    def test_dense_instance_builds_no_interval_and_calls_no_tiou(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        gts, preds = [], []
+        for v in range(50):
+            for c in range(3):
+                s = float(rng.uniform(0, 50))
+                gts.append(Interval(f"v{v}", c, 1.0, s, s + 5.0))
+        for _ in range(10_000):
+            s = float(rng.uniform(0, 55))
+            preds.append(Interval(f"v{rng.integers(0, 50)}", int(rng.integers(0, 3)),
+                                  float(rng.random()), s, s + float(rng.uniform(1, 9))))
+        expected = mean_ap(preds, gts).to_dict()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-object work in the column kernel")
+
+        monkeypatch.setattr(evaluate, "tiou", forbidden)
+        monkeypatch.setattr(decode.Interval, "__post_init__", forbidden)
+        assert mean_ap(preds, gts).to_dict() == expected
+        assert average_precision(preds[:500], gts, 0.5) >= 0.0
 
 
 class TestMeanAp:
