@@ -53,6 +53,8 @@ class BackboneConfig:
             raise ConfigError("num_blocks must be >= 1")
         if self.window < 1 or self.window % 2 == 0:
             raise ConfigError(f"window must be odd and positive, got {self.window}")
+        if min(self.input_dim, self.d_model, self.num_heads, self.mlp_ratio) < 1:
+            raise ConfigError("input_dim, d_model, num_heads and mlp_ratio must be >= 1")
         if self.d_model % self.num_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
@@ -66,8 +68,6 @@ class BackboneConfig:
             raise ConfigError(
                 "stride-1 blocks must precede stride-2 blocks so pyramid "
                 "strides increase")
-        if self.input_dim < 1 or self.mlp_ratio < 1:
-            raise ConfigError("input_dim and mlp_ratio must be positive")
         if not math.isfinite(self.layerscale_init):
             raise ConfigError(
                 f"layerscale_init must be finite, got {self.layerscale_init}")

@@ -37,8 +37,9 @@ class TrainConfig:
             value = getattr(self, key)
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{key} must be finite and >= 0, got {value}")
-        if min(self.batch_size, self.epochs) < 1 or self.warmup_epochs < 0:
-            raise ConfigError("batch_size and epochs must be positive")
+        if min(self.batch_size, self.epochs) < 1 or min(self.warmup_epochs, self.seed) < 0:
+            raise ConfigError(
+                "batch_size and epochs must be >= 1, warmup_epochs and seed >= 0")
         if self.epochs < self.warmup_epochs:
             raise ConfigError(
                 f"epochs ({self.epochs}) must cover warmup_epochs "

@@ -36,8 +36,6 @@ TSLF_VERSION = 1
 MODALITY_CODES = {"visual": 0, "audio": 1, "fused": 2}
 MODALITY_NAMES = {v: k for k, v in MODALITY_CODES.items()}
 
-DEFAULT_NUM_CLASSES = 17
-
 
 @dataclass
 class FeatureSequence:
@@ -125,8 +123,10 @@ class SyntheticSpec:
     def validate(self) -> None:
         if min(self.num_videos, self.num_classes, self.dim_visual, self.dim_audio) < 1:
             raise ConfigError("all synthetic counts must be positive")
-        if not (self.duration_sec > 0 and self.stride_sec > 0):
-            raise ConfigError("duration_sec and stride_sec must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (0 < self.duration_sec < math.inf and self.stride_sec > 0):
+            raise ConfigError("duration_sec must be finite and > 0, stride_sec > 0")
         if not (self.signal_to_noise > 0):
             raise ConfigError(f"signal_to_noise must be > 0, got {self.signal_to_noise}")
         lo, hi = self.events_per_video
@@ -292,10 +292,13 @@ def load_annotations(path) -> list[AnnotationSet]:
     _require(isinstance(videos, list), f"{path}: videos must be a list")
 
     out = []
+    seen = set()
     for v in videos:
         _require(isinstance(v, dict), f"{path}: each video must be an object")
         vid = v.get("video_id")
         _require(isinstance(vid, str) and vid, f"{path}: missing video_id")
+        _require(vid not in seen, f"{path}: duplicate video_id {vid!r}")
+        seen.add(vid)
         duration = v.get("duration_sec")
         _require(type(duration) in _NUMBER_TYPES,
                  f"{path}: video {vid!r}: duration_sec missing")
@@ -556,6 +559,8 @@ def split_by_hash(video_ids: list[str],
     n = len(ranked)
     if counts is not None:
         n_train, n_val, n_test = counts
+        if min(counts) < 0:
+            raise ConfigError(f"split counts {counts} must not be negative")
         if n_train + n_val + n_test != n:
             raise ConfigError(
                 f"split counts {counts} do not sum to {n} videos")

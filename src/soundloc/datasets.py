@@ -42,16 +42,15 @@ def write_dataset(out_dir, spec: dio.SyntheticSpec,
     if out.exists() and any(out.iterdir()) and not force:
         raise ValidationError(
             f"output directory {out} is not empty (use force to overwrite)")
-    (out / "features").mkdir(parents=True, exist_ok=True)
-
+    # everything that can reject the spec runs before the first write
     pairs, annotations = dio.generate_synthetic(spec)
+    ids = [v.video_id for v, _ in pairs]
+    splits = dio.split_by_hash(ids, counts=split_counts)
+    (out / "features").mkdir(parents=True, exist_ok=True)
     for visual, audio in pairs:
         dio.save_features(visual, out / "features" / f"{visual.video_id}.visual.tslf")
         dio.save_features(audio, out / "features" / f"{audio.video_id}.audio.tslf")
     dio.save_annotations(annotations, out / "annotations.json")
-
-    ids = [v.video_id for v, _ in pairs]
-    splits = dio.split_by_hash(ids, counts=split_counts)
     manifest = {
         "generator_spec": asdict(spec),
         "seed": spec.seed,
@@ -116,7 +115,12 @@ def load_dataset(root_dir) -> Dataset:
                 manifest = json.load(fh)
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise AnnotationFormatError(f"{manifest_path}: {exc}") from exc
-        splits = manifest.get("splits", {})
+        splits = manifest.get("splits", {}) if isinstance(manifest, dict) else None
+        if not (isinstance(splits, dict) and all(
+                isinstance(ids, list) and all(type(v) is str for v in ids)
+                for ids in splits.values())):
+            raise AnnotationFormatError(f"{manifest_path}: must be an object whose "
+                                        "splits map names to lists of video ids")
 
     class_names = anns[0].class_names if anns else []
     return Dataset(fused=fused, annotations=by_vid, class_names=class_names,

@@ -1,18 +1,18 @@
-"""Turn head outputs into scored interval predictions.
+"""Turn one video's head outputs into scored interval predictions.
 
 recover_intervals thresholds the per-point class probabilities, converts the
 stride-normalized boundary distances back to seconds and keeps the top
-candidates; soft_nms then decays overlapping detections per video and class.
-Every ordering uses explicit tie-breaks so a permuted input yields an
-identical output.
+candidates; soft_nms decays overlapping ones per class; select_top_k builds
+Interval objects for the best rows only. The stages pass Candidates, columns
+with one row per candidate in (-score, start, label, end) order, so a
+permuted input yields an identical output.
 
-Both work on float64 arrays with one row per candidate and build an Interval
-only for the rows they return. soft_nms runs every group in one loop: each
-round picks the best live row of every live group, then decays the rest of
-that group against it. Overlaps use the arithmetic of evaluate.tiou, and the
-gaussian factor comes from math.exp, not np.exp, whose vectorized kernels
-can differ from the C library's exp by one ulp: the scores match a
-one-candidate-at-a-time implementation to the bit.
+soft_nms runs every class in one loop: each round picks the best live row of
+every live class, then decays the rest of that class against it. Overlaps
+use the arithmetic of evaluate.tiou, and the gaussian factor comes from
+math.exp, not np.exp, whose vectorized kernels can differ from the C
+library's exp by one ulp: the scores match a one-candidate-at-a-time
+implementation to the bit.
 """
 
 from __future__ import annotations
@@ -52,24 +52,32 @@ class Interval:
             raise ValidationError(f"score must be finite in [0, 1], got {self.score}")
 
 
-def _sort_key(iv: Interval):
-    return (-iv.score, iv.start_sec, iv.label_id, iv.end_sec)
+@dataclass(frozen=True, slots=True, eq=False)
+class Candidates:
+    """One video's candidate intervals as columns: int64 label, float64 rest."""
+
+    label: np.ndarray
+    score: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    def __len__(self) -> int:
+        return self.score.size
+
+    def take(self, rows) -> Candidates:
+        return Candidates(self.label[rows], self.score[rows], self.start[rows],
+                          self.end[rows])
 
 
 def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
-                      video_id: str, duration_sec: float | None = None,
-                      score_thresh: float = SCORE_THRESH,
-                      pre_nms_topk: int = PRE_NMS_TOPK) -> list[Interval]:
+                      duration_sec: float, score_thresh: float = SCORE_THRESH,
+                      pre_nms_topk: int = PRE_NMS_TOPK) -> Candidates:
     """Candidate intervals from every (level, point, class) above threshold.
 
     Boundaries are t -/+ d * stride (grid units) scaled to seconds and
     clamped to [0, duration]; zero-length results after clamping are dropped,
     and only the pre_nms_topk best-scored candidates survive.
     """
-    if duration_sec is None:
-        lvl0 = points.levels[0]
-        duration_sec = (lvl0.timestamps[-1] + 0.5 * lvl0.stride_units) * stride_sec
-
     # one row per candidate, in (level, point, class) order
     cols: list[tuple[np.ndarray, ...]] = []
     for lvl, logits, dist in zip(points.levels, head_out.cls_logits,
@@ -85,8 +93,6 @@ def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
         point_ok = ~(starts >= ends)
         pt, cls = np.nonzero((probs >= score_thresh) & point_ok[:, None])
         cols.append((probs[pt, cls], starts[pt], ends[pt], cls))
-    if not cols:
-        return []
     score, start, end, label = (np.concatenate(c) for c in zip(*cols))
 
     # starts are clipped at 0, so this is Interval's rule
@@ -102,52 +108,41 @@ def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
         # a row scored below the k-th best cannot make the cut
         kth = np.partition(score, score.size - pre_nms_topk)[score.size - pre_nms_topk]
         rows = np.flatnonzero(score >= kth)
-    # np.lexsort is stable and sorts by its last key first: this is _sort_key
     order = rows[np.lexsort((end[rows], label[rows], start[rows], -score[rows]))]
-    order = order[:pre_nms_topk]
-    return [Interval(video_id, c, s, a, b) for c, s, a, b in zip(
-        label[order].tolist(), score[order].tolist(),
-        start[order].tolist(), end[order].tolist())]
+    return Candidates(label, score, start, end).take(order[:pre_nms_topk])
 
 
-def soft_nms(preds: list[Interval], sigma: float = NMS_SIGMA,
+def soft_nms(cands: Candidates, sigma: float = NMS_SIGMA,
              method: str = "gaussian", iou_thresh: float = NMS_IOU_THRESH,
              min_score: float = NMS_MIN_SCORE,
-             max_out: int = NMS_MAX_OUT) -> list[Interval]:
-    """Score-decaying suppression, independently per (video, class) group.
+             max_out: int = NMS_MAX_OUT) -> Candidates:
+    """Score-decaying suppression, independently per class.
 
     Gaussian mode multiplies competitors by exp(-IoU^2 / sigma); hard mode
     zeroes them at IoU >= iou_thresh (so a threshold of 1 removes only exact
-    duplicates). Iteration stops at max_out survivors per group or when
-    everything left is below min_score.
+    duplicates). Iteration stops at max_out survivors per class or when
+    everything left is below min_score. The survivors carry their decayed
+    scores, ordered by (-score, start, label, end).
     """
     if method not in ("gaussian", "hard"):
         raise ConfigError(f"unknown suppression method {method!r}")
     if method == "gaussian" and not sigma > 0:
         raise ConfigError(f"gaussian suppression needs sigma > 0, got {sigma}")
-    if not preds or max_out < 1:
-        return []
+    if not len(cands) or max_out < 1:
+        return cands.take(slice(0))
 
-    keys = sorted({(p.video_id, p.label_id) for p in preds})
-    group_of = {key: g for g, key in enumerate(keys)}
-    videos = sorted({video for video, _ in keys})
-    video_rank = np.array([videos.index(video) for video, _ in keys])
-    label_of = np.array([label for _, label in keys])
-
-    gid = np.array([group_of[p.video_id, p.label_id] for p in preds])
-    start = np.array([p.start_sec for p in preds], dtype=np.float64)
-    end = np.array([p.end_sec for p in preds], dtype=np.float64)
+    labels, gid = np.unique(cands.label, return_inverse=True)
     picked: list[np.ndarray] = []
     picked_score: list[np.ndarray] = []
-    kept = np.zeros(len(keys), dtype=np.int64)
-    pick_start = np.zeros(len(keys))
-    pick_end = np.zeros(len(keys))
-    # the live rows: not yet picked, in a group below max_out, and at or above
-    # min_score once their group has made its first pick
-    rows, g, a, b = np.arange(len(preds)), gid, start, end
-    s = np.array([p.score for p in preds], dtype=np.float64)
+    kept = np.zeros(labels.size, dtype=np.int64)
+    pick_start = np.zeros(labels.size)
+    pick_end = np.zeros(labels.size)
+    # the live rows: not yet picked, in a class below max_out, and at or above
+    # min_score once their class has made its first pick
+    rows, g, a, b = np.arange(len(cands)), gid, cands.start, cands.end
+    s = cands.score.copy()
     while rows.size:
-        # every live group's best row by (-score, start, end); rows that tie
+        # every live class's best row by (-score, start, end); rows that tie
         # on all three are equal Intervals, so which one comes first is moot
         order = np.lexsort((b, a, -s, g))
         head = np.ones(order.size, dtype=bool)
@@ -160,7 +155,7 @@ def soft_nms(preds: list[Interval], sigma: float = NMS_SIGMA,
         pick_start[gb] = a[best]
         pick_end[gb] = b[best]
 
-        # overlap with the group's pick, with the arithmetic of evaluate.tiou
+        # overlap with the class's pick, with the arithmetic of evaluate.tiou
         pa, pb = pick_start[g], pick_end[g]
         inter = np.minimum(pb, b) - np.maximum(pa, a)
         over = ~(inter <= 0)
@@ -177,22 +172,16 @@ def soft_nms(preds: list[Interval], sigma: float = NMS_SIGMA,
         live[best] = False
         rows, s, g, a, b = rows[live], s[live], g[live], a[live], b[live]
 
-    rows = np.concatenate(picked)
+    top = cands.take(np.concatenate(picked))
     s = np.concatenate(picked_score)
-    g = gid[rows]
-    order = np.lexsort((end[rows], label_of[g], start[rows], -s, video_rank[g]))
-    return [Interval(preds[i].video_id, preds[i].label_id, sc,
-                     preds[i].start_sec, preds[i].end_sec)
-            for i, sc in zip(rows[order].tolist(), s[order].tolist())]
+    order = np.lexsort((top.end, top.label, top.start, -s))
+    return Candidates(top.label, s, top.start, top.end).take(order)
 
 
-def select_top_k(preds: list[Interval], k: int = NMS_MAX_OUT) -> list[Interval]:
-    """Best k detections per video, deterministically ordered."""
-    by_video: dict[str, list[Interval]] = {}
-    for p in preds:
-        by_video.setdefault(p.video_id, []).append(p)
-    out: list[Interval] = []
-    for vid in sorted(by_video):
-        ranked = sorted(by_video[vid], key=_sort_key)
-        out.extend(ranked[:k])
-    return out
+def select_top_k(cands: Candidates, video_id: str,
+                 k: int = NMS_MAX_OUT) -> list[Interval]:
+    """The first k rows, best first as soft_nms orders them, as Intervals."""
+    top = cands.take(slice(k))
+    return [Interval(video_id, c, s, a, b) for c, s, a, b in zip(
+        top.label.tolist(), top.score.tolist(), top.start.tolist(),
+        top.end.tolist())]

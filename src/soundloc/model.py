@@ -124,13 +124,12 @@ def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
     bound = pr.bind(tape, arrays)
     _, points, head_out = forward_video(bound, cfg, fused_seq.data, tape)
     cands = recover_intervals(
-        head_out, points, fused_seq.stride_sec, fused_seq.video_id,
-        duration_sec=fused_seq.duration_sec,
+        head_out, points, fused_seq.stride_sec, fused_seq.duration_sec,
         score_thresh=dc.score_thresh, pre_nms_topk=dc.pre_nms_topk)
     kept = soft_nms(cands, sigma=dc.sigma, method=dc.method,
                     iou_thresh=dc.iou_thresh, min_score=dc.min_score,
                     max_out=dc.max_out)
-    return select_top_k(kept, dc.max_out)
+    return select_top_k(kept, fused_seq.video_id, dc.max_out)
 
 
 # ---------------------------------------------------------------------------

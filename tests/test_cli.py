@@ -8,6 +8,7 @@ import math
 import shutil
 import tempfile
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,16 @@ def tiny_train_config(**kw):
     return cfg
 
 
+def config_sections(cfg):
+    """The config object behind each section of the INI file."""
+    return {"train": cfg, "model": cfg.model, "backbone": cfg.model.backbone,
+            "decode": cfg.decode}
+
+
 PARAM_NAMES = sorted(init_model_arrays(tiny_train_config().model, seed=0))
+INTEGER_KEYS = [(section, f.name)
+                for section, obj in config_sections(tiny_train_config()).items()
+                for f in fields(obj) if type(getattr(obj, f.name)) is int]
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +119,15 @@ class TestGenData:
         for a in anns:
             a.validate()
         assert len(anns) == 8
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-2"], ["--duration", "inf"], ["--split-counts", "5", "-1", "4"]])
+    def test_bad_spec_exits_2_writing_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "d"
+        assert cli.main(["gen-data", "--out", str(out), "--videos", "8"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_refuses_nonempty_without_force(self, tmp_path, capsys):
         out = tmp_path / "d"
@@ -316,6 +335,48 @@ class TestTraining:
         assert want["t_plus"] > 0
         assert got == want
 
+    @pytest.mark.parametrize("value", [-1, 0])
+    @pytest.mark.parametrize("section, key", INTEGER_KEYS)
+    def test_integer_key_runs_or_exits_2_writing_nothing(
+            self, tiny_dataset, tmp_path, capsys, section, key, value):
+        cfg = tiny_train_config()
+        setattr(config_sections(cfg)[section], key, value)
+        cfg_path = tmp_path / "c.ini"
+        save_config(cfg, cfg_path)
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(tiny_dataset), "--out", str(out),
+                       "--config", str(cfg_path)])
+        if rc != 0:
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error[config]")
+            assert not out.exists()
+
+    def test_negative_seed_flag_writes_nothing(self, tiny_dataset, tmp_path, capsys):
+        cfg_path = tmp_path / "c.ini"
+        save_config(tiny_train_config(), cfg_path)
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(tiny_dataset), "--out", str(out),
+                       "--config", str(cfg_path), "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and "seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("manifest", [
+        [1, 2], "splits", {"splits": {"train": 5}}, {"splits": ["train"]},
+        {"splits": {"train": [1]}}, {"splits": {"train": ["vid00000", None]}}])
+    def test_malformed_dataset_manifest_exits_4(self, tiny_dataset, tmp_path,
+                                                capsys, manifest):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_dataset, data)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(data), "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[annotation-format]") and "manifest.json" in err
+        assert not out.exists()
+
     def test_label_beyond_num_classes_rejected(self, tmp_path, capsys):
         root = tmp_path / "ds7"
         write_dataset(root, tiny_spec(num_classes=7), split_counts=(4, 2, 2))
@@ -366,13 +427,15 @@ class TestTraining:
         ("model", "range_base", float("nan")),
         ("backbone", "layerscale_init", float("nan")),
         ("backbone", "layerscale_init", float("-inf")),
+        ("backbone", "num_heads", 0),
+        ("backbone", "num_heads", -4),
+        ("backbone", "d_model", 0),
+        ("train", "seed", -1),
     ])
     def test_bad_train_config_exit_code(self, tiny_dataset, tmp_path, capsys,
                                         section, key, value):
         cfg = tiny_train_config()
-        target = {"train": cfg, "model": cfg.model,
-                  "backbone": cfg.model.backbone}[section]
-        setattr(target, key, value)
+        setattr(config_sections(cfg)[section], key, value)
         bad_cfg = tmp_path / "bad.ini"
         save_config(cfg, bad_cfg)
         rc = cli.main(["train", "--data", str(tiny_dataset),
@@ -618,57 +681,22 @@ class TestPredictEvalCli:
         err = capsys.readouterr().err
         assert err.startswith("error[annotation-format]") and "finite" in err
 
-    @pytest.mark.parametrize("key, value", [
-        ("score", True), ("start_sec", False), ("end_sec", True),
-        ("end_sec", 10 ** 400), ("start_sec", -(10 ** 400)), ("label", 2 ** 63),
-        ("label", 10 ** 400)])
-    def test_eval_bool_or_huge_prediction_rejected(self, tiny_dataset, tmp_path,
-                                                   capsys, key, value):
-        anns = dio.load_annotations(tiny_dataset / "annotations.json")
-        det = {"label": 0, "score": 0.9, "start_sec": 0.0, "end_sec": 1.0, key: value}
-        pred_path = tmp_path / "odd.json"
-        pred_path.write_text(json.dumps(
-            {"videos": [{"video_id": anns[0].video_id, "detections": [det]}]}))
+    def test_eval_repeated_annotation_video_rejected(self, tmp_path, capsys):
+        video = {"video_id": "v", "duration_sec": 10.0,
+                 "events": [{"label": 0, "start_sec": 0.0, "end_sec": 1.0}]}
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps({"class_names": ["a"], "videos": [
+            video, dict(video, events=[{"label": 0, "start_sec": 5.0,
+                                        "end_sec": 6.0}])]}))
+        pred_path = tmp_path / "preds.json"
+        dio.write_predictions({"v": [{"label": 0, "score": 0.9, "start_sec": 5.0,
+                                      "end_sec": 6.0}]}, pred_path)
         rc = cli.main(["eval", "--predictions", str(pred_path),
-                       "--annotations", str(tiny_dataset / "annotations.json")])
+                       "--annotations", str(ann_path)])
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("error[annotation-format]")
-        assert "det 0:" in err and err.count("\n") == 1
-
-    @pytest.mark.parametrize("where, key, value, needle", [
-        ("video", "duration_sec", True, "duration_sec missing"),
-        ("event", "start_sec", False, "start/end must be numbers"),
-        ("event", "end_sec", True, "start/end must be numbers"),
-        ("video", "duration_sec", 10 ** 400, "positive and finite"),
-        ("event", "end_sec", 10 ** 400, "invalid times")])
-    def test_eval_bool_or_huge_annotation_rejected(self, tmp_path, capsys,
-                                                   where, key, value, needle):
-        video = {"video_id": "v", "duration_sec": 10.0,
-                 "events": [{"label": 0, "start_sec": 0.0, "end_sec": 1.0}]}
-        (video if where == "video" else video["events"][0])[key] = value
-        ann_path = tmp_path / "ann.json"
-        ann_path.write_text(json.dumps({"class_names": ["a"], "videos": [video]}))
-        pred_path = tmp_path / "none.json"
-        dio.write_predictions({}, pred_path)
-        rc = cli.main(["eval", "--predictions", str(pred_path),
-                       "--annotations", str(ann_path)])
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error[annotation-format]") and needle in err
-
-    def test_eval_bool_prediction_no_longer_scores(self, tmp_path, capsys):
-        ann_path = tmp_path / "ann.json"
-        ann_path.write_text(json.dumps({"class_names": ["a"], "videos": [
-            {"video_id": "v", "duration_sec": 10.0,
-             "events": [{"label": 0, "start_sec": 0.0, "end_sec": 1.0}]}]}))
-        pred_path = tmp_path / "bools.json"
-        pred_path.write_text(json.dumps({"videos": [{"video_id": "v", "detections": [
-            {"label": 0, "score": True, "start_sec": False, "end_sec": True}]}]}))
-        rc = cli.main(["eval", "--predictions", str(pred_path),
-                       "--annotations", str(ann_path)])
-        assert rc == 4
-        assert "score must be in [0, 1]" in capsys.readouterr().err
+        assert "duplicate video_id 'v'" in err
 
     @pytest.mark.parametrize("how, needle", [
         ("short_audio", "more than one stride apart"),

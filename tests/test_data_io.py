@@ -205,6 +205,12 @@ class TestAnnotationJson:
         with pytest.raises(AnnotationFormatError):
             dio.load_annotations(self.write(tmp_path, doc))
 
+    def test_repeated_video_id_rejected(self, tmp_path):
+        doc = self.minimal_doc()
+        doc["videos"].append(dict(doc["videos"][0], events=[]))
+        with pytest.raises(AnnotationFormatError, match="duplicate video_id 'v1'"):
+            dio.load_annotations(self.write(tmp_path, doc))
+
     def test_start_at_or_after_end_names_video_and_index(self, tmp_path):
         doc = self.minimal_doc()
         doc["videos"][0]["events"][0]["start_sec"] = 5.0
@@ -474,6 +480,15 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             dio.generate_synthetic(self.desk_spec(signal_to_noise=0.0))
 
+    @pytest.mark.parametrize("kw, needle", [
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"duration_sec": math.inf}, "duration_sec must be finite"),
+        ({"duration_sec": math.nan}, "duration_sec must be finite"),
+        ({"duration_sec": -math.inf}, "duration_sec must be finite")])
+    def test_negative_seed_and_non_finite_duration_rejected(self, kw, needle):
+        with pytest.raises(ConfigError, match=needle):
+            self.desk_spec(**kw).validate()
+
     def test_signature_recoverable_from_event_windows(self):
         # one event per video keeps windows free of cross-class overlap
         pairs, anns = dio.generate_synthetic(
@@ -548,3 +563,10 @@ class TestSplit:
     def test_bad_counts(self):
         with pytest.raises(ConfigError):
             dio.split_by_hash(["a", "b"], counts=(1, 1, 1))
+
+    def test_negative_count_rejected(self):
+        # 5 - 1 + 4 covers the 8 ids, but a negative count would put
+        # the last train id in the test split too
+        ids = [f"vid{i:05d}" for i in range(8)]
+        with pytest.raises(ConfigError, match="must not be negative"):
+            dio.split_by_hash(ids, counts=(5, -1, 4))

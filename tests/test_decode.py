@@ -1,6 +1,6 @@
 """Tests for interval recovery and soft suppression.
 
-The array-based decoders are checked for exact equality against the
+The column decoders are checked for exact equality against the
 one-candidate-at-a-time oracles below, which build an Interval per candidate
 and re-sort the survivors after every pick.
 """
@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from soundloc import autodiff as ad
 from soundloc import decode
+from soundloc.config import desk_scale_config
+from soundloc.data import FeatureSequence
 from soundloc.decode import (
+    Candidates,
     Interval,
-    _sort_key,
     recover_intervals,
     select_top_k,
     soft_nms,
@@ -25,15 +27,17 @@ from soundloc.decode import (
 from soundloc.errors import ConfigError, ValidationError
 from soundloc.evaluate import tiou
 from soundloc.heads import HeadOutput, LevelPoints, PointSet
+from soundloc.model import init_model_arrays, predict_intervals
 
 
-def oracle_recover_intervals(head_out, points, stride_sec, video_id,
-                             duration_sec=None, score_thresh=decode.SCORE_THRESH,
+def sort_key(iv):
+    return (-iv.score, iv.start_sec, iv.label_id, iv.end_sec)
+
+
+def oracle_recover_intervals(head_out, points, stride_sec, duration_sec,
+                             score_thresh=decode.SCORE_THRESH,
                              pre_nms_topk=decode.PRE_NMS_TOPK):
     """recover_intervals with one Interval per candidate, sorted, then cut."""
-    if duration_sec is None:
-        lvl0 = points.levels[0]
-        duration_sec = (lvl0.timestamps[-1] + 0.5 * lvl0.stride_units) * stride_sec
     out = []
     for lvl, logits, dist in zip(points.levels, head_out.cls_logits,
                                  head_out.distances):
@@ -47,9 +51,9 @@ def oracle_recover_intervals(head_out, points, stride_sec, video_id,
         for i, c in zip(keep_pt, keep_cls):
             if starts[i] >= ends[i]:
                 continue
-            out.append(Interval(video_id, int(c), float(probs[i, c]),
+            out.append(Interval("v", int(c), float(probs[i, c]),
                                 float(starts[i]), float(ends[i])))
-    out.sort(key=_sort_key)
+    out.sort(key=sort_key)
     return out[:pre_nms_topk]
 
 
@@ -62,7 +66,7 @@ def oracle_soft_nms(preds, sigma=decode.NMS_SIGMA, method="gaussian",
         groups.setdefault((p.video_id, p.label_id), []).append(p)
     survivors = []
     for key in sorted(groups):
-        remaining = sorted(groups[key], key=_sort_key)
+        remaining = sorted(groups[key], key=sort_key)
         kept = 0
         while remaining and kept < max_out:
             best = remaining.pop(0)
@@ -77,14 +81,38 @@ def oracle_soft_nms(preds, sigma=decode.NMS_SIGMA, method="gaussian",
                     new_score = 0.0 if iou >= iou_thresh else other.score
                 if new_score >= min_score:
                     rescored.append(replace(other, score=new_score))
-            rescored.sort(key=_sort_key)
+            rescored.sort(key=sort_key)
             remaining = rescored
-    survivors.sort(key=lambda p: (p.video_id,) + _sort_key(p))
+    survivors.sort(key=lambda p: (p.video_id,) + sort_key(p))
     return survivors
 
 
-def iv(score, start, end, label=0, video="v"):
-    return Interval(video, label, score, start, end)
+def iv(score, start, end, label=0):
+    return Interval("v", label, score, start, end)
+
+
+def columns(preds):
+    """One video's Intervals as Candidates, in list order."""
+    return Candidates(np.array([p.label_id for p in preds], dtype=np.int64),
+                      np.array([p.score for p in preds], dtype=np.float64),
+                      np.array([p.start_sec for p in preds], dtype=np.float64),
+                      np.array([p.end_sec for p in preds], dtype=np.float64))
+
+
+def intervals_of(cands):
+    """Candidates rows as Intervals of video "v", in row order."""
+    return [Interval("v", c, s, a, b) for c, s, a, b in zip(
+        cands.label.tolist(), cands.score.tolist(), cands.start.tolist(),
+        cands.end.tolist())]
+
+
+def nms(preds, **kwargs):
+    """soft_nms on one video's Intervals, its survivors as Intervals."""
+    return intervals_of(soft_nms(columns(preds), **kwargs))
+
+
+def recover(*args, **kwargs):
+    return intervals_of(recover_intervals(*args, **kwargs))
 
 
 def head_output_from_arrays(logits, dist):
@@ -160,7 +188,7 @@ class TestInterval:
     def test_recover_with_infinite_duration_raises(self):
         points, head_out = multi_level_output([(1, [[2.0]], [1.0, math.inf])])
         with pytest.raises(ValidationError, match="finite start < end"):
-            recover_intervals(head_out, points, 1.0, "v", math.inf)
+            recover_intervals(head_out, points, 1.0, math.inf)
 
 
 class TestRecoverIntervals:
@@ -172,33 +200,31 @@ class TestRecoverIntervals:
     def test_boundary_arithmetic(self):
         # t=4 grid units, d_s=1, d_e=2, stride 2, one second per unit
         points, out = self.single_point(4, 2, 1.0, 2.0, 0.9)
-        got = recover_intervals(out, points, stride_sec=1.0, video_id="v",
-                                duration_sec=100.0)
+        got = recover(out, points, stride_sec=1.0, duration_sec=100.0)
         assert len(got) == 1
         assert (got[0].start_sec, got[0].end_sec) == (2.0, 8.0)
         np.testing.assert_allclose(got[0].score, 0.9, rtol=1e-9)
 
     def test_all_below_threshold(self):
         points, out = self.single_point(4, 1, 1.0, 1.0, 0.0005)
-        assert recover_intervals(out, points, 1.0, "v", 100.0) == []
+        assert len(recover_intervals(out, points, 1.0, 100.0)) == 0
 
     def test_start_clamps_at_zero(self):
         points, out = self.single_point(1, 1, 5.0, 1.0, 0.9)
-        got = recover_intervals(out, points, 1.0, "v", 100.0)
+        got = recover(out, points, 1.0, 100.0)
         assert got[0].start_sec == 0.0
 
     def test_zero_length_after_clamp_dropped(self):
         # both ends clamp to the duration bound
         points, out = self.single_point(9, 1, -0.0, 5.0, 0.9)
-        got = recover_intervals(out, points, 1.0, "v", duration_sec=8.0)
-        assert got == []
+        assert len(recover_intervals(out, points, 1.0, duration_sec=8.0)) == 0
 
     def test_topk_keeps_best(self):
         points = PointSet([LevelPoints((np.arange(10) + 0.5), 1, 0.0, math.inf)])
         probs = np.linspace(0.1, 0.9, 10)[:, None]
         out = head_output_from_arrays(np.vectorize(logit)(probs),
                                       np.full((10, 2), 0.5))
-        got = recover_intervals(out, points, 1.0, "v", 100.0, pre_nms_topk=3)
+        got = recover(out, points, 1.0, 100.0, pre_nms_topk=3)
         assert len(got) == 3
         assert got[0].score >= got[1].score >= got[2].score
 
@@ -206,10 +232,10 @@ class TestRecoverIntervals:
 class TestSoftNms:
     def test_single_prediction_unchanged(self):
         p = [iv(0.7, 1.0, 3.0)]
-        assert soft_nms(p) == p
+        assert nms(p) == p
 
     def test_identical_pair_gaussian_decay(self):
-        got = soft_nms([iv(0.9, 1.0, 3.0), iv(0.8, 1.0, 3.0)], sigma=0.5)
+        got = nms([iv(0.9, 1.0, 3.0), iv(0.8, 1.0, 3.0)], sigma=0.5)
         assert len(got) == 2
         np.testing.assert_allclose(got[1].score, 0.8 * math.exp(-2.0), rtol=1e-9)
         np.testing.assert_allclose(got[1].score, 0.10827, atol=5e-6)
@@ -217,18 +243,18 @@ class TestSoftNms:
     def test_disjoint_unchanged_both_methods(self):
         preds = [iv(0.9, 0.0, 1.0), iv(0.8, 5.0, 6.0)]
         for method in ("gaussian", "hard"):
-            got = soft_nms(preds, method=method)
+            got = nms(preds, method=method)
             assert sorted(p.score for p in got) == [0.8, 0.9]
 
     def test_hard_thresh_one_removes_only_exact_duplicates(self):
         preds = [iv(0.9, 1.0, 3.0), iv(0.8, 1.0, 3.0), iv(0.7, 1.0, 2.9)]
-        got = soft_nms(preds, method="hard", iou_thresh=1.0)
+        got = nms(preds, method="hard", iou_thresh=1.0)
         scores = sorted(p.score for p in got)
         assert scores == [0.7, 0.9]
 
     def test_hard_thresh_near_zero_keeps_disjoint_only(self):
         preds = [iv(0.9, 0.0, 2.0), iv(0.8, 1.0, 3.0), iv(0.7, 5.0, 6.0)]
-        got = soft_nms(preds, method="hard", iou_thresh=1e-9)
+        got = nms(preds, method="hard", iou_thresh=1e-9)
         scores = sorted(p.score for p in got)
         assert scores == [0.7, 0.9]
 
@@ -240,7 +266,7 @@ class TestSoftNms:
             preds.append(iv(float(rng.uniform(0.05, 1.0)), s,
                             s + float(rng.uniform(0.5, 3.0)),
                             label=int(rng.integers(0, 2))))
-        got = soft_nms(preds)
+        got = nms(preds)
         by_key = {}
         for p in preds:
             by_key.setdefault((p.label_id, p.start_sec, p.end_sec), []).append(p.score)
@@ -257,46 +283,57 @@ class TestSoftNms:
             preds.append(iv(float(rng.uniform(0.05, 1.0)), s,
                             s + float(rng.uniform(0.5, 3.0)),
                             label=int(rng.integers(0, 2))))
-        base = soft_nms(preds)
+        base = nms(preds)
         perm = [preds[i] for i in rng.permutation(len(preds))]
-        assert soft_nms(perm) == base
+        assert nms(perm) == base
 
     def test_per_class_no_cross_suppression(self):
         preds = [iv(0.9, 1.0, 3.0, label=0), iv(0.8, 1.0, 3.0, label=1)]
-        got = soft_nms(preds)
+        got = nms(preds)
         assert sorted(p.score for p in got) == [0.8, 0.9]
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
-            soft_nms([iv(0.5, 0.0, 1.0)], method="linear")
+            soft_nms(columns([iv(0.5, 0.0, 1.0)]), method="linear")
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
     def test_nonpositive_sigma_rejected(self, sigma):
         with pytest.raises(ConfigError):
-            soft_nms([iv(0.9, 0.0, 1.0), iv(0.8, 0.0, 1.0)], sigma=sigma)
+            soft_nms(columns([iv(0.9, 0.0, 1.0), iv(0.8, 0.0, 1.0)]), sigma=sigma)
 
     def test_max_out_cap(self):
         preds = [iv(0.5, float(i), float(i) + 0.5) for i in range(30)]
-        got = soft_nms(preds, max_out=10)
+        got = soft_nms(columns(preds), max_out=10)
         assert len(got) == 10
+
+    def test_input_columns_unchanged(self):
+        cands = columns([iv(0.9, 1.0, 3.0), iv(0.8, 1.5, 3.0), iv(0.7, 2.0, 4.0)])
+        before = bits(cands)
+        soft_nms(cands)
+        assert bits(cands) == before
+
+    def test_max_out_below_one_keeps_nothing(self):
+        assert len(soft_nms(columns([iv(0.5, 0.0, 1.0)]), max_out=0)) == 0
+
+    def test_no_candidates(self):
+        assert nms([]) == []
 
 
 class TestTopK:
-    def test_per_video_cap(self):
-        preds = [iv(0.5 + 0.01 * i, float(i), i + 0.5, video="a") for i in range(10)]
-        preds += [iv(0.9, 0.0, 1.0, video="b")]
-        got = select_top_k(preds, k=3)
-        assert sum(1 for p in got if p.video_id == "a") == 3
-        assert sum(1 for p in got if p.video_id == "b") == 1
+    def test_first_k_rows_of_the_video(self):
+        preds = [iv(0.5 + 0.01 * i, float(i), i + 0.5) for i in range(10)]
+        got = select_top_k(columns(preds), "a", k=3)
+        assert [p.score for p in got] == [0.5, 0.51, 0.52]
+        assert {p.video_id for p in got} == {"a"}
+        assert len(select_top_k(columns(preds), "a", k=20)) == 10
 
 
 # Few distinct values, so that scores, starts and ends tie often.
 TIE_SCORES = [1.0, 0.9, 0.5, 0.3, 0.1, 0.001, 0.0005, 0.0]
 
 intervals = st.builds(
-    lambda video, label, score, start, length: Interval(video, label, score,
-                                                        start, start + length),
-    st.sampled_from("abc"), st.integers(0, 2),
+    lambda label, score, start, length: iv(score, start, start + length, label),
+    st.integers(0, 2),
     st.one_of(st.sampled_from(TIE_SCORES), st.floats(0.0, 1.0)),
     st.one_of(st.integers(0, 8).map(lambda k: k / 2), st.floats(0.0, 10.0)),
     st.one_of(st.integers(1, 6).map(lambda k: k / 2), st.floats(0.01, 5.0)),
@@ -312,6 +349,8 @@ nms_settings = st.fixed_dictionaries({
 
 
 def bits(preds):
+    if isinstance(preds, Candidates):
+        preds = intervals_of(preds)
     return [(p.video_id, p.label_id, p.score.hex(), p.start_sec.hex(),
              p.end_sec.hex()) for p in preds]
 
@@ -320,26 +359,26 @@ class TestSoftNmsMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(intervals, max_size=40), nms_settings, st.randoms())
     def test_exact_and_permutation_invariant(self, preds, kwargs, rnd):
-        got = soft_nms(preds, **kwargs)
+        got = soft_nms(columns(preds), **kwargs)
         assert bits(got) == bits(oracle_soft_nms(preds, **kwargs))
         perm = list(preds)
         rnd.shuffle(perm)
-        assert soft_nms(perm, **kwargs) == got
+        assert bits(soft_nms(columns(perm), **kwargs)) == bits(got)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9))
     def test_exact_on_dense_groups(self, seed):
-        # a few hundred rows over several videos and classes, every row
-        # overlapping many others, as the decoder sees them
+        # a few hundred rows over several classes, every row overlapping
+        # many others, as the decoder sees them
         rng = np.random.default_rng(seed)
         preds = []
         for _ in range(300):
             s = float(rng.uniform(0, 20))
-            preds.append(Interval(str(rng.integers(0, 3)), int(rng.integers(0, 3)),
-                                  float(rng.uniform(0, 1)), s,
-                                  s + float(rng.uniform(0.1, 6.0))))
+            preds.append(iv(float(rng.uniform(0, 1)), s,
+                            s + float(rng.uniform(0.1, 6.0)),
+                            label=int(rng.integers(0, 3))))
         for method in ("gaussian", "hard"):
-            got = soft_nms(preds, method=method)
+            got = soft_nms(columns(preds), method=method)
             assert bits(got) == bits(oracle_soft_nms(preds, method=method))
 
 
@@ -377,11 +416,11 @@ def outcome(fn, *args):
 class TestRecoverMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(pyramid_outputs(), st.sampled_from([0.5, 1.0, 0.32]),
-           st.sampled_from([None, 5.0, 12.0, 100.0]),
+           st.sampled_from([5.0, 12.0, 100.0]),
            st.sampled_from([0.001, 0.3]), st.integers(1, 40))
     def test_exact(self, output, stride_sec, duration, thresh, topk):
         points, head_out = output
-        args = (head_out, points, stride_sec, "v", duration, thresh, topk)
+        args = (head_out, points, stride_sec, duration, thresh, topk)
         want = outcome(oracle_recover_intervals, *args)
         assert outcome(recover_intervals, *args) == want
 
@@ -394,37 +433,37 @@ class TestRecoverMatchesOracle:
             (2, [[p, p]] * 2, [0.5, 0.5] * 2),
         ])
         for topk in (1, 5, 11, 12, 13):
-            got = recover_intervals(head_out, points, 1.0, "v", 100.0, pre_nms_topk=topk)
-            assert got == oracle_recover_intervals(head_out, points, 1.0, "v", 100.0,
-                                                   pre_nms_topk=topk)
+            got = recover(head_out, points, 1.0, 100.0, pre_nms_topk=topk)
+            assert bits(got) == bits(oracle_recover_intervals(
+                head_out, points, 1.0, 100.0, pre_nms_topk=topk))
             assert len(got) == min(topk, 12)
 
     def test_nan_boundary_raises(self):
         points, head_out = multi_level_output([(1, [[2.0]], [math.nan, 1.0])])
         with pytest.raises(ValidationError, match="start < end"):
-            recover_intervals(head_out, points, 1.0, "v", 10.0)
+            recover_intervals(head_out, points, 1.0, 10.0)
 
     def test_nan_boundary_below_threshold_ignored(self):
         points, head_out = multi_level_output([
             (1, [[-30.0], [2.0]], [math.nan, 1.0, 1.0, 1.0])])
-        assert len(recover_intervals(head_out, points, 1.0, "v", 10.0)) == 1
+        assert len(recover_intervals(head_out, points, 1.0, 10.0)) == 1
 
 
 class TestWorkCount:
-    def test_recover_builds_at_most_topk(self, monkeypatch):
+    def test_recover_builds_no_interval(self, monkeypatch):
         rng = np.random.default_rng(0)
         t, c = 2000, 5
         points, head_out = multi_level_output([
             (1, rng.uniform(0.0, 4.0, (t, c)), rng.uniform(0.2, 3.0, (t, 2)))])
-        every = oracle_recover_intervals(head_out, points, 1.0, "v", float(t),
+        every = oracle_recover_intervals(head_out, points, 1.0, float(t),
                                          pre_nms_topk=10 ** 6)
         assert len(every) == 10 ** 4
         built = count_intervals(monkeypatch)
-        got = recover_intervals(head_out, points, 1.0, "v", float(t))
-        assert got == every[:decode.PRE_NMS_TOPK]
-        assert len(built) <= decode.PRE_NMS_TOPK
+        got = recover_intervals(head_out, points, 1.0, float(t))
+        assert len(built) == 0
+        assert bits(got) == bits(every[:decode.PRE_NMS_TOPK])
 
-    def test_soft_nms_builds_one_per_result(self, monkeypatch):
+    def test_soft_nms_builds_no_interval(self, monkeypatch):
         rng = np.random.default_rng(1)
         preds = []
         for _ in range(400):
@@ -432,6 +471,26 @@ class TestWorkCount:
             preds.append(iv(float(rng.uniform(0, 1)), s, s + float(rng.uniform(0.1, 5.0)),
                             label=int(rng.integers(0, 4))))
         built = count_intervals(monkeypatch)
-        got = soft_nms(preds)
+        got = soft_nms(columns(preds))
         assert 0 < len(got) < len(preds)
+        assert len(built) == 0
+
+    def test_predict_builds_one_per_result(self, monkeypatch):
+        # untrained desk-preset weights put most points above the score
+        # threshold, so hundreds of candidates reach soft_nms
+        cfg = desk_scale_config()
+        arrays = init_model_arrays(cfg.model, seed=0)
+        rng = np.random.default_rng(2)
+        seq = FeatureSequence("v", "fused", 1.0, rng.standard_normal(
+            (64, cfg.model.backbone.input_dim)).astype(np.float32))
+        kept = []
+
+        def recording_nms(*args, **kwargs):
+            kept.append(soft_nms(*args, **kwargs))
+            return kept[-1]
+
+        monkeypatch.setattr("soundloc.model.soft_nms", recording_nms)
+        built = count_intervals(monkeypatch)
+        got = predict_intervals(arrays, cfg.model, seq, cfg.decode)
+        assert len(kept[0]) > len(got) == cfg.decode.max_out
         assert len(built) == len(got)
