@@ -24,6 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
+from . import params as pr
 from .autodiff import Tensor
 from .errors import ConfigError, EmptyInputError
 
@@ -95,44 +96,50 @@ class Pyramid:
 # ---------------------------------------------------------------------------
 # initialization
 
-def conv_init(rng, k, c_in, c_out):
-    std = np.sqrt(2.0 / (k * c_in))
-    return rng.normal(0.0, std, size=(k, c_in, c_out)).astype(np.float32)
+def conv_spec(k: int, c_in: int, c_out: int) -> pr.ParamSpec:
+    return pr.ParamSpec((k, c_in, c_out), std=np.sqrt(2.0 / (k * c_in)))
 
 
-def _linear_init(rng, d_in, d_out, std=0.02):
-    return rng.normal(0.0, std, size=(d_in, d_out)).astype(np.float32)
+def _linear_spec(d_in: int, d_out: int) -> pr.ParamSpec:
+    return pr.ParamSpec((d_in, d_out), std=0.02)
+
+
+def backbone_param_shapes(cfg: BackboneConfig) -> dict[str, pr.ParamSpec]:
+    """Every backbone parameter, in the order its values are drawn."""
+    cfg.validate()
+    d = cfg.d_model
+    zeros, ones = pr.ParamSpec((d,)), pr.ParamSpec((d,), fill=1.0)
+    scale = pr.ParamSpec((d,), fill=cfg.layerscale_init)
+    p: dict[str, pr.ParamSpec] = {}
+    p["embed.conv1.w"] = conv_spec(3, cfg.input_dim, d)
+    p["embed.conv1.b"] = zeros
+    p["embed.conv2.w"] = conv_spec(3, d, d)
+    p["embed.conv2.b"] = zeros
+    for i, stride in enumerate(cfg.stride_schedule):
+        pref = f"block{i}"
+        p[f"{pref}.ln1.gamma"] = ones
+        p[f"{pref}.ln1.beta"] = zeros
+        for proj in ("wq", "wk", "wv", "wo"):
+            p[f"{pref}.attn.{proj}"] = _linear_spec(d, d)
+        for bias in ("bq", "bk", "bv", "bo"):
+            p[f"{pref}.attn.{bias}"] = zeros
+        p[f"{pref}.scale_attn"] = scale
+        p[f"{pref}.ln2.gamma"] = ones
+        p[f"{pref}.ln2.beta"] = zeros
+        hidden = cfg.mlp_ratio * d
+        p[f"{pref}.mlp.w1"] = _linear_spec(d, hidden)
+        p[f"{pref}.mlp.b1"] = pr.ParamSpec((hidden,))
+        p[f"{pref}.mlp.w2"] = _linear_spec(hidden, d)
+        p[f"{pref}.mlp.b2"] = zeros
+        p[f"{pref}.scale_mlp"] = scale
+        if stride == 2:
+            p[f"{pref}.down.w"] = conv_spec(3, d, d)
+            p[f"{pref}.down.b"] = zeros
+    return p
 
 
 def init_backbone_params(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    cfg.validate()
-    d = cfg.d_model
-    p: dict[str, np.ndarray] = {}
-    p["embed.conv1.w"] = conv_init(rng, 3, cfg.input_dim, d)
-    p["embed.conv1.b"] = np.zeros(d, dtype=np.float32)
-    p["embed.conv2.w"] = conv_init(rng, 3, d, d)
-    p["embed.conv2.b"] = np.zeros(d, dtype=np.float32)
-    for i, stride in enumerate(cfg.stride_schedule):
-        pref = f"block{i}"
-        p[f"{pref}.ln1.gamma"] = np.ones(d, dtype=np.float32)
-        p[f"{pref}.ln1.beta"] = np.zeros(d, dtype=np.float32)
-        for proj in ("wq", "wk", "wv", "wo"):
-            p[f"{pref}.attn.{proj}"] = _linear_init(rng, d, d)
-        for bias in ("bq", "bk", "bv", "bo"):
-            p[f"{pref}.attn.{bias}"] = np.zeros(d, dtype=np.float32)
-        p[f"{pref}.scale_attn"] = np.full(d, cfg.layerscale_init, dtype=np.float32)
-        p[f"{pref}.ln2.gamma"] = np.ones(d, dtype=np.float32)
-        p[f"{pref}.ln2.beta"] = np.zeros(d, dtype=np.float32)
-        hidden = cfg.mlp_ratio * d
-        p[f"{pref}.mlp.w1"] = _linear_init(rng, d, hidden)
-        p[f"{pref}.mlp.b1"] = np.zeros(hidden, dtype=np.float32)
-        p[f"{pref}.mlp.w2"] = _linear_init(rng, hidden, d)
-        p[f"{pref}.mlp.b2"] = np.zeros(d, dtype=np.float32)
-        p[f"{pref}.scale_mlp"] = np.full(d, cfg.layerscale_init, dtype=np.float32)
-        if stride == 2:
-            p[f"{pref}.down.w"] = conv_init(rng, 3, d, d)
-            p[f"{pref}.down.b"] = np.zeros(d, dtype=np.float32)
-    return p
+    return pr.init_params(backbone_param_shapes(cfg), rng)
 
 
 # ---------------------------------------------------------------------------

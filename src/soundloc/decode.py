@@ -7,12 +7,15 @@ Interval objects for the best rows only. The stages pass Candidates, columns
 with one row per candidate in (-score, start, label, end) order, so a
 permuted input yields an identical output.
 
-soft_nms runs every class in one loop: each round picks the best live row of
-every live class, then decays the rest of that class against it. Overlaps
-use the arithmetic of evaluate.tiou, and the gaussian factor comes from
-math.exp, not np.exp, whose vectorized kernels can differ from the C
-library's exp by one ulp: the scores match a one-candidate-at-a-time
-implementation to the bit.
+soft_nms sorts its rows by (label, -score, start, end) once per call, then
+runs every class in one loop. Each round takes every live class's best score
+with one reduceat over the class offsets, breaks ties at that score by
+(start, end), decays the rest of the class against the pick and drops the
+dead rows, which keeps each class contiguous. Overlaps use the arithmetic of
+evaluate.tiou, and the gaussian factor comes from math.exp, not np.exp,
+whose vectorized kernels can differ from the C library's exp by one ulp: the
+scores match a one-candidate-at-a-time implementation to the bit. Only the
+rows that overlap their class's pick pay for it.
 """
 
 from __future__ import annotations
@@ -123,6 +126,10 @@ def soft_nms(cands: Candidates, sigma: float = NMS_SIGMA,
     duplicates). Iteration stops at max_out survivors per class or when
     everything left is below min_score. The survivors carry their decayed
     scores, ordered by (-score, start, label, end).
+
+    The rows are sorted once per call, not once per round: a round costs a
+    few linear passes over the live rows, plus a sort of the rows tied at a
+    class's best score in the rounds that have such ties.
     """
     if method not in ("gaussian", "hard"):
         raise ConfigError(f"unknown suppression method {method!r}")
@@ -131,44 +138,49 @@ def soft_nms(cands: Candidates, sigma: float = NMS_SIGMA,
     if not len(cands) or max_out < 1:
         return cands.take(slice(0))
 
-    labels, gid = np.unique(cands.label, return_inverse=True)
+    # the live rows: not yet picked, in a class below max_out, and at or above
+    # min_score once their class has made its first pick; dropping rows keeps
+    # each class contiguous
+    rows = np.lexsort((cands.end, cands.start, -cands.score, cands.label))
+    labels, g = np.unique(cands.label[rows], return_inverse=True)
+    s, a, b = cands.score[rows], cands.start[rows], cands.end[rows]
+    kept = np.zeros(labels.size, dtype=np.int64)
     picked: list[np.ndarray] = []
     picked_score: list[np.ndarray] = []
-    kept = np.zeros(labels.size, dtype=np.int64)
-    pick_start = np.zeros(labels.size)
-    pick_end = np.zeros(labels.size)
-    # the live rows: not yet picked, in a class below max_out, and at or above
-    # min_score once their class has made its first pick
-    rows, g, a, b = np.arange(len(cands)), gid, cands.start, cands.end
-    s = cands.score.copy()
     while rows.size:
-        # every live class's best row by (-score, start, end); rows that tie
-        # on all three are equal Intervals, so which one comes first is moot
-        order = np.lexsort((b, a, -s, g))
-        head = np.ones(order.size, dtype=bool)
-        head[1:] = g[order[1:]] != g[order[:-1]]
-        best = order[head]
+        count = np.bincount(g, minlength=labels.size)
+        live_cls = count.nonzero()[0]
+        count = count[live_cls]
+        top = np.maximum.reduceat(s, count.cumsum() - count)
+        # every live class's best row by (-score, start, end), in class order;
+        # rows that tie on all three are equal, so which one comes first is moot
+        best = (s == top.repeat(count)).nonzero()[0]
+        if best.size > live_cls.size:
+            tied = best[np.lexsort((b[best], a[best], g[best]))]
+            first = np.ones(tied.size, dtype=bool)
+            first[1:] = g[tied[1:]] != g[tied[:-1]]
+            best = tied[first]
         picked.append(rows[best])
         picked_score.append(s[best])
-        gb = g[best]
-        kept[gb] += 1
-        pick_start[gb] = a[best]
-        pick_end[gb] = b[best]
+        kept[live_cls] += 1
 
-        # overlap with the class's pick, with the arithmetic of evaluate.tiou
-        pa, pb = pick_start[g], pick_end[g]
+        # overlap with the class's pick, with the arithmetic of evaluate.tiou,
+        # for the rows that overlap it: the rest have IoU 0
+        pa, pb = a[best].repeat(count), b[best].repeat(count)
         inter = np.minimum(pb, b) - np.maximum(pa, a)
-        over = ~(inter <= 0)
-        iou = np.where(over, inter / ((pb - pa) + (b - a) - inter), 0.0)
+        hit = (~(inter <= 0)).nonzero()[0]
+        i = inter[hit]
+        iou = i / ((pb[hit] - pa[hit]) + (b[hit] - a[hit]) - i)
         if method == "gaussian":
             # math.exp, not np.exp: the scores must match the scalar form to
             # the bit; a row without overlap keeps its score, as exp(-0) = 1
-            arg = -(iou[over] * iou[over]) / sigma
-            s[over] *= np.fromiter(map(math.exp, arg.tolist()), dtype=np.float64,
-                                   count=arg.size)
+            s[hit] *= np.fromiter(map(math.exp, (-(iou * iou) / sigma).tolist()),
+                                  dtype=np.float64, count=hit.size)
+        elif iou_thresh <= 0:   # IoU 0 meets it too
+            s[:] = 0.0
         else:
-            s[iou >= iou_thresh] = 0.0
-        live = (s >= min_score) & (kept[g] < max_out)
+            s[hit[iou >= iou_thresh]] = 0.0
+        live = (s >= min_score) & (kept[live_cls] < max_out).repeat(count)
         live[best] = False
         rows, s, g, a, b = rows[live], s[live], g[live], a[live], b[live]
 
@@ -180,8 +192,11 @@ def soft_nms(cands: Candidates, sigma: float = NMS_SIGMA,
 
 def select_top_k(cands: Candidates, video_id: str,
                  k: int = NMS_MAX_OUT) -> list[Interval]:
-    """The first k rows, best first as soft_nms orders them, as Intervals."""
-    top = cands.take(slice(k))
+    """The first k rows, best first as soft_nms orders them, as Intervals.
+
+    A k below 1 keeps nothing, as soft_nms's max_out does.
+    """
+    top = cands.take(slice(max(k, 0)))
     return [Interval(video_id, c, s, a, b) for c, s, a, b in zip(
         top.label.tolist(), top.score.tolist(), top.start.tolist(),
         top.end.tolist())]

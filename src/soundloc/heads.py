@@ -16,8 +16,9 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
+from . import params as pr
 from .autodiff import Tensor
-from .backbone import Pyramid, conv_init
+from .backbone import Pyramid, conv_spec
 from .errors import EmptyInputError
 
 DEFAULT_RANGE_BASE = 4.0
@@ -70,22 +71,28 @@ class HeadOutput:
     distances: list[Tensor]     # (T_level, 2), nonnegative, stride units
 
 
-def init_head_params(d_model: int, num_classes: int, rng: np.random.Generator,
-                     prior_prob: float = PRIOR_PROB) -> dict[str, np.ndarray]:
-    p: dict[str, np.ndarray] = {}
+def head_param_shapes(d_model: int, num_classes: int,
+                      prior_prob: float = PRIOR_PROB) -> dict[str, pr.ParamSpec]:
+    """Every head parameter, in the order its values are drawn."""
+    p: dict[str, pr.ParamSpec] = {}
     for branch in ("cls", "reg"):
         for i in (1, 2):
-            p[f"head.{branch}.conv{i}.w"] = conv_init(rng, 3, d_model, d_model)
-            p[f"head.{branch}.conv{i}.b"] = np.zeros(d_model, dtype=np.float32)
-            p[f"head.{branch}.ln{i}.gamma"] = np.ones(d_model, dtype=np.float32)
-            p[f"head.{branch}.ln{i}.beta"] = np.zeros(d_model, dtype=np.float32)
-    p["head.cls.out.w"] = conv_init(rng, 3, d_model, num_classes)
+            p[f"head.{branch}.conv{i}.w"] = conv_spec(3, d_model, d_model)
+            p[f"head.{branch}.conv{i}.b"] = pr.ParamSpec((d_model,))
+            p[f"head.{branch}.ln{i}.gamma"] = pr.ParamSpec((d_model,), fill=1.0)
+            p[f"head.{branch}.ln{i}.beta"] = pr.ParamSpec((d_model,))
+    p["head.cls.out.w"] = conv_spec(3, d_model, num_classes)
     # bias so that initial sigmoid outputs sit near the positive prior
-    p["head.cls.out.b"] = np.full(
-        num_classes, -math.log((1.0 - prior_prob) / prior_prob), dtype=np.float32)
-    p["head.reg.out.w"] = conv_init(rng, 3, d_model, 2)
-    p["head.reg.out.b"] = np.zeros(2, dtype=np.float32)
+    p["head.cls.out.b"] = pr.ParamSpec(
+        (num_classes,), fill=-math.log((1.0 - prior_prob) / prior_prob))
+    p["head.reg.out.w"] = conv_spec(3, d_model, 2)
+    p["head.reg.out.b"] = pr.ParamSpec((2,))
     return p
+
+
+def init_head_params(d_model: int, num_classes: int, rng: np.random.Generator,
+                     prior_prob: float = PRIOR_PROB) -> dict[str, np.ndarray]:
+    return pr.init_params(head_param_shapes(d_model, num_classes, prior_prob), rng)
 
 
 def _head_trunk(x: Tensor, p: Mapping[str, Tensor], branch: str) -> Tensor:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import params as pr
 from .autodiff import Tape
-from .backbone import BackboneConfig, Pyramid, build_pyramid, init_backbone_params
+from .backbone import BackboneConfig, Pyramid, backbone_param_shapes, build_pyramid
 from .data import FeatureSequence
 from .decode import (
     NMS_IOU_THRESH,
@@ -39,7 +39,7 @@ from .heads import (
     HeadOutput,
     PointSet,
     generate_points,
-    init_head_params,
+    head_param_shapes,
     run_heads,
 )
 
@@ -96,13 +96,16 @@ class ModelConfig:
             raise ConfigError(f"prior_prob must be in (0, 1), got {self.prior_prob}")
 
 
+def param_shapes(cfg: ModelConfig) -> dict[str, pr.ParamSpec]:
+    """Every parameter's shape and initial values, in the order of the draws."""
+    return {**backbone_param_shapes(cfg.backbone),
+            **head_param_shapes(cfg.backbone.d_model, cfg.num_classes,
+                                cfg.prior_prob)}
+
+
 def init_model_arrays(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Fresh parameter store for the given architecture."""
-    rng = np.random.default_rng(seed)
-    arrays = init_backbone_params(cfg.backbone, rng)
-    arrays.update(init_head_params(cfg.backbone.d_model, cfg.num_classes, rng,
-                                   cfg.prior_prob))
-    return arrays
+    return pr.init_params(param_shapes(cfg), np.random.default_rng(seed))
 
 
 def forward_video(bound, cfg: ModelConfig, fused: np.ndarray, tape: Tape
@@ -192,7 +195,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 def check_checkpoint_shapes(arrays: dict[str, np.ndarray],
                             cfg: ModelConfig) -> None:
     """Validate a loaded parameter map against a model configuration."""
-    expected = init_model_arrays(cfg, seed=0)
+    expected = param_shapes(cfg)
     for name in sorted(set(expected) | set(arrays)):
         if name not in arrays:
             raise CheckpointError(f"checkpoint is missing parameter {name!r}")

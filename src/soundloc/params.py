@@ -3,11 +3,29 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .autodiff import Tape, Tensor
+
+
+class ParamSpec(NamedTuple):
+    """One parameter's shape and initial values: N(0, std^2) draws, or fill."""
+
+    shape: tuple[int, ...]
+    std: float | None = None
+    fill: float = 0.0
+
+
+def init_params(specs: Mapping[str, ParamSpec],
+                rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """float32 arrays in table order, which is the order of the draws."""
+    return {
+        name: (np.full(s.shape, s.fill, dtype=np.float32) if s.std is None else
+               rng.normal(0.0, s.std, size=s.shape).astype(np.float32))
+        for name, s in specs.items()
+    }
 
 
 def bind(tape: Tape, arrays: Mapping[str, np.ndarray]) -> dict[str, Tensor]:

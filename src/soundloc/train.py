@@ -173,6 +173,10 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
                 raise ValidationError(
                     f"video {vid!r} has label {ev.label}, but the model has "
                     f"num_classes {mcfg.num_classes}")
+    if val_ids and not any(dataset.annotations[vid].events for vid in val_ids):
+        raise ValidationError(
+            f"validation split {val_split!r} holds no ground-truth event, so "
+            f"it cannot be scored")
 
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"

@@ -59,6 +59,57 @@ def tiny_train_config(**kw):
     return cfg
 
 
+def oracle_init_model_arrays(cfg, seed):
+    """(name, array) per parameter, each drawn where the name is made."""
+    rng = np.random.default_rng(seed)
+    b = cfg.backbone
+    d = b.d_model
+
+    def conv(k, c_in, c_out):
+        std = np.sqrt(2.0 / (k * c_in))
+        return rng.normal(0.0, std, size=(k, c_in, c_out)).astype(np.float32)
+
+    def linear(d_in, d_out):
+        return rng.normal(0.0, 0.02, size=(d_in, d_out)).astype(np.float32)
+
+    yield "embed.conv1.w", conv(3, b.input_dim, d)
+    yield "embed.conv1.b", np.zeros(d, dtype=np.float32)
+    yield "embed.conv2.w", conv(3, d, d)
+    yield "embed.conv2.b", np.zeros(d, dtype=np.float32)
+    for i, stride in enumerate(b.stride_schedule):
+        pref = f"block{i}"
+        yield f"{pref}.ln1.gamma", np.ones(d, dtype=np.float32)
+        yield f"{pref}.ln1.beta", np.zeros(d, dtype=np.float32)
+        for proj in ("wq", "wk", "wv", "wo"):
+            yield f"{pref}.attn.{proj}", linear(d, d)
+        for bias in ("bq", "bk", "bv", "bo"):
+            yield f"{pref}.attn.{bias}", np.zeros(d, dtype=np.float32)
+        yield f"{pref}.scale_attn", np.full(d, b.layerscale_init, dtype=np.float32)
+        yield f"{pref}.ln2.gamma", np.ones(d, dtype=np.float32)
+        yield f"{pref}.ln2.beta", np.zeros(d, dtype=np.float32)
+        hidden = b.mlp_ratio * d
+        yield f"{pref}.mlp.w1", linear(d, hidden)
+        yield f"{pref}.mlp.b1", np.zeros(hidden, dtype=np.float32)
+        yield f"{pref}.mlp.w2", linear(hidden, d)
+        yield f"{pref}.mlp.b2", np.zeros(d, dtype=np.float32)
+        yield f"{pref}.scale_mlp", np.full(d, b.layerscale_init, dtype=np.float32)
+        if stride == 2:
+            yield f"{pref}.down.w", conv(3, d, d)
+            yield f"{pref}.down.b", np.zeros(d, dtype=np.float32)
+    for branch in ("cls", "reg"):
+        for i in (1, 2):
+            yield f"head.{branch}.conv{i}.w", conv(3, d, d)
+            yield f"head.{branch}.conv{i}.b", np.zeros(d, dtype=np.float32)
+            yield f"head.{branch}.ln{i}.gamma", np.ones(d, dtype=np.float32)
+            yield f"head.{branch}.ln{i}.beta", np.zeros(d, dtype=np.float32)
+    yield "head.cls.out.w", conv(3, d, cfg.num_classes)
+    yield "head.cls.out.b", np.full(
+        cfg.num_classes, -math.log((1.0 - cfg.prior_prob) / cfg.prior_prob),
+        dtype=np.float32)
+    yield "head.reg.out.w", conv(3, d, 2)
+    yield "head.reg.out.b", np.zeros(2, dtype=np.float32)
+
+
 def config_sections(cfg):
     """The config object behind each section of the INI file."""
     return {"train": cfg, "model": cfg.model, "backbone": cfg.model.backbone,
@@ -403,6 +454,19 @@ class TestTraining:
         assert err.startswith("error[validation]") and "num_classes 5" in err
         assert not out.exists()
 
+    def test_validation_split_without_events_writes_nothing(self, tmp_path,
+                                                            capsys):
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(data), "--videos", "4",
+                         "--events", "0", "0", "--duration", "16",
+                         "--event-length", "2", "4"]) == 0
+        assert load_dataset(data).videos("val")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]") and "split 'val'" in err
+        assert not out.exists()
+
     def test_feature_dim_mismatch_writes_nothing(self, tiny_dataset, tmp_path,
                                                  capsys):
         out = tmp_path / "run"
@@ -535,6 +599,54 @@ class TestCheckpoints:
         other.model.backbone.d_model = 32
         with pytest.raises(CheckpointError, match="shape mismatch at"):
             check_checkpoint_shapes(arrays, other.model)
+
+    def test_shape_check_messages(self):
+        cfg = desk_scale_config().model
+        arrays = init_model_arrays(cfg, seed=0)
+        missing = {k: v for k, v in arrays.items() if k != "head.reg.out.b"}
+        with pytest.raises(CheckpointError) as exc:
+            check_checkpoint_shapes(missing, cfg)
+        assert str(exc.value) == "checkpoint is missing parameter 'head.reg.out.b'"
+        with pytest.raises(CheckpointError) as exc:
+            check_checkpoint_shapes({**arrays, "extra.w": arrays["head.reg.out.b"]},
+                                    cfg)
+        assert str(exc.value) == "checkpoint has unexpected parameter 'extra.w'"
+        other = desk_scale_config().model
+        other.backbone.d_model = 32
+        with pytest.raises(CheckpointError) as exc:
+            check_checkpoint_shapes(arrays, other)
+        assert str(exc.value) == ("checkpoint/config shape mismatch at "
+                                  "'block0.attn.bk': (64,) vs expected (32,)")
+
+    def test_shape_check_draws_no_weights(self, monkeypatch):
+        cfg = desk_scale_config().model
+        arrays = init_model_arrays(cfg, seed=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the shape check drew weights")
+
+        monkeypatch.setattr(pr, "init_params", refuse)
+        monkeypatch.setattr(model_mod, "init_model_arrays", refuse)
+        check_checkpoint_shapes(arrays, cfg)
+        assert {k: v.shape for k, v in arrays.items()} == {
+            k: s.shape for k, s in model_mod.param_shapes(cfg).items()}
+
+    @pytest.mark.parametrize("make_cfg", [lambda: desk_scale_config().model,
+                                          ModelConfig],
+                             ids=["desk", "paper"])
+    def test_init_matches_per_parameter_draws(self, make_cfg):
+        # the paper-scale defaults hold 39.6M parameters: compare one array
+        # at a time
+        cfg = make_cfg()
+        arrays = init_model_arrays(cfg, seed=0)
+        want = oracle_init_model_arrays(cfg, seed=0)
+        for name, got in arrays.items():
+            want_name, want_arr = next(want)
+            assert name == want_name
+            assert got.dtype == want_arr.dtype == np.float32
+            assert got.shape == want_arr.shape
+            assert got.tobytes() == want_arr.tobytes()
+        assert next(want, None) is None
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         cfg = tiny_train_config()

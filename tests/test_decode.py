@@ -15,8 +15,14 @@ from hypothesis import strategies as st
 
 from soundloc import autodiff as ad
 from soundloc import decode
+from soundloc import params as pr
 from soundloc.config import desk_scale_config
-from soundloc.data import FeatureSequence
+from soundloc.data import (
+    FeatureSequence,
+    SyntheticSpec,
+    fuse_features,
+    generate_synthetic,
+)
 from soundloc.decode import (
     Candidates,
     Interval,
@@ -27,7 +33,7 @@ from soundloc.decode import (
 from soundloc.errors import ConfigError, ValidationError
 from soundloc.evaluate import tiou
 from soundloc.heads import HeadOutput, LevelPoints, PointSet
-from soundloc.model import init_model_arrays, predict_intervals
+from soundloc.model import forward_video, init_model_arrays, predict_intervals
 
 
 def sort_key(iv):
@@ -145,6 +151,19 @@ def count_intervals(monkeypatch):
 
     monkeypatch.setattr(decode, "Interval", counting)
     return built
+
+
+def count_lexsorts(monkeypatch):
+    """Counts the np.lexsort calls made until the test ends."""
+    calls = []
+    lexsort = np.lexsort
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lexsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counting)
+    return calls
 
 
 def logit(p):
@@ -327,6 +346,12 @@ class TestTopK:
         assert {p.video_id for p in got} == {"a"}
         assert len(select_top_k(columns(preds), "a", k=20)) == 10
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_keeps_nothing(self, k):
+        # as soft_nms with max_out < 1, not a slice that drops the last rows
+        preds = [iv(0.5 + 0.01 * i, float(i), i + 0.5) for i in range(10)]
+        assert select_top_k(columns(preds), "a", k=k) == []
+
 
 # Few distinct values, so that scores, starts and ends tie often.
 TIE_SCORES = [1.0, 0.9, 0.5, 0.3, 0.1, 0.001, 0.0005, 0.0]
@@ -380,6 +405,39 @@ class TestSoftNmsMatchesOracle:
         for method in ("gaussian", "hard"):
             got = soft_nms(columns(preds), method=method)
             assert bits(got) == bits(oracle_soft_nms(preds, method=method))
+
+    @pytest.mark.parametrize("min_score", [0.0, 1e-3])
+    def test_hard_thresh_zero_clears_the_class(self, min_score):
+        # a row without overlap has IoU 0, which a zero threshold also meets
+        preds = [iv(0.9, 0.0, 1.0), iv(0.8, 5.0, 6.0), iv(0.7, 0.5, 2.0),
+                 iv(0.6, 3.0, 4.0, label=1)]
+        kwargs = {"method": "hard", "iou_thresh": 0.0, "min_score": min_score}
+        got = soft_nms(columns(preds), **kwargs)
+        assert bits(got) == bits(oracle_soft_nms(preds, **kwargs))
+
+    def test_exact_on_a_long_video(self):
+        # the shape predict runs on a long video: untrained desk-preset
+        # weights put every point above the threshold, so the top 2000
+        # candidates reach the loop and overlap heavily; over 500 survivors
+        # in 5 classes take over a hundred rounds
+        cfg = desk_scale_config()
+        arrays = init_model_arrays(cfg.model, seed=0)
+        (visual, audio), = generate_synthetic(SyntheticSpec(
+            num_videos=1, duration_sec=512.0, events_per_video=(8, 16),
+            seed=0))[0]
+        seq = fuse_features(visual, audio)
+        tape = ad.Tape(dtype=np.float32, record=False)
+        _, points, head_out = forward_video(pr.bind(tape, arrays), cfg.model,
+                                            seq.data, tape)
+        cands = recover_intervals(head_out, points, seq.stride_sec,
+                                  seq.duration_sec)
+        assert len(cands) == decode.PRE_NMS_TOPK
+        preds = intervals_of(cands)
+        for method in ("gaussian", "hard"):
+            got = soft_nms(cands, method=method)
+            want = oracle_soft_nms(preds, method=method)
+            assert len(want) > 500
+            assert bits(got) == bits(want)
 
 
 LOGITS = [logit(p) for p in (0.9, 0.5, 0.2, 0.001, 0.0005)] + [30.0, -30.0]
@@ -474,6 +532,38 @@ class TestWorkCount:
         got = soft_nms(columns(preds))
         assert 0 < len(got) < len(preds)
         assert len(built) == 0
+
+    @pytest.mark.parametrize("max_out", [10, 200])
+    def test_soft_nms_sorts_once_per_call(self, monkeypatch, max_out):
+        # distinct scores: no class ever has two rows at its best score, so
+        # the only sorts are the class order and the output order, however
+        # many rounds run
+        rng = np.random.default_rng(4)
+        n = 2000
+        start = rng.uniform(0.0, 500.0, n)
+        cands = Candidates(rng.integers(0, 5, n), rng.uniform(0.01, 1.0, n),
+                           start, start + rng.uniform(0.5, 8.0, n))
+        assert np.unique(cands.score).size == n
+        sorts = count_lexsorts(monkeypatch)
+        got = soft_nms(cands, max_out=max_out)
+        assert len(got) == 5 * max_out
+        assert len(sorts) == 2
+
+    def test_ties_at_the_best_score_over_several_rounds(self, monkeypatch):
+        # class 0 has rows tied at 0.9 for three rounds, where the first
+        # start and the first end belong to different rows; class 1 ties on
+        # score and start in its first round
+        preds = [iv(0.9, 9.0, 10.0), iv(0.9, 3.0, 4.0), iv(0.9, 6.0, 7.0),
+                 iv(0.9, 0.2, 0.8), iv(0.9, 0.0, 1.0), iv(0.9, 6.0, 7.0),
+                 iv(0.7, 2.0, 5.0, label=1), iv(0.7, 2.0, 4.0, label=1),
+                 iv(0.2, 2.5, 3.0, label=1), iv(0.4, 0.0, 2.0, label=2)]
+        sorts = count_lexsorts(monkeypatch)
+        got = nms(preds)
+        want = oracle_soft_nms(preds)
+        assert got == want
+        assert bits(got) == bits(want)
+        # one sort of the tied rows in each of the three rounds with ties
+        assert len(sorts) == 2 + 3
 
     def test_predict_builds_one_per_result(self, monkeypatch):
         # untrained desk-preset weights put most points above the score
