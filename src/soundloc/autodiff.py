@@ -10,6 +10,9 @@ concurrently because there is no shared mutable state.
 Besides elementwise ops, reductions and shape ops, the network primitives
 include :func:`local_attention`: windowed multi-head attention computed on a
 band of key offsets, linear in sequence length, with a hand-written backward.
+:func:`matmul` and :func:`conv1d` take an optional bias, so a layer is one
+record, and compute no gradient for an operand that is a constant leaf (such
+as the input features under the first convolution).
 
 Values are float32 by default; gradient checking always runs in float64.
 """
@@ -130,10 +133,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
                     t.grad = np.zeros_like(t.values)
                 t.grad += g
         else:
+            # no copy: a closure never writes to an array after passing it
+            # on, and a second arrival makes a new array, never ``+=``
             if t.node_id in pending:
                 pending[t.node_id] = pending[t.node_id] + g
             else:
-                pending[t.node_id] = np.array(g, copy=True)
+                pending[t.node_id] = g
 
     if loss.is_leaf:
         # d(loss)/d(loss) = 1 even for a bare leaf
@@ -271,7 +276,7 @@ def gelu(a: Tensor) -> Tensor:
     return a.tape.record(out, bwd)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -281,7 +286,7 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = _stable_sigmoid(a.values)
+    s = stable_sigmoid(a.values)
 
     def bwd(g, acc):
         acc(a, g * s * (1.0 - s))
@@ -294,7 +299,7 @@ def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(np.zeros_like(a.values), a.values)
 
     def bwd(g, acc):
-        acc(a, g * _stable_sigmoid(a.values))
+        acc(a, g * stable_sigmoid(a.values))
 
     return a.tape.record(out, bwd)
 
@@ -403,28 +408,44 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra / network primitives
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
+def _bias_values(bias: Tensor, c_out: int, op: str) -> np.ndarray:
+    if bias.values.shape != (c_out,):
+        raise ShapeError(
+            f"{op} bias must have shape ({c_out},), got {bias.values.shape}")
+    return bias.values
+
+
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``a @ b``, plus ``bias`` on every row when given."""
+    tape = _same_tape(a, b) if bias is None else _same_tape(a, b, bias)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
         raise ShapeError(
             f"matmul shape mismatch: {a.values.shape} x {b.values.shape}")
     out = a.values @ b.values
+    if bias is not None:
+        out = out + _bias_values(bias, out.shape[1], "matmul")
 
     def bwd(g, acc):
-        acc(a, g @ b.values.T)
-        acc(b, a.values.T @ g)
+        if bias is not None:
+            acc(bias, g.sum(axis=0))
+        if a.requires_grad:
+            acc(a, g @ b.values.T)
+        if b.requires_grad:
+            acc(b, a.values.T @ g)
 
     return tape.record(out, bwd)
 
 
-def conv1d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
+           bias: Optional[Tensor] = None) -> Tensor:
     """1D convolution over time with symmetric zero padding ("same").
 
     ``x`` is (T, C_in), ``kernel`` is (k, C_in, C_out) with odd k, stride is
-    1 or 2. Output length is ceil(T / stride); output position i is centred
-    on input position i * stride.
+    1 or 2, and ``bias``, when given, is (C_out,). Output length is
+    ceil(T / stride); output position i is centred on input position
+    i * stride.
     """
-    tape = _same_tape(x, kernel)
+    tape = _same_tape(x, kernel) if bias is None else _same_tape(x, kernel, bias)
     if x.values.ndim != 2:
         raise ShapeError(f"conv1d input must be (T, C_in), got {x.values.shape}")
     if kernel.values.ndim != 3:
@@ -442,20 +463,32 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
     pad = k // 2
     t_out = -(-t_in // stride)  # ceil division
+    span = stride * (t_out - 1) + 1   # tap j reads input rows j, j + stride, ...
     x_pad = np.zeros((t_in + 2 * pad, c_in), dtype=x.values.dtype)
     x_pad[pad:pad + t_in] = x.values
     # gather windows: cols[i, j, :] = x_pad[i*stride + j, :]
-    idx = (np.arange(t_out) * stride)[:, None] + np.arange(k)[None, :]
-    cols = x_pad[idx]                                    # (t_out, k, c_in)
+    cols = np.empty((t_out, k, c_in), dtype=x_pad.dtype)
+    for j in range(k):
+        cols[:, j] = x_pad[j:j + span:stride]
     cols2d = cols.reshape(t_out, k * c_in)
     w2d = kernel.values.reshape(k * c_in, c_out)
     out = cols2d @ w2d
+    if bias is not None:
+        out = out + _bias_values(bias, c_out, "conv1d")
 
     def bwd(g, acc):
-        acc(kernel, (cols2d.T @ g).reshape(k, c_in, c_out))
+        if bias is not None:
+            acc(bias, g.sum(axis=0))
+        if kernel.requires_grad:
+            acc(kernel, (cols2d.T @ g).reshape(k, c_in, c_out))
+        if not x.requires_grad:
+            return
         d_cols = (g @ w2d.T).reshape(t_out, k, c_in)
+        # walking the taps from the last down adds each input row's terms
+        # in the order a scatter-add over the windows (np.add.at) would
         d_pad = np.zeros_like(x_pad)
-        np.add.at(d_pad, idx, d_cols)
+        for j in range(k - 1, -1, -1):
+            d_pad[j:j + span:stride] += d_cols[:, j]
         acc(x, d_pad[pad:pad + t_in])
 
     return tape.record(out, bwd)

@@ -150,8 +150,8 @@ def embed(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig) -> Tensor:
     if x.shape[1] != cfg.input_dim:
         raise ConfigError(
             f"embed expects feature dim {cfg.input_dim}, got {x.shape[1]}")
-    h = ad.relu(ad.add(ad.conv1d(x, p["embed.conv1.w"]), p["embed.conv1.b"]))
-    return ad.relu(ad.add(ad.conv1d(h, p["embed.conv2.w"]), p["embed.conv2.b"]))
+    h = ad.relu(ad.conv1d(x, p["embed.conv1.w"], bias=p["embed.conv1.b"]))
+    return ad.relu(ad.conv1d(h, p["embed.conv2.w"], bias=p["embed.conv2.b"]))
 
 
 def windowed_msa(x: Tensor, p: Mapping[str, Tensor], prefix: str,
@@ -161,11 +161,11 @@ def windowed_msa(x: Tensor, p: Mapping[str, Tensor], prefix: str,
     Projections to queries, keys and values, one banded
     :func:`~soundloc.autodiff.local_attention`, then the output projection.
     """
-    q = ad.add(ad.matmul(x, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
-    k = ad.add(ad.matmul(x, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
-    v = ad.add(ad.matmul(x, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
+    q = ad.matmul(x, p[f"{prefix}.wq"], bias=p[f"{prefix}.bq"])
+    k = ad.matmul(x, p[f"{prefix}.wk"], bias=p[f"{prefix}.bk"])
+    v = ad.matmul(x, p[f"{prefix}.wv"], bias=p[f"{prefix}.bv"])
     attn = ad.local_attention(q, k, v, window, num_heads)
-    return ad.add(ad.matmul(attn, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    return ad.matmul(attn, p[f"{prefix}.wo"], bias=p[f"{prefix}.bo"])
 
 
 def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,
@@ -186,12 +186,12 @@ def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,
         z_bar = ad.add(z_bar, x)
 
     ln2 = ad.layer_norm(z_bar, p[f"{pref}.ln2.gamma"], p[f"{pref}.ln2.beta"])
-    h = ad.gelu(ad.add(ad.matmul(ln2, p[f"{pref}.mlp.w1"]), p[f"{pref}.mlp.b1"]))
-    h = ad.add(ad.matmul(h, p[f"{pref}.mlp.w2"]), p[f"{pref}.mlp.b2"])
+    h = ad.gelu(ad.matmul(ln2, p[f"{pref}.mlp.w1"], bias=p[f"{pref}.mlp.b1"]))
+    h = ad.matmul(h, p[f"{pref}.mlp.w2"], bias=p[f"{pref}.mlp.b2"])
     z_hat = ad.add(ad.mul(h, p[f"{pref}.scale_mlp"]), z_bar)
     if stride == 2:
-        return ad.add(ad.conv1d(z_hat, p[f"{pref}.down.w"], stride=2),
-                      p[f"{pref}.down.b"])
+        return ad.conv1d(z_hat, p[f"{pref}.down.w"], stride=2,
+                         bias=p[f"{pref}.down.b"])
     return z_hat
 
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .backbone import BackboneConfig
+from .data import atomic_write
 from .errors import ConfigError
 from .model import DecodeConfig, ModelConfig
 
@@ -132,5 +133,5 @@ def save_config(cfg: TrainConfig, path) -> None:
             k: " ".join(str(x) for x in v) if isinstance(v, tuple) else str(v)
             for k, v in values.items()
         }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w") as fh:
         parser.write(fh)

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,7 +203,7 @@ def save_features(seq: FeatureSequence, path) -> None:
         TSLF_MAGIC, TSLF_VERSION, MODALITY_CODES[seq.modality], b"\x00\x00\x00",
         t, d, seq.stride_sec, len(vid))
     payload = np.ascontiguousarray(seq.data, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header)
         fh.write(vid)
         fh.write(payload)
@@ -458,9 +461,30 @@ def write_predictions(preds_by_video: dict[str, list[dict]], path) -> None:
 
 def write_json(doc, path) -> None:
     """Write ``doc`` as indented, key-sorted JSON ending in a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Open ``path`` for writing so that it changes all at once or not at all.
+
+    The block writes to a temporary file in the same directory, which
+    replaces ``path`` (``os.replace``) only when the block finishes. If the
+    block raises, the temporary file is removed and ``path`` keeps its
+    previous bytes; a killed process can leave a stale temporary file, never
+    a truncated ``path``. Text modes write UTF-8.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -98,13 +98,13 @@ def init_head_params(d_model: int, num_classes: int, rng: np.random.Generator,
 def _head_trunk(x: Tensor, p: Mapping[str, Tensor], branch: str) -> Tensor:
     h = x
     for i in (1, 2):
-        h = ad.add(ad.conv1d(h, p[f"head.{branch}.conv{i}.w"]),
-                   p[f"head.{branch}.conv{i}.b"])
+        h = ad.conv1d(h, p[f"head.{branch}.conv{i}.w"],
+                      bias=p[f"head.{branch}.conv{i}.b"])
         h = ad.layer_norm(h, p[f"head.{branch}.ln{i}.gamma"],
                           p[f"head.{branch}.ln{i}.beta"])
         h = ad.relu(h)
-    return ad.add(ad.conv1d(h, p[f"head.{branch}.out.w"]),
-                  p[f"head.{branch}.out.b"])
+    return ad.conv1d(h, p[f"head.{branch}.out.w"],
+                     bias=p[f"head.{branch}.out.b"])
 
 
 def run_heads(pyramid: Pyramid, p: Mapping[str, Tensor]) -> HeadOutput:

@@ -7,6 +7,10 @@ shortest wins (ties: earlier start, then lower label). The total objective is
 
     (sum of focal over all points and classes
      + lambda_reg * sum of DIoU over positive points) / max(T_plus, 1)
+
+The focal and DIoU terms are one tape record each, with a hand-written
+backward that follows the chain rule of the elementwise composition step by
+step in its order of operations.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import AnnotationSet
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .heads import HeadOutput, PointSet
 
 CENTER_SAMPLING_RADIUS = 1.5
@@ -101,62 +105,94 @@ def focal_loss(logits: Tensor, targets: np.ndarray,
                ) -> tuple[Tensor, Tensor]:
     """Sigmoid focal loss; returns (per-element losses, their sum).
 
-    Uses softplus-based log-sigmoids, so large logits stay finite.
+    Uses softplus-based log-sigmoids, so large logits stay finite. The
+    per-element losses are one tape record with a hand-written backward.
     """
     tape = logits.tape
-    y = tape.constant(np.asarray(targets, dtype=float))
-    one = tape.constant(1.0)
-    p = ad.sigmoid(logits)
+    x = logits.values
+    y = np.asarray(targets, dtype=tape.dtype)
+    if y.shape != x.shape:
+        raise ShapeError(f"focal targets have shape {y.shape}, logits {x.shape}")
+    p = ad.stable_sigmoid(x)
+    q = 1.0 - p
     # -log p = softplus(-x); -log(1-p) = softplus(x)
-    ce_pos = ad.softplus(ad.neg(logits))
-    ce_neg = ad.softplus(logits)
-    pos_term = ad.mul(ad.mul(tape.constant(alpha),
-                             ad.pow_const(ad.sub(one, p), gamma)), ce_pos)
-    neg_term = ad.mul(ad.mul(tape.constant(1.0 - alpha),
-                             ad.pow_const(p, gamma)), ce_neg)
-    elem = ad.add(ad.mul(y, pos_term), ad.mul(ad.sub(one, y), neg_term))
-    return elem, ad.sum_all(elem)
+    ce_pos = np.logaddexp(0.0, -x)
+    ce_neg = np.logaddexp(0.0, x)
+    w_pos = alpha * q ** gamma
+    w_neg = (1.0 - alpha) * p ** gamma
+    not_y = 1.0 - y
+    elem = y * (w_pos * ce_pos) + not_y * (w_neg * ce_neg)
+
+    def bwd(g, acc):
+        g_pos = g * y
+        g_neg = g * not_y
+        d_p = g_neg * ce_neg * (1.0 - alpha) * gamma * p ** (gamma - 1.0)
+        d_q = g_pos * ce_pos * alpha * gamma * q ** (gamma - 1.0)
+        d_p = d_p + -d_q
+        d_x = g_neg * w_neg * p
+        d_x = d_x + -(g_pos * w_pos * ad.stable_sigmoid(-x))
+        acc(logits, d_x + d_p * p * (1.0 - p))
+
+    elem_t = tape.record(elem, bwd)
+    return elem_t, ad.sum_all(elem_t)
 
 
 def diou_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """DIoU loss between distance pairs (d_start, d_end) around a shared point.
 
-    ``pred`` and ``target`` are (N, 2) (a single (2,) pair is promoted). The
-    predicted interval is [-d_s, d_e] on the stride-normalized axis and the
-    target likewise; the loss per row is 1 - IoU + (center gap / enclosing
-    span)^2, in [0, 2). Targets must be non-degenerate.
+    ``pred`` is (N, >= 2), of which columns 0 and 1 are read, or a single
+    (2,) pair; ``target`` is (N, 2) or (2,) to match, and the loss is (N, 1)
+    or a scalar. The predicted interval is [-d_s, d_e] on the
+    stride-normalized axis and the target likewise; the loss per row is
+    1 - IoU + (center gap / enclosing span)^2, in [0, 2). Targets must be
+    non-degenerate. The loss is one tape record with a hand-written backward.
     """
     tape = pred.tape
-    tgt = np.asarray(target, dtype=float)
-    squeeze = False
-    if pred.values.ndim == 1:
-        pred = ad.reshape(pred, (1, 2))
-        squeeze = True
-        tgt = tgt.reshape(1, 2)
+    squeeze = pred.values.ndim == 1
+    pv = pred.values.reshape(1, -1) if squeeze else pred.values
+    if pv.ndim != 2 or pv.shape[1] < 2 or (squeeze and pv.shape[1] != 2):
+        raise ShapeError(f"diou_loss needs (N, >=2) or (2,) predictions, "
+                         f"got {pred.values.shape}")
+    tgt = np.asarray(target, dtype=tape.dtype)
+    if tgt.shape != ((2,) if squeeze else (pv.shape[0], 2)):
+        raise ShapeError(f"diou_loss targets have shape {tgt.shape} for "
+                         f"predictions of shape {pred.values.shape}")
+    tgt = tgt.reshape(-1, 2)
     if (pred.values < 0).any():
         raise ValidationError("predicted distances must be nonnegative")
     if ((tgt[:, 0] + tgt[:, 1]) <= 0).any():
         raise ValidationError("target interval is degenerate (zero length)")
 
-    t = tape.constant(tgt)
-    ds, de = ad.slice_cols(pred, 0, 1), ad.slice_cols(pred, 1, 2)
-    ds_t, de_t = ad.slice_cols(t, 0, 1), ad.slice_cols(t, 1, 2)
+    ds, de = pv[:, 0:1], pv[:, 1:2]
+    ds_t, de_t = tgt[:, 0:1], tgt[:, 1:2]
+    start_in, end_in = ds <= ds_t, de <= de_t
+    overlap = np.where(end_in, de, de_t) + np.where(start_in, ds, ds_t)
+    keep = overlap > 0
+    inter = overlap * keep
+    union = ((ds + de) + (ds_t + de_t)) - inter
+    iou = inter / union
+    center_gap = ((de - ds) - (de_t - ds_t)) * 0.5
+    start_out, end_out = ds >= ds_t, de >= de_t
+    enclose = np.where(end_out, de, de_t) + np.where(start_out, ds, ds_t)
+    ratio = center_gap / enclose
+    loss = (1.0 - iou) + ratio * ratio
 
-    inter = ad.relu(ad.add(ad.minimum(de, de_t), ad.minimum(ds, ds_t)))
-    len_p = ad.add(ds, de)
-    len_g = ad.add(ds_t, de_t)
-    union = ad.sub(ad.add(len_p, len_g), inter)
-    iou = ad.div(inter, union)
+    def bwd(g, acc):
+        g = g.reshape(loss.shape)
+        d_ratio = g * 2.0 * ratio
+        d_gap = d_ratio / enclose * 0.5
+        d_enclose = -d_ratio * center_gap / (enclose * enclose)
+        d_iou = -g
+        d_union = -d_iou * inter / (union * union)
+        d_overlap = (d_iou / union + -d_union) * keep
+        d_ds = d_enclose * start_out + -d_gap + d_union + d_overlap * start_in
+        d_de = d_enclose * end_out + d_gap + d_union + d_overlap * end_in
+        full = np.zeros_like(pv)
+        full[:, 0:1] = d_ds
+        full[:, 1:2] = d_de
+        acc(pred, full.reshape(pred.values.shape))
 
-    half = tape.constant(0.5)
-    center_gap = ad.mul(ad.sub(ad.sub(de, ds), ad.sub(de_t, ds_t)), half)
-    enclose = ad.add(ad.maximum(de, de_t), ad.maximum(ds, ds_t))
-    penalty = ad.square(ad.div(center_gap, enclose))
-
-    loss = ad.add(ad.sub(tape.constant(1.0), iou), penalty)
-    if squeeze:
-        return ad.reshape(loss, ())
-    return loss
+    return tape.record(loss.reshape(()) if squeeze else loss, bwd)
 
 
 def loss_sums(head_out: HeadOutput, assignment: Assignment,
@@ -208,12 +244,12 @@ def total_loss(head_out: HeadOutput, assignment: Assignment,
 
 
 def _gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Row gather with exact scatter-add backward."""
+    """Row gather for distinct row indices; the backward scatters them back."""
     idx = np.asarray(idx, dtype=np.int64)
 
     def bwd(g, acc):
         full = np.zeros_like(x.values)
-        np.add.at(full, idx, g)
+        full[idx] = g   # indices come from np.nonzero: no repeats to add
         acc(x, full)
 
     return x.tape.record(x.values[idx].copy(), bwd)

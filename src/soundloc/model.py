@@ -19,7 +19,7 @@ import numpy as np
 from . import params as pr
 from .autodiff import Tape
 from .backbone import BackboneConfig, Pyramid, backbone_param_shapes, build_pyramid
-from .data import FeatureSequence
+from .data import FeatureSequence, atomic_write
 from .decode import (
     NMS_IOU_THRESH,
     NMS_MAX_OUT,
@@ -139,7 +139,7 @@ def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
 # checkpoints
 
 def save_checkpoint(arrays: dict[str, np.ndarray], path) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                              len(arrays)))
         for name in sorted(arrays):

@@ -401,3 +401,188 @@ class TestTapeIsolation:
             assert (ref() is None) == clear
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# bias folded into matmul and conv1d, the conv1d backward, constant operands
+
+def conv1d_input_grad_oracle(x, kernel, g, stride):
+    """Input gradient of conv1d by np.add.at over the gathered windows."""
+    k, c_in, _ = kernel.shape
+    t_in, pad = x.shape[0], k // 2
+    t_out = g.shape[0]
+    idx = (np.arange(t_out) * stride)[:, None] + np.arange(k)[None, :]
+    d_cols = (g @ kernel.reshape(k * c_in, -1).T).reshape(t_out, k, c_in)
+    d_pad = np.zeros((t_in + 2 * pad, c_in), dtype=x.dtype)
+    np.add.at(d_pad, idx, d_cols)
+    return d_pad[pad:pad + t_in]
+
+
+def grads_through(op, dtype, operands, upstream):
+    """Output and every operand's gradient of sum(op(*leaves) * upstream)."""
+    t = ad.Tape(dtype=dtype)
+    leaves = [t.leaf(v) for v in operands]
+    out = op(*leaves)
+    ad.backward(t, ad.sum_all(ad.mul(out, t.constant(upstream))))
+    return out.values, [leaf.grad for leaf in leaves]
+
+
+def bit_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class CallSpy(np.ndarray):
+    """An array that logs every ufunc (``@`` included) it takes part in."""
+
+    calls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        CallSpy.calls.append(ufunc.__name__)
+        plain = [i.view(np.ndarray) if isinstance(i, CallSpy) else i for i in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in kwargs["out"])
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def spy_on(tensor):
+    CallSpy.calls = []
+    tensor.values = tensor.values.view(CallSpy)
+
+
+class TestFusedBias:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul_bias_matches_separate_add(self, dtype):
+        rng = np.random.default_rng(11)
+        operands = [rng.normal(size=(7, 5)), rng.normal(size=(5, 4)),
+                    rng.normal(size=4)]
+        up = rng.normal(size=(7, 4))
+        got, got_g = grads_through(lambda a, b, c: ad.matmul(a, b, bias=c),
+                                   dtype, operands, up)
+        want, want_g = grads_through(lambda a, b, c: ad.add(ad.matmul(a, b), c),
+                                     dtype, operands, up)
+        assert bit_equal(got, want)
+        for g, w in zip(got_g, want_g):
+            assert bit_equal(g, w)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv1d_bias_matches_separate_add(self, dtype, stride):
+        rng = np.random.default_rng(12 + stride)
+        operands = [rng.normal(size=(9, 3)), rng.normal(size=(3, 3, 4)),
+                    rng.normal(size=4)]
+        up = rng.normal(size=(-(-9 // stride), 4))
+        got, got_g = grads_through(
+            lambda x, w, b: ad.conv1d(x, w, stride=stride, bias=b),
+            dtype, operands, up)
+        want, want_g = grads_through(
+            lambda x, w, b: ad.add(ad.conv1d(x, w, stride=stride), b),
+            dtype, operands, up)
+        assert bit_equal(got, want)
+        for g, w in zip(got_g, want_g):
+            assert bit_equal(g, w)
+
+    def test_grad_check_every_operand(self):
+        rng = np.random.default_rng(13)
+        x, w, b = rng.normal(size=(6, 3)), rng.normal(size=(3, 3, 2)), rng.normal(size=2)
+        a, m = rng.normal(size=(6, 3)), rng.normal(size=(3, 2))
+
+        def conv(i, stride):
+            def f(v):
+                c = v.tape.constant
+                args = [c(x), c(w), c(b)]
+                args[i] = v
+                return ad.sum_all(ad.square(
+                    ad.conv1d(args[0], args[1], stride=stride, bias=args[2])))
+            return f
+
+        def mm(i):
+            def f(v):
+                c = v.tape.constant
+                args = [c(a), c(m), c(b)]
+                args[i] = v
+                return ad.sum_all(ad.square(ad.matmul(args[0], args[1], bias=args[2])))
+            return f
+
+        for stride in (1, 2):
+            for i, value in enumerate((x, w, b)):
+                assert ad.grad_check(conv(i, stride), value) <= 1e-4, (stride, i)
+        for i, value in enumerate((a, m, b)):
+            assert ad.grad_check(mm(i), value) <= 1e-4, i
+
+    def test_bias_shape_checked(self):
+        t = scalar_tape()
+        x, w = t.leaf(np.ones((4, 3))), t.leaf(np.ones((3, 2)))
+        with pytest.raises(ShapeError, match=r"matmul bias must have shape \(2,\)"):
+            ad.matmul(x, w, bias=t.leaf(np.ones(3)))
+        with pytest.raises(ShapeError, match=r"conv1d bias must have shape \(2,\)"):
+            ad.conv1d(x, t.leaf(np.ones((3, 3, 2))), bias=t.leaf(np.ones((1, 2))))
+
+
+class TestConv1dBackwardOrder:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_slice_adds_equal_np_add_at(self, k, stride, dtype):
+        rng = np.random.default_rng(100 * k + stride)
+        for t_in in (1, 2, 5, 16, 33):
+            x = rng.normal(size=(t_in, 3)).astype(dtype)
+            kernel = rng.normal(size=(k, 3, 4)).astype(dtype)
+            g = (rng.normal(size=(-(-t_in // stride), 4)) * 10.0).astype(dtype)
+            _, (got, _) = grads_through(
+                lambda a, w: ad.conv1d(a, w, stride=stride), dtype, [x, kernel], g)
+            assert bit_equal(got, conv1d_input_grad_oracle(x, kernel, g, stride)), t_in
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv1d_forms_no_input_gradient_for_a_constant(self, stride):
+        rng = np.random.default_rng(3)
+        for constant in (True, False):
+            t = scalar_tape()
+            x = (t.constant if constant else t.leaf)(rng.normal(size=(8, 3)))
+            kernel = t.leaf(rng.normal(size=(3, 3, 2)))
+            spy_on(kernel)
+            loss = ad.sum_all(ad.square(ad.conv1d(x, kernel, stride=stride)))
+            CallSpy.calls = []
+            ad.backward(t, loss)
+            # the kernel takes part in the backward only through g @ w2d.T
+            assert ("matmul" in CallSpy.calls) is not constant
+            assert kernel.grad is not None
+            assert (x.grad is None) is constant
+
+    @pytest.mark.parametrize("const_side", [0, 1])
+    def test_matmul_forms_no_gradient_for_a_constant(self, const_side):
+        rng = np.random.default_rng(4)
+        t = scalar_tape()
+        values = [rng.normal(size=(5, 3)), rng.normal(size=(3, 2))]
+        a, b = (t.constant(v) if i == const_side else t.leaf(v)
+                for i, v in enumerate(values))
+        other = b if const_side == 0 else a
+        loss = ad.sum_all(ad.square(ad.matmul(a, b)))
+        spy_on(other)
+        ad.backward(t, loss)
+        # the constant's gradient is the only product the other operand is in
+        assert "matmul" not in CallSpy.calls
+        assert other.grad is not None
+
+
+class TestAccumulateAliasing:
+    def test_shared_first_arrivals_stay_unchanged(self):
+        # h1 feeds an add (which hands one gradient array to h1 and h2), a
+        # mul and a reshape view; every later arrival at h1 must make a new
+        # array, or h2's gradient changes under it
+        rng = np.random.default_rng(6)
+        x0, c1, c2, c3 = (rng.normal(size=(3, 2)) for _ in range(4))
+        w, v = rng.normal(size=(3, 2)), rng.normal(size=6)
+        t = scalar_tape()
+        x = t.leaf(x0)
+        h1, h2 = ad.mul(x, t.constant(c1)), ad.mul(x, t.constant(c2))
+        u = ad.mul(h1, t.constant(c3))
+        r = ad.reshape(h1, (6,))
+        s = ad.add(h1, h2)
+        loss = ad.add(ad.add(ad.sum_all(ad.mul(s, t.constant(w))),
+                             ad.sum_all(ad.mul(r, t.constant(v)))),
+                      ad.sum_all(u))
+        ad.backward(t, loss)
+        want = c1 * (w + v.reshape(3, 2) + c3) + c2 * w
+        np.testing.assert_allclose(x.grad, want, rtol=1e-12)

@@ -264,21 +264,22 @@ class TestBandedAgainstDense:
         x = tape.constant(np.ones((t, 8)))
         before = len(tape._nodes)
         windowed_msa(x, p, "block0.attn", 11, 2)
-        # 3 projections, one local_attention, the output projection
-        assert len(tape._nodes) - before == 9
+        # 3 projections, one local_attention, the output projection, each
+        # projection one record with its bias
+        assert len(tape._nodes) - before == 5
 
 
 class TestForwardRecords:
     @pytest.mark.parametrize("t", [64, 1000])
     def test_desk_forward_pass_record_count(self, t):
-        # embedding 6; five blocks of 20, plus 2 for each of the three
-        # downsamplings; heads 21 per level over four levels: 6 + 106 + 84,
-        # whatever the length
+        # embedding 4; five blocks of 14, plus 1 for each of the three
+        # downsamplings; heads 15 per level over four levels: 4 + 73 + 60,
+        # whatever the length (a bias is part of its matmul or conv1d)
         cfg = desk_scale_config().model
         tape = ad.Tape(dtype=np.float32)
         bound = pr.bind(tape, init_model_arrays(cfg, seed=0))
         forward_video(bound, cfg, np.zeros((t, cfg.backbone.input_dim)), tape)
-        assert len(tape._nodes) == 196
+        assert len(tape._nodes) == 137
 
 
 class TestTransformerBlock:

@@ -237,7 +237,40 @@ class TestSchedule:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.fixture(scope="module")
+def desk_pair(tmp_path_factory):
+    """Two T=64 videos for the desk preset, as one train_desk batch."""
+    root = tmp_path_factory.mktemp("deskpair")
+    spec = dio.SyntheticSpec(num_videos=2, duration_sec=64.0,
+                             events_per_video=(1, 3), seed=1)
+    write_dataset(root, spec, split_counts=(2, 0, 0))
+    return load_dataset(root)
+
+
 class TestTraining:
+    def test_train_step_record_count(self, desk_pair, monkeypatch):
+        records = []
+
+        class CountingTape(ad.Tape):
+            def record(self, out_values, bwd):
+                records.append(1)
+                return super().record(out_values, bwd)
+
+        monkeypatch.setattr(ad, "Tape", CountingTape)
+        cfg = desk_scale_config().model
+        assignments = {}
+        train_step(init_model_arrays(cfg, seed=0), cfg, desk_pair.videos("train"),
+                   desk_pair, assignments, 1.0)
+        levels_with_positives = sum(int(pos.any()) for a in assignments.values()
+                                    for pos in a.positive)
+        assert levels_with_positives == 4
+        # per video: forward 137, per level focal 3 (elements, sum, running
+        # add), 2 batch adds; per level with positives DIoU 4 (gather, loss,
+        # sum, running add); the objective 3. 643 before the fused losses
+        # and biases.
+        assert len(records) == 2 * (137 + 4 * 3 + 2) + 4 * levels_with_positives + 3
+        assert len(records) == 321
+
     def test_zero_lr_leaves_parameters_bitwise_unchanged(self, tiny_dataset):
         cfg = tiny_train_config(learning_rate=0.0, weight_decay=0.0, epochs=1,
                                 warmup_epochs=0)

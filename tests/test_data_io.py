@@ -1,5 +1,7 @@
 """Tests for feature/annotation I/O, fusion and synthetic generation."""
 
+import contextlib
+import errno
 import json
 import math
 import re
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soundloc import config as config_mod
 from soundloc import data as dio
+from soundloc import model as model_mod
 from soundloc.datasets import load_feature_dir
 from soundloc.errors import (
     AnnotationFormatError,
@@ -570,3 +574,99 @@ class TestSplit:
         ids = [f"vid{i:05d}" for i in range(8)]
         with pytest.raises(ConfigError, match="must not be negative"):
             dio.split_by_hash(ids, counts=(5, -1, 4))
+
+
+class FullDiskHandle:
+    """A file handle that takes its first write, then fails as a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def small_arrays(scale):
+    return {"a.w": np.full((2, 3), scale, dtype=np.float32),
+            "b.b": np.arange(4, dtype=np.float32) * scale}
+
+
+ARTIFACT_WRITERS = {
+    "checkpoint": lambda path, v: model_mod.save_checkpoint(small_arrays(v), path),
+    "json": lambda path, v: dio.write_json({"run": v, "rows": list(range(50))}, path),
+    "config": lambda path, v: config_mod.save_config(
+        config_mod.TrainConfig(seed=v), path),
+    "features": lambda path, v: dio.save_features(make_seq(seed=v), path),
+}
+
+
+class TestAtomicWrites:
+    def test_block_that_raises_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "artifact.bin"
+        path.write_bytes(b"old contents")
+        with pytest.raises(RuntimeError):
+            with dio.atomic_write(path) as fh:
+                fh.write(b"half of the new")
+                raise RuntimeError("killed midway")
+        assert path.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with dio.atomic_write(tmp_path / "new.json", "w") as fh:
+                fh.write("{")
+                raise RuntimeError("killed midway")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_finished_block_replaces_the_file(self, tmp_path):
+        path = tmp_path / "artifact.txt"
+        path.write_text("old")
+        with dio.atomic_write(path, "w") as fh:
+            fh.write("new ünïcode")
+        assert path.read_text(encoding="utf-8") == "new ünïcode"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
+
+    @pytest.mark.parametrize("writer", sorted(ARTIFACT_WRITERS))
+    def test_full_disk_keeps_the_previous_artifact(self, writer, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / f"artifact.{writer}"
+        ARTIFACT_WRITERS[writer](path, 1)
+        before = path.read_bytes()
+        real = dio.atomic_write
+
+        @contextlib.contextmanager
+        def full_disk(target, mode="wb"):
+            with real(target, mode) as fh:
+                yield FullDiskHandle(fh)
+
+        for module in (dio, model_mod, config_mod):
+            monkeypatch.setattr(module, "atomic_write", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            ARTIFACT_WRITERS[writer](path, 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_checkpoint_that_fails_to_encode_keeps_the_old_one(self, tmp_path):
+        path = tmp_path / "best.ckpt"
+        model_mod.save_checkpoint(small_arrays(1.0), path)
+        before = path.read_bytes()
+        bad = {**small_arrays(2.0), "c.\udc80": np.zeros(2, dtype=np.float32)}
+        with pytest.raises(UnicodeEncodeError):
+            model_mod.save_checkpoint(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+    def test_json_that_fails_to_serialize_keeps_the_old_one(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        dio.write_json({"epochs": [1, 2]}, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            dio.write_json({"epochs": [1, 2, 3], "zz": object()}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]

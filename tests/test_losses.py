@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from soundloc import autodiff as ad
 from soundloc.data import AnnotationSet, Event
-from soundloc.errors import ValidationError
+from soundloc.errors import ShapeError, ValidationError
 from soundloc.heads import HeadOutput, LevelPoints, PointSet
 from soundloc.losses import (
+    FOCAL_ALPHA,
+    FOCAL_GAMMA,
     Assignment,
+    _gather_rows,
     assign_targets,
     diou_loss,
     focal_loss,
@@ -20,6 +23,70 @@ from soundloc.losses import (
 )
 
 LN2 = math.log(2.0)
+
+
+# ---------------------------------------------------------------------------
+# the loss terms composed from elementwise tape ops: oracles for the fused ones
+
+def focal_loss_oracle(logits, targets, alpha=FOCAL_ALPHA, gamma=FOCAL_GAMMA):
+    tape = logits.tape
+    y = tape.constant(np.asarray(targets, dtype=float))
+    one = tape.constant(1.0)
+    p = ad.sigmoid(logits)
+    ce_pos = ad.softplus(ad.neg(logits))
+    ce_neg = ad.softplus(logits)
+    pos_term = ad.mul(ad.mul(tape.constant(alpha),
+                             ad.pow_const(ad.sub(one, p), gamma)), ce_pos)
+    neg_term = ad.mul(ad.mul(tape.constant(1.0 - alpha),
+                             ad.pow_const(p, gamma)), ce_neg)
+    elem = ad.add(ad.mul(y, pos_term), ad.mul(ad.sub(one, y), neg_term))
+    return elem, ad.sum_all(elem)
+
+
+def diou_loss_oracle(pred, target):
+    tape = pred.tape
+    tgt = np.asarray(target, dtype=float)
+    squeeze = False
+    if pred.values.ndim == 1:
+        pred = ad.reshape(pred, (1, 2))
+        squeeze = True
+        tgt = tgt.reshape(1, 2)
+    t = tape.constant(tgt)
+    ds, de = ad.slice_cols(pred, 0, 1), ad.slice_cols(pred, 1, 2)
+    ds_t, de_t = ad.slice_cols(t, 0, 1), ad.slice_cols(t, 1, 2)
+    inter = ad.relu(ad.add(ad.minimum(de, de_t), ad.minimum(ds, ds_t)))
+    len_p = ad.add(ds, de)
+    len_g = ad.add(ds_t, de_t)
+    union = ad.sub(ad.add(len_p, len_g), inter)
+    iou = ad.div(inter, union)
+    half = tape.constant(0.5)
+    center_gap = ad.mul(ad.sub(ad.sub(de, ds), ad.sub(de_t, ds_t)), half)
+    enclose = ad.add(ad.maximum(de, de_t), ad.maximum(ds, ds_t))
+    penalty = ad.square(ad.div(center_gap, enclose))
+    loss = ad.add(ad.sub(tape.constant(1.0), iou), penalty)
+    if squeeze:
+        return ad.reshape(loss, ())
+    return loss
+
+
+def value_and_grad(loss_fn, dtype, x0, weights):
+    """Loss values and d(sum(loss * weights))/dx for a fresh leaf x."""
+    t = ad.Tape(dtype=dtype)
+    x = t.leaf(x0)
+    out = loss_fn(x)
+    ad.backward(t, ad.sum_all(ad.mul(out, t.constant(weights))))
+    return out.values, x.grad
+
+
+def rel_err(got, want):
+    """Largest difference relative to the largest magnitude of ``want``."""
+    scale = max(float(np.abs(want).max()), np.finfo(np.float64).tiny)
+    return float(np.abs(got.astype(np.float64) - want).max()) / scale
+
+
+# float32 gap between the fused losses and the composed oracles; on numpy
+# 2.4 (x86-64) they agree bit for bit
+FUSED_F32_TOL = 1e-6
 
 
 def single_level_points(t=12, stride=1, rmax=math.inf):
@@ -302,3 +369,105 @@ class TestTotalLoss:
         assert out.cls_logits[0].grad is not None
         assert out.reg_raw[0].grad is not None
         assert np.isfinite(out.reg_raw[0].grad).all()
+
+
+def focal_cases():
+    rng = np.random.default_rng(21)
+    for case in range(12):
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+        logits = rng.normal(size=shape) * 4.0
+        logits.flat[0] = (30.0, -30.0, 60.0, 0.0)[case % 4]
+        targets = (rng.random(shape) < 0.4).astype(float)
+        alpha, gamma = ((FOCAL_ALPHA, FOCAL_GAMMA), (0.5, 1.5), (0.1, 3.0))[case % 3]
+        yield logits, targets, alpha, gamma, rng.normal(size=shape)
+
+
+def diou_cases():
+    rng = np.random.default_rng(22)
+    for case in range(12):
+        n, width = int(rng.integers(1, 9)), 2 + case % 2
+        pred = rng.random((n, width)) * 3.0
+        tgt = rng.random((n, 2)) * 3.0 + 0.05
+        if case % 3 < 2:   # a tie in one boundary, where min and max route
+            pred[0, case % 3] = tgt[0, case % 3]
+        pred[-1, 0] = 0.0
+        yield pred, tgt, rng.normal(size=(n, 1))
+    yield np.array([0.7, 1.9]), np.array([1.2, 0.4]), np.array(1.3)
+
+
+class TestFusedMatchesComposed:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12),
+                                           (np.float32, FUSED_F32_TOL)])
+    def test_focal(self, dtype, tol):
+        for logits, targets, alpha, gamma, w in focal_cases():
+            got, got_g = value_and_grad(
+                lambda v: focal_loss(v, targets, alpha, gamma)[0], dtype, logits, w)
+            want, want_g = value_and_grad(
+                lambda v: focal_loss_oracle(v, targets, alpha, gamma)[0],
+                dtype, logits, w)
+            assert got.dtype == got_g.dtype == dtype
+            assert rel_err(got, want) <= tol
+            assert rel_err(got_g, want_g) <= tol
+
+    def test_focal_sum_is_the_sum_of_elements(self):
+        logits, targets, alpha, gamma, _ = next(focal_cases())
+        t = ad.Tape(dtype=np.float64)
+        elem, total = focal_loss(t.leaf(logits), targets, alpha, gamma)
+        assert float(total.values) == elem.values.sum()
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12),
+                                           (np.float32, FUSED_F32_TOL)])
+    def test_diou(self, dtype, tol):
+        for pred, tgt, w in diou_cases():
+            got, got_g = value_and_grad(lambda v: diou_loss(v, tgt), dtype, pred, w)
+            want, want_g = value_and_grad(lambda v: diou_loss_oracle(v, tgt),
+                                          dtype, pred, w)
+            assert got.shape == want.shape and got.dtype == dtype
+            assert rel_err(got, want) <= tol
+            assert rel_err(got_g, want_g) <= tol
+            if pred.ndim == 2:
+                assert (got_g[:, 2:] == 0).all()   # extra columns get nothing
+
+    def test_diou_grad_check_wide_and_single(self):
+        rng = np.random.default_rng(23)
+        pred = rng.random((5, 3)) * 3 + 0.05
+        tgt = rng.random((5, 2)) * 3 + 0.05
+        assert ad.grad_check(lambda v: ad.sum_all(diou_loss(v, tgt)), pred) <= 1e-4
+        assert ad.grad_check(lambda v: diou_loss(v, tgt[0]), pred[0, :2]) <= 1e-4
+
+    def test_one_record_each(self):
+        t = ad.Tape(dtype=np.float64)
+        logits = t.leaf(np.zeros((6, 3)))
+        focal_loss(logits, np.zeros((6, 3)))
+        diou_loss(t.leaf(np.ones((6, 2))), np.ones((6, 2)))
+        diou_loss(t.leaf(np.ones(2)), np.ones(2))
+        # focal: the elements and their sum; each DIoU call: one
+        assert len(t._nodes) == 4
+
+    def test_shapes_checked(self):
+        t = ad.Tape(dtype=np.float64)
+        with pytest.raises(ShapeError, match="focal targets"):
+            focal_loss(t.leaf(np.zeros((2, 3))), np.zeros((2, 1)))
+        with pytest.raises(ShapeError, match=r"\(N, >=2\)"):
+            diou_loss(t.leaf(np.ones((3, 1))), np.ones((3, 2)))
+        with pytest.raises(ShapeError, match=r"\(N, >=2\)"):
+            diou_loss(t.leaf(np.ones(3)), np.ones(2))
+        with pytest.raises(ShapeError, match="targets have shape"):
+            diou_loss(t.leaf(np.ones((3, 2))), np.ones((2, 2)))
+
+
+class TestGatherRows:
+    def test_backward_matches_np_add_at(self):
+        rng = np.random.default_rng(24)
+        for dtype in (np.float32, np.float64):
+            x0 = rng.normal(size=(9, 2))
+            idx = np.nonzero(rng.random(9) < 0.5)[0]
+            w = rng.normal(size=(idx.size, 2))
+            t = ad.Tape(dtype=dtype)
+            x = t.leaf(x0)
+            rows = _gather_rows(x, idx)
+            assert rows.values.tobytes() == x.values[idx].tobytes()
+            ad.backward(t, ad.sum_all(ad.mul(rows, t.constant(w))))
+            want = np.zeros((9, 2), dtype=dtype)
+            np.add.at(want, idx, w.astype(dtype))
+            assert x.grad.tobytes() == want.tobytes()
