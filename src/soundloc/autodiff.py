@@ -14,6 +14,12 @@ band of key offsets, linear in sequence length, with a hand-written backward.
 record, and compute no gradient for an operand that is a constant leaf (such
 as the input features under the first convolution).
 
+Forward kernels allocate their output and what backward keeps; other
+temporaries are computed in place (``out=``, ``+=``, ``*=``) in the original
+operation order, so values are bit-identical to the plain expressions. A
+fresh array of a megabyte or so comes from the allocator as new pages, and
+the page faults on first touch cost more than the arithmetic on them.
+
 Values are float32 by default; gradient checking always runs in float64.
 """
 
@@ -264,9 +270,16 @@ def relu(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Tanh approximation, so independent builds agree to ~1e-6."""
     x = a.values
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))   # x ** 3 is slow on float32
-    th = np.tanh(inner)
-    out = 0.5 * x * (1.0 + th)
+    # th = tanh(_GELU_C * (x + _GELU_A * x*x*x)); x ** 3 is slow on float32
+    th = x * x
+    th *= x
+    th *= _GELU_A
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    out = x * 0.5
+    # out *= 1 + th; with no record, no backward reads th, so th takes the sum
+    out *= np.add(1.0, th, out=None if a.tape.recording else th)
 
     def bwd(g, acc):
         sech2 = 1.0 - th * th
@@ -423,7 +436,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             f"matmul shape mismatch: {a.values.shape} x {b.values.shape}")
     out = a.values @ b.values
     if bias is not None:
-        out = out + _bias_values(bias, out.shape[1], "matmul")
+        out += _bias_values(bias, out.shape[1], "matmul")
 
     def bwd(g, acc):
         if bias is not None:
@@ -463,18 +476,23 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
 
     pad = k // 2
     t_out = -(-t_in // stride)  # ceil division
-    span = stride * (t_out - 1) + 1   # tap j reads input rows j, j + stride, ...
-    x_pad = np.zeros((t_in + 2 * pad, c_in), dtype=x.values.dtype)
-    x_pad[pad:pad + t_in] = x.values
-    # gather windows: cols[i, j, :] = x_pad[i*stride + j, :]
-    cols = np.empty((t_out, k, c_in), dtype=x_pad.dtype)
+    span = stride * (t_out - 1) + 1   # tap j reads padded rows j, j + stride, ...
+    # gather windows: cols[i, j, :] = x[i*stride + j - pad, :], or zero where
+    # that row lies in the padding; output rows lo..hi-1 of tap j read x
+    cols = np.empty((t_out, k, c_in), dtype=x.values.dtype)
     for j in range(k):
-        cols[:, j] = x_pad[j:j + span:stride]
+        lo = min(t_out, max(0, -((j - pad) // stride)))
+        hi = max(lo, min(t_out, -((j - pad - t_in) // stride)))
+        cols[:lo, j] = 0.0
+        cols[hi:, j] = 0.0
+        if hi > lo:
+            start = lo * stride + j - pad
+            cols[lo:hi, j] = x.values[start:start + (hi - lo - 1) * stride + 1:stride]
     cols2d = cols.reshape(t_out, k * c_in)
     w2d = kernel.values.reshape(k * c_in, c_out)
     out = cols2d @ w2d
     if bias is not None:
-        out = out + _bias_values(bias, c_out, "conv1d")
+        out += _bias_values(bias, c_out, "conv1d")
 
     def bwd(g, acc):
         if bias is not None:
@@ -486,7 +504,7 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
         d_cols = (g @ w2d.T).reshape(t_out, k, c_in)
         # walking the taps from the last down adds each input row's terms
         # in the order a scatter-add over the windows (np.add.at) would
-        d_pad = np.zeros_like(x_pad)
+        d_pad = np.zeros((t_in + 2 * pad, c_in), dtype=x.values.dtype)
         for j in range(k - 1, -1, -1):
             d_pad[j:j + span:stride] += d_cols[:, j]
         acc(x, d_pad[pad:pad + t_in])
@@ -504,15 +522,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm affine params must have shape ({d},), got "
             f"{gamma.values.shape} and {beta.values.shape}")
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ConfigError(f"layer_norm eps must be positive and finite, got {eps}")
 
     mu = x.values.mean(axis=1, keepdims=True)
-    centered = x.values - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    xhat = x.values - mu
+    out = xhat * xhat
+    var = out.mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = xhat * gamma.values + beta.values
+    xhat *= inv_std
+    np.multiply(xhat, gamma.values, out=out)
+    out += beta.values
 
     def bwd(g, acc):
         acc(beta, g.sum(axis=0))
@@ -587,20 +607,25 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
     k_pad[r:r + t] = k.values.reshape(heads)
     v_pad = np.zeros((t + 2 * r,) + heads[1:], dtype=dt)
     v_pad[r:r + t] = v.values.reshape(heads)
-    # keep[o, i]: key i + o - r lies in [0, T), so query i may attend it
-    ok = np.zeros(t + 2 * r, dtype=bool)
-    ok[r:r + t] = True
-    keep = np.lib.stride_tricks.sliding_window_view(ok, t)[:, :, None]
+    # drop[o, i]: key i + o - r lies outside [0, T), so query i may not
+    # attend it
+    outside = np.ones(t + 2 * r, dtype=bool)
+    outside[r:r + t] = False
+    drop = np.lib.stride_tricks.sliding_window_view(outside, t)[:, :, None]
 
-    scores = np.empty((w, t, num_heads), dtype=dt)
+    # the scores become the softmax weights y in place
+    y = np.empty((w, t, num_heads), dtype=dt)
     for o in range(w):
-        np.einsum("thd,thd->th", q3, k_pad[o:o + t], out=scores[o])
-    shifted = np.where(keep, scores * scale, -np.inf)
-    e = np.exp(shifted - shifted.max(axis=0))
-    y = e / e.sum(axis=0)
+        np.einsum("thd,thd->th", q3, k_pad[o:o + t], out=y[o])
+    y *= scale
+    np.copyto(y, -np.inf, where=drop)
+    y -= y.max(axis=0)
+    np.exp(y, out=y)
+    y /= y.sum(axis=0)
     out = np.zeros(heads, dtype=dt)
+    term = np.empty(heads, dtype=dt)
     for o in range(w):
-        out += y[o][:, :, None] * v_pad[o:o + t]
+        out += np.multiply(y[o][:, :, None], v_pad[o:o + t], out=term)
 
     def bwd(g, acc):
         g3 = g.reshape(heads)

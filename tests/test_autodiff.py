@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -586,3 +587,269 @@ class TestAccumulateAliasing:
         ad.backward(t, loss)
         want = c1 * (w + v.reshape(3, 2) + c3) + c2 * w
         np.testing.assert_allclose(x.grad, want, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# in-place forward kernels against the expressions they replaced
+
+def oracle_gelu(a):
+    x = a.values
+    inner = math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))
+    th = np.tanh(inner)
+    out = 0.5 * x * (1.0 + th)
+
+    def bwd(g, acc):
+        sech2 = 1.0 - th * th
+        d_inner = math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * x * x)
+        acc(a, g * (0.5 * (1.0 + th) + 0.5 * x * sech2 * d_inner))
+
+    return a.tape.record(out, bwd)
+
+
+def oracle_matmul(a, b, bias):
+    out = a.values @ b.values
+    out = out + bias.values
+
+    def bwd(g, acc):
+        acc(bias, g.sum(axis=0))
+        acc(a, g @ b.values.T)
+        acc(b, a.values.T @ g)
+
+    return a.tape.record(out, bwd)
+
+
+def oracle_conv1d(x, kernel, bias, stride):
+    k, c_in, c_out = kernel.values.shape
+    t_in = x.values.shape[0]
+    pad = k // 2
+    t_out = -(-t_in // stride)
+    span = stride * (t_out - 1) + 1
+    x_pad = np.zeros((t_in + 2 * pad, c_in), dtype=x.values.dtype)
+    x_pad[pad:pad + t_in] = x.values
+    cols = np.empty((t_out, k, c_in), dtype=x_pad.dtype)
+    for j in range(k):
+        cols[:, j] = x_pad[j:j + span:stride]
+    cols2d = cols.reshape(t_out, k * c_in)
+    w2d = kernel.values.reshape(k * c_in, c_out)
+    out = cols2d @ w2d
+    out = out + bias.values
+
+    def bwd(g, acc):
+        acc(bias, g.sum(axis=0))
+        acc(kernel, (cols2d.T @ g).reshape(k, c_in, c_out))
+        d_cols = (g @ w2d.T).reshape(t_out, k, c_in)
+        d_pad = np.zeros_like(x_pad)
+        for j in range(k - 1, -1, -1):
+            d_pad[j:j + span:stride] += d_cols[:, j]
+        acc(x, d_pad[pad:pad + t_in])
+
+    return x.tape.record(out, bwd)
+
+
+def oracle_layer_norm(x, gamma, beta, eps=1e-5):
+    mu = x.values.mean(axis=1, keepdims=True)
+    centered = x.values - mu
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    out = xhat * gamma.values + beta.values
+
+    def bwd(g, acc):
+        acc(beta, g.sum(axis=0))
+        acc(gamma, (g * xhat).sum(axis=0))
+        gx = g * gamma.values
+        acc(x, inv_std * (gx - gx.mean(axis=1, keepdims=True)
+                          - xhat * (gx * xhat).mean(axis=1, keepdims=True)))
+
+    return x.tape.record(out, bwd)
+
+
+def oracle_local_attention(q, k, v, window, num_heads):
+    t, d = q.values.shape
+    heads = (t, num_heads, d // num_heads)
+    r = min(window // 2, t - 1)
+    w = 2 * r + 1
+    dt = np.result_type(q.values, k.values, v.values)
+    scale = dt.type(1.0 / np.sqrt(heads[2]))
+    q3 = q.values.reshape(heads)
+    k_pad = np.zeros((t + 2 * r,) + heads[1:], dtype=dt)
+    k_pad[r:r + t] = k.values.reshape(heads)
+    v_pad = np.zeros((t + 2 * r,) + heads[1:], dtype=dt)
+    v_pad[r:r + t] = v.values.reshape(heads)
+    ok = np.zeros(t + 2 * r, dtype=bool)
+    ok[r:r + t] = True
+    keep = np.lib.stride_tricks.sliding_window_view(ok, t)[:, :, None]
+
+    scores = np.empty((w, t, num_heads), dtype=dt)
+    for o in range(w):
+        np.einsum("thd,thd->th", q3, k_pad[o:o + t], out=scores[o])
+    shifted = np.where(keep, scores * scale, -np.inf)
+    e = np.exp(shifted - shifted.max(axis=0))
+    y = e / e.sum(axis=0)
+    out = np.zeros(heads, dtype=dt)
+    for o in range(w):
+        out += y[o][:, :, None] * v_pad[o:o + t]
+
+    def bwd(g, acc):
+        g3 = g.reshape(heads)
+        gt = np.result_type(g3, dt)
+        dy = np.empty(y.shape, dtype=gt)
+        d_v = np.zeros(v_pad.shape, dtype=gt)
+        for o in range(w):
+            np.einsum("thd,thd->th", g3, v_pad[o:o + t], out=dy[o])
+            d_v[o:o + t] += y[o][:, :, None] * g3
+        ds = y * (dy - (dy * y).sum(axis=0)) * scale
+        d_q = np.zeros(heads, dtype=gt)
+        d_k = np.zeros(k_pad.shape, dtype=gt)
+        for o in range(w):
+            ds_o = ds[o][:, :, None]
+            d_q += ds_o * k_pad[o:o + t]
+            d_k[o:o + t] += ds_o * q3
+        acc(q, d_q.reshape(t, d))
+        acc(k, d_k[r:r + t].reshape(t, d))
+        acc(v, d_v[r:r + t].reshape(t, d))
+
+    return q.tape.record(out.reshape(t, d), bwd)
+
+
+def in_place_cases():
+    """(name, new op, oracle op, operand arrays) for every rewritten kernel."""
+    rng = np.random.default_rng(21)
+    cases = []
+    # scale 3 reaches gelu's saturated tails
+    cases.append(("gelu", ad.gelu, oracle_gelu,
+                  [rng.normal(scale=3.0, size=(17, 24))]))
+    ln = [rng.normal(loc=2.0, scale=4.0, size=(9, 16)), rng.normal(size=16) + 1.0,
+          rng.normal(size=16)]
+    cases.append(("layer_norm", ad.layer_norm, oracle_layer_norm, ln))
+    mm = [rng.normal(size=(11, 6)), rng.normal(size=(6, 5)), rng.normal(size=5)]
+    cases.append(("matmul", lambda a, b, c: ad.matmul(a, b, bias=c),
+                  oracle_matmul, mm))
+    for k in (1, 3, 5):
+        for t_in in sorted({1, 2, k - 1, k, 65} - {0}):
+            for stride in (1, 2):
+                ops = [rng.normal(size=(t_in, 3)), rng.normal(size=(k, 3, 4)),
+                       rng.normal(size=4)]
+                cases.append((
+                    f"conv1d-k{k}-t{t_in}-s{stride}",
+                    lambda x, w, b, s=stride: ad.conv1d(x, w, stride=s, bias=b),
+                    lambda x, w, b, s=stride: oracle_conv1d(x, w, b, s), ops))
+    # T < window, T = window and T > window; a single step attends only
+    # itself; head width 6, so the score scale is not a power of two
+    for t in (1, 4, 11, 30):
+        qkv = [rng.normal(scale=2.0, size=(t, 12)) for _ in range(3)]
+        cases.append((f"local_attention-t{t}",
+                      lambda q, k, v: ad.local_attention(q, k, v, 11, 2),
+                      lambda q, k, v: oracle_local_attention(q, k, v, 11, 2), qkv))
+    return cases
+
+
+IN_PLACE_CASES = in_place_cases()
+IN_PLACE_IDS = [c[0] for c in IN_PLACE_CASES]
+
+
+class TestInPlaceKernelsExact:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", IN_PLACE_CASES, ids=IN_PLACE_IDS)
+    def test_values_and_gradients_bit_equal(self, case, dtype):
+        _, op, oracle, operands = case
+        operands = [np.asarray(v, dtype=dtype) for v in operands]
+        t = ad.Tape(dtype=dtype, record=False)
+        got = op(*[t.leaf(v) for v in operands]).values
+        up = np.random.default_rng(5).normal(size=got.shape)
+        want, want_g = grads_through(oracle, dtype, operands, up)
+        assert bit_equal(got, want)
+        got, got_g = grads_through(op, dtype, operands, up)
+        assert bit_equal(got, want)
+        for g, w in zip(got_g, want_g):
+            assert bit_equal(g, w)
+
+    @pytest.mark.parametrize("case", IN_PLACE_CASES, ids=IN_PLACE_IDS)
+    def test_grad_check(self, case):
+        _, op, _, operands = case
+        for i, value in enumerate(operands):
+            def f(v):
+                args = [v.tape.constant(o) for o in operands]
+                args[i] = v
+                return ad.sum_all(ad.square(op(*args)))
+            assert ad.grad_check(f, value) <= 1e-4, i
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", IN_PLACE_CASES, ids=IN_PLACE_IDS)
+    def test_inputs_unchanged(self, case, dtype, record):
+        _, op, _, operands = case
+        t = ad.Tape(dtype=dtype, record=record)
+        leaves = [t.leaf(v) for v in operands]
+        before = [leaf.values.copy() for leaf in leaves]
+        out = op(*leaves)
+        if record:
+            ad.backward(t, ad.sum_all(ad.square(out)))
+        for leaf, b in zip(leaves, before):
+            assert bit_equal(leaf.values, b)
+            assert not np.shares_memory(out.values, leaf.values)
+
+
+class TestLayerNormEps:
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan, math.inf, -math.inf])
+    def test_non_positive_or_non_finite_eps_rejected(self, eps):
+        t = scalar_tape()
+        x, g, b = t.leaf(np.ones((2, 3))), t.leaf(np.ones(3)), t.leaf(np.zeros(3))
+        with pytest.raises(ConfigError, match="eps"):
+            ad.layer_norm(x, g, b, eps=eps)
+
+
+def peak_over_output(op, operands):
+    """tracemalloc peak while ``op`` runs on a record=False float32 tape,
+    over the output's bytes."""
+    t = ad.Tape(dtype=np.float32, record=False)
+    leaves = [t.leaf(v) for v in operands]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = op(*leaves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return (peak - base) / out.values.nbytes
+
+
+class TestAllocationBudget:
+    """A forward kernel allocates its output and what its backward keeps.
+
+    Ceilings are tracemalloc's peak bytes over output bytes at the desk
+    width (D=64) and T=2048; the expressions with a fresh array per step
+    took 4.0, 4.1, 2.07, 6.1 and 6.8. The broadcast bias add takes numpy's
+    32 KiB ufunc buffer, 0.06 of the matmul output here.
+    """
+
+    T, D = 2048, 64
+
+    def operands(self, name):
+        rng = np.random.default_rng(8)
+        t, d = self.T, self.D
+        return {
+            "gelu": [rng.normal(size=(t, 4 * d))],
+            "layer_norm": [rng.normal(size=(t, d)), rng.normal(size=d),
+                           rng.normal(size=d)],
+            "matmul": [rng.normal(size=(t, d)), rng.normal(size=(d, d)),
+                       rng.normal(size=d)],
+            "conv1d": [rng.normal(size=(t, d)), rng.normal(size=(3, d, d)),
+                       rng.normal(size=d)],
+            "local_attention": [rng.normal(size=(t, d)) for _ in range(3)],
+        }[name]
+
+    @pytest.mark.parametrize("name, op, ceiling", [
+        ("gelu", ad.gelu, 2.05),
+        ("layer_norm", ad.layer_norm, 2.2),
+        ("matmul", lambda a, b, c: ad.matmul(a, b, bias=c), 1.1),
+        ("conv1d", lambda x, w, b: ad.conv1d(x, w, bias=b), 4.1),
+        ("local_attention", lambda q, k, v: ad.local_attention(q, k, v, 11, 4), 4.9),
+    ])
+    def test_peak_over_output(self, name, op, ceiling):
+        ratio = peak_over_output(op, self.operands(name))
+        assert ratio <= ceiling, f"{name}: {ratio:.2f}"
