@@ -403,17 +403,31 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+    """Join matrices of one height side by side, in order."""
+    return _concat(parts, axis=1)
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack matrices of one width on top of each other, in order."""
+    return _concat(parts, axis=0)
+
+
+def _concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if not parts:
-        raise EmptyInputError("concat_cols needs at least one tensor")
+        raise EmptyInputError("concatenation needs at least one tensor")
     tape = _same_tape(*parts)
-    widths = [p.values.shape[1] for p in parts]
-    out = np.concatenate([p.values for p in parts], axis=1)
+    shapes = [p.values.shape for p in parts]
+    if any(len(s) != 2 or s[1 - axis] != shapes[0][1 - axis] for s in shapes):
+        raise ShapeError(f"cannot join shapes {shapes} along axis {axis}")
+    ends = np.cumsum([s[axis] for s in shapes])
+    out = np.concatenate([p.values for p in parts], axis=axis)
 
     def bwd(g, acc):
-        col = 0
-        for p, w in zip(parts, widths):
-            acc(p, g[:, col:col + w])
-            col += w
+        # a part whose gradient is all zero gets none, so the graph behind it
+        # does no work (a head trunk at a level that no loss term reads)
+        for p, piece in zip(parts, np.split(g, ends[:-1], axis=axis)):
+            if piece.any():
+                acc(p, piece)
 
     return tape.record(out, bwd)
 

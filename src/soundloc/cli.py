@@ -2,7 +2,8 @@
 
 Every failure exits nonzero with a single machine-parsable line on stderr:
 ``error[<code>]: <message>``. Exit codes: 0 ok, 2 validation error,
-3 numeric failure, 4 I/O format error.
+3 numeric failure, 4 I/O error: a file in a bad format, or an output that
+cannot be written (``error[io]``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from . import data as dio
 from . import datasets
 from .config import TrainConfig, desk_scale_config, load_config
 from .decode import Interval
-from .errors import SoundlocError, ValidationError
+from .errors import FileFormatError, SoundlocError, ValidationError
 from .evaluate import mean_ap
 from .model import check_checkpoint_shapes, load_checkpoint, predict_intervals
 from .train import train
@@ -173,6 +174,9 @@ def main(argv=None) -> int:
     except SoundlocError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:   # an output that cannot be written
+        print(f"error[io]: {exc}", file=sys.stderr)
+        return FileFormatError.exit_code
 
 
 if __name__ == "__main__":

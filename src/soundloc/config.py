@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from .backbone import BackboneConfig
 from .data import atomic_write
@@ -92,9 +93,14 @@ def _coerce(raw: str, current):
 
 def load_config(path) -> TrainConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        parser.read_string(Path(path).read_text(encoding="utf-8"), str(path))
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        detail = " ".join(str(exc).split())   # one line, as the CLI prints it
+        raise ConfigError(f"{path}: unreadable config file: {detail}") from exc
 
     cfg = TrainConfig()
     targets = {
@@ -103,11 +109,11 @@ def load_config(path) -> TrainConfig:
         "backbone": cfg.model.backbone,
         "decode": cfg.decode,
     }
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown config section [{section}]")
         target = targets[section]
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if not hasattr(target, key) or key in ("model", "decode", "backbone"):
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             try:

@@ -65,24 +65,28 @@ def load_feature_dir(features_dir) -> dict[str, dio.FeatureSequence]:
     """Fuse every visual/audio pair found in a features directory.
 
     An audio file whose video has no visual file (an already-fused file is
-    not one) is an error, not a silent drop.
+    not one) is an error, not a silent drop; so are two files that hold the
+    same video's audio, or its visual or fused features.
     """
     root = Path(features_dir)
     if not root.is_dir():
         raise ValidationError(f"features directory not found: {root}")
     visual: dict[str, dio.FeatureSequence] = {}
     audio: dict[str, dio.FeatureSequence] = {}
-    audio_files: dict[str, str] = {}
+    files: dict[tuple[str, bool], str] = {}
     for path in sorted(root.glob("*.tslf")):
         seq = dio.load_features(path)
-        if seq.modality == "audio":
-            audio[seq.video_id] = seq
-            audio_files[seq.video_id] = path.name
-        else:
-            # already-fused files pass straight through
-            visual[seq.video_id] = seq
+        # already-fused files pass straight through, in the visual slot
+        is_audio = seq.modality == "audio"
+        first = files.setdefault((seq.video_id, is_audio), path.name)
+        if first != path.name:
+            raise ValidationError(
+                f"{root}: {first} and {path.name} both hold "
+                f"{'audio' if is_audio else 'visual or fused'} features of video "
+                f"{seq.video_id!r}")
+        (audio if is_audio else visual)[seq.video_id] = seq
     paired = {vid for vid, seq in visual.items() if seq.modality == "visual"}
-    orphans = sorted(audio_files[vid] for vid in set(audio) - paired)
+    orphans = sorted(files[vid, True] for vid in set(audio) - paired)
     if orphans:
         raise ValidationError(
             f"{root}: audio files without a visual partner: "

@@ -2,10 +2,12 @@
 
 recover_intervals thresholds the per-point class probabilities, converts the
 stride-normalized boundary distances back to seconds and keeps the top
-candidates; soft_nms decays overlapping ones per class; select_top_k builds
-Interval objects for the best rows only. The stages pass Candidates, columns
-with one row per candidate in (-score, start, label, end) order, so a
-permuted input yields an identical output.
+candidates, in one pass over the head outputs' rows (one per pyramid point,
+levels end to end); soft_nms decays overlapping ones per class;
+select_top_k builds Interval objects for the best rows only. The stages
+pass Candidates, columns with one row per candidate in
+(-score, start, label, end) order, so a permuted input yields an identical
+output.
 
 soft_nms sorts its rows by (label, -score, start, end) once per call, then
 runs every class in one loop. Each round takes every live class's best score
@@ -75,28 +77,23 @@ class Candidates:
 def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
                       duration_sec: float, score_thresh: float = SCORE_THRESH,
                       pre_nms_topk: int = PRE_NMS_TOPK) -> Candidates:
-    """Candidate intervals from every (level, point, class) above threshold.
+    """Candidate intervals from every (point, class) above threshold.
 
     Boundaries are t -/+ d * stride (grid units) scaled to seconds and
     clamped to [0, duration]; zero-length results after clamping are dropped,
     and only the pre_nms_topk best-scored candidates survive.
     """
-    # one row per candidate, in (level, point, class) order
-    cols: list[tuple[np.ndarray, ...]] = []
-    for lvl, logits, dist in zip(points.levels, head_out.cls_logits,
-                                 head_out.distances):
-        probs = 1.0 / (1.0 + np.exp(-np.asarray(logits.values, dtype=np.float64)))
-        d = np.asarray(dist.values, dtype=np.float64)
-        starts = np.clip((lvl.timestamps - d[:, 0] * lvl.stride_units) * stride_sec,
-                         0.0, duration_sec)
-        ends = np.clip((lvl.timestamps + d[:, 1] * lvl.stride_units) * stride_sec,
-                       0.0, duration_sec)
-        # a NaN boundary passes this mask and is rejected below, as Interval
-        # rejects it
-        point_ok = ~(starts >= ends)
-        pt, cls = np.nonzero((probs >= score_thresh) & point_ok[:, None])
-        cols.append((probs[pt, cls], starts[pt], ends[pt], cls))
-    score, start, end, label = (np.concatenate(c) for c in zip(*cols))
+    probs = 1.0 / (1.0 + np.exp(-np.asarray(head_out.cls_logits.values,
+                                            dtype=np.float64)))
+    d = np.asarray(head_out.distances.values, dtype=np.float64)
+    ts, strides = points.timestamps, points.strides
+    starts = np.clip((ts - d[:, 0] * strides) * stride_sec, 0.0, duration_sec)
+    ends = np.clip((ts + d[:, 1] * strides) * stride_sec, 0.0, duration_sec)
+    # one row per candidate, in (point, class) order; a NaN boundary passes
+    # this mask and is rejected below, as Interval rejects it
+    point_ok = ~(starts >= ends)
+    pt, label = np.nonzero((probs >= score_thresh) & point_ok[:, None])
+    score, start, end = probs[pt, label], starts[pt], ends[pt]
 
     # starts are clipped at 0, so this is Interval's rule
     bad = np.flatnonzero(~((start < end) & (end < np.inf)))

@@ -1,16 +1,19 @@
 """Anchor-free decoder heads: per-moment class logits and boundary distances.
 
-Both heads share one parameter set across pyramid levels: a trunk of two
-kernel-3 convolutions with layer norm and ReLU, then a final kernel-3
-convolution to C channels (classification) or 2 channels (regression).
-Regression outputs pass through softplus so decoded intervals always have
-start <= end; distances are expressed in units of the level stride.
+Every pyramid point is one row: generate_points lays the levels' points end
+to end as flat columns, and run_heads returns its outputs in the same row
+order. Both heads share one parameter set across pyramid levels: a trunk of
+two kernel-3 convolutions with layer norm and ReLU, then a final kernel-3
+convolution to C channels (classification) or 2 channels (regression). The
+trunks run per level, and each branch's levels are then stacked into one
+tensor. Regression outputs pass through softplus so decoded intervals always
+have start <= end; distances are expressed in units of the point's stride.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -26,22 +29,17 @@ PRIOR_PROB = 0.01
 
 
 @dataclass
-class LevelPoints:
-    """Point lattice for one pyramid level, in input-grid units."""
-
-    timestamps: np.ndarray    # (T_level,), (i + 0.5) * stride
-    stride_units: int
-    range_min: float          # regression range [range_min, range_max)
-    range_max: float
-
-
-@dataclass
 class PointSet:
-    levels: list[LevelPoints] = field(default_factory=list)
+    """Every pyramid point as one row, levels in order, in input-grid units."""
+
+    timestamps: np.ndarray    # (N,), (i + 0.5) * stride at a level's i-th point
+    strides: np.ndarray       # (N,) int64, the level's stride
+    range_min: np.ndarray     # (N,), regression range [range_min, range_max)
+    range_max: np.ndarray     # (N,)
 
 
 def generate_points(pyramid: Pyramid, range_base: float = DEFAULT_RANGE_BASE) -> PointSet:
-    """Timestamps and regression ranges for every pyramid level.
+    """Timestamps, strides and regression ranges for every pyramid point.
 
     Level k covers events whose longer boundary distance lies in
     [range_base * s_{k-1}, range_base * s_k), with s_{-1} = 0 and the last
@@ -49,26 +47,22 @@ def generate_points(pyramid: Pyramid, range_base: float = DEFAULT_RANGE_BASE) ->
     """
     if not pyramid.levels:
         raise EmptyInputError("cannot generate points for an empty pyramid")
-    points = PointSet()
-    prev_stride = 0
-    n = len(pyramid.levels)
-    for k, lvl in enumerate(pyramid.levels):
-        t = lvl.features.shape[0]
-        ts = (np.arange(t, dtype=np.float64) + 0.5) * lvl.stride_units
-        lo = range_base * prev_stride
-        hi = math.inf if k == n - 1 else range_base * lvl.stride_units
-        points.levels.append(LevelPoints(ts, lvl.stride_units, lo, hi))
-        prev_stride = lvl.stride_units
-    return points
+    lengths = pyramid.lengths
+    upper = range_base * np.array(pyramid.strides, dtype=np.float64)
+    lower = np.concatenate(([0.0], upper[:-1]))
+    upper[-1] = math.inf
+    strides = np.repeat(np.array(pyramid.strides, dtype=np.int64), lengths)
+    index = np.concatenate([np.arange(t) for t in lengths])
+    return PointSet((index + 0.5) * strides, strides,
+                    np.repeat(lower, lengths), np.repeat(upper, lengths))
 
 
 @dataclass
 class HeadOutput:
-    """Per-level head outputs, aligned with the pyramid levels."""
+    """Head outputs for every pyramid point, rows as in the PointSet."""
 
-    cls_logits: list[Tensor]    # (T_level, C)
-    reg_raw: list[Tensor]       # (T_level, 2), pre-softplus
-    distances: list[Tensor]     # (T_level, 2), nonnegative, stride units
+    cls_logits: Tensor    # (N, C)
+    distances: Tensor     # (N, 2), nonnegative, stride units
 
 
 def head_param_shapes(d_model: int, num_classes: int,
@@ -108,8 +102,9 @@ def _head_trunk(x: Tensor, p: Mapping[str, Tensor], branch: str) -> Tensor:
 
 
 def run_heads(pyramid: Pyramid, p: Mapping[str, Tensor]) -> HeadOutput:
-    """Class logits and pre-softplus boundary distances for every level."""
-    cls_logits = [_head_trunk(lvl.features, p, "cls") for lvl in pyramid.levels]
-    reg_raw = [_head_trunk(lvl.features, p, "reg") for lvl in pyramid.levels]
-    distances = [ad.softplus(r) for r in reg_raw]
-    return HeadOutput(cls_logits=cls_logits, reg_raw=reg_raw, distances=distances)
+    """Class logits and boundary distances for every point, levels in order."""
+    cls_logits = ad.concat_rows([_head_trunk(lvl.features, p, "cls")
+                                 for lvl in pyramid.levels])
+    reg_raw = ad.concat_rows([_head_trunk(lvl.features, p, "reg")
+                              for lvl in pyramid.levels])
+    return HeadOutput(cls_logits, ad.softplus(reg_raw))

@@ -2,8 +2,10 @@
 
 A point is assigned to an event when it sits inside the event and within the
 center-sampling window, and the event's longer boundary distance falls in
-that pyramid level's regression range. Among several qualifying events the
-shortest wins (ties: earlier start, then lower label). The total objective is
+the point's regression range. Among several qualifying events the shortest
+wins (ties: earlier start, then lower label). Targets come as one row per
+pyramid point, in the PointSet's order, and every point is labelled in one
+pass over an (events, points) table. The total objective is
 
     (sum of focal over all points and classes
      + lambda_reg * sum of DIoU over positive points) / max(T_plus, 1)
@@ -32,69 +34,50 @@ FOCAL_GAMMA = 2.0
 
 @dataclass
 class Assignment:
-    """Per-level training targets aligned with a PointSet."""
+    """Training targets, one row per pyramid point as in a PointSet."""
 
-    cls_targets: list[np.ndarray]   # (T_level, C) float 0/1
-    positive: list[np.ndarray]      # (T_level,) bool
-    reg_targets: list[np.ndarray]   # (T_level, 2) float, stride units
-    t_plus: int = 0
+    cls_targets: np.ndarray   # (N, C) float 0/1
+    positive: np.ndarray      # (N,) bool
+    reg_targets: np.ndarray   # (N, 2) float, stride units
 
-    def recount(self) -> int:
-        return int(sum(p.sum() for p in self.positive))
+    @property
+    def t_plus(self) -> int:
+        return int(np.count_nonzero(self.positive))
 
 
 def assign_targets(points: PointSet, ann: AnnotationSet,
                    stride_sec: float, num_classes: int,
                    center_radius: float = CENTER_SAMPLING_RADIUS) -> Assignment:
     """Label every pyramid point against one video's ground-truth events."""
-    events = [(ev.label, ev.start_sec / stride_sec, ev.end_sec / stride_sec)
-              for ev in ann.events]
+    ts, strides = points.timestamps, points.strides
+    n = ts.shape[0]
+    cls_t = np.zeros((n, num_classes), dtype=np.float32)
+    reg_t = np.zeros((n, 2), dtype=np.float32)
+    if not ann.events:
+        return Assignment(cls_t, np.zeros(n, dtype=bool), reg_t)
 
-    out = Assignment([], [], [])
-    for lvl in points.levels:
-        ts = lvl.timestamps
-        n = ts.shape[0]
-        cls_t = np.zeros((n, num_classes), dtype=np.float32)
-        pos = np.zeros(n, dtype=bool)
-        reg_t = np.zeros((n, 2), dtype=np.float32)
+    label = np.array([ev.label for ev in ann.events], dtype=np.int64)
+    s_u = np.array([ev.start_sec / stride_sec for ev in ann.events])
+    e_u = np.array([ev.end_sec / stride_sec for ev in ann.events])
+    # sorted by (length, start, label), stably: a point takes the first
+    # event it qualifies for
+    order = np.lexsort((label, s_u, e_u - s_u))
+    label, s_u, e_u = label[order], s_u[order, None], e_u[order, None]
 
-        # (length, start, label) keys; smaller wins
-        best_key = np.full((n, 3), np.inf)
-        best = np.full(n, -1, dtype=np.int64)
-        for ei, (label, s_u, e_u) in enumerate(events):
-            center = 0.5 * (s_u + e_u)
-            radius = center_radius * lvl.stride_units
-            inside = (ts >= max(s_u, center - radius)) & (ts <= min(e_u, center + radius))
-            far = np.maximum(ts - s_u, e_u - ts)
-            in_range = (far >= lvl.range_min) & (far < lvl.range_max)
-            ok = inside & in_range
-            if not ok.any():
-                continue
-            key = np.array([e_u - s_u, s_u, float(label)])
-            better = ok & _lex_less(key, best_key)
-            best[better] = ei
-            best_key[better] = key
+    center = 0.5 * (s_u + e_u)
+    radius = center_radius * strides
+    inside = ((ts >= np.maximum(s_u, center - radius))
+              & (ts <= np.minimum(e_u, center + radius)))
+    far = np.maximum(ts - s_u, e_u - ts)
+    ok = inside & (far >= points.range_min) & (far < points.range_max)
 
-        chosen = best >= 0
-        for i in np.nonzero(chosen)[0]:
-            label, s_u, e_u = events[best[i]]
-            pos[i] = True
-            cls_t[i, label] = 1.0
-            reg_t[i, 0] = (ts[i] - s_u) / lvl.stride_units
-            reg_t[i, 1] = (e_u - ts[i]) / lvl.stride_units
-
-        out.cls_targets.append(cls_t)
-        out.positive.append(pos)
-        out.reg_targets.append(reg_t)
-    out.t_plus = out.recount()
-    return out
-
-
-def _lex_less(key: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """key < best[i] lexicographically, vectorized over rows of best."""
-    k0, k1, k2 = key
-    b0, b1, b2 = best[:, 0], best[:, 1], best[:, 2]
-    return (k0 < b0) | ((k0 == b0) & ((k1 < b1) | ((k1 == b1) & (k2 < b2))))
+    positive = ok.any(axis=0)
+    pt = np.flatnonzero(positive)
+    ev = ok[:, pt].argmax(axis=0)
+    cls_t[pt, label[ev]] = 1.0
+    reg_t[pt, 0] = (ts[pt] - s_u[ev, 0]) / strides[pt]
+    reg_t[pt, 1] = (e_u[ev, 0] - ts[pt]) / strides[pt]
+    return Assignment(cls_t, positive, reg_t)
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +187,14 @@ def loss_sums(head_out: HeadOutput, assignment: Assignment,
     points. Callers divide by their own positive count, which lets several
     videos share one normalizer in a batch.
     """
-    tape = head_out.cls_logits[0].tape
-    cls_sum = tape.constant(0.0)
-    reg_sum = tape.constant(0.0)
-    for li, logits in enumerate(head_out.cls_logits):
-        _, focal_sum = focal_loss(logits, assignment.cls_targets[li], alpha, gamma)
-        cls_sum = ad.add(cls_sum, focal_sum)
-
-        pos = assignment.positive[li]
-        if pos.any():
-            idx = np.nonzero(pos)[0]
-            dist = head_out.distances[li]
-            rows = _gather_rows(dist, idx)
-            per_point = diou_loss(rows, assignment.reg_targets[li][idx])
-            reg_sum = ad.add(reg_sum, ad.sum_all(per_point))
-    return cls_sum, reg_sum, assignment.t_plus
+    _, cls_sum = focal_loss(head_out.cls_logits, assignment.cls_targets,
+                            alpha, gamma)
+    idx = np.flatnonzero(assignment.positive)
+    if not idx.size:
+        return cls_sum, cls_sum.tape.constant(0.0), 0
+    rows = _gather_rows(head_out.distances, idx)
+    per_point = diou_loss(rows, assignment.reg_targets[idx])
+    return cls_sum, ad.sum_all(per_point), idx.size
 
 
 def objective(cls_sum: Tensor, reg_sum: Tensor, t_plus: int,

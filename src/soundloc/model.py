@@ -18,7 +18,7 @@ import numpy as np
 
 from . import params as pr
 from .autodiff import Tape
-from .backbone import BackboneConfig, Pyramid, backbone_param_shapes, build_pyramid
+from .backbone import BackboneConfig, backbone_param_shapes, build_pyramid
 from .data import FeatureSequence, atomic_write
 from .decode import (
     NMS_IOU_THRESH,
@@ -109,13 +109,10 @@ def init_model_arrays(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
 
 
 def forward_video(bound, cfg: ModelConfig, fused: np.ndarray, tape: Tape
-                  ) -> tuple[Pyramid, PointSet, HeadOutput]:
+                  ) -> tuple[PointSet, HeadOutput]:
     """Backbone + heads over one fused (T, D) feature matrix."""
-    x = tape.constant(fused)
-    pyramid = build_pyramid(x, bound, cfg.backbone)
-    points = generate_points(pyramid, cfg.range_base)
-    head_out = run_heads(pyramid, bound)
-    return pyramid, points, head_out
+    pyramid = build_pyramid(tape.constant(fused), bound, cfg.backbone)
+    return generate_points(pyramid, cfg.range_base), run_heads(pyramid, bound)
 
 
 def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
@@ -125,7 +122,7 @@ def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
     dc = decode_cfg or DecodeConfig()
     tape = Tape(dtype=np.float32, record=False)   # no backward pass
     bound = pr.bind(tape, arrays)
-    _, points, head_out = forward_video(bound, cfg, fused_seq.data, tape)
+    points, head_out = forward_video(bound, cfg, fused_seq.data, tape)
     cands = recover_intervals(
         head_out, points, fused_seq.stride_sec, fused_seq.duration_sec,
         score_thresh=dc.score_thresh, pre_nms_topk=dc.pre_nms_topk)

@@ -116,7 +116,7 @@ def train_step(arrays: dict[str, np.ndarray], cfg: ModelConfig,
     t_plus = 0
     for vid in sorted(batch):
         fused = dataset.fused[vid]
-        _, points, head_out = forward_video(bound, cfg, fused.data, tape)
+        points, head_out = forward_video(bound, cfg, fused.data, tape)
         if vid not in assignments:
             assignments[vid] = assign_targets(
                 points, dataset.annotations[vid], fused.stride_sec,

@@ -331,6 +331,43 @@ class TestGradCheck:
             rng.normal(size=(4, 8)))
         assert err <= 1e-4
 
+    def test_concat_rows(self):
+        # each part a different function of v, one a single row, under
+        # per-row weights: every part's gradient is routed to its own rows
+        rng = np.random.default_rng(19)
+        first = rng.normal(size=(1, 5))
+        weights = rng.normal(size=(16, 3))
+
+        def f(v):
+            t = v.tape
+            stacked = ad.concat_rows([v, ad.square(v), ad.matmul(t.constant(first), v),
+                                      ad.gelu(v)])
+            return ad.sum_all(ad.square(ad.mul(stacked, t.constant(weights))))
+
+        assert ad.grad_check(f, rng.normal(size=(5, 3))) <= 1e-4
+
+    def test_concat_rows_values_and_shape_checks(self):
+        t = ad.Tape(dtype=np.float64)
+        a, b = t.leaf(np.ones((2, 3))), t.leaf(np.zeros((1, 3)))
+        assert np.array_equal(ad.concat_rows([a, b]).values,
+                              np.concatenate([a.values, b.values]))
+        with pytest.raises(EmptyInputError):
+            ad.concat_rows([])
+        with pytest.raises(ShapeError):
+            ad.concat_rows([a, t.leaf(np.ones((2, 2)))])
+        with pytest.raises(ShapeError):
+            ad.concat_rows([t.leaf(np.ones(3))])
+
+    def test_concat_part_with_zero_gradient_gets_none(self):
+        # the graph behind a part that no term reads does no backward work
+        t = ad.Tape(dtype=np.float64)
+        a, b = t.leaf(np.ones((2, 3))), t.leaf(np.ones((1, 3)))
+        w = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 0.0, 0.0]])
+        ad.backward(t, ad.sum_all(ad.mul(ad.concat_rows([a, ad.relu(b)]),
+                                         t.constant(w))))
+        assert np.array_equal(a.grad, w[:2])
+        assert b.grad is None
+
     def test_grad_check_sizes_up_to_16x32(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)

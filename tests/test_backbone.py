@@ -273,13 +273,14 @@ class TestForwardRecords:
     @pytest.mark.parametrize("t", [64, 1000])
     def test_desk_forward_pass_record_count(self, t):
         # embedding 4; five blocks of 14, plus 1 for each of the three
-        # downsamplings; heads 15 per level over four levels: 4 + 73 + 60,
-        # whatever the length (a bias is part of its matmul or conv1d)
+        # downsamplings; heads 7 per trunk for two trunks over four levels,
+        # one stack per branch and one softplus: 4 + 73 + 59, whatever the
+        # length (a bias is part of its matmul or conv1d)
         cfg = desk_scale_config().model
         tape = ad.Tape(dtype=np.float32)
         bound = pr.bind(tape, init_model_arrays(cfg, seed=0))
         forward_video(bound, cfg, np.zeros((t, cfg.backbone.input_dim)), tape)
-        assert len(tape._nodes) == 137
+        assert len(tape._nodes) == 4 + 73 + 2 * 7 * 4 + 2 + 1 == 136
 
 
 class TestTransformerBlock:

@@ -5,7 +5,9 @@ wrap functions by module and attribute name, in the namespace where the
 caller looks them up, and ``perfbench/workloads.py`` calls
 ``evaluate.oracle_ap``. Renaming or deleting any of these in ``src/`` breaks
 the benchmark without failing a package test; these tests resolve every
-entry the way the two ``install()`` methods do, and install nothing.
+entry the way the two ``install()`` methods do, and install nothing. The
+work counters that ``spans._counters`` reads off a span's arguments and
+result are checked against real results too.
 """
 
 import builtins
@@ -13,9 +15,14 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from soundloc import evaluate
+from soundloc import autodiff as ad
+from soundloc import decode, evaluate, losses, model
+from soundloc import params as pr
+from soundloc.config import desk_scale_config
+from soundloc.data import SyntheticSpec, fuse_features, generate_synthetic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,3 +66,41 @@ def test_lap_points_resolve(bench_modules):
 
 def test_workloads_oracle_exists():
     assert callable(evaluate.oracle_ap)
+
+
+def test_counters_read_real_results(bench_modules):
+    # one desk-preset video, untrained: the counters the traced benchmark
+    # reports must be the work counts of what the stages return
+    spans, _ = bench_modules
+    cfg = desk_scale_config().model
+    pairs, anns = generate_synthetic(SyntheticSpec(
+        num_videos=1, duration_sec=64.0, num_classes=cfg.num_classes, seed=0))
+    seq = fuse_features(*pairs[0])
+    tape = ad.Tape(dtype=np.float32)
+    points, head_out = model.forward_video(
+        pr.bind(tape, model.init_model_arrays(cfg, seed=0)), cfg, seq.data, tape)
+
+    assignment = losses.assign_targets(points, anns[0], seq.stride_sec,
+                                       cfg.num_classes)
+    sums = losses.loss_sums(head_out, assignment)
+    assert assignment.t_plus > 0
+    assert spans._counters("losses.loss_sums", (head_out, assignment), sums) == {
+        "losses.positives": assignment.t_plus}
+
+    cands = decode.recover_intervals(head_out, points, seq.stride_sec,
+                                     seq.duration_sec)
+    kept = decode.soft_nms(cands)
+    top = decode.select_top_k(kept, seq.video_id)
+    for name, args, result, counter in [
+            ("decode.recover_intervals", (head_out, points), cands,
+             "decode.candidates"),
+            ("decode.soft_nms", (cands,), kept, "decode.survivors"),
+            ("decode.select_top_k", (kept, seq.video_id), top, "decode.kept")]:
+        assert len(result) > 0
+        assert spans._counters(name, args, result) == {counter: len(result)}
+
+    gts = [decode.Interval(seq.video_id, ev.label, 1.0, ev.start_sec, ev.end_sec)
+           for ev in anns[0].events]
+    report = evaluate.mean_ap(top, gts)
+    assert spans._counters("evaluate.mean_ap", (top, gts), report) == {
+        "evaluate.detections": len(top), "evaluate.gts": len(gts)}

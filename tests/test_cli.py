@@ -37,6 +37,10 @@ from soundloc.model import (
     save_checkpoint,
 )
 from soundloc.train import lr_at, train, train_step
+from tests import level_oracles
+
+# loss sums over all pyramid rows against per-level sums: eight float32 ulps
+LOSS_SUM_RTOL = 1e-6
 
 
 def tiny_spec(**kw):
@@ -135,7 +139,11 @@ def broken_copy(src: Path, dst: Path, how: str) -> Path:
     feats = dst / "features"
     first = sorted(feats.glob("*.audio.tslf"))[0]
     audio = dio.load_features(first)
-    if how == "short_audio":
+    if how == "duplicate_visual":
+        # a second file holding the first video's visual features
+        visual = first.name.replace(".audio.", ".visual.")
+        shutil.copy(feats / visual, feats / visual.replace(".visual.", ".copy.visual."))
+    elif how == "short_audio":
         # two strides shorter than its visual partner
         dio.save_features(dio.FeatureSequence(
             audio.video_id, "audio", audio.stride_sec, audio.data[:-2]), first)
@@ -224,6 +232,27 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.ini")
 
+    @pytest.mark.parametrize("text", [
+        b"learning_rate = 0.1\n",                 # no [section] header
+        b"[train]\nepochs = 2\nepochs = 3\n",     # a repeated key
+        b"[train]\nepochs = 2\xff\n",             # not UTF-8
+        b"[train]\nlearning_rate = 5%\n",         # a bad interpolation
+    ])
+    def test_unparsable_file_exits_2_writing_nothing(self, tiny_dataset, tmp_path,
+                                                      capsys, text):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_bytes(text)
+        with pytest.raises(ConfigError, match="bad.ini"):
+            load_config(cfg_path)
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(tiny_dataset), "--out", str(out),
+                       "--config", str(cfg_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and err.count("\n") == 1
+        assert "bad.ini" in err
+        assert not out.exists()
+
 
 class TestSchedule:
     def test_warmup_then_cosine(self):
@@ -249,27 +278,56 @@ def desk_pair(tmp_path_factory):
 
 class TestTraining:
     def test_train_step_record_count(self, desk_pair, monkeypatch):
-        records = []
+        records, ran = [], []
 
         class CountingTape(ad.Tape):
             def record(self, out_values, bwd):
                 records.append(1)
-                return super().record(out_values, bwd)
+
+                def counted(g, acc):
+                    ran.append(1)
+                    bwd(g, acc)
+
+                return super().record(out_values, counted)
 
         monkeypatch.setattr(ad, "Tape", CountingTape)
         cfg = desk_scale_config().model
         assignments = {}
         train_step(init_model_arrays(cfg, seed=0), cfg, desk_pair.videos("train"),
                    desk_pair, assignments, 1.0)
-        levels_with_positives = sum(int(pos.any()) for a in assignments.values()
-                                    for pos in a.positive)
-        assert levels_with_positives == 4
-        # per video: forward 137, per level focal 3 (elements, sum, running
-        # add), 2 batch adds; per level with positives DIoU 4 (gather, loss,
-        # sum, running add); the objective 3. 643 before the fused losses
-        # and biases.
-        assert len(records) == 2 * (137 + 4 * 3 + 2) + 4 * levels_with_positives + 3
-        assert len(records) == 321
+        assert all(a.t_plus > 0 for a in assignments.values())
+        # per video: forward 136, focal 2 (elements, sum), DIoU 3 (gather,
+        # loss, sum), 2 batch adds; the objective 3. 321 with per-level
+        # losses, 643 before the fused losses and biases.
+        assert len(records) == 2 * (136 + 2 + 3 + 2) + 3 == 289
+        # every backward closure runs but the regression trunk's 7 at a
+        # level without a positive point, whose rows get no gradient
+        first_rows = [0, 64, 96, 112]   # levels of 64, 32, 16 and 8 points
+        empty = sum(int((np.add.reduceat(a.positive, first_rows) == 0).sum())
+                    for a in assignments.values())
+        assert empty == 4
+        assert len(ran) == len(records) - 7 * empty == 261
+
+    @pytest.mark.parametrize("data_seed", [1, 7, 8])
+    def test_train_step_matches_per_level_oracle(self, tmp_path, data_seed):
+        # desk_pair's batch and two more
+        write_dataset(tmp_path, dio.SyntheticSpec(
+            num_videos=2, duration_sec=64.0, events_per_video=(1, 3),
+            seed=data_seed), split_counts=(2, 0, 0))
+        ds = load_dataset(tmp_path)
+        cfg = desk_scale_config().model
+        arrays = init_model_arrays(cfg, seed=0)
+        batch = ds.videos("train")
+        grads, got = train_step(arrays, cfg, batch, ds, {}, 1.0)
+        want_grads, want = level_oracles.train_step(arrays, cfg, batch, ds, 1.0)
+        assert sorted(grads) == sorted(want_grads)
+        for name in grads:
+            assert np.array_equal(grads[name], want_grads[name]), name
+        # the per-level path rounds one float32 focal (and DIoU) sum per
+        # level and adds them up; the flat path sums every row at once
+        assert got["t_plus"] == want["t_plus"]
+        for key in ("total", "l_cls", "l_reg"):
+            assert got[key] == pytest.approx(want[key], rel=LOSS_SUM_RTOL), key
 
     def test_zero_lr_leaves_parameters_bitwise_unchanged(self, tiny_dataset):
         cfg = tiny_train_config(learning_rate=0.0, weight_decay=0.0, epochs=1,
@@ -411,8 +469,8 @@ class TestTraining:
         _, got = train_step(arrays, cfg.model, [vid], ds, {}, cfg.lambda_reg)
 
         tape = ad.Tape(dtype=np.float32)
-        _, points, head_out = forward_video(pr.bind(tape, arrays), cfg.model,
-                                            ds.fused[vid].data, tape)
+        points, head_out = forward_video(pr.bind(tape, arrays), cfg.model,
+                                         ds.fused[vid].data, tape)
         a = assign_targets(points, ds.annotations[vid], ds.fused[vid].stride_sec,
                            cfg.model.num_classes)
         _, want = total_loss(head_out, a, cfg.lambda_reg)
@@ -924,6 +982,29 @@ class TestPredictEvalCli:
         assert err.startswith("error[validation]") and needle in err
         assert not out.exists()
 
+    def test_predict_duplicate_video_rejected(self, trained, tmp_path, capsys):
+        data = broken_copy(trained["data"], tmp_path / "data", "duplicate_visual")
+        out = tmp_path / "x.json"
+        rc = cli.main(["predict", "--checkpoint", trained["ckpt"],
+                       "--features", str(data / "features"),
+                       "--out", str(out), "--config", str(trained["config"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]")
+        assert "vid00000.copy.visual.tslf and vid00000.visual.tslf" in err
+        assert not out.exists()
+
+    def test_train_duplicate_video_rejected(self, trained, tmp_path, capsys):
+        data = broken_copy(trained["data"], tmp_path / "data", "duplicate_visual")
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(data), "--out", str(out),
+                       "--config", str(trained["config"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]")
+        assert "vid00000.copy.visual.tslf and vid00000.visual.tslf" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("sigma", 0.0), ("sigma", -1.0), ("sigma", float("nan")),
         ("pre_nms_topk", -5), ("pre_nms_topk", 0), ("max_out", 0),
@@ -944,3 +1025,46 @@ class TestPredictEvalCli:
         err = capsys.readouterr().err
         assert err.startswith("error[config]") and key in err
         assert not out.exists()
+
+
+class TestOutputErrors:
+    """An output that cannot be written exits 4 with one error[io] line."""
+
+    def check(self, argv, tmp_path, capsys):
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[io]: ") and err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_gen_data_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("keep")
+        self.check(["gen-data", "--out", str(out), "--videos", "2"], tmp_path, capsys)
+        assert tree_bytes(tmp_path) == {"file": b"keep"}
+
+    def test_train_out_is_a_file(self, trained, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("keep")
+        self.check(["train", "--data", str(trained["data"]), "--out", str(out),
+                    "--config", str(trained["config"])], tmp_path, capsys)
+        assert tree_bytes(tmp_path) == {"file": b"keep"}
+
+    def test_predict_out_is_a_directory(self, trained, tmp_path, capsys):
+        out = tmp_path / "dir"
+        out.mkdir()
+        self.check(["predict", "--checkpoint", trained["ckpt"],
+                    "--features", str(trained["data"] / "features"),
+                    "--out", str(out), "--config", str(trained["config"])],
+                   tmp_path, capsys)
+        assert sorted(tmp_path.iterdir()) == [out] and not any(out.iterdir())
+
+    @pytest.mark.parametrize("where", ["dir", "missing/x.json"])
+    def test_eval_out_cannot_be_written(self, tiny_dataset, tmp_path, capsys, where):
+        preds = tmp_path / "preds.json"
+        dio.write_predictions({}, preds)
+        (tmp_path / "dir").mkdir()
+        self.check(["eval", "--predictions", str(preds),
+                    "--annotations", str(tiny_dataset / "annotations.json"),
+                    "--out", str(tmp_path / where)], tmp_path, capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "preds.json"]
+        assert not any((tmp_path / "dir").iterdir())

@@ -32,8 +32,11 @@ from soundloc.decode import (
 )
 from soundloc.errors import ConfigError, ValidationError
 from soundloc.evaluate import tiou
-from soundloc.heads import HeadOutput, LevelPoints, PointSet
+from soundloc.backbone import build_pyramid
+from soundloc.heads import HeadOutput, generate_points, run_heads
 from soundloc.model import forward_video, init_model_arrays, predict_intervals
+from tests import level_oracles
+from tests.level_oracles import LevelPoints
 
 
 def sort_key(iv):
@@ -45,20 +48,19 @@ def oracle_recover_intervals(head_out, points, stride_sec, duration_sec,
                              pre_nms_topk=decode.PRE_NMS_TOPK):
     """recover_intervals with one Interval per candidate, sorted, then cut."""
     out = []
-    for lvl, logits, dist in zip(points.levels, head_out.cls_logits,
-                                 head_out.distances):
-        probs = 1.0 / (1.0 + np.exp(-np.asarray(logits.values, dtype=np.float64)))
-        d = np.asarray(dist.values, dtype=np.float64)
-        starts = np.clip((lvl.timestamps - d[:, 0] * lvl.stride_units) * stride_sec,
-                         0.0, duration_sec)
-        ends = np.clip((lvl.timestamps + d[:, 1] * lvl.stride_units) * stride_sec,
-                       0.0, duration_sec)
-        keep_pt, keep_cls = np.nonzero(probs >= score_thresh)
-        for i, c in zip(keep_pt, keep_cls):
-            if starts[i] >= ends[i]:
-                continue
-            out.append(Interval("v", int(c), float(probs[i, c]),
-                                float(starts[i]), float(ends[i])))
+    probs = 1.0 / (1.0 + np.exp(-np.asarray(head_out.cls_logits.values,
+                                            dtype=np.float64)))
+    d = np.asarray(head_out.distances.values, dtype=np.float64)
+    starts = np.clip((points.timestamps - d[:, 0] * points.strides) * stride_sec,
+                     0.0, duration_sec)
+    ends = np.clip((points.timestamps + d[:, 1] * points.strides) * stride_sec,
+                   0.0, duration_sec)
+    keep_pt, keep_cls = np.nonzero(probs >= score_thresh)
+    for i, c in zip(keep_pt, keep_cls):
+        if starts[i] >= ends[i]:
+            continue
+        out.append(Interval("v", int(c), float(probs[i, c]),
+                            float(starts[i]), float(ends[i])))
     out.sort(key=sort_key)
     return out[:pre_nms_topk]
 
@@ -123,14 +125,12 @@ def recover(*args, **kwargs):
 
 def head_output_from_arrays(logits, dist):
     tape = ad.Tape(dtype=np.float64)
-    lt = tape.constant(np.asarray(logits, dtype=float))
-    # distances are given directly; reg_raw is unused by decoding
-    dt = tape.constant(np.asarray(dist, dtype=float))
-    return HeadOutput([lt], [lt], [dt])
+    return HeadOutput(tape.constant(np.asarray(logits, dtype=float)),
+                      tape.constant(np.asarray(dist, dtype=float)))
 
 
-def multi_level_output(levels):
-    """PointSet and HeadOutput from (stride, logits, dist) per level."""
+def level_output(levels):
+    """Per-level points and heads from (stride, logits, dist) per level."""
     tape = ad.Tape(dtype=np.float64)
     points, logits, dists = [], [], []
     for stride, lg, dist in levels:
@@ -138,7 +138,12 @@ def multi_level_output(levels):
         points.append(LevelPoints((np.arange(t) + 0.5) * stride, stride, 0.0, math.inf))
         logits.append(tape.constant(np.asarray(lg, dtype=float)))
         dists.append(tape.constant(np.asarray(dist, dtype=float).reshape(t, 2)))
-    return PointSet(points), HeadOutput(logits, logits, dists)
+    return points, level_oracles.LevelHeads(logits, None, dists)
+
+
+def multi_level_output(levels):
+    """PointSet and HeadOutput from (stride, logits, dist) per level."""
+    return level_oracles.flatten(*level_output(levels))
 
 
 def count_intervals(monkeypatch):
@@ -212,7 +217,8 @@ class TestInterval:
 
 class TestRecoverIntervals:
     def single_point(self, t, stride, d_s, d_e, prob):
-        points = PointSet([LevelPoints(np.array([float(t)]), stride, 0.0, math.inf)])
+        points = level_oracles.flatten(
+            [LevelPoints(np.array([float(t)]), stride, 0.0, math.inf)])
         out = head_output_from_arrays([[logit(prob)]], [[d_s, d_e]])
         return points, out
 
@@ -239,7 +245,8 @@ class TestRecoverIntervals:
         assert len(recover_intervals(out, points, 1.0, duration_sec=8.0)) == 0
 
     def test_topk_keeps_best(self):
-        points = PointSet([LevelPoints((np.arange(10) + 0.5), 1, 0.0, math.inf)])
+        points = level_oracles.flatten(
+            [LevelPoints((np.arange(10) + 0.5), 1, 0.0, math.inf)])
         probs = np.linspace(0.1, 0.9, 10)[:, None]
         out = head_output_from_arrays(np.vectorize(logit)(probs),
                                       np.full((10, 2), 0.5))
@@ -427,8 +434,8 @@ class TestSoftNmsMatchesOracle:
             seed=0))[0]
         seq = fuse_features(visual, audio)
         tape = ad.Tape(dtype=np.float32, record=False)
-        _, points, head_out = forward_video(pr.bind(tape, arrays), cfg.model,
-                                            seq.data, tape)
+        points, head_out = forward_video(pr.bind(tape, arrays), cfg.model,
+                                         seq.data, tape)
         cands = recover_intervals(head_out, points, seq.stride_sec,
                                   seq.duration_sec)
         assert len(cands) == decode.PRE_NMS_TOPK
@@ -461,7 +468,7 @@ def pyramid_outputs(draw):
         if nan_at >= 0:
             dist[nan_at] = math.nan
         levels.append((stride, logits, dist))
-    return multi_level_output(levels)
+    return levels
 
 
 def outcome(fn, *args):
@@ -476,11 +483,33 @@ class TestRecoverMatchesOracle:
     @given(pyramid_outputs(), st.sampled_from([0.5, 1.0, 0.32]),
            st.sampled_from([5.0, 12.0, 100.0]),
            st.sampled_from([0.001, 0.3]), st.integers(1, 40))
-    def test_exact(self, output, stride_sec, duration, thresh, topk):
-        points, head_out = output
+    def test_exact(self, levels, stride_sec, duration, thresh, topk):
+        points, head_out = multi_level_output(levels)
         args = (head_out, points, stride_sec, duration, thresh, topk)
         want = outcome(oracle_recover_intervals, *args)
         assert outcome(recover_intervals, *args) == want
+        per_level, heads = level_output(levels)
+        assert outcome(level_oracles.recover_intervals, heads, per_level,
+                       stride_sec, duration, thresh, topk) == want
+
+    @pytest.mark.parametrize("t", [64, 2048])
+    def test_model_output_matches_per_level_oracle(self, t):
+        # untrained desk-preset weights: every point passes the threshold
+        cfg = desk_scale_config().model
+        arrays = init_model_arrays(cfg, seed=0)
+        x = np.random.default_rng(t).standard_normal(
+            (t, cfg.backbone.input_dim)).astype(np.float32)
+        tape = ad.Tape(dtype=np.float32, record=False)
+        bound = pr.bind(tape, arrays)
+        pyramid = build_pyramid(tape.constant(x), bound, cfg.backbone)
+        got = recover_intervals(run_heads(pyramid, bound),
+                                generate_points(pyramid, cfg.range_base),
+                                0.5, t / 2.0)
+        want = level_oracles.recover_intervals(
+            level_oracles.run_heads(pyramid, bound),
+            level_oracles.generate_points(pyramid, cfg.range_base), 0.5, t / 2.0)
+        assert len(got) > 500
+        assert bits(got) == bits(want)
 
     def test_topk_cut_inside_a_tie_across_levels(self):
         # twelve candidates over two levels share one score; the cut at 5

@@ -10,6 +10,7 @@ from soundloc import params as pr
 from soundloc.backbone import BackboneConfig, Pyramid, PyramidLevel, build_pyramid, init_backbone_params
 from soundloc.errors import EmptyInputError
 from soundloc.heads import generate_points, init_head_params, run_heads
+from tests import level_oracles
 
 
 def fake_pyramid(tape, lengths, strides, d=8, seed=0):
@@ -26,29 +27,62 @@ class TestPoints:
         tape = ad.Tape(dtype=np.float64)
         pyr = fake_pyramid(tape, [4], [2])
         pts = generate_points(pyr)
-        np.testing.assert_array_equal(pts.levels[0].timestamps, [1.0, 3.0, 5.0, 7.0])
+        np.testing.assert_array_equal(pts.timestamps, [1.0, 3.0, 5.0, 7.0])
+
+    def test_levels_end_to_end(self):
+        tape = ad.Tape(dtype=np.float64)
+        pts = generate_points(fake_pyramid(tape, [4, 2, 1], [1, 2, 4]))
+        np.testing.assert_array_equal(
+            pts.timestamps, [0.5, 1.5, 2.5, 3.5, 1.0, 3.0, 2.0])
+        np.testing.assert_array_equal(pts.strides, [1, 1, 1, 1, 2, 2, 4])
+        assert pts.strides.dtype == np.int64
 
     def test_default_seven_level_ranges(self):
         tape = ad.Tape(dtype=np.float64)
         pyr = fake_pyramid(tape, [128, 64, 32, 16, 8, 4, 2], [1, 2, 4, 8, 16, 32, 64])
         pts = generate_points(pyr)
-        got = [(l.range_min, l.range_max) for l in pts.levels]
+        first = np.cumsum([0, 128, 64, 32, 16, 8, 4])
+        got = list(zip(pts.range_min[first].tolist(), pts.range_max[first].tolist()))
         assert got == [(0.0, 4.0), (4.0, 8.0), (8.0, 16.0), (16.0, 32.0),
                        (32.0, 64.0), (64.0, 128.0), (128.0, math.inf)]
+        # every point of a level carries its level's range
+        for col in (pts.range_min, pts.range_max, pts.strides):
+            assert np.array_equal(np.repeat(col[first], pyr.lengths), col)
 
     def test_ranges_partition_positive_axis(self):
         tape = ad.Tape(dtype=np.float64)
         pyr = fake_pyramid(tape, [16, 8, 4], [1, 2, 4])
         pts = generate_points(pyr)
-        assert pts.levels[0].range_min == 0.0
-        assert pts.levels[-1].range_max == math.inf
-        for a, b in zip(pts.levels, pts.levels[1:]):
-            assert a.range_max == b.range_min
+        first = np.cumsum([0, 16, 8])
+        assert pts.range_min[0] == 0.0
+        assert pts.range_max[-1] == math.inf
+        assert np.array_equal(pts.range_max[first[:-1]], pts.range_min[first[1:]])
 
     def test_single_level_full_range(self):
         tape = ad.Tape(dtype=np.float64)
         pts = generate_points(fake_pyramid(tape, [10], [1]))
-        assert (pts.levels[0].range_min, pts.levels[0].range_max) == (0.0, math.inf)
+        assert (pts.range_min == 0.0).all() and (pts.range_max == math.inf).all()
+
+    def test_integer_range_base(self):
+        tape = ad.Tape(dtype=np.float64)
+        pyr = fake_pyramid(tape, [4, 2], [1, 2])
+        a, b = generate_points(pyr, 4), generate_points(pyr, 4.0)
+        assert np.array_equal(a.range_min, b.range_min)
+        assert np.array_equal(a.range_max, b.range_max)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_level_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        tape = ad.Tape(dtype=np.float64)
+        pyr = fake_pyramid(tape, rng.integers(1, 40, n).tolist(),
+                           rng.integers(1, 65, n).tolist(), d=2, seed=seed)
+        range_base = float(rng.choice([4.0, 1.5, 0.3, 7.0]))
+        got = generate_points(pyr, range_base)
+        want = level_oracles.flatten(level_oracles.generate_points(pyr, range_base))
+        for name in ("timestamps", "strides", "range_min", "range_max"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
 
     def test_empty_pyramid_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -62,12 +96,23 @@ class TestHeads:
         tape = ad.Tape(dtype=np.float64)
         return tape, pr.bind(tape, arrays)
 
-    def test_shapes_per_level(self):
+    def test_one_row_per_point(self):
         tape, p = self.bound()
         pyr = fake_pyramid(tape, [16, 8, 4], [1, 2, 4])
         out = run_heads(pyr, p)
-        assert [t.shape for t in out.cls_logits] == [(16, 3), (8, 3), (4, 3)]
-        assert [t.shape for t in out.reg_raw] == [(16, 2), (8, 2), (4, 2)]
+        assert out.cls_logits.shape == (28, 3)
+        assert out.distances.shape == (28, 2)
+
+    def test_rows_are_the_per_level_heads(self):
+        # each level's rows are its own trunk's output, levels in order
+        tape, p = self.bound(seed=4)
+        pyr = fake_pyramid(tape, [16, 8, 4], [1, 2, 4], seed=2)
+        out = run_heads(pyr, p)
+        want = level_oracles.run_heads(pyr, p)
+        assert np.array_equal(out.cls_logits.values,
+                              np.concatenate([t.values for t in want.cls_logits]))
+        assert np.array_equal(out.distances.values,
+                              np.concatenate([t.values for t in want.distances]))
 
     def test_prior_probability_bias(self):
         rng = np.random.default_rng(0)
@@ -80,15 +125,14 @@ class TestHeads:
         p = pr.bind(tape, arrays)
         pyr = fake_pyramid(tape, [64, 32], [1, 2])
         out = run_heads(pyr, p)
-        probs = np.concatenate(
-            [1.0 / (1.0 + np.exp(-t.values)).ravel() for t in out.cls_logits])
+        probs = 1.0 / (1.0 + np.exp(-out.cls_logits.values))
         assert 0.003 < probs.mean() < 0.03
 
     def test_distances_nonnegative_and_softplus_zero(self):
         tape, p = self.bound()
         pyr = fake_pyramid(tape, [16], [1], seed=3)
         out = run_heads(pyr, p)
-        assert (out.distances[0].values >= 0).all()
+        assert (out.distances.values >= 0).all()
         t2 = ad.Tape(dtype=np.float64)
         np.testing.assert_allclose(
             ad.softplus(t2.leaf(0.0)).values, math.log(2.0), rtol=1e-12)
@@ -98,10 +142,9 @@ class TestHeads:
         pyr = fake_pyramid(tape, [32, 16], [1, 2], seed=7)
         out = run_heads(pyr, p)
         pts = generate_points(pyr)
-        for lvl, dist in zip(pts.levels, out.distances):
-            start = lvl.timestamps - dist.values[:, 0] * lvl.stride_units
-            end = lvl.timestamps + dist.values[:, 1] * lvl.stride_units
-            assert (start <= end).all()
+        start = pts.timestamps - out.distances.values[:, 0] * pts.strides
+        end = pts.timestamps + out.distances.values[:, 1] * pts.strides
+        assert (start <= end).all()
 
     def test_parameters_shared_across_levels(self):
         # gradients from every level accumulate into the one shared leaf
@@ -113,11 +156,9 @@ class TestHeads:
             p = pr.bind(tape, arrays)
             pyr = fake_pyramid(tape, [8, 4], [1, 2], seed=5)
             out = run_heads(pyr, p)
-            total = None
-            for li in level_subset:
-                s = ad.sum_all(ad.square(out.cls_logits[li]))
-                total = s if total is None else ad.add(total, s)
-            ad.backward(tape, total)
+            weights = np.repeat(np.isin([0, 1], level_subset), pyr.lengths)
+            masked = ad.mul(out.cls_logits, tape.constant(weights[:, None]))
+            ad.backward(tape, ad.sum_all(ad.square(masked)))
             return p["head.cls.conv1.w"].grad
 
         both = grad_on([0, 1])
@@ -130,8 +171,8 @@ class TestHeads:
             p = pr.bind(x.tape, arrays)
             pyr = Pyramid([PyramidLevel(x, 1)])
             out = run_heads(pyr, p)
-            return ad.add(ad.sum_all(ad.square(out.cls_logits[0])),
-                          ad.sum_all(ad.square(out.distances[0])))
+            return ad.add(ad.sum_all(ad.square(out.cls_logits)),
+                          ad.sum_all(ad.square(out.distances)))
 
         err = ad.grad_check(f, np.random.default_rng(3).normal(size=(7, 6)))
         assert err <= 1e-4
@@ -147,4 +188,6 @@ class TestHeads:
         x = tape.constant(rng.normal(size=(21, 6)))
         pyr = build_pyramid(x, p, cfg)
         out = run_heads(pyr, p)
-        assert [t.shape for t in out.cls_logits] == [(21, 4), (11, 4), (6, 4)]
+        assert pyr.lengths == [21, 11, 6]
+        assert out.cls_logits.shape == (38, 4)
+        assert out.distances.shape == (38, 2)

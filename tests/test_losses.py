@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from soundloc import autodiff as ad
 from soundloc.data import AnnotationSet, Event
 from soundloc.errors import ShapeError, ValidationError
-from soundloc.heads import HeadOutput, LevelPoints, PointSet
+from soundloc.heads import HeadOutput
 from soundloc.losses import (
     FOCAL_ALPHA,
     FOCAL_GAMMA,
@@ -19,8 +19,13 @@ from soundloc.losses import (
     assign_targets,
     diou_loss,
     focal_loss,
+    loss_sums,
     total_loss,
 )
+from tests import level_oracles
+from tests.level_oracles import LevelPoints
+
+flat = level_oracles.flatten
 
 LN2 = math.log(2.0)
 
@@ -91,7 +96,7 @@ FUSED_F32_TOL = 1e-6
 
 def single_level_points(t=12, stride=1, rmax=math.inf):
     ts = (np.arange(t, dtype=np.float64) + 0.5) * stride
-    return PointSet([LevelPoints(ts, stride, 0.0, rmax)])
+    return flat([LevelPoints(ts, stride, 0.0, rmax)])
 
 
 def ann(events, duration=20.0, c=3):
@@ -103,32 +108,32 @@ class TestAssignment:
     def test_center_point_of_event(self):
         # event [2, 6] on a stride-1 level: the grid point at 4 (well, 4.5
         # given half-step timestamps; use 3.5 and 4.5 around the center 4)
-        pts = PointSet([LevelPoints(np.array([4.0]), 1, 0.0, math.inf)])
+        pts = flat([LevelPoints(np.array([4.0]), 1, 0.0, math.inf)])
         a = assign_targets(pts, ann([(1, 2.0, 6.0)]), 1.0, 3)
-        assert a.positive[0][0]
-        np.testing.assert_array_equal(a.cls_targets[0][0], [0, 1, 0])
-        np.testing.assert_allclose(a.reg_targets[0][0], [2.0, 2.0])
+        assert a.positive[0]
+        np.testing.assert_array_equal(a.cls_targets[0], [0, 1, 0])
+        np.testing.assert_allclose(a.reg_targets[0], [2.0, 2.0])
         assert a.t_plus == 1
 
     def test_point_outside_events_is_background(self):
-        pts = PointSet([LevelPoints(np.array([10.0]), 1, 0.0, math.inf)])
+        pts = flat([LevelPoints(np.array([10.0]), 1, 0.0, math.inf)])
         a = assign_targets(pts, ann([(0, 2.0, 6.0)]), 1.0, 3)
-        assert not a.positive[0][0]
+        assert not a.positive[0]
         assert a.t_plus == 0
-        assert (a.cls_targets[0] == 0).all()
+        assert (a.cls_targets == 0).all()
 
     def test_center_sampling_window_excludes_far_inside_points(self):
         # point inside the event but farther than 1.5 strides from center
-        pts = PointSet([LevelPoints(np.array([2.5]), 1, 0.0, math.inf)])
+        pts = flat([LevelPoints(np.array([2.5]), 1, 0.0, math.inf)])
         a = assign_targets(pts, ann([(0, 0.0, 16.0)]), 1.0, 3)
-        assert not a.positive[0][0]
+        assert not a.positive[0]
 
     def test_shorter_event_wins_nested(self):
-        pts = PointSet([LevelPoints(np.array([5.0]), 1, 0.0, math.inf)])
+        pts = flat([LevelPoints(np.array([5.0]), 1, 0.0, math.inf)])
         events = [(0, 1.0, 9.0), (2, 4.0, 6.0)]  # both qualify at t=5
         a = assign_targets(pts, ann(events), 1.0, 3)
-        assert a.positive[0][0]
-        np.testing.assert_array_equal(a.cls_targets[0][0], [0, 0, 1])
+        assert a.positive[0]
+        np.testing.assert_array_equal(a.cls_targets[0], [0, 0, 1])
         # brute-force recheck of the rule on the enumerated candidates
         cands = []
         for ei, (label, s, e) in enumerate(events):
@@ -138,45 +143,159 @@ class TestAssignment:
         assert min(cands)[3] == 1
 
     def test_tie_break_earlier_start_then_label(self):
-        pts = PointSet([LevelPoints(np.array([5.0]), 1, 0.0, math.inf)])
+        pts = flat([LevelPoints(np.array([5.0]), 1, 0.0, math.inf)])
         a = assign_targets(pts, ann([(2, 4.0, 6.0), (1, 4.0, 6.0)]), 1.0, 3)
-        np.testing.assert_array_equal(a.cls_targets[0][0], [0, 1, 0])
+        np.testing.assert_array_equal(a.cls_targets[0], [0, 1, 0])
+        # equal lengths: the earlier start wins over the lower label
+        pts = flat([LevelPoints(np.array([5.5]), 1, 0.0, math.inf)])
+        a = assign_targets(pts, ann([(1, 4.0, 8.0), (2, 3.0, 7.0)]), 1.0, 3)
+        np.testing.assert_array_equal(a.cls_targets[0], [0, 0, 1])
 
     def test_regression_range_routes_levels(self):
         # same event, two levels: only the level whose range holds the
         # event's max boundary distance takes the point
         ts0 = np.array([8.0])
         ts1 = np.array([8.0])
-        pts = PointSet([
+        pts = flat([
             LevelPoints(ts0, 1, 0.0, 4.0),
             LevelPoints(ts1, 2, 4.0, math.inf),
         ])
         a = assign_targets(pts, ann([(0, 2.0, 9.0)]), 1.0, 3)
         # max(8-2, 9-8) = 6: outside [0,4), inside [4,inf)
-        assert not a.positive[0][0]
-        assert a.positive[1][0]
-        np.testing.assert_allclose(a.reg_targets[1][0], [3.0, 0.5])
+        assert not a.positive[0]
+        assert a.positive[1]
+        np.testing.assert_allclose(a.reg_targets[1], [3.0, 0.5])
 
     def test_empty_annotations_all_background(self):
         pts = single_level_points()
         a = assign_targets(pts, ann([]), 1.0, 3)
         assert a.t_plus == 0
 
-    def test_t_plus_equals_recount(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n_ev = int(rng.integers(0, 4))
-            events = []
-            for _ in range(n_ev):
-                s = float(rng.uniform(0, 15))
-                e = s + float(rng.uniform(0.5, 4))
-                events.append((int(rng.integers(0, 3)), s, min(e, 20.0)))
-            pts = PointSet([
-                LevelPoints((np.arange(20) + 0.5) * 1.0, 1, 0.0, 4.0),
-                LevelPoints((np.arange(10) + 0.5) * 2.0, 2, 4.0, math.inf),
-            ])
-            a = assign_targets(pts, ann(events), 1.0, 3)
-            assert a.t_plus == a.recount()
+    def test_tie_on_every_key_keeps_the_first_event(self):
+        # equal keys mean equal events: the targets are the same either way
+        pts = flat([LevelPoints(np.array([5.0]), 1, 0.0, math.inf)])
+        a = assign_targets(pts, ann([(1, 4.0, 6.0), (1, 4.0, 6.0)]), 1.0, 3)
+        assert a.t_plus == 1
+        np.testing.assert_array_equal(a.cls_targets[0], [0, 1, 0])
+
+    def test_t_plus_counts_positive_rows(self):
+        pts = flat([LevelPoints((np.arange(20) + 0.5), 1, 0.0, math.inf)])
+        a = assign_targets(pts, ann([(0, 2.0, 9.0), (2, 12.0, 14.0)]), 1.0, 3)
+        assert a.t_plus == int(a.positive.sum()) > 0
+        assert (a.cls_targets.sum(axis=1) == a.positive).all()
+
+
+def random_levels(rng):
+    """A random pyramid lattice: 1 to 5 levels, ranges as generate_points makes."""
+    n = int(rng.integers(1, 6))
+    strides = np.cumprod(np.concatenate(([1], rng.choice([1, 2], n - 1))))
+    base = float(rng.choice([4.0, 2.0, 1.0]))
+    length = int(rng.integers(1, 33))
+    levels, prev = [], 0
+    for k, stride in enumerate(strides.tolist()):
+        t = max(1, -(-length // stride))
+        hi = math.inf if k == n - 1 else base * stride
+        levels.append(LevelPoints((np.arange(t) + 0.5) * stride, stride,
+                                  base * prev, hi))
+        prev = stride
+    return levels, length
+
+
+def random_events(rng, length, levels):
+    """Events with tied keys, boundaries on the lattice and on range edges."""
+    events = []
+    for _ in range(int(rng.integers(0, 7))):
+        kind = int(rng.integers(0, 4))
+        if kind == 0 and events:   # an earlier event's length, maybe shifted
+            label, s, e = events[int(rng.integers(0, len(events)))]
+            shift = float(rng.choice([0.0, 0.0, -0.5, 0.5]))
+            events.append((int(rng.integers(0, 3)) if rng.random() < 0.5 else label,
+                           max(s + shift, 0.0), max(s + shift, 0.0) + (e - s)))
+            continue
+        if kind == 1:   # boundaries on half-steps, where points sit
+            s = float(rng.integers(0, 2 * length)) / 2
+            e = s + float(rng.integers(1, 2 * length)) / 2
+        elif kind == 2 and len(levels) > 1:   # farthest boundary on a range edge
+            edge = levels[int(rng.integers(1, len(levels)))].range_min
+            lvl = levels[int(rng.integers(0, len(levels)))]
+            ts = lvl.timestamps[lvl.timestamps >= edge]
+            t = float(rng.choice(ts)) if ts.size else edge
+            s, e = t - edge, t + edge * float(rng.uniform(0.5, 1.0))
+        else:
+            s = float(rng.uniform(0, length))
+            e = s + float(rng.uniform(0.25, length))
+        events.append((int(rng.integers(0, 3)), s, e))
+    return events
+
+
+class TestAssignmentMatchesOracle:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        levels, length = random_levels(rng)
+        events = random_events(rng, length, levels)
+        stride_sec = float(rng.choice([1.0, 0.5, 0.32]))
+        scaled = [(c, s * stride_sec, e * stride_sec) for c, s, e in events]
+        annotation = ann(scaled, duration=4.0 * length)
+        got = assign_targets(flat(levels), annotation, stride_sec, 3)
+        want = level_oracles.assign_targets(levels, annotation, stride_sec, 3)
+        for name in ("cls_targets", "positive", "reg_targets"):
+            g, w = getattr(got, name), np.concatenate(getattr(want, name))
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+        assert got.t_plus == want.t_plus
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_loss_sums_match_the_per_level_sums(self, seed):
+        # one focal record and one DIoU record over all rows: the gradient
+        # of every level's outputs is exact, the sums move only by the order
+        # of their float64 additions
+        rng = np.random.default_rng(seed)
+        levels, length = random_levels(rng)
+        annotation = ann(random_events(rng, length, levels), duration=4.0 * length)
+        want_a = level_oracles.assign_targets(levels, annotation, 1.0, 3)
+        got_a = assign_targets(flat(levels), annotation, 1.0, 3)
+        logits = [rng.normal(size=(lvl.timestamps.size, 3)) for lvl in levels]
+        raw = [rng.normal(size=(lvl.timestamps.size, 2)) for lvl in levels]
+
+        def run(flat_layout):
+            tape = ad.Tape(dtype=np.float64)
+            lg = [tape.leaf(x) for x in logits]
+            rw = [tape.leaf(x) for x in raw]
+            heads = level_oracles.LevelHeads(lg, rw, [ad.softplus(r) for r in rw])
+            if flat_layout:
+                _, out = flat(levels, heads)
+                sums = loss_sums(out, got_a)
+            else:
+                sums = level_oracles.loss_sums(heads, want_a)
+            ad.backward(tape, ad.add(sums[0], ad.mul(tape.constant(0.7), sums[1])))
+            return ([float(x.values) for x in sums[:2]], sums[2],
+                    [x.grad for x in lg + rw])
+
+        got, got_pos, got_grads = run(True)
+        want, want_pos, want_grads = run(False)
+        assert got_pos == want_pos
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        for x, g, w in zip(logits + raw, got_grads, want_grads):
+            # a level without positives gets no DIoU gradient per level, and
+            # zeros from the flat gather
+            zero = np.zeros_like(x)
+            assert np.array_equal(zero if g is None else g, zero if w is None else w)
+
+    def test_cases_reach_ties_edges_and_empty_videos(self):
+        # the random cases above do cover what they claim to
+        ties = edges = empty = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            levels, length = random_levels(rng)
+            events = random_events(rng, length, levels)
+            keys = [(e - s, s) for _, s, e in events]
+            ties += len(set(keys)) < len(keys)
+            empty += not events
+            pts = flat(levels)
+            for _, s, e in events:
+                far = np.maximum(pts.timestamps - s, e - pts.timestamps)
+                edges += bool(np.isin(far, pts.range_min[pts.range_min > 0]).any())
+        assert min(ties, edges, empty) >= 3, (ties, edges, empty)
 
 
 class TestFocal:
@@ -292,8 +411,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(seed)
         logits = tape.leaf(rng.normal(size=(t, c)))
         raw = tape.leaf(rng.normal(size=(t, 2)))
-        dist = ad.softplus(raw)
-        return HeadOutput([logits], [raw], [dist])
+        return HeadOutput(logits, ad.softplus(raw)), raw
 
     def fake_assignment(self, t=8, c=3, positives=()):
         cls_t = np.zeros((t, c), dtype=np.float32)
@@ -303,13 +421,11 @@ class TestTotalLoss:
             pos[i] = True
             cls_t[i, label] = 1.0
             reg_t[i] = (ds, de)
-        a = Assignment([cls_t], [pos], [reg_t])
-        a.t_plus = a.recount()
-        return a
+        return Assignment(cls_t, pos, reg_t)
 
     def test_background_only_guard(self):
         tape = ad.Tape(dtype=np.float64)
-        out = self.fake_output(tape)
+        out, _ = self.fake_output(tape)
         total, bd = total_loss(out, self.fake_assignment())
         assert bd["t_plus"] == 0
         assert bd["l_reg"] == 0.0
@@ -317,10 +433,10 @@ class TestTotalLoss:
 
     def test_lambda_zero_matches_focal_only(self):
         tape = ad.Tape(dtype=np.float64)
-        out = self.fake_output(tape, seed=2)
+        out, _ = self.fake_output(tape, seed=2)
         a = self.fake_assignment(positives=[(3, 1, 1.0, 2.0)])
         total, bd = total_loss(out, a, lambda_reg=0.0)
-        _, focal_sum = focal_loss(out.cls_logits[0], a.cls_targets[0])
+        _, focal_sum = focal_loss(out.cls_logits, a.cls_targets)
         np.testing.assert_allclose(float(total.values),
                                    float(focal_sum.values) / 1.0, rtol=1e-12)
 
@@ -333,8 +449,8 @@ class TestTotalLoss:
         raw[1] = [10.0, 10.0]              # softplus(10) ~ 10
         lt = tape.leaf(logits)
         rt = tape.leaf(raw)
-        out = HeadOutput([lt], [rt], [ad.softplus(rt)])
-        ds = float(out.distances[0].values[1, 0])
+        out = HeadOutput(lt, ad.softplus(rt))
+        ds = float(out.distances.values[1, 0])
         a = self.fake_assignment(t=t, c=c, positives=[(1, 0, ds, ds)])
         total, _ = total_loss(out, a)
         assert float(total.values) < 1e-4
@@ -344,31 +460,28 @@ class TestTotalLoss:
         perm = rng.permutation(8)
 
         tape = ad.Tape(dtype=np.float64)
-        out = self.fake_output(tape, seed=5)
+        out, raw = self.fake_output(tape, seed=5)
         a = self.fake_assignment(positives=[(2, 0, 0.5, 1.0), (6, 2, 1.0, 0.25)])
         base, _ = total_loss(out, a)
 
         tape2 = ad.Tape(dtype=np.float64)
-        logits = tape2.leaf(out.cls_logits[0].values[perm])
-        raw = tape2.leaf(out.reg_raw[0].values[perm])
-        out2 = HeadOutput([logits], [raw], [ad.softplus(raw)])
-        inv = np.argsort(perm)
-        a2 = Assignment([a.cls_targets[0][perm]], [a.positive[0][perm]],
-                        [a.reg_targets[0][perm]])
-        a2.t_plus = a2.recount()
+        raw2 = tape2.leaf(raw.values[perm])
+        out2 = HeadOutput(tape2.leaf(out.cls_logits.values[perm]),
+                          ad.softplus(raw2))
+        a2 = Assignment(a.cls_targets[perm], a.positive[perm], a.reg_targets[perm])
         permuted, _ = total_loss(out2, a2)
         np.testing.assert_allclose(float(base.values), float(permuted.values),
                                    rtol=1e-12)
 
     def test_gradients_reach_inputs(self):
         tape = ad.Tape(dtype=np.float64)
-        out = self.fake_output(tape, seed=7)
+        out, raw = self.fake_output(tape, seed=7)
         a = self.fake_assignment(positives=[(4, 1, 1.0, 1.0)])
         total, _ = total_loss(out, a)
         ad.backward(tape, total)
-        assert out.cls_logits[0].grad is not None
-        assert out.reg_raw[0].grad is not None
-        assert np.isfinite(out.reg_raw[0].grad).all()
+        assert out.cls_logits.grad is not None
+        assert raw.grad is not None
+        assert np.isfinite(raw.grad).all()
 
 
 def focal_cases():
