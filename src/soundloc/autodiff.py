@@ -14,6 +14,11 @@ band of key offsets, linear in sequence length, with a hand-written backward.
 record, and compute no gradient for an operand that is a constant leaf (such
 as the input features under the first convolution).
 
+The two windowed primitives, :func:`conv1d` and :func:`local_attention`,
+take ``segments``: several sequences packed end to end, given by their row
+counts. No window crosses a segment boundary, so a batch of sequences (or
+the levels of a pyramid) costs one record per layer, whatever its size.
+
 Forward kernels allocate their output and what backward keeps; other
 temporaries are computed in place (``out=``, ``+=``, ``*=``) in the original
 operation order, so values are bit-identical to the plain expressions. A
@@ -25,6 +30,7 @@ Values are float32 by default; gradient checking always runs in float64.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -404,32 +410,126 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Join matrices of one height side by side, in order."""
-    return _concat(parts, axis=1)
+    _check_concat(parts, axis=1)
+    ends = np.cumsum([p.values.shape[1] for p in parts])[:-1]
+
+    def bwd(g, acc):
+        for p, piece in zip(parts, np.split(g, ends, axis=1)):
+            _acc_unless_zero(acc, p, piece)
+
+    return parts[0].tape.record(
+        np.concatenate([p.values for p in parts], axis=1), bwd)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack matrices of one width on top of each other, in order."""
-    return _concat(parts, axis=0)
+def concat_rows(parts: Sequence[Tensor],
+                segments: Optional[Sequence[Sequence[int]]] = None) -> Tensor:
+    """Stack matrices of one width on top of each other, in order.
+
+    With ``segments``, part i is a run of row groups of the lengths
+    ``segments[i]``, every part holding as many groups, and the result
+    interleaves them: group 0 of every part in order, then group 1 of every
+    part, and so on. This joins pyramid levels that each hold several
+    videos into one sequence, video after video.
+    """
+    _check_concat(parts, axis=0)
+    if segments is None:
+        segments = [None] * len(parts)
+    if len(segments) == len(parts):
+        segments = [segment_lengths(s, p.values.shape[0], "concat_rows")
+                    for p, s in zip(parts, segments)]
+    if len(segments) != len(parts) or len({len(s) for s in segments}) != 1:
+        raise ShapeError(f"concat_rows needs one group count for every part, "
+                         f"got {segments} for {len(parts)} parts")
+    # (part, first row, last row) of every output block, in output order
+    starts = [np.cumsum(s) - s for s in segments]
+    blocks = [(i, int(starts[i][v]), int(starts[i][v] + segments[i][v]))
+              for v in range(len(segments[0])) for i in range(len(parts))]
+    out = np.concatenate([parts[i].values[a:b] for i, a, b in blocks])
+    ends = np.cumsum([b - a for _, a, b in blocks])
+
+    def bwd(g, acc):
+        pieces: list[list[np.ndarray]] = [[] for _ in parts]
+        for (i, _, _), piece in zip(blocks, np.split(g, ends[:-1])):
+            pieces[i].append(piece)
+        for p, own in zip(parts, pieces):
+            _acc_unless_zero(acc, p, own[0] if len(own) == 1 else np.concatenate(own))
+
+    return parts[0].tape.record(out, bwd)
 
 
-def _concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+def _acc_unless_zero(acc, part: Tensor, g: np.ndarray) -> None:
+    # a part whose gradient is all zero gets none, so the graph behind it
+    # does no work
+    if g.any():
+        acc(part, g)
+
+
+def _check_concat(parts: Sequence[Tensor], axis: int) -> None:
     if not parts:
         raise EmptyInputError("concatenation needs at least one tensor")
-    tape = _same_tape(*parts)
+    _same_tape(*parts)
     shapes = [p.values.shape for p in parts]
     if any(len(s) != 2 or s[1 - axis] != shapes[0][1 - axis] for s in shapes):
         raise ShapeError(f"cannot join shapes {shapes} along axis {axis}")
-    ends = np.cumsum([s[axis] for s in shapes])
-    out = np.concatenate([p.values for p in parts], axis=axis)
 
-    def bwd(g, acc):
-        # a part whose gradient is all zero gets none, so the graph behind it
-        # does no work (a head trunk at a level that no loss term reads)
-        for p, piece in zip(parts, np.split(g, ends[:-1], axis=axis)):
-            if piece.any():
-                acc(p, piece)
 
-    return tape.record(out, bwd)
+# ---------------------------------------------------------------------------
+# segments: several sequences packed end to end into one
+
+def segment_lengths(segments: Optional[Sequence[int]], rows: int,
+                     op: str) -> tuple[int, ...]:
+    """The row counts of the sequences packed into ``rows`` rows, checked.
+
+    ``None`` means one sequence of all rows. A window never reaches across
+    a segment boundary: there it sees zeros, as at either end of a lone
+    sequence.
+    """
+    if segments is None:
+        return (rows,)
+    seg = tuple(int(n) for n in segments)
+    if not seg or min(seg) < 1 or sum(seg) != rows:
+        raise ShapeError(f"{op} segments {list(seg)} must be positive row "
+                         f"counts that sum to the {rows} input rows")
+    return seg
+
+
+def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The integers of every ``[begin[i], end[i])``, end to end."""
+    counts = end - begin
+    return (np.repeat(begin - (np.cumsum(counts) - counts), counts)
+            + np.arange(counts.sum()))
+
+
+@functools.lru_cache(maxsize=256)
+def _window_plan(segments: tuple[int, ...], reach: int, stride: int):
+    """Where the windows of a segmented, strided sliding op fall.
+
+    Segment s of n rows gives ceil(n / stride) output rows, the i-th centred
+    on the segment's own row i * stride. Returns ``(rows_out, centre,
+    edges)``: ``centre`` maps every output row to its input row, or is None
+    when that is ``row * stride`` throughout (one segment, stride 1, or
+    even lengths before the last); ``edges[o]``, for the offsets
+    ``o - reach`` in ``-reach..reach``, lists the output rows whose window
+    position falls outside their own segment, as integer row indices. The
+    plans are cached and shared, so no caller writes to their arrays.
+    """
+    n = np.array(segments, dtype=np.int64)
+    n_out = -(-n // stride)
+    first_out = np.cumsum(n_out) - n_out
+    first_in = np.cumsum(n) - n
+    centre = None
+    if (n[:-1] % stride).any():
+        centre = np.repeat(first_in - stride * first_out, n_out) \
+            + stride * np.arange(n_out.sum())
+    edges = []
+    for off in range(-reach, reach + 1):
+        if off < 0:   # the first ceil(-off / stride) rows reach before
+            lead = np.minimum(n_out, -(off // stride))
+            edges.append(_ranges(first_out, first_out + lead))
+        else:         # rows from ceil((n - off) / stride) on reach past
+            keep = np.clip(-((off - n) // stride), 0, n_out)
+            edges.append(_ranges(first_out + keep, first_out + n_out))
+    return int(n_out.sum()), centre, tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +564,19 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
-           bias: Optional[Tensor] = None) -> Tensor:
+           bias: Optional[Tensor] = None,
+           segments: Optional[Sequence[int]] = None) -> Tensor:
     """1D convolution over time with symmetric zero padding ("same").
 
     ``x`` is (T, C_in), ``kernel`` is (k, C_in, C_out) with odd k, stride is
     1 or 2, and ``bias``, when given, is (C_out,). Output length is
     ceil(T / stride); output position i is centred on input position
     i * stride.
+
+    ``segments`` packs several sequences end to end: their row counts, in
+    order, summing to T. Each is convolved on its own, with zero padding at
+    its own ends, and gives ceil(n / stride) output rows, in order; a tap
+    that would read another segment reads zero.
     """
     tape = _same_tape(x, kernel) if bias is None else _same_tape(x, kernel, bias)
     if x.values.ndim != 2:
@@ -489,19 +595,23 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
         raise ShapeError(f"conv1d channel mismatch: input {x_c}, kernel expects {c_in}")
 
     pad = k // 2
-    t_out = -(-t_in // stride)  # ceil division
+    t_out, centre, edges = _window_plan(
+        segment_lengths(segments, t_in, "conv1d"), pad, stride)
     span = stride * (t_out - 1) + 1   # tap j reads padded rows j, j + stride, ...
-    # gather windows: cols[i, j, :] = x[i*stride + j - pad, :], or zero where
-    # that row lies in the padding; output rows lo..hi-1 of tap j read x
+    # gather windows: cols[i, j, :] = x[centre_i + j - pad, :], or zero where
+    # that row lies outside row i's segment; with centre_i = i * stride,
+    # output rows lo..hi-1 of tap j read x, the rest are edge rows
     cols = np.empty((t_out, k, c_in), dtype=x.values.dtype)
     for j in range(k):
-        lo = min(t_out, max(0, -((j - pad) // stride)))
-        hi = max(lo, min(t_out, -((j - pad - t_in) // stride)))
-        cols[:lo, j] = 0.0
-        cols[hi:, j] = 0.0
-        if hi > lo:
-            start = lo * stride + j - pad
-            cols[lo:hi, j] = x.values[start:start + (hi - lo - 1) * stride + 1:stride]
+        if centre is None:
+            lo = min(t_out, max(0, -((j - pad) // stride)))
+            hi = max(lo, min(t_out, -((j - pad - t_in) // stride)))
+            if hi > lo:
+                start = lo * stride + j - pad
+                cols[lo:hi, j] = x.values[start:start + (hi - lo - 1) * stride + 1:stride]
+        else:
+            np.take(x.values, centre + (j - pad), axis=0, out=cols[:, j], mode="clip")
+        cols[edges[j], j] = 0.0
     cols2d = cols.reshape(t_out, k * c_in)
     w2d = kernel.values.reshape(k * c_in, c_out)
     out = cols2d @ w2d
@@ -517,10 +627,15 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
             return
         d_cols = (g @ w2d.T).reshape(t_out, k, c_in)
         # walking the taps from the last down adds each input row's terms
-        # in the order a scatter-add over the windows (np.add.at) would
+        # in the order a scatter-add over the windows (np.add.at) would; a
+        # tap that read zero passes nothing on
         d_pad = np.zeros((t_in + 2 * pad, c_in), dtype=x.values.dtype)
         for j in range(k - 1, -1, -1):
-            d_pad[j:j + span:stride] += d_cols[:, j]
+            d_cols[edges[j], j] = 0.0
+            if centre is None:
+                d_pad[j:j + span:stride] += d_cols[:, j]
+            else:   # the rows of one tap are distinct
+                d_pad[centre + j] += d_cols[:, j]
         acc(x, d_pad[pad:pad + t_in])
 
     return tape.record(out, bwd)
@@ -586,7 +701,8 @@ def softmax_lastdim(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
 
 
 def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
-                    num_heads: int) -> Tensor:
+                    num_heads: int,
+                    segments: Optional[Sequence[int]] = None) -> Tensor:
     """Multi-head scaled dot-product attention within a sliding window.
 
     ``q``, ``k`` and ``v`` are (T, D); head h owns columns
@@ -596,6 +712,12 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
     weighted sum live on a (w, T, H) band, one slice per key offset, and the
     backward pass reuses it: time and memory grow linearly in T, and the
     whole attention is one tape record.
+
+    ``segments`` packs several sequences end to end: their row counts, in
+    order, summing to T. A query attends only keys of its own segment.
+    Each offset reads its keys and values from ``k`` and ``v`` over the
+    rows where the shift stays inside [0, T), and masks the rows whose key
+    lies outside their segment by integer row index.
     """
     tape = _same_tape(q, k, v)
     if window < 1 or window % 2 == 0:
@@ -611,54 +733,54 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
     if num_heads < 1 or d % num_heads != 0:
         raise ConfigError(f"width {d} not divisible by {num_heads} heads")
 
+    seg = segment_lengths(segments, t, "local_attention")
     heads = (t, num_heads, d // num_heads)
-    r = min(window // 2, t - 1)   # farther offsets reach no key
+    r = min(window // 2, max(seg) - 1)   # farther offsets reach no key
     w = 2 * r + 1
+    _, _, drop = _window_plan(seg, r, 1)
+    # offset o pairs query rows lo..hi-1 with key rows lo+o-r..hi+o-r; the
+    # rows of drop[o] (those outside lo..hi among them) may not attend
+    bounds = [(max(0, r - o), min(t, t + r - o)) for o in range(w)]
     dt = np.result_type(q.values, k.values, v.values)
     scale = dt.type(1.0 / np.sqrt(heads[2]))
     q3 = q.values.reshape(heads)
-    k_pad = np.zeros((t + 2 * r,) + heads[1:], dtype=dt)
-    k_pad[r:r + t] = k.values.reshape(heads)
-    v_pad = np.zeros((t + 2 * r,) + heads[1:], dtype=dt)
-    v_pad[r:r + t] = v.values.reshape(heads)
-    # drop[o, i]: key i + o - r lies outside [0, T), so query i may not
-    # attend it
-    outside = np.ones(t + 2 * r, dtype=bool)
-    outside[r:r + t] = False
-    drop = np.lib.stride_tricks.sliding_window_view(outside, t)[:, :, None]
+    k3 = k.values.reshape(heads)
+    v3 = v.values.reshape(heads)
 
     # the scores become the softmax weights y in place
     y = np.empty((w, t, num_heads), dtype=dt)
-    for o in range(w):
-        np.einsum("thd,thd->th", q3, k_pad[o:o + t], out=y[o])
+    for o, (lo, hi) in enumerate(bounds):
+        np.einsum("thd,thd->th", q3[lo:hi], k3[lo + o - r:hi + o - r], out=y[o, lo:hi])
+        y[o, drop[o]] = -np.inf
     y *= scale
-    np.copyto(y, -np.inf, where=drop)
     y -= y.max(axis=0)
     np.exp(y, out=y)
     y /= y.sum(axis=0)
     out = np.zeros(heads, dtype=dt)
     term = np.empty(heads, dtype=dt)
-    for o in range(w):
-        out += np.multiply(y[o][:, :, None], v_pad[o:o + t], out=term)
+    for o, (lo, hi) in enumerate(bounds):
+        out[lo:hi] += np.multiply(y[o, lo:hi, :, None], v3[lo + o - r:hi + o - r],
+                                  out=term[lo:hi])
 
     def bwd(g, acc):
         g3 = g.reshape(heads)
         gt = np.result_type(g3, dt)
-        dy = np.empty(y.shape, dtype=gt)
-        d_v = np.zeros(v_pad.shape, dtype=gt)
-        for o in range(w):
-            np.einsum("thd,thd->th", g3, v_pad[o:o + t], out=dy[o])
-            d_v[o:o + t] += y[o][:, :, None] * g3
+        dy = np.zeros(y.shape, dtype=gt)
+        d_v = np.zeros(heads, dtype=gt)
+        for o, (lo, hi) in enumerate(bounds):
+            np.einsum("thd,thd->th", g3[lo:hi], v3[lo + o - r:hi + o - r],
+                      out=dy[o, lo:hi])
+            d_v[lo + o - r:hi + o - r] += y[o, lo:hi, :, None] * g3[lo:hi]
         ds = y * (dy - (dy * y).sum(axis=0)) * scale
         d_q = np.zeros(heads, dtype=gt)
-        d_k = np.zeros(k_pad.shape, dtype=gt)
-        for o in range(w):
-            ds_o = ds[o][:, :, None]
-            d_q += ds_o * k_pad[o:o + t]
-            d_k[o:o + t] += ds_o * q3
+        d_k = np.zeros(heads, dtype=gt)
+        for o, (lo, hi) in enumerate(bounds):
+            ds_o = ds[o, lo:hi, :, None]
+            d_q[lo:hi] += ds_o * k3[lo + o - r:hi + o - r]
+            d_k[lo + o - r:hi + o - r] += ds_o * q3[lo:hi]
         acc(q, d_q.reshape(t, d))
-        acc(k, d_k[r:r + t].reshape(t, d))
-        acc(v, d_v[r:r + t].reshape(t, d))
+        acc(k, d_k.reshape(t, d))
+        acc(v, d_v.reshape(t, d))
 
     return tape.record(out.reshape(t, d), bwd)
 

@@ -7,7 +7,9 @@ The attention is computed on a band of key offsets
 (:func:`soundloc.autodiff.local_attention`), so a forward pass costs time and
 memory linear in the sequence length.
 The outputs form a feature pyramid: one level after the last full-resolution
-block, one after every downsampling block.
+block, one after every downsampling block. A batch of videos runs as one
+sequence, packed end to end: every layer gets the videos' row counts as
+segments, so each video's rows come out as they would alone.
 
 Parameters live in plain ``{name: ndarray}`` dicts so checkpoints are a
 stable name -> shape -> payload map; forward passes bind them as leaves on an
@@ -19,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -76,8 +78,14 @@ class BackboneConfig:
 
 @dataclass
 class PyramidLevel:
-    features: Tensor          # (T_level, d_model)
+    features: Tensor          # (T_level, d_model), the videos' rows in turn
     stride_units: int         # input timesteps per position
+    # rows per video, in order; None means the level holds one video
+    segments: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self):
+        if self.segments is None:
+            self.segments = (self.features.shape[0],)
 
 
 @dataclass
@@ -86,7 +94,13 @@ class Pyramid:
 
     @property
     def lengths(self) -> list[int]:
+        """Rows per level, summed over the videos."""
         return [lvl.features.shape[0] for lvl in self.levels]
+
+    @property
+    def video_lengths(self) -> list[list[int]]:
+        """Rows per level of each video: one list per video."""
+        return [list(rows) for rows in zip(*(lvl.segments for lvl in self.levels))]
 
     @property
     def strides(self) -> list[int]:
@@ -145,17 +159,21 @@ def init_backbone_params(cfg: BackboneConfig, rng: np.random.Generator) -> dict[
 # ---------------------------------------------------------------------------
 # forward pieces
 
-def embed(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig) -> Tensor:
+def embed(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig,
+          segments: Optional[Sequence[int]] = None) -> Tensor:
     """Two stride-1 convolutions with ReLU, projecting input dim -> d_model."""
     if x.shape[1] != cfg.input_dim:
         raise ConfigError(
             f"embed expects feature dim {cfg.input_dim}, got {x.shape[1]}")
-    h = ad.relu(ad.conv1d(x, p["embed.conv1.w"], bias=p["embed.conv1.b"]))
-    return ad.relu(ad.conv1d(h, p["embed.conv2.w"], bias=p["embed.conv2.b"]))
+    h = ad.relu(ad.conv1d(x, p["embed.conv1.w"], bias=p["embed.conv1.b"],
+                          segments=segments))
+    return ad.relu(ad.conv1d(h, p["embed.conv2.w"], bias=p["embed.conv2.b"],
+                             segments=segments))
 
 
 def windowed_msa(x: Tensor, p: Mapping[str, Tensor], prefix: str,
-                 window: int, num_heads: int) -> Tensor:
+                 window: int, num_heads: int,
+                 segments: Optional[Sequence[int]] = None) -> Tensor:
     """Multi-head scaled dot-product attention restricted to a local window.
 
     Projections to queries, keys and values, one banded
@@ -164,23 +182,29 @@ def windowed_msa(x: Tensor, p: Mapping[str, Tensor], prefix: str,
     q = ad.matmul(x, p[f"{prefix}.wq"], bias=p[f"{prefix}.bq"])
     k = ad.matmul(x, p[f"{prefix}.wk"], bias=p[f"{prefix}.bk"])
     v = ad.matmul(x, p[f"{prefix}.wv"], bias=p[f"{prefix}.bv"])
-    attn = ad.local_attention(q, k, v, window, num_heads)
+    attn = ad.local_attention(q, k, v, window, num_heads, segments)
     return ad.matmul(attn, p[f"{prefix}.wo"], bias=p[f"{prefix}.bo"])
 
 
 def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,
-                      cfg: BackboneConfig) -> Tensor:
+                      cfg: BackboneConfig,
+                      segments: Optional[Sequence[int]] = None) -> Tensor:
     """One block of the scaled-branch recurrence, then optional downsampling.
 
     attn branch:  z_bar = scale_attn * MSA(LN(x))            [+ x if configured]
     mlp branch:   z_hat = scale_mlp * MLP(LN(z_bar)) + z_bar
     downsample:   stride-2 convolution when scheduled, identity otherwise.
+
+    ``segments`` are the rows of each packed video; the attention and the
+    downsampling stay inside them, and a downsampled video of n rows keeps
+    ceil(n / 2).
     """
     pref = f"block{block_index}"
     stride = cfg.stride_schedule[block_index]
 
     ln1 = ad.layer_norm(x, p[f"{pref}.ln1.gamma"], p[f"{pref}.ln1.beta"])
-    attn = windowed_msa(ln1, p, f"{pref}.attn", cfg.window, cfg.num_heads)
+    attn = windowed_msa(ln1, p, f"{pref}.attn", cfg.window, cfg.num_heads,
+                        segments)
     z_bar = ad.mul(attn, p[f"{pref}.scale_attn"])
     if cfg.msa_residual:
         z_bar = ad.add(z_bar, x)
@@ -191,34 +215,43 @@ def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,
     z_hat = ad.add(ad.mul(h, p[f"{pref}.scale_mlp"]), z_bar)
     if stride == 2:
         return ad.conv1d(z_hat, p[f"{pref}.down.w"], stride=2,
-                         bias=p[f"{pref}.down.b"])
+                         bias=p[f"{pref}.down.b"], segments=segments)
     return z_hat
 
 
-def build_pyramid(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig) -> Pyramid:
+def build_pyramid(x: Tensor, p: Mapping[str, Tensor], cfg: BackboneConfig,
+                  segments: Optional[Sequence[int]] = None) -> Pyramid:
     """Run embedding and all blocks, collecting the feature pyramid.
 
     A level is emitted after the last stride-1 block and after every
-    stride-2 block.
+    stride-2 block. ``segments`` packs several videos into ``x``: their
+    lengths, in order. Every window stays inside its video, so each video's
+    rows come out as they would alone, and every level records its rows per
+    video.
     """
     cfg.validate()
     t_in = x.shape[0]
-    if t_in == 0:
+    if t_in == 0 or (segments is not None and 0 in segments):
         raise EmptyInputError("input sequence too short: zero timesteps")
+    seg = ad.segment_lengths(segments, t_in, "build_pyramid")
 
     stride1_idx = [i for i, s in enumerate(cfg.stride_schedule) if s == 1]
     last_stride1 = stride1_idx[-1] if stride1_idx else -1
 
-    h = embed(x, p, cfg)
+    h = embed(x, p, cfg, seg)
     pyramid = Pyramid()
     stride_units = 1
+    level_seg = seg
     for i, s in enumerate(cfg.stride_schedule):
-        h = transformer_block(h, p, i, cfg)
+        h = transformer_block(h, p, i, cfg, level_seg)
         stride_units *= s
+        if s == 2:
+            level_seg = tuple(-(-n // 2) for n in level_seg)
         if s == 2 or i == last_stride1:
-            pyramid.levels.append(PyramidLevel(h, stride_units))
+            pyramid.levels.append(PyramidLevel(h, stride_units, level_seg))
 
-    if any(length <= 1 for length in pyramid.lengths):
-        logger.warning("degenerate pyramid: some level collapsed to length <= 1 "
-                       "(input T=%d)", t_in)
+    for t_video, rows in zip(seg, pyramid.video_lengths):
+        if min(rows) <= 1:
+            logger.warning("degenerate pyramid: some level collapsed to "
+                           "length <= 1 (input T=%d)", t_video)
     return pyramid

@@ -116,6 +116,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    dio.check_writable(args.out)
     cfg = _resolve_config(args)
     arrays = load_checkpoint(args.checkpoint)
     check_checkpoint_shapes(arrays, cfg.model)
@@ -135,6 +136,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        dio.check_writable(args.out)
     preds_by_video = dio.load_predictions(args.predictions)
     annotations = dio.load_annotations(args.annotations)
     known = {a.video_id for a in annotations}

@@ -14,6 +14,7 @@ On-disk formats:
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -474,7 +475,8 @@ def atomic_write(path, mode: str = "wb"):
     replaces ``path`` (``os.replace``) only when the block finishes. If the
     block raises, the temporary file is removed and ``path`` keeps its
     previous bytes; a killed process can leave a stale temporary file, never
-    a truncated ``path``. Text modes write UTF-8.
+    a truncated ``path``. Text modes write UTF-8. An ``OSError`` names
+    ``path``, not the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
@@ -482,9 +484,22 @@ def atomic_write(path, mode: str = "wb"):
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
         raise
+
+
+def check_writable(path) -> None:
+    """Raise the ``OSError`` that writing a file at ``path`` would meet
+    for a directory there or a missing parent, before any work is done."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "No such directory to write into",
+                                str(path))
 
 
 # ---------------------------------------------------------------------------

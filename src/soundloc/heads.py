@@ -1,20 +1,23 @@
 """Anchor-free decoder heads: per-moment class logits and boundary distances.
 
-Every pyramid point is one row: generate_points lays the levels' points end
-to end as flat columns, and run_heads returns its outputs in the same row
-order. Both heads share one parameter set across pyramid levels: a trunk of
-two kernel-3 convolutions with layer norm and ReLU, then a final kernel-3
-convolution to C channels (classification) or 2 channels (regression). The
-trunks run per level, and each branch's levels are then stacked into one
-tensor. Regression outputs pass through softplus so decoded intervals always
-have start <= end; distances are expressed in units of the point's stride.
+Every pyramid point is one row: generate_points lays the points out video
+after video, each video's levels end to end, as flat columns, and run_heads
+returns its outputs in the same row order. Both heads share one parameter
+set across pyramid levels: a trunk of two kernel-3 convolutions with layer
+norm and ReLU, then a final kernel-3 convolution to C channels
+(classification) or 2 channels (regression). The levels are joined once
+into that row order, and each trunk runs once over the join, every level of
+every video a segment of its own, so no convolution window crosses a level
+or a video. Regression outputs pass through softplus so decoded intervals
+always have start <= end; distances are expressed in units of the point's
+stride.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, fields
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +40,12 @@ class PointSet:
     range_min: np.ndarray     # (N,), regression range [range_min, range_max)
     range_max: np.ndarray     # (N,)
 
+    def split(self, sizes: Sequence[int]) -> list["PointSet"]:
+        """The rows cut into consecutive runs of the given sizes."""
+        ends = np.cumsum(sizes)[:-1]
+        columns = [np.split(getattr(self, f.name), ends) for f in fields(self)]
+        return [PointSet(*run) for run in zip(*columns)]
+
 
 def generate_points(pyramid: Pyramid, range_base: float = DEFAULT_RANGE_BASE) -> PointSet:
     """Timestamps, strides and regression ranges for every pyramid point.
@@ -44,17 +53,21 @@ def generate_points(pyramid: Pyramid, range_base: float = DEFAULT_RANGE_BASE) ->
     Level k covers events whose longer boundary distance lies in
     [range_base * s_{k-1}, range_base * s_k), with s_{-1} = 0 and the last
     upper bound open at infinity; together the ranges partition (0, inf).
+    A pyramid of several videos gives their points video after video.
     """
     if not pyramid.levels:
         raise EmptyInputError("cannot generate points for an empty pyramid")
-    lengths = pyramid.lengths
+    videos = pyramid.video_lengths
+    lengths = [t for rows in videos for t in rows]
     upper = range_base * np.array(pyramid.strides, dtype=np.float64)
     lower = np.concatenate(([0.0], upper[:-1]))
     upper[-1] = math.inf
-    strides = np.repeat(np.array(pyramid.strides, dtype=np.int64), lengths)
+    level_strides = np.array(pyramid.strides, dtype=np.int64)
+    strides = np.repeat(np.tile(level_strides, len(videos)), lengths)
     index = np.concatenate([np.arange(t) for t in lengths])
     return PointSet((index + 0.5) * strides, strides,
-                    np.repeat(lower, lengths), np.repeat(upper, lengths))
+                    np.repeat(np.tile(lower, len(videos)), lengths),
+                    np.repeat(np.tile(upper, len(videos)), lengths))
 
 
 @dataclass
@@ -89,22 +102,24 @@ def init_head_params(d_model: int, num_classes: int, rng: np.random.Generator,
     return pr.init_params(head_param_shapes(d_model, num_classes, prior_prob), rng)
 
 
-def _head_trunk(x: Tensor, p: Mapping[str, Tensor], branch: str) -> Tensor:
+def _head_trunk(x: Tensor, p: Mapping[str, Tensor], branch: str,
+                segments: Sequence[int]) -> Tensor:
     h = x
     for i in (1, 2):
         h = ad.conv1d(h, p[f"head.{branch}.conv{i}.w"],
-                      bias=p[f"head.{branch}.conv{i}.b"])
+                      bias=p[f"head.{branch}.conv{i}.b"], segments=segments)
         h = ad.layer_norm(h, p[f"head.{branch}.ln{i}.gamma"],
                           p[f"head.{branch}.ln{i}.beta"])
         h = ad.relu(h)
     return ad.conv1d(h, p[f"head.{branch}.out.w"],
-                     bias=p[f"head.{branch}.out.b"])
+                     bias=p[f"head.{branch}.out.b"], segments=segments)
 
 
 def run_heads(pyramid: Pyramid, p: Mapping[str, Tensor]) -> HeadOutput:
-    """Class logits and boundary distances for every point, levels in order."""
-    cls_logits = ad.concat_rows([_head_trunk(lvl.features, p, "cls")
-                                 for lvl in pyramid.levels])
-    reg_raw = ad.concat_rows([_head_trunk(lvl.features, p, "reg")
-                              for lvl in pyramid.levels])
-    return HeadOutput(cls_logits, ad.softplus(reg_raw))
+    """Class logits and boundary distances for every point, rows as in
+    generate_points: one join of the levels, then one pass per trunk."""
+    joined = ad.concat_rows([lvl.features for lvl in pyramid.levels],
+                            [lvl.segments for lvl in pyramid.levels])
+    segments = [t for rows in pyramid.video_lengths for t in rows]
+    return HeadOutput(_head_trunk(joined, p, "cls", segments),
+                      ad.softplus(_head_trunk(joined, p, "reg", segments)))

@@ -18,6 +18,7 @@ step in its order of operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +44,15 @@ class Assignment:
     @property
     def t_plus(self) -> int:
         return int(np.count_nonzero(self.positive))
+
+
+def join_assignments(parts: Sequence[Assignment]) -> Assignment:
+    """The targets of several videos' points laid end to end, in order."""
+    if len(parts) == 1:
+        return parts[0]
+    return Assignment(np.concatenate([a.cls_targets for a in parts]),
+                      np.concatenate([a.positive for a in parts]),
+                      np.concatenate([a.reg_targets for a in parts]))
 
 
 def assign_targets(points: PointSet, ann: AnnotationSet,
@@ -181,11 +191,10 @@ def diou_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 def loss_sums(head_out: HeadOutput, assignment: Assignment,
               alpha: float = FOCAL_ALPHA, gamma: float = FOCAL_GAMMA
               ) -> tuple[Tensor, Tensor, int]:
-    """Unnormalized loss sums for one video: (focal sum, DIoU sum, T_plus).
+    """Unnormalized loss sums: (focal sum, DIoU sum, T_plus).
 
     Focal runs over every point and class; DIoU only over positive
-    points. Callers divide by their own positive count, which lets several
-    videos share one normalizer in a batch.
+    points. :func:`objective` divides them by the positive count.
     """
     _, cls_sum = focal_loss(head_out.cls_logits, assignment.cls_targets,
                             alpha, gamma)

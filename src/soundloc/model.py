@@ -13,6 +13,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .decode import (
     select_top_k,
     soft_nms,
 )
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .heads import (
     DEFAULT_RANGE_BASE,
     PRIOR_PROB,
@@ -108,11 +109,22 @@ def init_model_arrays(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     return pr.init_params(param_shapes(cfg), np.random.default_rng(seed))
 
 
-def forward_video(bound, cfg: ModelConfig, fused: np.ndarray, tape: Tape
-                  ) -> tuple[PointSet, HeadOutput]:
-    """Backbone + heads over one fused (T, D) feature matrix."""
-    pyramid = build_pyramid(tape.constant(fused), bound, cfg.backbone)
-    return generate_points(pyramid, cfg.range_base), run_heads(pyramid, bound)
+def forward_video(bound, cfg: ModelConfig, fused: Sequence[np.ndarray],
+                  tape: Tape) -> tuple[list[PointSet], HeadOutput]:
+    """Backbone + heads over a batch of fused (T_v, D) matrices, in one pass.
+
+    The videos are packed end to end into one sequence, each a segment that
+    no window crosses. Returns every video's points and one HeadOutput
+    whose rows are the videos' points end to end, in order.
+    """
+    if not len(fused) or any(np.ndim(f) != 2 for f in fused):
+        raise ShapeError("forward_video takes a non-empty sequence of (T, D) "
+                         "feature matrices")
+    pyramid = build_pyramid(tape.constant(np.concatenate(fused)), bound,
+                            cfg.backbone, [f.shape[0] for f in fused])
+    points = generate_points(pyramid, cfg.range_base)
+    return (points.split([sum(rows) for rows in pyramid.video_lengths]),
+            run_heads(pyramid, bound))
 
 
 def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
@@ -122,7 +134,7 @@ def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
     dc = decode_cfg or DecodeConfig()
     tape = Tape(dtype=np.float32, record=False)   # no backward pass
     bound = pr.bind(tape, arrays)
-    points, head_out = forward_video(bound, cfg, fused_seq.data, tape)
+    (points,), head_out = forward_video(bound, cfg, [fused_seq.data], tape)
     cands = recover_intervals(
         head_out, points, fused_seq.stride_sec, fused_seq.duration_sec,
         score_thresh=dc.score_thresh, pre_nms_topk=dc.pre_nms_topk)

@@ -1,10 +1,12 @@
 """Training loop: Adam with decoupled weight decay, warmup + cosine schedule.
 
-One optimization step processes a batch of videos on a single tape: forward
-through backbone and heads, target assignment, the combined focal/DIoU
+One optimization step packs its batch of videos into one sequence and
+makes one pass of each kind over it: forward through backbone and heads,
+target assignment (once per video, then cached), the combined focal/DIoU
 objective normalized by the batch positive count, backward, global-norm
-clipping and a parameter update. Everything is seeded, so two runs with the
-same config produce identical loss trajectories on the same platform.
+clipping and a parameter update. The tape's length does not grow with the
+batch size. Everything is seeded, so two runs with the same config produce
+identical loss trajectories on the same platform.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ from .datasets import Dataset
 from .decode import Interval
 from .errors import NumericError, ValidationError
 from .evaluate import mean_ap
-from .losses import Assignment, assign_targets, loss_sums, objective
+from .losses import (
+    Assignment,
+    assign_targets,
+    join_assignments,
+    loss_sums,
+    objective,
+)
 from .model import (
     DecodeConfig,
     ModelConfig,
@@ -107,26 +115,23 @@ def train_step(arrays: dict[str, np.ndarray], cfg: ModelConfig,
                batch: list[str], dataset: Dataset,
                assignments: dict[str, Assignment],
                lambda_reg: float) -> tuple[dict[str, np.ndarray], dict]:
-    """Forward/backward over one batch; returns gradients and loss scalars."""
+    """Forward/backward over one batch; returns gradients and loss scalars.
+
+    The batch's videos go through the model as one packed sequence, and
+    their cached targets are joined in the same row order for one loss.
+    """
     tape = ad.Tape(dtype=np.float32)
     bound = pr.bind(tape, arrays)
-
-    cls_total = tape.constant(0.0)
-    reg_total = tape.constant(0.0)
-    t_plus = 0
-    for vid in sorted(batch):
-        fused = dataset.fused[vid]
-        points, head_out = forward_video(bound, cfg, fused.data, tape)
+    videos = sorted(batch)
+    fused = [dataset.fused[vid] for vid in videos]
+    points, head_out = forward_video(bound, cfg, [f.data for f in fused], tape)
+    for vid, seq, video_points in zip(videos, fused, points):
         if vid not in assignments:
             assignments[vid] = assign_targets(
-                points, dataset.annotations[vid], fused.stride_sec,
+                video_points, dataset.annotations[vid], seq.stride_sec,
                 cfg.num_classes)
-        cls_sum, reg_sum, video_pos = loss_sums(head_out, assignments[vid])
-        cls_total = ad.add(cls_total, cls_sum)
-        reg_total = ad.add(reg_total, reg_sum)
-        t_plus += video_pos
-
-    loss, scalars = objective(cls_total, reg_total, t_plus, lambda_reg)
+    sums = loss_sums(head_out, join_assignments([assignments[v] for v in videos]))
+    loss, scalars = objective(*sums, lambda_reg)
     ad.backward(tape, loss)
     tape.clear()   # no cycle left: reference counting frees the step's tape
     return pr.collect_grads(bound), scalars

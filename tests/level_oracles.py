@@ -1,10 +1,11 @@
-"""Per-level oracles for the flat point layout.
+"""Per-level and per-video oracles for the packed, flat point layout.
 
 Heads, targets, losses and decoding used to keep one array per pyramid
-level, aligned by index. These are those implementations, kept as the
-reference that the one-row-per-point code in ``src/`` must match exactly:
-the point lattice, the assignment, the recovered candidates and a training
-step's gradients. ``flatten`` turns the per-level layout into the flat one.
+level, aligned by index, and a training step used to run the model once per
+video. These are those implementations, kept as the reference that the
+packed one-row-per-point code in ``src/`` must match: the point lattice, the
+assignment, the recovered candidates and a training step's gradients.
+``flatten`` turns the per-level layout into the flat one.
 """
 
 import math
@@ -21,7 +22,7 @@ from soundloc.decode import (
     Candidates,
 )
 from soundloc.errors import EmptyInputError, ValidationError
-from soundloc.heads import DEFAULT_RANGE_BASE, HeadOutput, PointSet, _head_trunk
+from soundloc.heads import DEFAULT_RANGE_BASE, HeadOutput, PointSet
 from soundloc.losses import (
     CENTER_SAMPLING_RADIUS,
     FOCAL_ALPHA,
@@ -78,7 +79,20 @@ def generate_points(pyramid, range_base=DEFAULT_RANGE_BASE):
     return levels
 
 
+def _head_trunk(x, p, branch):
+    h = x
+    for i in (1, 2):
+        h = ad.conv1d(h, p[f"head.{branch}.conv{i}.w"],
+                      bias=p[f"head.{branch}.conv{i}.b"])
+        h = ad.layer_norm(h, p[f"head.{branch}.ln{i}.gamma"],
+                          p[f"head.{branch}.ln{i}.beta"])
+        h = ad.relu(h)
+    return ad.conv1d(h, p[f"head.{branch}.out.w"],
+                     bias=p[f"head.{branch}.out.b"])
+
+
 def run_heads(pyramid, p):
+    """One trunk call per level and branch."""
     cls_logits = [_head_trunk(lvl.features, p, "cls") for lvl in pyramid.levels]
     reg_raw = [_head_trunk(lvl.features, p, "reg") for lvl in pyramid.levels]
     distances = [ad.softplus(r) for r in reg_raw]
@@ -184,7 +198,8 @@ def recover_intervals(heads, levels, stride_sec, duration_sec,
 
 
 def train_step(arrays, cfg, batch, dataset, lambda_reg):
-    """train.train_step on the per-level heads, targets and losses."""
+    """train.train_step run once per video, on per-level heads, targets and
+    losses, with the videos' loss sums added up."""
     tape = ad.Tape(dtype=np.float32)
     bound = pr.bind(tape, arrays)
     cls_total = tape.constant(0.0)

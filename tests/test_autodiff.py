@@ -860,7 +860,9 @@ class TestAllocationBudget:
 
     Ceilings are tracemalloc's peak bytes over output bytes at the desk
     width (D=64) and T=2048; the expressions with a fresh array per step
-    took 4.0, 4.1, 2.07, 6.1 and 6.8. The broadcast bias add takes numpy's
+    took 4.0, 4.1, 2.07, 6.1 and 6.8. local_attention reads its keys and
+    values in place and keeps the (w, T, H) weights, the output and one
+    output-sized product: 2.76. The broadcast bias add takes numpy's
     32 KiB ufunc buffer, 0.06 of the matmul output here.
     """
 
@@ -885,8 +887,194 @@ class TestAllocationBudget:
         ("layer_norm", ad.layer_norm, 2.2),
         ("matmul", lambda a, b, c: ad.matmul(a, b, bias=c), 1.1),
         ("conv1d", lambda x, w, b: ad.conv1d(x, w, bias=b), 4.1),
-        ("local_attention", lambda q, k, v: ad.local_attention(q, k, v, 11, 4), 4.9),
+        # 4.78 while it copied k and v into zero-padded arrays
+        ("local_attention", lambda q, k, v: ad.local_attention(q, k, v, 11, 4), 2.8),
     ])
     def test_peak_over_output(self, name, op, ceiling):
         ratio = peak_over_output(op, self.operands(name))
         assert ratio <= ceiling, f"{name}: {ratio:.2f}"
+
+
+# ---------------------------------------------------------------------------
+# segments: sequences packed end to end, each on its own
+
+# length 1, lengths below the window (11) and below the kernel (5), odd
+# lengths under stride 2, and a few seeded draws
+SEGMENT_LISTS = [[1], [6], [1, 1, 1], [2, 7, 1, 4], [3, 1, 10, 5, 1], [64, 64],
+                 [33, 1, 30]] + [
+    [int(n) for n in np.random.default_rng(seed).integers(1, 24, size=size)]
+    for seed, size in ((0, 5), (1, 9), (2, 3))]
+SEGMENT_IDS = ["-".join(map(str, s)) for s in SEGMENT_LISTS]
+
+# conv1d against per-segment calls: a GEMM over more rows may round a row
+# differently (this BLAS: up to 3e-7 of the largest value for values and
+# input gradients, 1.5e-6 for the kernel gradient, summed over segments)
+SEG_CONV_RTOL = 2e-6
+SEG_CONV_PARAM_RTOL = 1e-5
+
+
+def per_segment(op, inputs, shared, segments, upstream, dtype=np.float32):
+    """Outputs and gradients of ``op`` run on each segment alone.
+
+    ``inputs`` are split by rows along ``segments``, ``shared`` operands go
+    to every call; returns the joined outputs, the joined gradients of the
+    inputs and the summed gradients of the shared operands.
+    """
+    outs, grads, shared_grads = [], [[] for _ in inputs], None
+    row = out_row = 0
+    for n in segments:
+        t = ad.Tape(dtype=dtype)
+        leaves = [t.leaf(v[row:row + n]) for v in inputs]
+        extra = [t.leaf(v) for v in shared]
+        out = op(*leaves, *extra, None)
+        m = out.values.shape[0]
+        ad.backward(t, ad.sum_all(ad.mul(out, t.constant(upstream[out_row:out_row + m]))))
+        outs.append(out.values)
+        for acc, leaf in zip(grads, leaves):
+            acc.append(leaf.grad)
+        got = [leaf.grad for leaf in extra]
+        shared_grads = got if shared_grads is None else [
+            a + b for a, b in zip(shared_grads, got)]
+        row += n
+        out_row += m
+    return np.concatenate(outs), [np.concatenate(g) for g in grads], shared_grads
+
+
+def packed(op, inputs, shared, segments, upstream, dtype=np.float32):
+    t = ad.Tape(dtype=dtype)
+    leaves = [t.leaf(v) for v in inputs]
+    extra = [t.leaf(v) for v in shared]
+    out = op(*leaves, *extra, segments)
+    ad.backward(t, ad.sum_all(ad.mul(out, t.constant(upstream))))
+    return out.values, [leaf.grad for leaf in leaves], [leaf.grad for leaf in extra]
+
+
+def assert_close_to_max(got, want, rtol):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestSegments:
+    @pytest.mark.parametrize("segments", SEGMENT_LISTS, ids=SEGMENT_IDS)
+    @pytest.mark.parametrize("c_out", [64, 5, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv1d_matches_per_segment_calls(self, k, stride, c_out, segments):
+        rng = np.random.default_rng(k * 100 + stride * 10 + c_out)
+        x = rng.normal(size=(sum(segments), 64)).astype(np.float32)
+        shared = [rng.normal(size=(k, 64, c_out)).astype(np.float32),
+                  rng.normal(size=c_out).astype(np.float32)]
+        rows_out = sum(-(-n // stride) for n in segments)
+        up = rng.normal(size=(rows_out, c_out)).astype(np.float32)
+
+        def op(x, w, b, seg):
+            return ad.conv1d(x, w, stride=stride, bias=b, segments=seg)
+
+        got, (got_dx,), got_dp = packed(op, [x], shared, segments, up)
+        want, (want_dx,), want_dp = per_segment(op, [x], shared, segments, up)
+        assert_close_to_max(got, want, SEG_CONV_RTOL)
+        assert_close_to_max(got_dx, want_dx, SEG_CONV_RTOL)
+        for g, w in zip(got_dp, want_dp):
+            assert_close_to_max(g, w, SEG_CONV_PARAM_RTOL)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("segments", SEGMENT_LISTS, ids=SEGMENT_IDS)
+    @pytest.mark.parametrize("window", [3, 11])
+    def test_local_attention_bit_equal_to_per_segment_calls(self, window, segments,
+                                                            dtype):
+        rng = np.random.default_rng(window)
+        qkv = [rng.normal(scale=2.0, size=(sum(segments), 16)).astype(dtype)
+               for _ in range(3)]
+        up = rng.normal(size=(sum(segments), 16)).astype(dtype)
+
+        def op(q, k, v, seg):
+            return ad.local_attention(q, k, v, window, 4, seg)
+
+        got, got_g, _ = packed(op, qkv, [], segments, up, dtype)
+        want, want_g, _ = per_segment(op, qkv, [], segments, up, dtype)
+        assert bit_equal(got, want)
+        for g, w in zip(got_g, want_g):
+            assert bit_equal(g, w)
+
+    @pytest.mark.parametrize("op, n_shared", [
+        (lambda x, g, b, seg: ad.layer_norm(x, g, b), 2),
+        (lambda x, seg: ad.relu(x), 0),
+        (lambda x, seg: ad.softplus(x), 0)], ids=["layer_norm", "relu", "softplus"])
+    def test_row_wise_ops_bit_equal_to_per_segment_calls(self, op, n_shared):
+        # the head trunk runs these over every level and video at once
+        rng = np.random.default_rng(3)
+        segments = [7, 1, 30, 4]
+        x = rng.normal(scale=3.0, size=(sum(segments), 16)).astype(np.float32)
+        shared = [rng.normal(size=16).astype(np.float32) for _ in range(n_shared)]
+        up = rng.normal(size=x.shape).astype(np.float32)
+        got, (got_dx,), _ = packed(op, [x], shared, segments, up)
+        want, (want_dx,), _ = per_segment(op, [x], shared, segments, up)
+        assert bit_equal(got, want)
+        assert bit_equal(got_dx, want_dx)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("segments", [[1, 4, 2], [3, 3], [5, 1, 1]])
+    def test_conv1d_grad_check(self, segments, stride):
+        rng = np.random.default_rng(sum(segments) + stride)
+        x0 = rng.normal(size=(sum(segments), 3))
+        w0 = rng.normal(size=(3, 3, 2))
+        b0 = rng.normal(size=2)
+        for i, value in enumerate((x0, w0, b0)):
+            def f(v):
+                args = [v.tape.constant(o) for o in (x0, w0, b0)]
+                args[i] = v
+                out = ad.conv1d(args[0], args[1], stride=stride, bias=args[2],
+                                segments=segments)
+                return ad.sum_all(ad.square(out))
+            assert ad.grad_check(f, value) <= 1e-4, i
+
+    @pytest.mark.parametrize("segments", [[1, 4, 2], [6, 3], [2, 2, 2, 1]])
+    def test_local_attention_grad_check(self, segments):
+        rng = np.random.default_rng(len(segments))
+        qkv = [rng.normal(size=(sum(segments), 4)) for _ in range(3)]
+        for i, value in enumerate(qkv):
+            def f(v):
+                args = [v.tape.constant(o) for o in qkv]
+                args[i] = v
+                out = ad.local_attention(*args, 5, 2, segments=segments)
+                return ad.sum_all(ad.square(out))
+            assert ad.grad_check(f, value) <= 1e-4, i
+
+    def test_concat_rows_interleaves_groups(self):
+        t = scalar_tape()
+        a = t.leaf(np.arange(10.0).reshape(5, 2))        # groups of 3 and 2
+        b = t.leaf(100.0 + np.arange(6.0).reshape(3, 2))  # groups of 2 and 1
+        out = ad.concat_rows([a, b], [[3, 2], [2, 1]])
+        want = np.concatenate([a.values[:3], b.values[:2], a.values[3:], b.values[2:]])
+        assert np.array_equal(out.values, want)
+        w = np.random.default_rng(0).normal(size=want.shape)
+        ad.backward(t, ad.sum_all(ad.mul(out, t.constant(w))))
+        assert np.array_equal(a.grad, np.concatenate([w[:3], w[5:7]]))
+        assert np.array_equal(b.grad, np.concatenate([w[3:5], w[7:]]))
+
+    def test_concat_rows_grad_check(self):
+        rng = np.random.default_rng(1)
+        other = rng.normal(size=(3, 2))
+        w = rng.normal(size=(7, 2))
+
+        def f(v):
+            out = ad.concat_rows([v, v.tape.constant(other)], [[1, 3], [2, 1]])
+            return ad.sum_all(ad.mul(out, v.tape.constant(w)))
+
+        assert ad.grad_check(f, rng.normal(size=(4, 2))) <= 1e-4
+
+    @pytest.mark.parametrize("segments", [[], [3, 0, 3], [2, 2], [4, 3], [-1, 7]])
+    def test_bad_segments_rejected(self, segments):
+        t = scalar_tape()
+        x = t.leaf(np.ones((6, 4)))
+        for call in (lambda: ad.conv1d(x, t.leaf(np.ones((3, 4, 2))), segments=segments),
+                     lambda: ad.local_attention(x, x, x, 3, 2, segments=segments),
+                     lambda: ad.concat_rows([x], [segments])):
+            with pytest.raises(ShapeError, match="segments"):
+                call()
+
+    def test_concat_rows_group_counts_must_agree(self):
+        t = scalar_tape()
+        a, b = t.leaf(np.ones((4, 2))), t.leaf(np.ones((2, 2)))
+        with pytest.raises(ShapeError, match="group count"):
+            ad.concat_rows([a, b], [[2, 2], [2]])

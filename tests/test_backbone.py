@@ -273,14 +273,23 @@ class TestForwardRecords:
     @pytest.mark.parametrize("t", [64, 1000])
     def test_desk_forward_pass_record_count(self, t):
         # embedding 4; five blocks of 14, plus 1 for each of the three
-        # downsamplings; heads 7 per trunk for two trunks over four levels,
-        # one stack per branch and one softplus: 4 + 73 + 59, whatever the
-        # length (a bias is part of its matmul or conv1d)
+        # downsamplings; heads: one join of the four levels, 7 per trunk for
+        # the two trunks and one softplus: 4 + 73 + 16, whatever the length
+        # (a bias is part of its matmul or conv1d). 136 when each trunk ran
+        # once per level
         cfg = desk_scale_config().model
         tape = ad.Tape(dtype=np.float32)
         bound = pr.bind(tape, init_model_arrays(cfg, seed=0))
-        forward_video(bound, cfg, np.zeros((t, cfg.backbone.input_dim)), tape)
-        assert len(tape._nodes) == 4 + 73 + 2 * 7 * 4 + 2 + 1 == 136
+        forward_video(bound, cfg, [np.zeros((t, cfg.backbone.input_dim))], tape)
+        assert len(tape._nodes) == 4 + 73 + 1 + 2 * 7 + 1 == 93
+
+    def test_packed_forward_pass_records_as_one_video(self):
+        cfg = desk_scale_config().model
+        tape = ad.Tape(dtype=np.float32)
+        bound = pr.bind(tape, init_model_arrays(cfg, seed=0))
+        forward_video(bound, cfg, [np.zeros((t, cfg.backbone.input_dim))
+                                   for t in (64, 37, 1, 200)], tape)
+        assert len(tape._nodes) == 93
 
 
 class TestTransformerBlock:
@@ -359,6 +368,57 @@ class TestPyramid:
         x = tape.constant(np.random.default_rng(0).normal(size=(1, 6)))
         pyr = build_pyramid(x, p, cfg)
         assert pyr.lengths == [1, 1]
+
+    def test_degenerate_warning_names_each_short_video(self, caplog):
+        # packed, the level lengths are sums over videos; the check runs
+        # per video, so a short video beside a long one still warns
+        cfg = tiny_cfg()
+        tape, p = bound_model(cfg)
+        x = tape.constant(np.random.default_rng(0).normal(size=(66, 6)))
+        with caplog.at_level("WARNING", logger="soundloc.backbone"):
+            pyr = build_pyramid(x, p, cfg, [64, 2])
+        assert pyr.lengths == [66, 33]
+        assert [r.getMessage() for r in caplog.records] == [
+            "degenerate pyramid: some level collapsed to length <= 1 (input T=2)"]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="soundloc.backbone"):
+            build_pyramid(x, p, cfg, [33, 33])
+        assert not caplog.records
+
+    @pytest.mark.parametrize("segments", [[3, 0, 3], [2, 2]])
+    def test_bad_segments_rejected(self, segments):
+        from soundloc.errors import EmptyInputError
+        cfg = tiny_cfg()
+        tape, p = bound_model(cfg)
+        error = EmptyInputError if 0 in segments else ShapeError
+        with pytest.raises(error):
+            build_pyramid(tape.constant(np.zeros((6, 6))), p, cfg, segments)
+
+    def test_packed_videos_match_each_alone(self):
+        # every window stays inside its video; the GEMMs over more rows may
+        # round a row differently in the last float32 bits
+        cfg = tiny_cfg(num_blocks=4, stride_schedule=(1, 2, 2, 2), window=5)
+        arrays = init_backbone_params(cfg, np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        videos = [rng.normal(size=(t, 6)) for t in (37, 1, 4, 64, 11)]
+        tape = ad.Tape(dtype=np.float32, record=False)
+        bound = pr.bind(tape, arrays)
+        packed = build_pyramid(tape.constant(np.concatenate(videos)), bound, cfg,
+                               [len(v) for v in videos])
+        alone = [build_pyramid(tape.constant(v), bound, cfg) for v in videos]
+        assert packed.video_lengths == [a.lengths for a in alone]
+        for level, lvl in enumerate(packed.levels):
+            want = np.concatenate([a.levels[level].features.values for a in alone])
+            got = lvl.features.values
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max(), level
+
+    def test_forward_video_takes_a_sequence_of_matrices(self):
+        cfg = desk_scale_config().model
+        tape = ad.Tape(dtype=np.float32, record=False)
+        bound = pr.bind(tape, init_model_arrays(cfg, seed=0))
+        for bad in (np.zeros((8, cfg.backbone.input_dim)), []):
+            with pytest.raises(ShapeError, match="sequence"):
+                forward_video(bound, cfg, bad, tape)
 
     def test_zero_timesteps_rejected(self):
         from soundloc.errors import EmptyInputError

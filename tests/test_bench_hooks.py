@@ -7,7 +7,8 @@ caller looks them up, and ``perfbench/workloads.py`` calls
 the benchmark without failing a package test; these tests resolve every
 entry the way the two ``install()`` methods do, and install nothing. The
 work counters that ``spans._counters`` reads off a span's arguments and
-result are checked against real results too.
+result are checked against real results too, and so is the one call per
+training step that the forward and head spans count.
 """
 
 import builtins
@@ -19,10 +20,11 @@ import numpy as np
 import pytest
 
 from soundloc import autodiff as ad
-from soundloc import decode, evaluate, losses, model
+from soundloc import decode, evaluate, losses, model, train
 from soundloc import params as pr
 from soundloc.config import desk_scale_config
 from soundloc.data import SyntheticSpec, fuse_features, generate_synthetic
+from soundloc.datasets import load_dataset, write_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -77,8 +79,8 @@ def test_counters_read_real_results(bench_modules):
         num_videos=1, duration_sec=64.0, num_classes=cfg.num_classes, seed=0))
     seq = fuse_features(*pairs[0])
     tape = ad.Tape(dtype=np.float32)
-    points, head_out = model.forward_video(
-        pr.bind(tape, model.init_model_arrays(cfg, seed=0)), cfg, seq.data, tape)
+    (points,), head_out = model.forward_video(
+        pr.bind(tape, model.init_model_arrays(cfg, seed=0)), cfg, [seq.data], tape)
 
     assignment = losses.assign_targets(points, anns[0], seq.stride_sec,
                                        cfg.num_classes)
@@ -104,3 +106,24 @@ def test_counters_read_real_results(bench_modules):
     report = evaluate.mean_ap(top, gts)
     assert spans._counters("evaluate.mean_ap", (top, gts), report) == {
         "evaluate.detections": len(top), "evaluate.gts": len(gts)}
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_one_traced_forward_per_step(tmp_path, monkeypatch, batch_size):
+    # the spans model.forward_video and heads.run_heads wrap
+    # soundloc.train.forward_video and soundloc.model.run_heads: a training
+    # step, whatever its batch size, is one call of each
+    write_dataset(tmp_path, SyntheticSpec(num_videos=batch_size, duration_sec=32.0,
+                                          seed=2),
+                  split_counts=(batch_size, 0, 0))
+    ds = load_dataset(tmp_path)
+    calls = []
+    for owner, name in ((train, "forward_video"), (model, "run_heads")):
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    cfg = desk_scale_config().model
+    train.train_step(model.init_model_arrays(cfg, seed=0), cfg, ds.videos("train"),
+                     ds, {}, 1.0)
+    assert calls == ["forward_video", "run_heads"]

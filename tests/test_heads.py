@@ -191,3 +191,40 @@ class TestHeads:
         assert pyr.lengths == [21, 11, 6]
         assert out.cls_logits.shape == (38, 4)
         assert out.distances.shape == (38, 2)
+
+
+class TestPackedVideos:
+    """A pyramid of several videos: rows video after video, each as alone."""
+
+    def packed_pyramid(self, tape, video_lengths, strides, d=8, seed=0):
+        # video_lengths[v][l]: rows of video v at level l
+        rng = np.random.default_rng(seed)
+        per_video = [[rng.normal(size=(t, d)) for t in rows] for rows in video_lengths]
+        levels = [PyramidLevel(tape.constant(np.concatenate([v[l] for v in per_video])),
+                               s, tuple(rows[l] for rows in video_lengths))
+                  for l, s in enumerate(strides)]
+        alone = [Pyramid([PyramidLevel(tape.constant(a), s)
+                          for a, s in zip(v, strides)]) for v in per_video]
+        return Pyramid(levels), alone
+
+    def test_points_video_after_video(self):
+        tape = ad.Tape(dtype=np.float64)
+        pyr, alone = self.packed_pyramid(tape, [[5, 3, 2], [1, 1, 1], [8, 4, 2]],
+                                         [1, 2, 4])
+        assert pyr.video_lengths == [[5, 3, 2], [1, 1, 1], [8, 4, 2]]
+        got = generate_points(pyr)
+        parts = got.split([10, 3, 14])
+        for part, want in zip(parts, [generate_points(a) for a in alone]):
+            for name in ("timestamps", "strides", "range_min", "range_max"):
+                assert np.array_equal(getattr(part, name), getattr(want, name)), name
+
+    def test_heads_rows_are_each_videos_heads(self):
+        tape = ad.Tape(dtype=np.float64)
+        p = pr.bind(tape, init_head_params(8, 3, np.random.default_rng(1)))
+        pyr, alone = self.packed_pyramid(tape, [[6, 3], [1, 1], [9, 5]], [1, 2], seed=4)
+        out = run_heads(pyr, p)
+        want = [run_heads(a, p) for a in alone]
+        for name in ("cls_logits", "distances"):
+            joined = np.concatenate([getattr(w, name).values for w in want])
+            np.testing.assert_allclose(getattr(out, name).values, joined,
+                                       rtol=1e-12, atol=1e-12)
