@@ -18,6 +18,8 @@ The two windowed primitives, :func:`conv1d` and :func:`local_attention`,
 take ``segments``: several sequences packed end to end, given by their row
 counts. No window crosses a segment boundary, so a batch of sequences (or
 the levels of a pyramid) costs one record per layer, whatever its size.
+Where every window falls comes from one cached plan: per offset, the strided
+slices of rows it reads and the rows it must leave at zero.
 
 Forward kernels allocate their output and what backward keeps; other
 temporaries are computed in place (``out=``, ``+=``, ``*=``) in the original
@@ -504,32 +506,44 @@ def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
 def _window_plan(segments: tuple[int, ...], reach: int, stride: int):
     """Where the windows of a segmented, strided sliding op fall.
 
-    Segment s of n rows gives ceil(n / stride) output rows, the i-th centred
-    on the segment's own row i * stride. Returns ``(rows_out, centre,
-    edges)``: ``centre`` maps every output row to its input row, or is None
-    when that is ``row * stride`` throughout (one segment, stride 1, or
-    even lengths before the last); ``edges[o]``, for the offsets
-    ``o - reach`` in ``-reach..reach``, lists the output rows whose window
-    position falls outside their own segment, as integer row indices. The
-    plans are cached and shared, so no caller writes to their arrays.
+    Segment s of n rows gives ceil(n / stride) output rows, the i-th centered
+    on the segment's own row i * stride. Returns ``(rows_out, reads, edges)``
+    for the offsets ``o - reach`` in ``-reach..reach``: ``reads[o]`` holds
+    slice pairs ``(out, src)``, output rows ``out`` reading input rows
+    ``src`` (strided, clipped to the input), one pair per run of segments
+    whose windows continue one stride apart, so a lone sequence gets one;
+    ``edges[o]`` lists the output rows whose window position falls outside
+    their own segment (every row no pair reads for among them), as integer
+    row indices. The plans are cached and shared: no caller writes to them.
     """
     n = np.array(segments, dtype=np.int64)
     n_out = -(-n // stride)
     first_out = np.cumsum(n_out) - n_out
     first_in = np.cumsum(n) - n
-    centre = None
-    if (n[:-1] % stride).any():
-        centre = np.repeat(first_in - stride * first_out, n_out) \
-            + stride * np.arange(n_out.sum())
-    edges = []
+    t_in, t_out = int(n.sum()), int(n_out.sum())
+    # runs of segments, cut after every length that is not whole strides;
+    # output row i of a run reads input row base + i * stride + off
+    cut = np.r_[0, np.flatnonzero(n[:-1] % stride) + 1]
+    runs = list(zip(first_out[cut].tolist(),
+                    np.append(first_out[cut[1:]], t_out).tolist(),
+                    (first_in - stride * first_out)[cut].tolist()))
+    reads, edges = [], []
     for off in range(-reach, reach + 1):
+        pairs = []
+        for first, end, base in runs:
+            at = base + off
+            lo, hi = max(first, -(at // stride)), min(end, -((at - t_in) // stride))
+            if hi > lo:
+                pairs.append((slice(lo, hi),
+                              slice(at + lo * stride, at + hi * stride, stride)))
+        reads.append(tuple(pairs))
         if off < 0:   # the first ceil(-off / stride) rows reach before
             lead = np.minimum(n_out, -(off // stride))
             edges.append(_ranges(first_out, first_out + lead))
         else:         # rows from ceil((n - off) / stride) on reach past
             keep = np.clip(-((off - n) // stride), 0, n_out)
             edges.append(_ranges(first_out + keep, first_out + n_out))
-    return int(n_out.sum()), centre, tuple(edges)
+    return t_out, tuple(reads), tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +584,7 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
 
     ``x`` is (T, C_in), ``kernel`` is (k, C_in, C_out) with odd k, stride is
     1 or 2, and ``bias``, when given, is (C_out,). Output length is
-    ceil(T / stride); output position i is centred on input position
+    ceil(T / stride); output position i is centered on input position
     i * stride.
 
     ``segments`` packs several sequences end to end: their row counts, in
@@ -594,23 +608,14 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
     if x_c != c_in:
         raise ShapeError(f"conv1d channel mismatch: input {x_c}, kernel expects {c_in}")
 
-    pad = k // 2
-    t_out, centre, edges = _window_plan(
-        segment_lengths(segments, t_in, "conv1d"), pad, stride)
-    span = stride * (t_out - 1) + 1   # tap j reads padded rows j, j + stride, ...
-    # gather windows: cols[i, j, :] = x[centre_i + j - pad, :], or zero where
-    # that row lies outside row i's segment; with centre_i = i * stride,
-    # output rows lo..hi-1 of tap j read x, the rest are edge rows
+    t_out, reads, edges = _window_plan(
+        segment_lengths(segments, t_in, "conv1d"), k // 2, stride)
+    # gather windows: cols[i, j, :] is the row tap j of window i reads, or
+    # zero where that row lies outside row i's segment
     cols = np.empty((t_out, k, c_in), dtype=x.values.dtype)
     for j in range(k):
-        if centre is None:
-            lo = min(t_out, max(0, -((j - pad) // stride)))
-            hi = max(lo, min(t_out, -((j - pad - t_in) // stride)))
-            if hi > lo:
-                start = lo * stride + j - pad
-                cols[lo:hi, j] = x.values[start:start + (hi - lo - 1) * stride + 1:stride]
-        else:
-            np.take(x.values, centre + (j - pad), axis=0, out=cols[:, j], mode="clip")
+        for rows, src in reads[j]:
+            cols[rows, j] = x.values[src]
         cols[edges[j], j] = 0.0
     cols2d = cols.reshape(t_out, k * c_in)
     w2d = kernel.values.reshape(k * c_in, c_out)
@@ -629,14 +634,12 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
         # walking the taps from the last down adds each input row's terms
         # in the order a scatter-add over the windows (np.add.at) would; a
         # tap that read zero passes nothing on
-        d_pad = np.zeros((t_in + 2 * pad, c_in), dtype=x.values.dtype)
+        d_x = np.zeros((t_in, c_in), dtype=x.values.dtype)
         for j in range(k - 1, -1, -1):
             d_cols[edges[j], j] = 0.0
-            if centre is None:
-                d_pad[j:j + span:stride] += d_cols[:, j]
-            else:   # the rows of one tap are distinct
-                d_pad[centre + j] += d_cols[:, j]
-        acc(x, d_pad[pad:pad + t_in])
+            for rows, src in reads[j]:
+                d_x[src] += d_cols[rows, j]
+        acc(x, d_x)
 
     return tape.record(out, bwd)
 
@@ -715,9 +718,8 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
 
     ``segments`` packs several sequences end to end: their row counts, in
     order, summing to T. A query attends only keys of its own segment.
-    Each offset reads its keys and values from ``k`` and ``v`` over the
-    rows where the shift stays inside [0, T), and masks the rows whose key
-    lies outside their segment by integer row index.
+    Each offset takes its query and key rows from the window plan conv1d
+    uses, and masks the rows whose key lies outside their segment.
     """
     tape = _same_tape(q, k, v)
     if window < 1 or window % 2 == 0:
@@ -737,10 +739,10 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
     heads = (t, num_heads, d // num_heads)
     r = min(window // 2, max(seg) - 1)   # farther offsets reach no key
     w = 2 * r + 1
-    _, _, drop = _window_plan(seg, r, 1)
-    # offset o pairs query rows lo..hi-1 with key rows lo+o-r..hi+o-r; the
-    # rows of drop[o] (those outside lo..hi among them) may not attend
-    bounds = [(max(0, r - o), min(t, t + r - o)) for o in range(w)]
+    _, reads, drop = _window_plan(seg, r, 1)
+    # at stride 1 every offset has one pair: query rows qs meet key rows ks;
+    # the rows of drop[o] (those outside qs among them) may not attend
+    bounds = [pair for (pair,) in reads]
     dt = np.result_type(q.values, k.values, v.values)
     scale = dt.type(1.0 / np.sqrt(heads[2]))
     q3 = q.values.reshape(heads)
@@ -749,8 +751,8 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
 
     # the scores become the softmax weights y in place
     y = np.empty((w, t, num_heads), dtype=dt)
-    for o, (lo, hi) in enumerate(bounds):
-        np.einsum("thd,thd->th", q3[lo:hi], k3[lo + o - r:hi + o - r], out=y[o, lo:hi])
+    for o, (qs, ks) in enumerate(bounds):
+        np.einsum("thd,thd->th", q3[qs], k3[ks], out=y[o, qs])
         y[o, drop[o]] = -np.inf
     y *= scale
     y -= y.max(axis=0)
@@ -758,26 +760,24 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
     y /= y.sum(axis=0)
     out = np.zeros(heads, dtype=dt)
     term = np.empty(heads, dtype=dt)
-    for o, (lo, hi) in enumerate(bounds):
-        out[lo:hi] += np.multiply(y[o, lo:hi, :, None], v3[lo + o - r:hi + o - r],
-                                  out=term[lo:hi])
+    for o, (qs, ks) in enumerate(bounds):
+        out[qs] += np.multiply(y[o, qs, :, None], v3[ks], out=term[qs])
 
     def bwd(g, acc):
         g3 = g.reshape(heads)
         gt = np.result_type(g3, dt)
         dy = np.zeros(y.shape, dtype=gt)
         d_v = np.zeros(heads, dtype=gt)
-        for o, (lo, hi) in enumerate(bounds):
-            np.einsum("thd,thd->th", g3[lo:hi], v3[lo + o - r:hi + o - r],
-                      out=dy[o, lo:hi])
-            d_v[lo + o - r:hi + o - r] += y[o, lo:hi, :, None] * g3[lo:hi]
+        for o, (qs, ks) in enumerate(bounds):
+            np.einsum("thd,thd->th", g3[qs], v3[ks], out=dy[o, qs])
+            d_v[ks] += y[o, qs, :, None] * g3[qs]
         ds = y * (dy - (dy * y).sum(axis=0)) * scale
         d_q = np.zeros(heads, dtype=gt)
         d_k = np.zeros(heads, dtype=gt)
-        for o, (lo, hi) in enumerate(bounds):
-            ds_o = ds[o, lo:hi, :, None]
-            d_q[lo:hi] += ds_o * k3[lo + o - r:hi + o - r]
-            d_k[lo + o - r:hi + o - r] += ds_o * q3[lo:hi]
+        for o, (qs, ks) in enumerate(bounds):
+            ds_o = ds[o, qs, :, None]
+            d_q[qs] += ds_o * k3[ks]
+            d_k[ks] += ds_o * q3[qs]
         acc(q, d_q.reshape(t, d))
         acc(k, d_k.reshape(t, d))
         acc(v, d_v.reshape(t, d))

@@ -292,6 +292,8 @@ def load_annotations(path) -> list[AnnotationSet]:
     _require(isinstance(class_names, list) and class_names
              and all(isinstance(n, str) for n in class_names),
              f"{path}: class_names must be a non-empty list of strings")
+    dup = sorted({n for n in class_names if class_names.count(n) > 1})
+    _require(not dup, f"{path}: duplicate class names: {', '.join(map(repr, dup))}")
     videos = doc.get("videos")
     _require(isinstance(videos, list), f"{path}: videos must be a list")
 

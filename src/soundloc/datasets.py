@@ -46,10 +46,14 @@ def write_dataset(out_dir, spec: dio.SyntheticSpec,
     pairs, annotations = dio.generate_synthetic(spec)
     ids = [v.video_id for v, _ in pairs]
     splits = dio.split_by_hash(ids, counts=split_counts)
+    files = {out / "features" / f"{seq.video_id}.{seq.modality}.tslf": seq
+             for pair in pairs for seq in pair}
+    for stale in (out / "features").glob("*.tslf"):
+        if stale not in files:   # an earlier dataset's video
+            stale.unlink()
     (out / "features").mkdir(parents=True, exist_ok=True)
-    for visual, audio in pairs:
-        dio.save_features(visual, out / "features" / f"{visual.video_id}.visual.tslf")
-        dio.save_features(audio, out / "features" / f"{audio.video_id}.audio.tslf")
+    for path, seq in files.items():
+        dio.save_features(seq, path)
     dio.save_annotations(annotations, out / "annotations.json")
     manifest = {
         "generator_spec": asdict(spec),

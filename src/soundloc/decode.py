@@ -13,11 +13,11 @@ soft_nms sorts its rows by (label, -score, start, end) once per call, then
 runs every class in one loop. Each round takes every live class's best score
 with one reduceat over the class offsets, breaks ties at that score by
 (start, end), decays the rest of the class against the pick and drops the
-dead rows, which keeps each class contiguous. Overlaps use the arithmetic of
-evaluate.tiou, and the gaussian factor comes from math.exp, not np.exp,
-whose vectorized kernels can differ from the C library's exp by one ulp: the
-scores match a one-candidate-at-a-time implementation to the bit. Only the
-rows that overlap their class's pick pay for it.
+dead rows, which keeps each class contiguous. Overlaps come from
+overlap_tiou (evaluate.tiou's arithmetic), and the gaussian factor from
+math.exp, not np.exp, whose vectorized kernels can differ from the C
+library's exp by one ulp: the scores match a one-candidate-at-a-time
+implementation to the bit. Only the rows that overlap their pick pay for it.
 """
 
 from __future__ import annotations
@@ -72,6 +72,18 @@ class Candidates:
     def take(self, rows) -> Candidates:
         return Candidates(self.label[rows], self.score[rows], self.start[rows],
                           self.end[rows])
+
+
+def overlap_tiou(a_start, a_end, b_start, b_end) -> tuple[np.ndarray, np.ndarray]:
+    """The rows where intervals a and b overlap, and their tIoU there.
+
+    The arithmetic is evaluate.tiou's, so each value equals it to the bit;
+    every other row has tIoU 0.
+    """
+    inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
+    hit = (~(inter <= 0)).nonzero()[0]
+    i = inter[hit]
+    return hit, i / ((a_end[hit] - a_start[hit]) + (b_end[hit] - b_start[hit]) - i)
 
 
 def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
@@ -161,13 +173,9 @@ def soft_nms(cands: Candidates, sigma: float = NMS_SIGMA,
         picked_score.append(s[best])
         kept[live_cls] += 1
 
-        # overlap with the class's pick, with the arithmetic of evaluate.tiou,
-        # for the rows that overlap it: the rest have IoU 0
-        pa, pb = a[best].repeat(count), b[best].repeat(count)
-        inter = np.minimum(pb, b) - np.maximum(pa, a)
-        hit = (~(inter <= 0)).nonzero()[0]
-        i = inter[hit]
-        iou = i / ((pb[hit] - pa[hit]) + (b[hit] - a[hit]) - i)
+        # overlap with the class's pick, for the rows that overlap it: the
+        # rest have IoU 0
+        hit, iou = overlap_tiou(a[best].repeat(count), b[best].repeat(count), a, b)
         if method == "gaussian":
             # math.exp, not np.exp: the scores must match the scalar form to
             # the bit; a row without overlap keeps its score, as exp(-0) = 1

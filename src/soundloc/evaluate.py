@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import write_json
-from .decode import Interval
+from .decode import Interval, overlap_tiou
 from .errors import EmptyInputError
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -89,12 +89,9 @@ def _pair_table(p_video, p_score, p_start, p_end,
     rank = np.repeat(preds, n)
     gt = np.repeat(lo[preds], n) + (np.arange(int(n.sum())) - np.repeat(first, n))
 
-    # evaluate.tiou's arithmetic, pair by pair
-    ps, pe, s, e = r_start[rank], r_end[rank], gs[gt], ge[gt]
-    inter = np.minimum(pe, e) - np.maximum(ps, s)
-    iou = np.zeros(inter.shape)
-    hit = inter > 0
-    iou[hit] = inter[hit] / ((pe[hit] - ps[hit]) + (e[hit] - s[hit]) - inter[hit])
+    hit, hit_iou = overlap_tiou(r_start[rank], r_end[rank], gs[gt], ge[gt])
+    iou = np.zeros(rank.size)
+    iou[hit] = hit_iou
 
     regroup = np.lexsort((-iou, np.repeat(np.arange(preds.size), n)))
     return _PairTable(len(order), len(g_order), r_video[rank][regroup],

@@ -2,11 +2,11 @@
 
 One optimization step packs its batch of videos into one sequence and
 makes one pass of each kind over it: forward through backbone and heads,
-target assignment (once per video, then cached), the combined focal/DIoU
-objective normalized by the batch positive count, backward, global-norm
-clipping and a parameter update. The tape's length does not grow with the
-batch size. Everything is seeded, so two runs with the same config produce
-identical loss trajectories on the same platform.
+target assignment, the combined focal/DIoU objective normalized by the
+batch positive count, backward, global-norm clipping and a parameter
+update. The tape's length does not grow with the batch size. Everything is
+seeded, so two runs with the same config produce identical loss
+trajectories on the same platform.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .decode import Interval
 from .errors import NumericError, ValidationError
 from .evaluate import mean_ap
 from .losses import (
-    Assignment,
     assign_targets,
     join_assignments,
     loss_sums,
@@ -113,24 +112,21 @@ def _relative(path: str, root: Path) -> str:
 
 def train_step(arrays: dict[str, np.ndarray], cfg: ModelConfig,
                batch: list[str], dataset: Dataset,
-               assignments: dict[str, Assignment],
                lambda_reg: float) -> tuple[dict[str, np.ndarray], dict]:
     """Forward/backward over one batch; returns gradients and loss scalars.
 
     The batch's videos go through the model as one packed sequence, and
-    their cached targets are joined in the same row order for one loss.
+    their targets are joined in the same row order for one loss.
     """
     tape = ad.Tape(dtype=np.float32)
     bound = pr.bind(tape, arrays)
     videos = sorted(batch)
     fused = [dataset.fused[vid] for vid in videos]
     points, head_out = forward_video(bound, cfg, [f.data for f in fused], tape)
-    for vid, seq, video_points in zip(videos, fused, points):
-        if vid not in assignments:
-            assignments[vid] = assign_targets(
-                video_points, dataset.annotations[vid], seq.stride_sec,
-                cfg.num_classes)
-    sums = loss_sums(head_out, join_assignments([assignments[v] for v in videos]))
+    targets = [assign_targets(video_points, dataset.annotations[vid],
+                              seq.stride_sec, cfg.num_classes)
+               for vid, seq, video_points in zip(videos, fused, points)]
+    sums = loss_sums(head_out, join_assignments(targets))
     loss, scalars = objective(*sums, lambda_reg)
     ad.backward(tape, loss)
     tape.clear()   # no cycle left: reference counting frees the step's tape
@@ -196,7 +192,6 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
     warmup_steps = steps_per_epoch * cfg.warmup_epochs
 
     manifest = RunManifest(config=asdict(cfg), code_version=__version__)
-    assignments: dict[str, Assignment] = {}
     step = 0
     for epoch in range(cfg.epochs):
         order = list(train_ids)
@@ -206,7 +201,7 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
                 order[i:i + cfg.batch_size]
                 for i in range(0, len(order), cfg.batch_size)):
             grads, scalars = train_step(arrays, mcfg, batch, dataset,
-                                        assignments, cfg.lambda_reg)
+                                        cfg.lambda_reg)
             where = (f"at epoch {epoch} batch {bi} "
                      f"(videos: {', '.join(sorted(batch))})")
             if not math.isfinite(scalars["total"]):

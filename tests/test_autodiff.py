@@ -913,6 +913,49 @@ SEG_CONV_RTOL = 2e-6
 SEG_CONV_PARAM_RTOL = 1e-5
 
 
+# videos whose lengths are odd at some level, as the pyramid packs them
+ODD_SEGMENT_LISTS = [[63, 65], [33, 17, 40, 1, 9], [
+    int(n) for n in np.random.default_rng(40).integers(1, 80, size=40)]]
+
+
+def oracle_segmented_conv1d(x, kernel, bias, stride, segments):
+    """conv1d over packed segments as it was before the window plan's
+    slices: every window's rows gathered with np.take from the row each
+    output is centered on, and a fancy-index add per tap in backward."""
+    k, c_in, c_out = kernel.values.shape
+    pad = k // 2
+    n = np.array(segments)
+    n_out = -(-n // stride)
+    first_out = np.cumsum(n_out) - n_out
+    first_in = np.cumsum(n) - n
+    t_in, t_out = int(n.sum()), int(n_out.sum())
+    centre = np.repeat(first_in - stride * first_out, n_out) + stride * np.arange(t_out)
+    seg_lo = np.repeat(first_in, n_out)
+    seg_hi = seg_lo + np.repeat(n, n_out)
+    outside = [(centre + j - pad < seg_lo) | (centre + j - pad >= seg_hi)
+               for j in range(k)]
+    cols = np.empty((t_out, k, c_in), dtype=x.values.dtype)
+    for j in range(k):
+        np.take(x.values, centre + (j - pad), axis=0, out=cols[:, j], mode="clip")
+        cols[outside[j], j] = 0.0
+    cols2d = cols.reshape(t_out, k * c_in)
+    w2d = kernel.values.reshape(k * c_in, c_out)
+    out = cols2d @ w2d
+    out += bias.values
+
+    def bwd(g, acc):
+        acc(bias, g.sum(axis=0))
+        acc(kernel, (cols2d.T @ g).reshape(k, c_in, c_out))
+        d_cols = (g @ w2d.T).reshape(t_out, k, c_in)
+        d_pad = np.zeros((t_in + 2 * pad, c_in), dtype=x.values.dtype)
+        for j in range(k - 1, -1, -1):
+            d_cols[outside[j], j] = 0.0
+            d_pad[centre + j] += d_cols[:, j]   # the rows of one tap are distinct
+        acc(x, d_pad[pad:pad + t_in])
+
+    return x.tape.record(out, bwd)
+
+
 def per_segment(op, inputs, shared, segments, upstream, dtype=np.float32):
     """Outputs and gradients of ``op`` run on each segment alone.
 
@@ -976,6 +1019,37 @@ class TestSegments:
         assert_close_to_max(got_dx, want_dx, SEG_CONV_RTOL)
         for g, w in zip(got_dp, want_dp):
             assert_close_to_max(g, w, SEG_CONV_PARAM_RTOL)
+
+    @pytest.mark.parametrize("segments", SEGMENT_LISTS + ODD_SEGMENT_LISTS,
+                             ids=SEGMENT_IDS + ["63-65", "33-17-40-1-9", "forty"])
+    @pytest.mark.parametrize("c_out", [64, 5, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv1d_bit_equal_to_gather_oracle(self, k, stride, c_out, segments):
+        rng = np.random.default_rng(k * 100 + stride * 10 + c_out)
+        operands = [rng.normal(size=(sum(segments), 64)).astype(np.float32),
+                    rng.normal(size=(k, 64, c_out)).astype(np.float32),
+                    rng.normal(size=c_out).astype(np.float32)]
+        up = rng.normal(size=(sum(-(-n // stride) for n in segments), c_out))
+        up = up.astype(np.float32)
+        got, got_g = grads_through(
+            lambda x, w, b: ad.conv1d(x, w, stride=stride, bias=b, segments=segments),
+            np.float32, operands, up)
+        want, want_g = grads_through(
+            lambda x, w, b: oracle_segmented_conv1d(x, w, b, stride, segments),
+            np.float32, operands, up)
+        assert bit_equal(got, want)
+        for g, w in zip(got_g, want_g):
+            assert bit_equal(g, w)
+
+    @pytest.mark.parametrize("segments, stride, pairs", [
+        ((64, 64), 2, 1), ((128,), 2, 1), ((64, 64), 1, 1), ((63, 65), 1, 1),
+        ((63, 65), 2, 2), ((2, 3, 4, 5), 2, 2)])
+    def test_window_plan_slices_per_tap(self, segments, stride, pairs):
+        # one slice per run of segments whose windows continue one stride
+        # apart: an odd length before the last starts a new run at stride 2
+        _, reads, _ = ad._window_plan(segments, 2, stride)
+        assert [len(r) for r in reads] == [pairs] * 5
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("segments", SEGMENT_LISTS, ids=SEGMENT_IDS)

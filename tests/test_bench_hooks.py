@@ -125,5 +125,5 @@ def test_one_traced_forward_per_step(tmp_path, monkeypatch, batch_size):
         monkeypatch.setattr(owner, name, counted)
     cfg = desk_scale_config().model
     train.train_step(model.init_model_arrays(cfg, seed=0), cfg, ds.videos("train"),
-                     ds, {}, 1.0)
+                     ds, 1.0)
     assert calls == ["forward_video", "run_heads"]

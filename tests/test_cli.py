@@ -196,6 +196,16 @@ class TestGenData:
         assert "error[validation]" in capsys.readouterr().err
         assert cli.main(["gen-data", "--out", str(out), "--videos", "2",
                          "--force"]) == 0
+        # a smaller dataset over a larger one leaves none of its features
+        assert cli.main(["gen-data", "--out", str(out), "--videos", "6",
+                         "--force"]) == 0
+        (out / "features" / "notes.txt").write_text("kept")
+        assert cli.main(["gen-data", "--out", str(out), "--videos", "3",
+                         "--force"]) == 0
+        feats = sorted(p.name for p in (out / "features").iterdir())
+        assert feats == ["notes.txt"] + sorted(
+            f"vid{i:05d}.{m}.tslf" for i in range(3) for m in ("audio", "visual"))
+        assert load_dataset(out).videos() == ["vid00000", "vid00001", "vid00002"]
 
 
 class TestConfigFile:
@@ -293,11 +303,8 @@ def count_step_records(dataset, batch, monkeypatch):
 
     monkeypatch.setattr(ad, "Tape", CountingTape)
     cfg = desk_scale_config().model
-    assignments = {}
-    train_step(init_model_arrays(cfg, seed=0), cfg, batch, dataset,
-               assignments, 1.0)
-    assert len(assignments) == len(batch)
-    assert all(a.t_plus > 0 for a in assignments.values())
+    _, scalars = train_step(init_model_arrays(cfg, seed=0), cfg, batch, dataset, 1.0)
+    assert scalars["t_plus"] > 0
     return len(records), len(ran)
 
 
@@ -343,7 +350,7 @@ class TestTraining:
         cfg = desk_scale_config().model
         arrays = init_model_arrays(cfg, seed=0)
         batch = ds.videos("train")
-        grads, got = train_step(arrays, cfg, batch, ds, {}, 1.0)
+        grads, got = train_step(arrays, cfg, batch, ds, 1.0)
         want_grads, want = level_oracles.train_step(arrays, cfg, batch, ds, 1.0)
         assert sorted(grads) == sorted(want_grads)
         for name in grads:
@@ -433,7 +440,7 @@ class TestTraining:
         assert good >= 9, f"only {good}/10 seeds decreased monotonically"
 
     def test_nan_loss_aborts_with_batch_id(self, tiny_dataset, tmp_path, monkeypatch):
-        def poisoned(arrays, cfg, batch, dataset, assignments, lambda_reg):
+        def poisoned(arrays, cfg, batch, dataset, lambda_reg):
             grads = {k: np.zeros_like(v) for k, v in arrays.items()}
             return grads, {"total": float("nan"), "l_cls": 0.0,
                            "l_reg": 0.0, "t_plus": 0}
@@ -492,7 +499,7 @@ class TestTraining:
         ds = load_dataset(tiny_dataset)
         vid = ds.videos("train")[0]
         arrays = init_model_arrays(cfg.model, seed=5)
-        _, got = train_step(arrays, cfg.model, [vid], ds, {}, cfg.lambda_reg)
+        _, got = train_step(arrays, cfg.model, [vid], ds, cfg.lambda_reg)
 
         tape = ad.Tape(dtype=np.float32)
         (points,), head_out = forward_video(pr.bind(tape, arrays), cfg.model,
@@ -702,7 +709,7 @@ class TestCheckpoints:
         try:
             grads, scalars = train_step(
                 init_model_arrays(cfg.model, seed=5), cfg.model,
-                ds.videos("train")[:2], ds, {}, cfg.lambda_reg)
+                ds.videos("train")[:2], ds, cfg.lambda_reg)
             assert len(tapes) == 1 and tapes[0]() is None
         finally:
             gc.enable()
@@ -927,6 +934,22 @@ class TestPredictEvalCli:
         assert err.startswith("error[annotation-format]")
         assert "duplicate video_id 'v'" in err
 
+    def test_eval_duplicate_class_names_rejected(self, tmp_path, capsys):
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps({"class_names": ["dog", "cat", "dog"], "videos": [
+            {"video_id": "v", "duration_sec": 10.0,
+             "events": [{"label": 0, "start_sec": 0.0, "end_sec": 1.0},
+                        {"label": 2, "start_sec": 5.0, "end_sec": 6.0}]}]}))
+        pred_path = tmp_path / "preds.json"
+        dio.write_predictions({"v": [{"label": 0, "score": 0.9, "start_sec": 0.0,
+                                      "end_sec": 1.0}]}, pred_path)
+        rc = cli.main(["eval", "--predictions", str(pred_path),
+                       "--annotations", str(ann_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[annotation-format]")
+        assert "duplicate class names: 'dog'" in err
+
     @pytest.mark.parametrize("how, needle", [
         ("short_audio", "more than one stride apart"),
         ("orphan_audio", "ghost.audio.tslf")])
@@ -993,6 +1016,22 @@ class TestPredictEvalCli:
                        "--annotations", str(ann_path)])
         assert rc == 4
         assert "score must be in [0, 1]" in capsys.readouterr().err
+
+    def test_eval_duplicate_class_names_rejected(self, tmp_path, capsys):
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps({"class_names": ["dog", "cat", "dog"], "videos": [
+            {"video_id": "v", "duration_sec": 10.0,
+             "events": [{"label": 0, "start_sec": 0.0, "end_sec": 1.0},
+                        {"label": 2, "start_sec": 5.0, "end_sec": 6.0}]}]}))
+        pred_path = tmp_path / "preds.json"
+        dio.write_predictions({"v": [{"label": 0, "score": 0.9, "start_sec": 0.0,
+                                      "end_sec": 1.0}]}, pred_path)
+        rc = cli.main(["eval", "--predictions", str(pred_path),
+                       "--annotations", str(ann_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[annotation-format]")
+        assert "duplicate class names: 'dog'" in err
 
     @pytest.mark.parametrize("how, needle", [
         ("short_audio", "more than one stride apart"),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from soundloc import config as config_mod
 from soundloc import data as dio
 from soundloc import model as model_mod
-from soundloc.datasets import load_feature_dir
+from soundloc.datasets import load_dataset, load_feature_dir, write_dataset
 from soundloc.errors import (
     AnnotationFormatError,
     ConfigError,
@@ -214,6 +214,16 @@ class TestAnnotationJson:
         doc["videos"].append(dict(doc["videos"][0], events=[]))
         with pytest.raises(AnnotationFormatError, match="duplicate video_id 'v1'"):
             dio.load_annotations(self.write(tmp_path, doc))
+
+    def test_repeated_class_name_rejected(self, tmp_path):
+        # two classes of one name would share one per-class AP entry
+        root = tmp_path / "d"
+        write_dataset(root, dio.SyntheticSpec(num_videos=2, num_classes=3, seed=1))
+        doc = json.loads((root / "annotations.json").read_text())
+        doc["class_names"] = ["a", "b", "a"]
+        (root / "annotations.json").write_text(json.dumps(doc))
+        with pytest.raises(AnnotationFormatError, match="duplicate class names: 'a'"):
+            load_dataset(root)
 
     def test_start_at_or_after_end_names_video_and_index(self, tmp_path):
         doc = self.minimal_doc()
