@@ -3,6 +3,8 @@
 Eager, tape-based: every operation computes its value immediately and appends
 a backward closure to the owning :class:`Tape`. :func:`backward` replays the
 tape in exact reverse order, so gradients are exact up to floating point.
+It consumes the tape: each record, with the arrays its closure saved, is
+freed as soon as the closure has run, so a record serves one backward pass.
 A tape made with ``record=False`` keeps no closures, for inference.
 A tape and its tensors belong to a single thread; independent tapes may run
 concurrently because there is no shared mutable state.
@@ -52,16 +54,15 @@ class Tensor:
     gradients.
     """
 
-    __slots__ = ("values", "grad", "tape", "node_id", "is_leaf", "requires_grad")
+    __slots__ = ("values", "grad", "tape", "is_leaf", "requires_grad")
 
-    def __init__(self, values: np.ndarray, tape: "Tape", node_id: int,
-                 is_leaf: bool, requires_grad: bool):
+    def __init__(self, values: np.ndarray, tape: "Tape", is_leaf: bool,
+                 requires_grad: bool):
         if values.ndim > 3:
             raise ShapeError(f"tensors are limited to rank 3, got shape {values.shape}")
         self.values = values
         self.grad: Optional[np.ndarray] = None
         self.tape = tape
-        self.node_id = node_id
         self.is_leaf = is_leaf
         self.requires_grad = requires_grad
 
@@ -74,11 +75,13 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of executed operations.
+    """Ordered record of executed operations, each for one backward pass.
 
     Topological order holds by construction: an op's inputs were produced by
     earlier ops or are leaves, and :func:`backward` walks the record in exact
-    reverse order.
+    reverse order, removing each record as it runs it. Until then a record
+    and the tensors it refers to form a reference cycle through the tape;
+    once :func:`backward` returns, reference counting frees them all.
 
     A tape made with ``record=False`` serves a forward pass that needs no
     gradients: every op still computes its value and goes through
@@ -91,43 +94,30 @@ class Tape:
         self.dtype = np.dtype(dtype)
         self.recording = record
         self._nodes: list[tuple[Tensor, Callable]] = []
-        self._next_id = 0
-
-    def _new_tensor(self, values: np.ndarray, is_leaf: bool, requires_grad: bool) -> Tensor:
-        t = Tensor(values, self, self._next_id, is_leaf, requires_grad)
-        self._next_id += 1
-        return t
 
     def leaf(self, values, requires_grad: bool = True) -> Tensor:
         """Register a leaf (input or parameter) on this tape."""
         arr = np.asarray(values, dtype=self.dtype)
-        return self._new_tensor(arr, is_leaf=True, requires_grad=requires_grad)
+        return Tensor(arr, self, is_leaf=True, requires_grad=requires_grad)
 
     def constant(self, values) -> Tensor:
         """Register a non-differentiable constant."""
         return self.leaf(values, requires_grad=False)
 
     def record(self, out_values: np.ndarray, bwd: Callable) -> Tensor:
-        out = self._new_tensor(out_values, is_leaf=False, requires_grad=True)
+        out = Tensor(out_values, self, is_leaf=False, requires_grad=True)
         if self.recording:
             self._nodes.append((out, bwd))
         return out
-
-    def clear(self) -> None:
-        """Drop every record; the tensors keep their values.
-
-        Records and tensors refer to each other, so a used tape is cyclic
-        garbage that waits for the cyclic collector. Clearing it after the
-        backward pass lets reference counting free it at once.
-        """
-        self._nodes.clear()
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every leaf's ``.grad``.
 
-    ``loss`` must be a scalar on ``tape``. Repeated calls without clearing
-    leaf grads accumulate (gradients add linearly).
+    ``loss`` must be a scalar on ``tape``. The pass consumes the tape's
+    records, releasing each closure and the arrays it saved once it has
+    run, so a tape with no records left is refused; records made after a
+    pass serve the next one.
     """
     if not tape.recording:
         raise ShapeError("backward needs a recording tape; this one was made "
@@ -136,9 +126,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ShapeError("loss does not belong to this tape")
     if loss.values.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.values.shape}")
+    nodes = tape._nodes
+    if not nodes:
+        raise ShapeError("backward found no records on this tape; a backward "
+                         "pass consumes the records it runs")
 
-    # transient grads for intermediates, keyed by node id
-    pending: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.values)}
+    # transient grads for intermediates
+    pending: dict[Tensor, np.ndarray] = {}
 
     def accumulate(t: Tensor, g: np.ndarray) -> None:
         if t.is_leaf:
@@ -149,21 +143,18 @@ def backward(tape: Tape, loss: Tensor) -> None:
         else:
             # no copy: a closure never writes to an array after passing it
             # on, and a second arrival makes a new array, never ``+=``
-            if t.node_id in pending:
-                pending[t.node_id] = pending[t.node_id] + g
+            if t in pending:
+                pending[t] = pending[t] + g
             else:
-                pending[t.node_id] = g
+                pending[t] = g
 
-    if loss.is_leaf:
-        # d(loss)/d(loss) = 1 even for a bare leaf
-        accumulate(loss, np.ones_like(loss.values))
-        return
-
-    for out, bwd in reversed(tape._nodes):
-        g = pending.pop(out.node_id, None)
-        if g is None:
-            continue
-        bwd(g, accumulate)
+    # d(loss)/d(loss) = 1, also for a bare leaf
+    accumulate(loss, np.ones_like(loss.values))
+    while nodes:
+        out, bwd = nodes.pop()
+        g = pending.pop(out, None)
+        if g is not None:
+            bwd(g, accumulate)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -417,7 +408,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
     def bwd(g, acc):
         for p, piece in zip(parts, np.split(g, ends, axis=1)):
-            _acc_unless_zero(acc, p, piece)
+            acc(p, piece)
 
     return parts[0].tape.record(
         np.concatenate([p.values for p in parts], axis=1), bwd)
@@ -454,16 +445,9 @@ def concat_rows(parts: Sequence[Tensor],
         for (i, _, _), piece in zip(blocks, np.split(g, ends[:-1])):
             pieces[i].append(piece)
         for p, own in zip(parts, pieces):
-            _acc_unless_zero(acc, p, own[0] if len(own) == 1 else np.concatenate(own))
+            acc(p, own[0] if len(own) == 1 else np.concatenate(own))
 
     return parts[0].tape.record(out, bwd)
-
-
-def _acc_unless_zero(acc, part: Tensor, g: np.ndarray) -> None:
-    # a part whose gradient is all zero gets none, so the graph behind it
-    # does no work
-    if g.any():
-        acc(part, g)
 
 
 def _check_concat(parts: Sequence[Tensor], axis: int) -> None:

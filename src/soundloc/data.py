@@ -585,12 +585,11 @@ def generate_synthetic(spec: SyntheticSpec):
 
 
 def split_by_hash(video_ids: list[str],
-                  fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
                   counts: tuple[int, int, int] | None = None) -> dict[str, list[str]]:
     """Partition video ids into train/val/test by a stable content hash.
 
     With ``counts`` given, exactly those sizes are used (they must cover all
-    ids); otherwise ``fractions`` decide the sizes. Ordering inside each split
+    ids); otherwise the split is 60/20/20, rounded. Ordering inside each split
     follows the hash ranking, so the partition depends only on the id strings.
     """
     import hashlib
@@ -606,13 +605,7 @@ def split_by_hash(video_ids: list[str],
             raise ConfigError(
                 f"split counts {counts} do not sum to {n} videos")
     else:
-        if abs(sum(fractions) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions {fractions} must sum to 1")
-        n_train = int(round(fractions[0] * n))
-        n_val = int(round(fractions[1] * n))
-        n_test = n - n_train - n_val
-        if min(n_train, n_val, n_test) < 0:
-            raise ConfigError(f"split fractions {fractions} are infeasible for {n} videos")
+        n_train, n_val = int(round(0.6 * n)), int(round(0.2 * n))
     return {
         "train": sorted(ranked[:n_train]),
         "val": sorted(ranked[n_train:n_train + n_val]),

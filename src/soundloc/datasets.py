@@ -129,6 +129,15 @@ def load_dataset(root_dir) -> Dataset:
                 for ids in splits.values())):
             raise AnnotationFormatError(f"{manifest_path}: must be an object whose "
                                         "splits map names to lists of video ids")
+        homes: dict[str, list[str]] = {}
+        for name, ids in splits.items():
+            for vid in ids:
+                homes.setdefault(vid, []).append(name)
+        for vid, names in sorted(homes.items()):
+            if len(names) > 1:
+                raise AnnotationFormatError(
+                    f"{manifest_path}: video {vid!r} is listed more than once, "
+                    f"in splits {names}")
 
     class_names = anns[0].class_names if anns else []
     return Dataset(fused=fused, annotations=by_vid, class_names=class_names,

@@ -129,7 +129,6 @@ def train_step(arrays: dict[str, np.ndarray], cfg: ModelConfig,
     sums = loss_sums(head_out, join_assignments(targets))
     loss, scalars = objective(*sums, lambda_reg)
     ad.backward(tape, loss)
-    tape.clear()   # no cycle left: reference counting frees the step's tape
     return pr.collect_grads(bound), scalars
 
 

@@ -218,7 +218,6 @@ def train_step(arrays, cfg, batch, dataset, lambda_reg):
         t_plus += video_pos
     loss, scalars = objective(cls_total, reg_total, t_plus, lambda_reg)
     ad.backward(tape, loss)
-    tape.clear()
     return pr.collect_grads(bound), scalars
 
 

@@ -5,7 +5,9 @@ wrap functions by module and attribute name, in the namespace where the
 caller looks them up, and ``perfbench/workloads.py`` calls
 ``evaluate.oracle_ap``. Renaming or deleting any of these in ``src/`` breaks
 the benchmark without failing a package test; these tests resolve every
-entry the way the two ``install()`` methods do, and install nothing. The
+entry the way the two ``install()`` methods do. One installs the span
+tracer around a training step, to pin the records it counts through
+``Tape.record`` and that uninstalling restores it. The
 work counters that ``spans._counters`` reads off a span's arguments and
 result are checked against real results too, and so is the one call per
 training step that the forward and head spans count.
@@ -127,3 +129,26 @@ def test_one_traced_forward_per_step(tmp_path, monkeypatch, batch_size):
     train.train_step(model.init_model_arrays(cfg, seed=0), cfg, ds.videos("train"),
                      ds, 1.0)
     assert calls == ["forward_video", "run_heads"]
+
+
+def test_tracer_counts_a_step_records_and_uninstalls(tmp_path, bench_modules):
+    # spans.Tracer replaces Tape.record to count records per phase: a desk
+    # training step records 101 ops, and uninstalling puts Tape.record back
+    spans, _ = bench_modules
+    write_dataset(tmp_path, SyntheticSpec(num_videos=2, duration_sec=64.0, seed=2),
+                  split_counts=(2, 0, 0))
+    ds = load_dataset(tmp_path)
+    cfg = desk_scale_config().model
+    arrays = model.init_model_arrays(cfg, seed=0)
+    record = ad.Tape.record
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert ad.Tape.record is not record
+        with tracer.span("op"):
+            train.train_step(arrays, cfg, ds.videos("train"), ds, 1.0)
+    finally:
+        tracer.uninstall()
+    assert ad.Tape.record is record
+    assert tracer.counts[("op", "autodiff.records")] == 101
+    assert [s[0] for s in tracer.spans].count("train.train_step") == 1

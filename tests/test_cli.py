@@ -552,6 +552,30 @@ class TestTraining:
         assert err.startswith("error[annotation-format]") and "manifest.json" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("train_ids, val_ids, homes", [
+        (["vid00000", "vid00000"], ["vid00000", "vid00000"],
+         "['train', 'train', 'val', 'val']"),
+        (None, ["vid00000"], "['train', 'val']")], ids=["twice-in-each", "in-two"])
+    def test_video_listed_twice_in_splits_exits_4(self, tmp_path, capsys,
+                                                  train_ids, val_ids, homes):
+        # a training video scored as validation would report its own fit
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(data), "--videos", "6",
+                         "--split-counts", "3", "2", "1"]) == 0
+        doc = json.loads((data / "manifest.json").read_text())
+        assert "vid00000" in doc["splits"]["train"]
+        doc["splits"]["train"] = train_ids or doc["splits"]["train"]
+        doc["splits"]["val"] = val_ids
+        (data / "manifest.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(data), "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[annotation-format]")
+        assert f"video 'vid00000' is listed more than once, in splits {homes}" in err
+        assert not out.exists()
+
     def test_label_beyond_num_classes_rejected(self, tmp_path, capsys):
         root = tmp_path / "ds7"
         write_dataset(root, tiny_spec(num_classes=7), split_counts=(4, 2, 2))

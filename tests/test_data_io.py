@@ -225,6 +225,19 @@ class TestAnnotationJson:
         with pytest.raises(AnnotationFormatError, match="duplicate class names: 'a'"):
             load_dataset(root)
 
+    def test_video_listed_twice_in_one_split_rejected(self, tmp_path):
+        root = tmp_path / "d"
+        write_dataset(root, dio.SyntheticSpec(num_videos=3, seed=1),
+                      split_counts=(2, 1, 0))
+        doc = json.loads((root / "manifest.json").read_text())
+        vid = doc["splits"]["train"][0]
+        doc["splits"]["train"].append(vid)
+        (root / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(AnnotationFormatError,
+                           match=f"'{vid}' is listed more than once, in "
+                                 r"splits \['train', 'train'\]"):
+            load_dataset(root)
+
     def test_start_at_or_after_end_names_video_and_index(self, tmp_path):
         doc = self.minimal_doc()
         doc["videos"][0]["events"][0]["start_sec"] = 5.0
