@@ -628,6 +628,14 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
     return tape.record(out, bwd)
 
 
+def _row_mean(v: np.ndarray) -> np.ndarray:
+    """``v.mean(axis=1, keepdims=True)`` to the bit, without np.mean's
+    Python-level wrapper: the same pairwise sum, divided in place."""
+    m = np.add.reduce(v, axis=1, keepdims=True)
+    m /= v.shape[1]
+    return m
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-timestep normalization over features, population variance."""
     tape = _same_tape(x, gamma, beta)
@@ -641,10 +649,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if not 0 < eps < math.inf:
         raise ConfigError(f"layer_norm eps must be positive and finite, got {eps}")
 
-    mu = x.values.mean(axis=1, keepdims=True)
+    mu = _row_mean(x.values)
     xhat = x.values - mu
     out = xhat * xhat
-    var = out.mean(axis=1, keepdims=True)
+    var = _row_mean(out)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
     np.multiply(xhat, gamma.values, out=out)
@@ -654,8 +662,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         acc(beta, g.sum(axis=0))
         acc(gamma, (g * xhat).sum(axis=0))
         gx = g * gamma.values
-        acc(x, inv_std * (gx - gx.mean(axis=1, keepdims=True)
-                          - xhat * (gx * xhat).mean(axis=1, keepdims=True)))
+        acc(x, inv_std * (gx - _row_mean(gx) - xhat * _row_mean(gx * xhat)))
 
     return tape.record(out, bwd)
 

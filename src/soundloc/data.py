@@ -22,6 +22,7 @@ import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -452,14 +453,65 @@ def load_predictions(path) -> dict[str, list[dict]]:
             for vid, dets in out.items()}
 
 
+# one detection as json.dump(indent=2, sort_keys=True) writes it inside a
+# prediction file; %r is int.__repr__ or float.__repr__, as json uses
+_DETECTION_JSON = ('        {\n'
+                   '          "end_sec": %r,\n'
+                   '          "label": %r,\n'
+                   '          "score": %r,\n'
+                   '          "start_sec": %r\n'
+                   '        }')
+
+
+def _check_writable_predictions(preds_by_video: dict[str, list[dict]]) -> None:
+    """Raise ValidationError unless load_predictions would read every
+    detection back unchanged: the four keys, and values it accepts."""
+    for vid, dets in preds_by_video.items():
+        if not (isinstance(vid, str) and vid):
+            raise ValidationError(f"cannot write predictions: video id must be "
+                                  f"a non-empty string, got {vid!r}")
+        if not isinstance(dets, list):
+            raise ValidationError(f"cannot write predictions: video {vid!r}: "
+                                  f"detections must be a list")
+    dets = [d for dets in preds_by_video.values() for d in dets]
+    if (set(map(type, dets)) <= {dict} and set(map(len, dets)) <= {4}
+            and _detection_columns(dets) is not None):
+        return
+    for vid, dets in preds_by_video.items():
+        for i, det in enumerate(dets):
+            if type(det) is not dict or det.keys() != set(_DET_KEYS):
+                problem = f"must be an object with just the keys {', '.join(_DET_KEYS)}"
+            else:
+                problem = _detection_problem(det)
+            if problem is not None:
+                raise ValidationError(f"cannot write predictions: video {vid!r} "
+                                      f"det {i}: {problem}")
+    raise AssertionError("column checks rejected a valid detection")
+
+
 def write_predictions(preds_by_video: dict[str, list[dict]], path) -> None:
-    doc = {
-        "videos": [
-            {"video_id": vid, "detections": preds_by_video[vid]}
-            for vid in sorted(preds_by_video)
-        ]
-    }
-    write_json(doc, path)
+    """Write {video_id: [detection dicts]} as a prediction file, videos sorted.
+
+    The bytes are those of ``write_json`` on the ``{"videos": [...]}``
+    document, formatted here one detection at a time from a template, since
+    the json module's indenting encoder runs in pure Python. A detection
+    that ``load_predictions`` would reject or change raises ValidationError
+    before anything is written.
+    """
+    _check_writable_predictions(preds_by_video)
+    with atomic_write(path, "w") as fh:
+        fh.write('{\n  "videos": [')
+        sep = "\n"
+        for vid in sorted(preds_by_video):
+            dets = preds_by_video[vid]
+            rows = ",\n".join([_DETECTION_JSON % (d["end_sec"], d["label"],
+                                                  d["score"], d["start_sec"])
+                               for d in dets])
+            listed = f"[\n{rows}\n      ]" if dets else "[]"
+            fh.write(f'{sep}    {{\n      "detections": {listed},\n'
+                     f'      "video_id": {encode_basestring_ascii(vid)}\n    }}')
+            sep = ",\n"
+        fh.write("\n  ]\n}\n" if preds_by_video else "]\n}\n")
 
 
 def write_json(doc, path) -> None:

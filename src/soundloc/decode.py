@@ -3,27 +3,40 @@
 recover_intervals thresholds the per-point class probabilities, converts the
 stride-normalized boundary distances back to seconds and keeps the top
 candidates, in one pass over the head outputs' rows (one per pyramid point,
-levels end to end); soft_nms decays overlapping ones per class;
-select_top_k builds Interval objects for the best rows only. The stages
-pass Candidates, columns with one row per candidate in
+levels end to end); soft_nms decays overlapping ones per class and keeps the
+best max_out; select_top_k builds Interval objects for the best rows only.
+The stages pass Candidates, columns with one row per candidate in
 (-score, start, label, end) order, so a permuted input yields an identical
 output.
 
-soft_nms sorts its rows by (label, -score, start, end) once per call, then
-runs every class in one loop. Each round takes every live class's best score
-with one reduceat over the class offsets, breaks ties at that score by
-(start, end), decays the rest of the class against the pick and drops the
-dead rows, which keeps each class contiguous. Overlaps come from
-overlap_tiou (evaluate.tiou's arithmetic), and the gaussian factor from
-math.exp, not np.exp, whose vectorized kernels can differ from the C
-library's exp by one ulp: the scores match a one-candidate-at-a-time
-implementation to the bit. Only the rows that overlap their pick pay for it.
+soft_nms returns the first max_out rows of per-class soft-NMS, the only rows
+predict keeps, and does only the work they need:
+
+* A pick decays only the rows it overlaps, so each class is cut into overlap
+  clusters (its rows sorted by start, cut wherever a start is at or after
+  every earlier end) that run side by side: every live cluster picks once
+  per round, in the order its class would. The rounds number at most the
+  largest cluster's rows, and at most max_out. Within a class the output
+  order is the pick order, so the first max_out output rows hold at most
+  max_out of any class, as the per-class cap requires. Hard suppression at
+  a threshold <= 0 reaches every row of a class, which is then one cluster.
+* No pick scores more than its row does now. Once max_out rows are picked,
+  a row below the max_out-th best picked score cannot enter the output and
+  is dropped; the rounds end when no row is left.
+
+The rows are sorted once per call, by (label, start, end), so the first row
+at a cluster's best score is the one the (start, end) tie rule picks, and
+the picks once more into output order. Overlaps use evaluate.tiou's
+arithmetic, and the gaussian factor comes from math.exp, not np.exp, whose
+vectorized kernels can differ from the C library's exp by one ulp: the
+scores match a one-candidate-at-a-time implementation to the bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,23 +51,36 @@ NMS_MIN_SCORE = 0.001
 NMS_MAX_OUT = 200
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """A scored detection or a ground-truth event."""
-
+class _IntervalFields(NamedTuple):
     video_id: str
     label_id: int
     score: float
     start_sec: float
     end_sec: float
 
-    def __post_init__(self):
-        if not (-math.inf < self.start_sec < self.end_sec < math.inf):
+
+class Interval(_IntervalFields):
+    """A scored detection or a ground-truth event, checked when built.
+
+    A named tuple, which is cheaper to build than a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, video_id: str, label_id: int, score: float,
+                start_sec: float, end_sec: float) -> Interval:
+        if not (-math.inf < start_sec < end_sec < math.inf):
             raise ValidationError(
                 f"interval must have finite start < end, got "
-                f"[{self.start_sec}, {self.end_sec}]")
-        if not 0.0 <= self.score <= 1.0:   # NaN and +-inf fail too
-            raise ValidationError(f"score must be finite in [0, 1], got {self.score}")
+                f"[{start_sec}, {end_sec}]")
+        if not 0.0 <= score <= 1.0:   # NaN and +-inf fail too
+            raise ValidationError(f"score must be finite in [0, 1], got {score}")
+        return tuple.__new__(cls, (video_id, label_id, score, start_sec, end_sec))
+
+    @classmethod
+    def _make(cls, iterable) -> Interval:
+        """Checked like the constructor; ``_replace`` goes through it."""
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -72,18 +98,6 @@ class Candidates:
     def take(self, rows) -> Candidates:
         return Candidates(self.label[rows], self.score[rows], self.start[rows],
                           self.end[rows])
-
-
-def overlap_tiou(a_start, a_end, b_start, b_end) -> tuple[np.ndarray, np.ndarray]:
-    """The rows where intervals a and b overlap, and their tIoU there.
-
-    The arithmetic is evaluate.tiou's, so each value equals it to the bit;
-    every other row has tIoU 0.
-    """
-    inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
-    hit = (~(inter <= 0)).nonzero()[0]
-    i = inter[hit]
-    return hit, i / ((a_end[hit] - a_start[hit]) + (b_end[hit] - b_start[hit]) - i)
 
 
 def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
@@ -124,21 +138,30 @@ def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
     return Candidates(label, score, start, end).take(order[:pre_nms_topk])
 
 
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """True where a run of equal values in a sorted key begins."""
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return first
+
+
 def soft_nms(cands: Candidates, sigma: float = NMS_SIGMA,
              method: str = "gaussian", iou_thresh: float = NMS_IOU_THRESH,
              min_score: float = NMS_MIN_SCORE,
              max_out: int = NMS_MAX_OUT) -> Candidates:
-    """Score-decaying suppression, independently per class.
+    """Score-decaying suppression per class; the best max_out results.
 
     Gaussian mode multiplies competitors by exp(-IoU^2 / sigma); hard mode
     zeroes them at IoU >= iou_thresh (so a threshold of 1 removes only exact
-    duplicates). Iteration stops at max_out survivors per class or when
-    everything left is below min_score. The survivors carry their decayed
-    scores, ordered by (-score, start, label, end).
+    duplicates). A class picks its best row, decays the rest against it and
+    repeats, until it has max_out picks or everything left is below
+    min_score (its first pick is made whatever its score). The picks carry
+    their decayed scores; the first max_out of them in
+    (-score, start, label, end) order are returned.
 
-    The rows are sorted once per call, not once per round: a round costs a
-    few linear passes over the live rows, plus a sort of the rows tied at a
-    class's best score in the rounds that have such ties.
+    The rounds run per overlap cluster, not per class, and stop once no
+    later pick could enter the result; see the module docstring.
     """
     if method not in ("gaussian", "hard"):
         raise ConfigError(f"unknown suppression method {method!r}")
@@ -147,51 +170,87 @@ def soft_nms(cands: Candidates, sigma: float = NMS_SIGMA,
     if not len(cands) or max_out < 1:
         return cands.take(slice(0))
 
-    # the live rows: not yet picked, in a class below max_out, and at or above
-    # min_score once their class has made its first pick; dropping rows keeps
-    # each class contiguous
-    rows = np.lexsort((cands.end, cands.start, -cands.score, cands.label))
-    labels, g = np.unique(cands.label[rows], return_inverse=True)
+    # rows in (label, start, end) order: in each class, and in each cluster,
+    # the first row at a score is the one the (start, end) tie rule picks
+    rows = np.lexsort((cands.end, cands.start, cands.label))
+    label, s = cands.label[rows], cands.score[rows]
+    # a row below min_score can only be its class's first pick, its best row
+    keep = s >= min_score
+    if not keep.all():
+        lo = _run_starts(label).nonzero()[0]
+        hi = np.append(lo[1:], label.size)
+        for i in (~np.logical_or.reduceat(keep, lo)).nonzero()[0].tolist():
+            keep[lo[i] + s[lo[i]:hi[i]].argmax()] = True
+        rows, label = rows[keep], label[keep]
     s, a, b = cands.score[rows], cands.start[rows], cands.end[rows]
-    kept = np.zeros(labels.size, dtype=np.int64)
+
+    # clusters: a class's rows cut wherever a start is at or after every
+    # earlier end; hard suppression at a threshold <= 0 reaches every row
+    cut = _run_starts(label)
+    if method == "gaussian" or iou_thresh > 0:
+        bounds = np.append(cut.nonzero()[0], label.size).tolist()
+        for i, j in zip(bounds, bounds[1:]):
+            np.greater_equal(a[i + 1:j], np.maximum.accumulate(b[i:j - 1]),
+                             out=cut[i + 1:j])
+    first = cut.nonzero()[0]
+    count = np.diff(first, append=label.size)
+
+    # One pick per live cluster and round; every live cluster has picked in
+    # every round, so max_out rounds retire them all. The live rows are the
+    # ones not yet picked, at or above min_score and, once max_out rows are
+    # picked, at or above the max_out-th best picked score: no row scores
+    # more later than it does now.
+    floor = min_score
+    pool = np.empty(0)   # the max_out best picked scores
     picked: list[np.ndarray] = []
     picked_score: list[np.ndarray] = []
-    while rows.size:
-        count = np.bincount(g, minlength=labels.size)
-        live_cls = count.nonzero()[0]
-        count = count[live_cls]
-        top = np.maximum.reduceat(s, count.cumsum() - count)
-        # every live class's best row by (-score, start, end), in class order;
-        # rows that tie on all three are equal, so which one comes first is moot
+    n_picked = 0
+    for _ in range(max_out):
+        top = np.maximum.reduceat(s, first)
         best = (s == top.repeat(count)).nonzero()[0]
-        if best.size > live_cls.size:
-            tied = best[np.lexsort((b[best], a[best], g[best]))]
-            first = np.ones(tied.size, dtype=bool)
-            first[1:] = g[tied[1:]] != g[tied[:-1]]
-            best = tied[first]
+        if best.size > first.size:   # ties at a top: the cluster's first row
+            best = best[_run_starts(np.searchsorted(first, best, side="right"))]
         picked.append(rows[best])
         picked_score.append(s[best])
-        kept[live_cls] += 1
+        n_picked += best.size
+        if n_picked >= max_out:
+            pool = np.concatenate((pool, picked_score[-1]) if pool.size
+                                  else picked_score)
+            pool.partition(pool.size - max_out)
+            pool = pool[pool.size - max_out:]
+            floor = max(min_score, pool[0])
 
-        # overlap with the class's pick, for the rows that overlap it: the
-        # rest have IoU 0
-        hit, iou = overlap_tiou(a[best].repeat(count), b[best].repeat(count), a, b)
-        if method == "gaussian":
-            # math.exp, not np.exp: the scores must match the scalar form to
-            # the bit; a row without overlap keeps its score, as exp(-0) = 1
-            s[hit] *= np.fromiter(map(math.exp, (-(iou * iou) / sigma).tolist()),
-                                  dtype=np.float64, count=hit.size)
-        elif iou_thresh <= 0:   # IoU 0 meets it too
+        if method == "hard" and iou_thresh <= 0:   # IoU 0 meets it too
             s[:] = 0.0
         else:
-            s[hit[iou >= iou_thresh]] = 0.0
-        live = (s >= min_score) & (kept[live_cls] < max_out).repeat(count)
+            # tIoU with the cluster's pick, in evaluate.tiou's arithmetic; a
+            # row that does not overlap it gets a value <= 0 and keeps its
+            # score, as it would with IoU 0 and exp(-0) = 1
+            pa, pb = a[best], b[best]
+            inter = np.minimum(pb.repeat(count), b)
+            inter -= np.maximum(pa.repeat(count), a)
+            iou = inter / (((pb - pa).repeat(count) + (b - a)) - inter)
+            if method == "hard":
+                s[iou >= iou_thresh] = 0.0
+            else:
+                # math.exp, not np.exp: the scores must match the scalar form
+                # to the bit
+                hit = (iou > 0).nonzero()[0]
+                x = iou[hit]
+                s[hit] *= np.fromiter(map(math.exp, (-(x * x) / sigma).tolist()),
+                                      dtype=np.float64, count=hit.size)
+        live = s >= floor
         live[best] = False
-        rows, s, g, a, b = rows[live], s[live], g[live], a[live], b[live]
+        count = np.add.reduceat(live, first, dtype=np.intp)
+        rows, s, a, b = rows[live], s[live], a[live], b[live]
+        if not rows.size:
+            break
+        count = count[count > 0]
+        first = count.cumsum() - count
 
     top = cands.take(np.concatenate(picked))
     s = np.concatenate(picked_score)
-    order = np.lexsort((top.end, top.label, top.start, -s))
+    order = np.lexsort((top.end, top.label, top.start, -s))[:max_out]
     return Candidates(top.label, s, top.start, top.end).take(order)
 
 

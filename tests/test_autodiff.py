@@ -853,6 +853,27 @@ class TestInPlaceKernelsExact:
             assert not np.shares_memory(out.values, leaf.values)
 
 
+class TestLayerNormRowMean:
+    """layer_norm's row means (np.add.reduce, then a division in place)
+    against the ``mean(axis=1, keepdims=True)`` form of oracle_layer_norm."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(64, 64), (1, 1), (5, 3), (33, 7), (8, 65),
+                                       (4, 100), (3, 1000)])
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+    def test_values_and_gradients_byte_equal(self, dtype, shape, scale):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        operands = [np.asarray(v, dtype=dtype) for v in (
+            rng.normal(loc=0.5 * scale, scale=scale, size=shape),
+            rng.normal(size=shape[1]) + 1.0, rng.normal(size=shape[1]))]
+        up = rng.normal(size=shape)
+        want, want_g = grads_through(oracle_layer_norm, dtype, operands, up)
+        got, got_g = grads_through(ad.layer_norm, dtype, operands, up)
+        assert bit_equal(got, want)
+        for g, w in zip(got_g, want_g):
+            assert bit_equal(g, w)
+
+
 class TestLayerNormEps:
     @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan, math.inf, -math.inf])
     def test_non_positive_or_non_finite_eps_rejected(self, eps):

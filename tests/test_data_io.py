@@ -485,6 +485,132 @@ class TestPredictionsJson:
             dio.load_predictions(p)
 
 
+def json_reference(preds_by_video):
+    """The prediction file as the json module writes it."""
+    doc = {"videos": [{"video_id": vid, "detections": preds_by_video[vid]}
+                      for vid in sorted(preds_by_video)]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# boundaries and scores whose repr json spells in unusual ways
+ODD_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 123456789.125, 2.5e-5]
+
+
+@st.composite
+def writable_predictions(draw):
+    videos = {}
+    ids = st.one_of(st.sampled_from(["v", "é☃", 'q"\\\n\t', "\ud800", "𝄞x"]),
+                    st.text(min_size=1, max_size=6))
+    for vid in draw(st.lists(ids, max_size=4, unique=True)):
+        dets = []
+        for _ in range(draw(st.integers(0, 4))):
+            start = draw(st.one_of(st.sampled_from(ODD_FLOATS),
+                                   st.integers(-10 ** 6, 10 ** 6),
+                                   st.floats(-1e17, 1e17)))
+            length = draw(st.one_of(st.sampled_from([1, 5e-324, 1e16]),
+                                    st.floats(1e-3, 1e3)))
+            end = start + length
+            if not start < end:   # length lost to rounding
+                end = math.nextafter(float(start), math.inf)
+            dets.append({"label": draw(st.integers(0, 2 ** 63 - 1)),
+                         "score": draw(st.one_of(st.sampled_from([0, 1, -0.0, 5e-324]),
+                                                 st.floats(0.0, 1.0))),
+                         "start_sec": start, "end_sec": end})
+        videos[vid] = dets
+    return videos
+
+
+class TestWritePredictions:
+    @settings(max_examples=300, deadline=None)
+    @given(writable_predictions())
+    def test_bytes_match_json_module(self, tmp_path_factory, preds):
+        path = tmp_path_factory.mktemp("w") / "pred.json"
+        dio.write_predictions(preds, path)
+        assert path.read_bytes() == json_reference(preds).encode("utf-8")
+        if all(type(v) is float for dets in preds.values() for d in dets
+               for k, v in d.items() if k != "label"):
+            assert dio.load_predictions(path) == preds
+
+    @pytest.mark.parametrize("preds", [
+        {}, {"v": []}, {"b": [], "a": []},
+        {"ü": [{"label": 0, "score": 1, "start_sec": 0, "end_sec": 3}]},
+        {"v": [{"label": 4, "score": 5e-324, "start_sec": -0.0, "end_sec": 1e16},
+               {"label": 0, "score": -0.0, "start_sec": 5e-324, "end_sec": 2.5}]},
+    ], ids=["no videos", "no detections", "two empty", "ints", "odd floats"])
+    def test_edge_cases(self, tmp_path, preds):
+        path = tmp_path / "pred.json"
+        dio.write_predictions(preds, path)
+        assert path.read_text(encoding="utf-8") == json_reference(preds)
+
+    def test_seeded_predict_sized_output(self, tmp_path):
+        # 8 videos of 200 detections, as the predict command writes them
+        rng = np.random.default_rng(0)
+        preds = {}
+        for v in range(8):
+            start = rng.uniform(0.0, 60.0, 200)
+            preds[f"vid{v:05d}"] = [
+                {"label": int(c), "score": float(p), "start_sec": float(a),
+                 "end_sec": float(b)}
+                for c, p, a, b in zip(rng.integers(0, 5, 200), rng.uniform(0, 1, 200),
+                                      start, start + rng.uniform(0.1, 8.0, 200))]
+        path = tmp_path / "pred.json"
+        dio.write_predictions(preds, path)
+        assert path.read_text(encoding="utf-8") == json_reference(preds)
+        assert dio.load_predictions(path) == preds
+
+    @pytest.mark.parametrize("change, needle", [
+        ({"extra": 1}, "just the keys"),
+        ({"label": True}, "bad label"),
+        ({"label": -1}, "bad label"),
+        ({"label": 1.0}, "bad label"),
+        ({"label": 2 ** 63}, "bad label"),
+        ({"start_sec": math.nan}, "finite"),
+        ({"end_sec": math.inf}, "finite"),
+        ({"start_sec": -math.inf}, "finite"),
+        ({"end_sec": BIG}, "finite"),
+        ({"start_sec": 2.0}, "start must precede end"),
+        ({"start_sec": 1.0}, "start must precede end"),
+        ({"start_sec": False}, "start must precede end"),
+        ({"score": 1.5}, "score"),
+        ({"score": -0.1}, "score"),
+        ({"score": math.nan}, "score"),
+        ({"score": True}, "score"),
+        ({"score": np.float64(0.5)}, "score"),
+    ])
+    def test_bad_detection_rejected_and_nothing_written(self, tmp_path, change,
+                                                        needle):
+        good = {"label": 0, "score": 0.5, "start_sec": 0.0, "end_sec": 1.0}
+        path = tmp_path / "pred.json"
+        path.write_text("previous")
+        preds = {"a": [good], "b": [good, dict(good, **change)]}
+        with pytest.raises(ValidationError, match=re.escape(needle)) as info:
+            dio.write_predictions(preds, path)
+        assert "video 'b' det 1" in str(info.value)
+        assert info.value.exit_code == 2
+        assert path.read_text() == "previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pred.json"]
+
+    @pytest.mark.parametrize("det", [
+        {"label": 0, "score": 0.5, "start_sec": 0.0},
+        ["not", "a", "dict"],
+    ])
+    def test_malformed_detection_rejected(self, tmp_path, det):
+        with pytest.raises(ValidationError, match="det 0: must be an object"):
+            dio.write_predictions({"v": [det]}, tmp_path / "pred.json")
+        assert not (tmp_path / "pred.json").exists()
+
+    @pytest.mark.parametrize("preds, needle", [
+        ({"": []}, "non-empty string"),
+        ({7: []}, "non-empty string"),
+        ({"v": ({"label": 0, "score": 0.5, "start_sec": 0.0, "end_sec": 1.0},)},
+         "must be a list"),
+    ])
+    def test_bad_video_rejected(self, tmp_path, preds, needle):
+        with pytest.raises(ValidationError, match=needle):
+            dio.write_predictions(preds, tmp_path / "pred.json")
+        assert not (tmp_path / "pred.json").exists()
+
+
 class TestSynthetic:
     def desk_spec(self, **kw):
         base = dict(num_videos=4, duration_sec=64.0, num_classes=5,

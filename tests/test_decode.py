@@ -6,7 +6,7 @@ and re-sort the survivors after every pick.
 """
 
 import math
-from dataclasses import replace
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -88,7 +88,7 @@ def oracle_soft_nms(preds, sigma=decode.NMS_SIGMA, method="gaussian",
                 else:
                     new_score = 0.0 if iou >= iou_thresh else other.score
                 if new_score >= min_score:
-                    rescored.append(replace(other, score=new_score))
+                    rescored.append(other._replace(score=new_score))
             rescored.sort(key=sort_key)
             remaining = rescored
     survivors.sort(key=lambda p: (p.video_id,) + sort_key(p))
@@ -171,6 +171,59 @@ def count_lexsorts(monkeypatch):
     return calls
 
 
+def count_rounds(monkeypatch):
+    """Counts soft_nms's rounds, one np.maximum.reduceat call each."""
+    calls = []
+    maximum = np.maximum
+
+    class Counting:
+        def __call__(self, *args, **kwargs):
+            return maximum(*args, **kwargs)
+
+        def accumulate(self, *args, **kwargs):
+            return maximum.accumulate(*args, **kwargs)
+
+        def reduceat(self, *args, **kwargs):
+            calls.append(1)
+            return maximum.reduceat(*args, **kwargs)
+
+    monkeypatch.setattr(np, "maximum", Counting())
+    return calls
+
+
+def largest_cluster(cands):
+    """Rows in the largest cluster: a class's rows by start, chained by
+    overlap with an earlier row of the chain."""
+    largest = 0
+    for c in set(cands.label.tolist()):
+        mine = cands.label == c
+        order = np.argsort(cands.start[mine], kind="stable")
+        size, reach = 0, -math.inf
+        for a, b in zip(cands.start[mine][order].tolist(),
+                        cands.end[mine][order].tolist()):
+            if a < reach:
+                size, reach = size + 1, max(reach, b)
+            else:
+                size, reach = 1, b
+            largest = max(largest, size)
+    return largest
+
+
+def model_candidates(duration_sec, seed, events_per_video):
+    """One synthetic video's candidates under untrained desk-preset weights,
+    which put every point above the score threshold."""
+    cfg = desk_scale_config()
+    arrays = init_model_arrays(cfg.model, seed=0)
+    (visual, audio), = generate_synthetic(SyntheticSpec(
+        num_videos=1, duration_sec=duration_sec,
+        events_per_video=events_per_video, seed=seed))[0]
+    seq = fuse_features(visual, audio)
+    tape = ad.Tape(dtype=np.float32, record=False)
+    (points,), head_out = forward_video(pr.bind(tape, arrays), cfg.model,
+                                        [seq.data], tape)
+    return recover_intervals(head_out, points, seq.stride_sec, seq.duration_sec)
+
+
 def logit(p):
     return math.log(p / (1.0 - p))
 
@@ -202,6 +255,14 @@ class TestInterval:
         assert not hasattr(x, "__dict__")
         with pytest.raises(AttributeError):
             x.score = 0.7
+
+    def test_replace_is_checked(self):
+        x = iv(0.5, 0.0, 1.0)
+        assert x._replace(score=0.7) == iv(0.7, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="score must be"):
+            x._replace(score=1.5)
+        with pytest.raises(ValidationError, match="finite start < end"):
+            x._replace(end_sec=0.0)
 
     @pytest.mark.parametrize("start, end", [
         (0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
@@ -374,9 +435,9 @@ intervals = st.builds(
 nms_settings = st.fixed_dictionaries({
     "method": st.sampled_from(["gaussian", "hard"]),
     "sigma": st.one_of(st.sampled_from([0.5, 0.1, 2.0]), st.floats(0.01, 10.0)),
-    "iou_thresh": st.sampled_from([1e-9, 0.3, 0.5, 1.0]),
+    "iou_thresh": st.sampled_from([0.0, 1e-9, 0.3, 0.5, 1.0]),
     "min_score": st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
-    "max_out": st.sampled_from([1, 2, 3, 200]),
+    "max_out": st.sampled_from([1, 2, 3, 7, 200]),
 })
 
 
@@ -391,12 +452,17 @@ def bits(preds):
              p.end_sec.hex()) for p in preds]
 
 
+def oracle_top(preds, **kwargs):
+    """The rows predict keeps: the oracle's first max_out survivors."""
+    return oracle_soft_nms(preds, **kwargs)[:kwargs.get("max_out", decode.NMS_MAX_OUT)]
+
+
 class TestSoftNmsMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(intervals, max_size=40), nms_settings, st.randoms())
     def test_exact_and_permutation_invariant(self, preds, kwargs, rnd):
         got = soft_nms(columns(preds), **kwargs)
-        assert bits(got) == bits(oracle_soft_nms(preds, **kwargs))
+        assert bits(got) == bits(oracle_top(preds, **kwargs))
         perm = list(preds)
         rnd.shuffle(perm)
         assert bits(soft_nms(columns(perm), **kwargs)) == bits(got)
@@ -414,8 +480,29 @@ class TestSoftNmsMatchesOracle:
                             s + float(rng.uniform(0.1, 6.0)),
                             label=int(rng.integers(0, 3))))
         for method in ("gaussian", "hard"):
-            got = soft_nms(columns(preds), method=method)
-            assert bits(got) == bits(oracle_soft_nms(preds, method=method))
+            for max_out in (200, 20):
+                got = soft_nms(columns(preds), method=method, max_out=max_out)
+                assert bits(got) == bits(oracle_top(preds, method=method,
+                                                    max_out=max_out))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_on_sparse_clusters_with_ties(self, seed):
+        # short rows on a whole-number grid over a long span: many small
+        # clusters per class, tied scores, starts and ends, and cuts at
+        # max_out that fall inside a tie
+        rng = np.random.default_rng(seed)
+        preds = [iv(float(rng.choice([0.9, 0.6, 0.3, 0.0005])),
+                    float(s), float(s + rng.integers(1, 4)),
+                    label=int(rng.integers(0, 3)))
+                 for s in rng.integers(0, 120, 250)]
+        for kwargs in ({}, {"method": "hard"},
+                       {"method": "hard", "iou_thresh": 0.0, "min_score": 0.0},
+                       {"method": "hard", "iou_thresh": 1.0},
+                       {"min_score": 0.5}, {"sigma": 0.1, "min_score": 0.0}):
+            for max_out in (1, 5, 40, 200):
+                got = soft_nms(columns(preds), max_out=max_out, **kwargs)
+                want = oracle_top(preds, max_out=max_out, **kwargs)
+                assert bits(got) == bits(want), (kwargs, max_out)
 
     @pytest.mark.parametrize("min_score", [0.0, 1e-3])
     def test_hard_thresh_zero_clears_the_class(self, min_score):
@@ -430,25 +517,16 @@ class TestSoftNmsMatchesOracle:
         # the shape predict runs on a long video: untrained desk-preset
         # weights put every point above the threshold, so the top 2000
         # candidates reach the loop and overlap heavily; over 500 survivors
-        # in 5 classes take over a hundred rounds
-        cfg = desk_scale_config()
-        arrays = init_model_arrays(cfg.model, seed=0)
-        (visual, audio), = generate_synthetic(SyntheticSpec(
-            num_videos=1, duration_sec=512.0, events_per_video=(8, 16),
-            seed=0))[0]
-        seq = fuse_features(visual, audio)
-        tape = ad.Tape(dtype=np.float32, record=False)
-        (points,), head_out = forward_video(pr.bind(tape, arrays), cfg.model,
-                                            [seq.data], tape)
-        cands = recover_intervals(head_out, points, seq.stride_sec,
-                                  seq.duration_sec)
+        # in 5 classes, of which predict keeps the best 200
+        cands = model_candidates(512.0, 0, (8, 16))
         assert len(cands) == decode.PRE_NMS_TOPK
         preds = intervals_of(cands)
         for method in ("gaussian", "hard"):
-            got = soft_nms(cands, method=method)
-            want = oracle_soft_nms(preds, method=method)
-            assert len(want) > 500
-            assert bits(got) == bits(want)
+            for max_out in (200, 7):
+                got = soft_nms(cands, method=method, max_out=max_out)
+                want = oracle_soft_nms(preds, method=method, max_out=max_out)
+                assert len(want) > (500 if max_out == 200 else max_out)
+                assert bits(got) == bits(want[:max_out])
 
 
 LOGITS = [logit(p) for p in (0.9, 0.5, 0.2, 0.001, 0.0005)] + [30.0, -30.0]
@@ -581,9 +659,8 @@ class TestWorkCount:
 
     @pytest.mark.parametrize("max_out", [10, 200])
     def test_soft_nms_sorts_once_per_call(self, monkeypatch, max_out):
-        # distinct scores: no class ever has two rows at its best score, so
-        # the only sorts are the class order and the output order, however
-        # many rounds run
+        # the only sorts are the (label, start, end) row order and the
+        # output order, however many rounds run
         rng = np.random.default_rng(4)
         n = 2000
         start = rng.uniform(0.0, 500.0, n)
@@ -592,7 +669,7 @@ class TestWorkCount:
         assert np.unique(cands.score).size == n
         sorts = count_lexsorts(monkeypatch)
         got = soft_nms(cands, max_out=max_out)
-        assert len(got) == 5 * max_out
+        assert len(got) == max_out
         assert len(sorts) == 2
 
     def test_ties_at_the_best_score_over_several_rounds(self, monkeypatch):
@@ -608,8 +685,33 @@ class TestWorkCount:
         want = oracle_soft_nms(preds)
         assert got == want
         assert bits(got) == bits(want)
-        # one sort of the tied rows in each of the three rounds with ties
-        assert len(sorts) == 2 + 3
+        # rows run in (start, end) order, so a tie needs no sort of its own
+        assert len(sorts) == 2
+
+    def test_rounds_bounded_by_the_largest_cluster(self, monkeypatch):
+        # the predict_long shape: 2000 candidates of a T=2048 video, whose
+        # overlapping same-class rows form hundreds of small clusters
+        cands = model_candidates(2048.0, 1, (32, 64))
+        largest = largest_cluster(cands)
+        assert largest < 50
+        rounds = count_rounds(monkeypatch)
+        got = soft_nms(cands)
+        assert 0 < len(rounds) <= largest
+        assert bits(got) == bits(oracle_top(intervals_of(cands)))
+
+    def test_dense_video_stops_before_its_classes_run_out(self, monkeypatch):
+        # T=64: each class is one cluster of about 120 rows, which the class
+        # loop runs until its last class runs out of rows above min_score;
+        # the 200 best picks are all made well before that
+        cands = model_candidates(64.0, 1, (1, 3))
+        preds = intervals_of(cands)
+        every = oracle_soft_nms(preds)
+        picks = max(Counter(p.label_id for p in every).values())
+        rounds = count_rounds(monkeypatch)
+        got = soft_nms(cands)
+        assert len(rounds) < 0.8 * picks
+        assert len(every) > len(got) == decode.NMS_MAX_OUT
+        assert bits(got) == bits(every[:decode.NMS_MAX_OUT])
 
     def test_predict_builds_one_per_result(self, monkeypatch):
         # untrained desk-preset weights put most points above the score
@@ -628,5 +730,5 @@ class TestWorkCount:
         monkeypatch.setattr("soundloc.model.soft_nms", recording_nms)
         built = count_intervals(monkeypatch)
         got = predict_intervals(arrays, cfg.model, seq, cfg.decode)
-        assert len(kept[0]) > len(got) == cfg.decode.max_out
+        assert len(kept[0]) == len(got) == cfg.decode.max_out
         assert len(built) == len(got)

@@ -267,7 +267,7 @@ class TestColumnKernel:
             raise AssertionError("per-object work in the column kernel")
 
         monkeypatch.setattr(evaluate, "tiou", forbidden)
-        monkeypatch.setattr(decode.Interval, "__post_init__", forbidden)
+        monkeypatch.setattr(decode.Interval, "__new__", forbidden)
         assert mean_ap(preds, gts).to_dict() == expected
         assert average_precision(preds[:500], gts, 0.5) >= 0.0
 
