@@ -23,11 +23,19 @@ the levels of a pyramid) costs one record per layer, whatever its size.
 Where every window falls comes from one cached plan: per offset, the strided
 slices of rows it reads and the rows it must leave at zero.
 
-Forward kernels allocate their output and what backward keeps; other
-temporaries are computed in place (``out=``, ``+=``, ``*=``) in the original
-operation order, so values are bit-identical to the plain expressions. A
-fresh array of a megabyte or so comes from the allocator as new pages, and
-the page faults on first touch cost more than the arithmetic on them.
+An op allocates its output and what backward keeps; every other temporary
+is at most one block. Fresh arrays above glibc's mmap threshold (128 KiB
+and up) come from the allocator as new pages, and the page faults on first
+touch cost more than the arithmetic on them; a block-sized scratch is
+reused from the heap and stays in cache. So temporaries are computed in
+place (``out=``, ``+=``, ``*=``), and :func:`gelu` runs its elementwise
+chain over blocks of ``_BLOCK`` elements, in the original operation order,
+so values are bit-identical to the plain expressions. Two ops keep
+full-size temporaries on a ``record=False`` tape, by measurement:
+:func:`conv1d` gathers its windows for one whole GEMM (a one-row block
+would take BLAS's matrix-vector path and round differently), and
+:func:`local_attention` keeps its (w, T, H) weights and one output-sized
+product (in row blocks it was slower at T=2048).
 
 Values are float32 by default; gradient checking always runs in float64.
 """
@@ -44,6 +52,10 @@ from .errors import ConfigError, EmptyInputError, ShapeError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# elements per block of gelu's temporaries: 128 KiB of float32, so a desk
+# step's (128, 256) hidden layer is one block; over 2^12..2^20, gelu's self
+# time in T=2048 predict was lowest at 2^15 and 2^16
+_BLOCK = 1 << 15
 
 
 class Tensor:
@@ -267,18 +279,38 @@ def relu(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Tanh approximation, so independent builds agree to ~1e-6."""
+    """Tanh approximation, so independent builds agree to ~1e-6.
+
+    The elementwise chain runs over blocks of ``_BLOCK`` elements, so an
+    op allocates its output and what backward keeps, and every other
+    temporary is at most one block. A recording tape keeps the full tanh
+    term ``th`` for backward, written block by block; without a record it
+    lives in one block-sized scratch, so the output is the only full-size
+    array. Fresh arrays above glibc's mmap threshold page-fault on first
+    touch; the scratch does not.
+    """
     x = a.values
-    # th = tanh(_GELU_C * (x + _GELU_A * x*x*x)); x ** 3 is slow on float32
-    th = x * x
-    th *= x
-    th *= _GELU_A
-    th += x
-    th *= _GELU_C
-    np.tanh(th, out=th)
-    out = x * 0.5
-    # out *= 1 + th; with no record, no backward reads th, so th takes the sum
-    out *= np.add(1.0, th, out=None if a.tape.recording else th)
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    th = np.empty_like(flat) if a.tape.recording else None
+    scratch = np.empty_like(flat[:_BLOCK])
+    for lo in range(0, flat.size, _BLOCK):
+        xb = flat[lo:lo + _BLOCK]
+        one_th = scratch[:xb.size]   # 1 + th; doubles as th with no record
+        tb = one_th if th is None else th[lo:lo + _BLOCK]
+        # tb = tanh(_GELU_C * (x + _GELU_A * x*x*x)); x ** 3 is slow on float32
+        np.multiply(xb, xb, out=tb)
+        tb *= xb
+        tb *= _GELU_A
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        ob = out[lo:lo + _BLOCK]
+        np.multiply(xb, 0.5, out=ob)
+        ob *= np.add(1.0, tb, out=one_th)
+    out = out.reshape(x.shape)
+    if th is not None:
+        th = th.reshape(x.shape)
 
     def bwd(g, acc):
         sech2 = 1.0 - th * th

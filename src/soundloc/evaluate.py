@@ -9,6 +9,11 @@ depend on the threshold and is built once per class:
   arithmetic of ``tiou``;
 * pairs are sorted by (video, prediction rank, -tIoU, GT start, GT index).
 
+The pairs are formed in chunks of about ``_PAIR_CHUNK``, whole predictions
+at a time, and when the smallest threshold is above 0 a chunk keeps only
+the pairs that reach it, which are all that matching reads. So memory grows
+with the pairs that can match, not with every same-video pair.
+
 Greedy matching lets each prediction, in rank order, claim the best unmatched
 same-video GT with tIoU >= tau. Per threshold it runs in rounds over the pairs
 that reach tau: the first surviving pair of each video is that video's next
@@ -41,6 +46,8 @@ from .decode import Interval
 from .errors import EmptyInputError
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
+# (prediction, GT) pairs formed at a time while a pair table is built
+_PAIR_CHUNK = 1 << 16
 
 
 def tiou(a: Interval, b: Interval) -> float:
@@ -81,11 +88,12 @@ class _PairTable:
 
 
 def _pair_table(p_video, p_score, p_start, p_end,
-                g_video, g_start, g_end) -> _PairTable:
+                g_video, g_start, g_end, min_tau: float) -> _PairTable:
     """Rank the predictions and pair each with every GT of its video.
 
     Video codes are integers shared by both sides; a prediction whose code
-    no GT carries gets no pair.
+    no GT carries gets no pair. With ``min_tau`` > 0, pairs whose tIoU is
+    below it are left out.
     """
     order = np.lexsort((p_start, -p_score))
     r_video, r_start, r_end = p_video[order], p_start[order], p_end[order]
@@ -96,18 +104,29 @@ def _pair_table(p_video, p_score, p_start, p_end,
     count = np.searchsorted(gv, r_video, side="right") - lo
     by_video = np.argsort(r_video, kind="stable")
     preds = by_video[count[by_video] > 0]          # ranks, in (video, rank) order
-    n = count[preds]
-    first = np.cumsum(n) - n
-    rank = np.repeat(preds, n)
-    gt = np.repeat(lo[preds], n) + (np.arange(int(n.sum())) - np.repeat(first, n))
-
-    hit, hit_iou = overlap_tiou(r_start[rank], r_end[rank], gs[gt], ge[gt])
-    iou = np.zeros(rank.size)
-    iou[hit] = hit_iou
-
-    regroup = np.lexsort((-iou, np.repeat(np.arange(preds.size), n)))
-    return _PairTable(len(order), len(g_order), r_video[rank][regroup],
-                      rank[regroup], gt[regroup], iou[regroup])
+    ends = np.cumsum(count[preds])
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, total, _PAIR_CHUNK),
+                           side="right")
+    parts = []
+    for chunk in np.split(preds, np.unique(cuts)):   # whole predictions each
+        n = count[chunk]
+        first = np.cumsum(n) - n
+        rank = np.repeat(chunk, n)
+        gt = np.repeat(lo[chunk], n) + (np.arange(int(n.sum())) - np.repeat(first, n))
+        row = np.repeat(np.arange(chunk.size), n)
+        hit, hit_iou = overlap_tiou(r_start[rank], r_end[rank], gs[gt], ge[gt])
+        if min_tau > 0:
+            keep = hit_iou >= min_tau
+            hit, iou = hit[keep], hit_iou[keep]
+            rank, gt, row = rank[hit], gt[hit], row[hit]
+        else:
+            iou = np.zeros(rank.size)
+            iou[hit] = hit_iou
+        regroup = np.lexsort((-iou, row))
+        parts.append((rank[regroup], gt[regroup], iou[regroup]))
+    rank, gt, iou = (np.concatenate(col) for col in zip(*parts))
+    return _PairTable(len(order), len(g_order), r_video[rank], rank, gt, iou)
 
 
 def _greedy_tp(table: _PairTable, tau: float) -> np.ndarray:
@@ -168,7 +187,7 @@ def average_precision(preds: list[Interval], gts: list[Interval],
         return 0.0
     codes = _video_codes(gts)
     g_video, _, g_start, g_end = _columns(gts, codes)
-    table = _pair_table(*_columns(preds, codes), g_video, g_start, g_end)
+    table = _pair_table(*_columns(preds, codes), g_video, g_start, g_end, tau)
     return _table_ap(table, tau)
 
 
@@ -285,12 +304,14 @@ def mean_ap(preds: list[Interval], gts: list[Interval],
     p_bounds = np.searchsorted(p_label[p_order], np.arange(len(labels) + 1))
     g_bounds = np.searchsorted(g_label[g_order], np.arange(len(labels) + 1))
 
+    min_tau = min(thresholds, default=0.0)
     aps_by_class = []
     for i in range(len(labels)):
         p_idx = p_order[p_bounds[i]:p_bounds[i + 1]]
         g_idx = g_order[g_bounds[i]:g_bounds[i + 1]]
         table = _pair_table(*(col[p_idx] for col in p_cols),
-                            g_cols[0][g_idx], g_cols[2][g_idx], g_cols[3][g_idx])
+                            g_cols[0][g_idx], g_cols[2][g_idx], g_cols[3][g_idx],
+                            min_tau)
         aps_by_class.append([_table_ap(table, tau) for tau in thresholds])
 
     def name(c: int) -> str:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from soundloc import autodiff as ad
+from soundloc import config, model
+from soundloc.data import FeatureSequence
 from soundloc.errors import ConfigError, EmptyInputError, ShapeError
 
 
@@ -804,11 +806,21 @@ def in_place_cases():
         cases.append((f"local_attention-t{t}",
                       lambda q, k, v: ad.local_attention(q, k, v, 11, 2),
                       lambda q, k, v: oracle_local_attention(q, k, v, 11, 2), qkv))
+    # gelu runs in blocks of ad._BLOCK elements: 2 blocks and one more row
+    # of a width that does not divide the block, so the last block ends
+    # part way along a row
+    rows = 2 * -(-ad._BLOCK // 24) + 1
+    cases.append((f"gelu-blocks-{rows}x24", ad.gelu, oracle_gelu,
+                   [rng.normal(scale=3.0, size=(rows, 24))]))
     return cases
 
 
 IN_PLACE_CASES = in_place_cases()
 IN_PLACE_IDS = [c[0] for c in IN_PLACE_CASES]
+# central differences cost two forward passes per element: the multi-block
+# case is left to the bit-equality tests against the oracle
+GRAD_CHECK_CASES = [c for c in IN_PLACE_CASES if "blocks" not in c[0]]
+GRAD_CHECK_IDS = [c[0] for c in GRAD_CHECK_CASES]
 
 
 class TestInPlaceKernelsExact:
@@ -827,7 +839,7 @@ class TestInPlaceKernelsExact:
         for g, w in zip(got_g, want_g):
             assert bit_equal(g, w)
 
-    @pytest.mark.parametrize("case", IN_PLACE_CASES, ids=IN_PLACE_IDS)
+    @pytest.mark.parametrize("case", GRAD_CHECK_CASES, ids=GRAD_CHECK_IDS)
     def test_grad_check(self, case):
         _, op, _, operands = case
         for i, value in enumerate(operands):
@@ -883,34 +895,42 @@ class TestLayerNormEps:
             ad.layer_norm(x, g, b, eps=eps)
 
 
-def peak_over_output(op, operands):
-    """tracemalloc peak while ``op`` runs on a record=False float32 tape,
-    over the output's bytes."""
-    t = ad.Tape(dtype=np.float32, record=False)
-    leaves = [t.leaf(v) for v in operands]
+def traced_peak(fn):
+    """``fn()`` and tracemalloc's peak bytes above the start while it ran."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        out = op(*leaves)
+        result = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if started:
             tracemalloc.stop()
-    return (peak - base) / out.values.nbytes
+    return result, peak - base
+
+
+def peak_over_output(op, operands):
+    """tracemalloc peak while ``op`` runs on a record=False float32 tape,
+    over the output's bytes."""
+    t = ad.Tape(dtype=np.float32, record=False)
+    leaves = [t.leaf(v) for v in operands]
+    out, peak = traced_peak(lambda: op(*leaves))
+    return peak / out.values.nbytes
 
 
 class TestAllocationBudget:
     """A forward kernel allocates its output and what its backward keeps.
 
     Ceilings are tracemalloc's peak bytes over output bytes at the desk
-    width (D=64) and T=2048; the expressions with a fresh array per step
-    took 4.0, 4.1, 2.07, 6.1 and 6.8. local_attention reads its keys and
-    values in place and keeps the (w, T, H) weights, the output and one
-    output-sized product: 2.76. The broadcast bias add takes numpy's
-    32 KiB ufunc buffer, 0.06 of the matmul output here.
+    width (D=64) and T=2048 on a record=False tape; the expressions with a
+    fresh array per step took 4.0, 4.1, 2.07, 6.1 and 6.8. gelu took 2.0
+    with a full-size tanh term and takes 1.06 with one block of it.
+    local_attention reads its keys and values in place and keeps the
+    (w, T, H) weights, the output and one output-sized product: 2.76. The
+    broadcast bias add takes numpy's 32 KiB ufunc buffer, 0.06 of the
+    matmul output here.
     """
 
     T, D = 2048, 64
@@ -930,7 +950,7 @@ class TestAllocationBudget:
         }[name]
 
     @pytest.mark.parametrize("name, op, ceiling", [
-        ("gelu", ad.gelu, 2.05),
+        ("gelu", ad.gelu, 1.15),
         ("layer_norm", ad.layer_norm, 2.2),
         ("matmul", lambda a, b, c: ad.matmul(a, b, bias=c), 1.1),
         ("conv1d", lambda x, w, b: ad.conv1d(x, w, bias=b), 4.1),
@@ -940,6 +960,17 @@ class TestAllocationBudget:
     def test_peak_over_output(self, name, op, ceiling):
         ratio = peak_over_output(op, self.operands(name))
         assert ratio <= ceiling, f"{name}: {ratio:.2f}"
+
+    def test_desk_predict_at_t2048(self):
+        # one video's forward pass and decoding: 9.26 MB with gelu's
+        # full-size tanh term, 7.29 MB with one block of it
+        cfg = config.desk_scale_config()
+        arrays = model.init_model_arrays(cfg.model, 0)
+        seq = FeatureSequence("v", "fused", 0.5, np.random.default_rng(8).normal(
+            size=(self.T, cfg.model.backbone.input_dim)))
+        _, peak = traced_peak(
+            lambda: model.predict_intervals(arrays, cfg.model, seq, cfg.decode))
+        assert peak <= 8e6, f"{peak / 1e6:.2f} MB"
 
 
 # ---------------------------------------------------------------------------

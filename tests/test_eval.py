@@ -6,6 +6,7 @@ matcher they replaced.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,40 @@ class TestColumnKernel:
         for t, value in enumerate(report.map_per_threshold):
             aps = [report.per_class_ap[n][t] for n in names]
             assert value == math.fsum(aps) / len(aps)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_tables_equal_the_oracle(self, monkeypatch, chunk):
+        # chunk edges inside one video's predictions and at a video's
+        # end; TAUS[1:] starts above 0, so pairs below 1e-12 are dropped
+        monkeypatch.setattr(evaluate, "_PAIR_CHUNK", chunk)
+        for seed in range(20):
+            preds, gts = random_instance(np.random.default_rng(seed), n_gt_max=30)
+            for taus in (TAUS, TAUS[1:]):
+                report = mean_ap(preds, gts, thresholds=taus)
+                for c in sorted({g.label_id for g in gts}):
+                    p = [x for x in preds if x.label_id == c]
+                    g = [x for x in gts if x.label_id == c]
+                    assert report.per_class_ap[str(c)] == [oracle_ap(p, g, t) for t in taus]
+                    for t in taus:
+                        assert average_precision(p, g, t) == oracle_ap(p, g, t)
+
+    def test_one_video_table_memory(self):
+        # 100 GTs and 10^4 predictions of one class in one video: 10^6
+        # same-video pairs, of which 2.3% reach tIoU 0.1; the table of
+        # every pair peaked at 66 MB
+        rng = np.random.default_rng(0)
+        gts = [iv(s, s + float(rng.uniform(2, 20)))
+               for s in rng.uniform(0, 900, 100).tolist()]
+        preds = [iv(s, s + float(rng.uniform(1, 30)), score=float(rng.random()))
+                 for s in rng.uniform(0, 950, 10_000).tolist()]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mean_ap(preds, gts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6, f"{peak / 1e6:.1f} MB"
 
     def test_disjoint_gt_is_eligible_at_tau_zero(self):
         preds = [iv(0.0, 1.0, 0.9), iv(5.0, 6.0, 0.8)]
