@@ -145,6 +145,12 @@ def cmd_eval(args) -> int:
     if unknown:
         raise ValidationError(
             f"predictions reference unknown videos: {', '.join(unknown[:5])}")
+    class_names = annotations[0].class_names if annotations else []
+    unknown = sorted({d["label"] for dets in preds_by_video.values() for d in dets}
+                     - set(range(len(class_names))))
+    if unknown:
+        raise ValidationError(f"predictions use labels that are not annotation "
+                              f"classes: {', '.join(map(str, unknown[:5]))}")
 
     preds = [
         Interval(vid, d["label"], d["score"], d["start_sec"], d["end_sec"])
@@ -154,7 +160,6 @@ def cmd_eval(args) -> int:
         Interval(a.video_id, ev.label, 1.0, ev.start_sec, ev.end_sec)
         for a in annotations for ev in a.events
     ]
-    class_names = annotations[0].class_names if annotations else None
     report = mean_ap(preds, gts, class_names=class_names)
     print(report.format_table())
     if args.out:

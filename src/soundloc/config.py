@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .backbone import BackboneConfig
@@ -71,7 +71,16 @@ def desk_scale_config() -> TrainConfig:
     )
 
 
-_SECTIONS = ("train", "model", "backbone", "decode")
+def _sections(cfg: TrainConfig) -> dict:
+    """The config object behind each section of the file, in file order."""
+    return {"train": cfg, "model": cfg.model, "backbone": cfg.model.backbone,
+            "decode": cfg.decode}
+
+
+def _values(obj) -> dict:
+    """A section's keys and values: its object's fields but the sections."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if not is_dataclass(getattr(obj, f.name))}
 
 
 def _coerce(raw: str, current):
@@ -103,18 +112,13 @@ def load_config(path) -> TrainConfig:
         raise ConfigError(f"{path}: unreadable config file: {detail}") from exc
 
     cfg = TrainConfig()
-    targets = {
-        "train": cfg,
-        "model": cfg.model,
-        "backbone": cfg.model.backbone,
-        "decode": cfg.decode,
-    }
+    targets = _sections(cfg)
     for section, items in sections.items():
-        if section not in _SECTIONS:
+        if section not in targets:
             raise ConfigError(f"{path}: unknown config section [{section}]")
         target = targets[section]
         for key, raw in items:
-            if not hasattr(target, key) or key in ("model", "decode", "backbone"):
+            if key not in _values(target):
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             try:
                 setattr(target, key, _coerce(raw, getattr(target, key)))
@@ -127,17 +131,10 @@ def load_config(path) -> TrainConfig:
 
 def save_config(cfg: TrainConfig, path) -> None:
     parser = configparser.ConfigParser()
-    sections = {
-        "train": {k: v for k, v in asdict(cfg).items()
-                  if k not in ("model", "decode")},
-        "model": {k: v for k, v in asdict(cfg.model).items() if k != "backbone"},
-        "backbone": asdict(cfg.model.backbone),
-        "decode": asdict(cfg.decode),
-    }
-    for name, values in sections.items():
+    for name, obj in _sections(cfg).items():
         parser[name] = {
             k: " ".join(str(x) for x in v) if isinstance(v, tuple) else str(v)
-            for k, v in values.items()
+            for k, v in _values(obj).items()
         }
     with atomic_write(path, "w") as fh:
         parser.write(fh)

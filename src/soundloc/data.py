@@ -140,9 +140,21 @@ class SyntheticSpec:
         llo, lhi = self.event_length_sec
         if not (0 < llo <= lhi):
             raise ConfigError(f"bad event_length_sec range {self.event_length_sec}")
-        if lhi > self.duration_sec:
+        if self.num_timesteps < 1:
+            raise ConfigError("duration shorter than one timestep")
+        if lhi > self.event_span_sec:
             raise ConfigError(
-                f"event length {lhi} exceeds video duration {self.duration_sec}")
+                f"event length {lhi} exceeds video duration {self.event_span_sec}")
+
+    @property
+    def num_timesteps(self) -> int:
+        return int(round(self.duration_sec / self.stride_sec))
+
+    @property
+    def event_span_sec(self) -> float:
+        """Where events lie: duration_sec, or the T * stride_sec that the
+        annotations record as the duration when that is shorter."""
+        return min(self.duration_sec, self.num_timesteps * self.stride_sec)
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +291,20 @@ def _to_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def load_annotations(path) -> list[AnnotationSet]:
+def read_json(path):
+    """The document in a JSON file; AnnotationFormatError if the file cannot
+    be read or is not valid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise AnnotationFormatError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise AnnotationFormatError(f"{path}: invalid JSON: {exc}") from exc
 
+
+def load_annotations(path) -> list[AnnotationSet]:
+    doc = read_json(path)
     _require(isinstance(doc, dict), f"{path}: top level must be an object")
     class_names = doc.get("class_names")
     _require(isinstance(class_names, list) and class_names
@@ -355,8 +372,13 @@ def save_annotations(annotations: list[AnnotationSet], path) -> None:
 _DET_KEYS = ("label", "score", "start_sec", "end_sec")
 
 
-def _detection_problem(det) -> str | None:
-    """What is wrong with one detection, as its error message ends; None if valid."""
+def _detection_problem(det, exact_keys: bool) -> str | None:
+    """What is wrong with one detection, as its error message ends; None if valid.
+
+    With ``exact_keys`` it must hold just the four keys, as the writer needs.
+    """
+    if exact_keys and not (type(det) is dict and det.keys() == set(_DET_KEYS)):
+        return f"must be an object with just the keys {', '.join(_DET_KEYS)}"
     if not isinstance(det, dict):
         return "not an object"
     label, score, start, end = (det.get(k) for k in _DET_KEYS)
@@ -370,23 +392,31 @@ def _detection_problem(det) -> str | None:
     return None
 
 
-def _raise_first_bad_detection(path, by_video: dict[str, list]) -> None:
-    """Raise the error of the first invalid detection in file order, if any."""
+def _first_bad_detection(by_video: dict[str, list], exact_keys: bool) -> str | None:
+    """``video <id> det <i>: <problem>`` for the first invalid detection in
+    order, None if every detection is valid."""
     for vid, dets in by_video.items():
         for i, det in enumerate(dets):
-            problem = _detection_problem(det)
+            problem = _detection_problem(det, exact_keys)
             if problem is not None:
-                raise AnnotationFormatError(f"{path}: video {vid!r} det {i}: {problem}")
+                return f"video {vid!r} det {i}: {problem}"
+    return None
 
 
-def _detection_columns(dets: list[dict]):
+def _detection_columns(dets: list, exact_keys: bool):
     """(labels, score, start, end, as_parsed) if every detection passes, else None.
 
-    Accepts exactly what ``_detection_problem`` accepts: ints (no bools) that
-    fit int64 as labels, ints or floats that fit a float64 elsewhere.
-    ``as_parsed`` says that each detection holds just the four keys, with
-    floats where the output has floats, so it can be returned as it is.
+    Accepts exactly what ``_detection_problem`` accepts: dicts (of just the
+    four keys, with ``exact_keys``), ints (no bools) that fit int64 as
+    labels, ints or floats that fit a float64 elsewhere. ``as_parsed`` says
+    that each detection holds just the four keys, with floats where the
+    output has floats, so it can be returned as it is.
     """
+    if set(map(type, dets)) - {dict}:
+        return None
+    sizes = set(map(len, dets))
+    if exact_keys and sizes - {4}:
+        return None
     labels, scores, starts, ends = ([d.get(k) for d in dets] for k in _DET_KEYS)
     types = [set(map(type, col)) for col in (scores, starts, ends)]
     if set(map(type, labels)) - {int} or any(t - {int, float} for t in types):
@@ -401,7 +431,7 @@ def _detection_columns(dets: list[dict]):
           & (start > -math.inf) & (start < end) & (end < math.inf))
     if not ok.all():
         return None
-    as_parsed = set(map(len, dets)) <= {4} and not any(int in t for t in types)
+    as_parsed = sizes <= {4} and not any(int in t for t in types)
     return labels, score, start, end, as_parsed
 
 
@@ -412,14 +442,7 @@ def load_predictions(path) -> dict[str, list[dict]]:
     checked as columns over the whole file. Either way the error reported is
     the first one in file order.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise AnnotationFormatError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise AnnotationFormatError(f"{path}: invalid JSON: {exc}") from exc
-
+    doc = read_json(path)
     _require(isinstance(doc, dict) and isinstance(doc.get("videos"), list),
              f"{path}: top level must be an object with a videos list")
     out: dict[str, list] = {}
@@ -427,24 +450,20 @@ def load_predictions(path) -> dict[str, list[dict]]:
     def require(cond: bool, msg: str) -> None:
         # a bad detection in an earlier video comes first in file order
         if not cond:
-            _raise_first_bad_detection(path, out)
-            raise AnnotationFormatError(msg)
+            problem = _first_bad_detection(out, False) or msg
+            raise AnnotationFormatError(f"{path}: {problem}")
 
     for v in doc["videos"]:
-        require(isinstance(v, dict), f"{path}: each video must be an object")
+        require(isinstance(v, dict), "each video must be an object")
         vid = v.get("video_id")
-        require(isinstance(vid, str) and vid, f"{path}: missing video_id")
-        require(vid not in out, f"{path}: duplicate video_id {vid!r}")
+        require(isinstance(vid, str) and vid, "missing video_id")
+        require(vid not in out, f"duplicate video_id {vid!r}")
         dets = v.get("detections", [])
-        require(isinstance(dets, list), f"{path}: video {vid!r}: detections must be a list")
+        require(isinstance(dets, list), f"video {vid!r}: detections must be a list")
         out[vid] = dets
-        if set(map(type, dets)) - {dict}:
-            _raise_first_bad_detection(path, out)
 
-    cols = _detection_columns([d for dets in out.values() for d in dets])
-    if cols is None:
-        _raise_first_bad_detection(path, out)
-        raise AssertionError("column checks rejected a valid detection")
+    cols = _detection_columns([d for dets in out.values() for d in dets], False)
+    require(cols is not None, "column checks rejected a valid detection")
     labels, score, start, end, as_parsed = cols
     if as_parsed:
         return out
@@ -463,9 +482,15 @@ _DETECTION_JSON = ('        {\n'
                    '        }')
 
 
-def _check_writable_predictions(preds_by_video: dict[str, list[dict]]) -> None:
-    """Raise ValidationError unless load_predictions would read every
-    detection back unchanged: the four keys, and values it accepts."""
+def write_predictions(preds_by_video: dict[str, list[dict]], path) -> None:
+    """Write {video_id: [detection dicts]} as a prediction file, videos sorted.
+
+    The bytes are those of ``write_json`` on the ``{"videos": [...]}``
+    document, formatted here one detection at a time from a template, since
+    the json module's indenting encoder runs in pure Python. A detection
+    that ``load_predictions`` would reject or change (the four keys, and
+    values it accepts) raises ValidationError before anything is written.
+    """
     for vid, dets in preds_by_video.items():
         if not (isinstance(vid, str) and vid):
             raise ValidationError(f"cannot write predictions: video id must be "
@@ -473,32 +498,10 @@ def _check_writable_predictions(preds_by_video: dict[str, list[dict]]) -> None:
         if not isinstance(dets, list):
             raise ValidationError(f"cannot write predictions: video {vid!r}: "
                                   f"detections must be a list")
-    dets = [d for dets in preds_by_video.values() for d in dets]
-    if (set(map(type, dets)) <= {dict} and set(map(len, dets)) <= {4}
-            and _detection_columns(dets) is not None):
-        return
-    for vid, dets in preds_by_video.items():
-        for i, det in enumerate(dets):
-            if type(det) is not dict or det.keys() != set(_DET_KEYS):
-                problem = f"must be an object with just the keys {', '.join(_DET_KEYS)}"
-            else:
-                problem = _detection_problem(det)
-            if problem is not None:
-                raise ValidationError(f"cannot write predictions: video {vid!r} "
-                                      f"det {i}: {problem}")
-    raise AssertionError("column checks rejected a valid detection")
-
-
-def write_predictions(preds_by_video: dict[str, list[dict]], path) -> None:
-    """Write {video_id: [detection dicts]} as a prediction file, videos sorted.
-
-    The bytes are those of ``write_json`` on the ``{"videos": [...]}``
-    document, formatted here one detection at a time from a template, since
-    the json module's indenting encoder runs in pure Python. A detection
-    that ``load_predictions`` would reject or change raises ValidationError
-    before anything is written.
-    """
-    _check_writable_predictions(preds_by_video)
+    if _detection_columns([d for dets in preds_by_video.values() for d in dets],
+                          True) is None:
+        raise ValidationError("cannot write predictions: "
+                              + _first_bad_detection(preds_by_video, True))
     with atomic_write(path, "w") as fh:
         fh.write('{\n  "videos": [')
         sep = "\n"
@@ -574,13 +577,14 @@ def class_signatures(num_classes: int, dim: int, rng: np.random.Generator) -> np
 def _sample_events(spec: SyntheticSpec, rng: np.random.Generator) -> list[Event]:
     lo, hi = spec.events_per_video
     count = int(rng.integers(lo, hi + 1))
+    span = spec.event_span_sec
     events: list[Event] = []
     for _ in range(count):
         label = int(rng.integers(0, spec.num_classes))
         # rejection sampling keeps same-class events disjoint
         for _attempt in range(64):
             length = float(rng.uniform(*spec.event_length_sec))
-            start = float(rng.uniform(0.0, spec.duration_sec - length))
+            start = float(rng.uniform(0.0, span - length))
             end = start + length
             clash = any(e.label == label and e.start_sec < end and start < e.end_sec
                         for e in events)
@@ -607,9 +611,7 @@ def generate_synthetic(spec: SyntheticSpec):
     sig_v = class_signatures(spec.num_classes, spec.dim_visual, sig_rng)
     sig_a = class_signatures(spec.num_classes, spec.dim_audio, sig_rng)
 
-    t_steps = int(round(spec.duration_sec / spec.stride_sec))
-    if t_steps < 1:
-        raise ConfigError("duration shorter than one timestep")
+    t_steps = spec.num_timesteps
     centers = (np.arange(t_steps) + 0.5) * spec.stride_sec
     class_names = [f"class{c:02d}" for c in range(spec.num_classes)]
 

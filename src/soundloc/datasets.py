@@ -8,7 +8,6 @@ train/val/test split.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -118,11 +117,7 @@ def load_dataset(root_dir) -> Dataset:
     manifest: dict = {}
     splits: dict[str, list[str]] = {}
     if manifest_path.exists():
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise AnnotationFormatError(f"{manifest_path}: {exc}") from exc
+        manifest = dio.read_json(manifest_path)
         splits = manifest.get("splits", {}) if isinstance(manifest, dict) else None
         if not (isinstance(splits, dict) and all(
                 isinstance(ids, list) and all(type(v) is str for v in ids)

@@ -26,10 +26,11 @@ predict keeps, and does only the work they need:
 
 The rows are sorted once per call, by (label, start, end), so the first row
 at a cluster's best score is the one the (start, end) tie rule picks, and
-the picks once more into output order. Overlaps use evaluate.tiou's
-arithmetic, and the gaussian factor comes from math.exp, not np.exp, whose
-vectorized kernels can differ from the C library's exp by one ulp: the
-scores match a one-candidate-at-a-time implementation to the bit.
+the picks once more into output order. Overlaps come from overlap_tiou, the
+column tIoU that evaluate uses too, and the gaussian factor from math.exp,
+not np.exp, whose vectorized kernels can differ from the C library's exp
+by one ulp: the scores match a one-candidate-at-a-time implementation to
+the bit.
 """
 
 from __future__ import annotations
@@ -138,6 +139,18 @@ def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
     return Candidates(label, score, start, end).take(order[:pre_nms_topk])
 
 
+def overlap_tiou(a_start, a_end, b_start, b_end) -> tuple[np.ndarray, np.ndarray]:
+    """The rows where intervals a and b overlap, and their tIoU there.
+
+    The arithmetic is that of evaluate.tiou, so each value equals it to the
+    bit; every other row has tIoU 0.
+    """
+    inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
+    hit = (~(inter <= 0)).nonzero()[0]
+    i = inter[hit]
+    return hit, i / ((a_end[hit] - a_start[hit]) + (b_end[hit] - b_start[hit]) - i)
+
+
 def _run_starts(key: np.ndarray) -> np.ndarray:
     """True where a run of equal values in a sorted key begins."""
     first = np.empty(key.size, dtype=bool)
@@ -223,20 +236,14 @@ def soft_nms(cands: Candidates, sigma: float = NMS_SIGMA,
         if method == "hard" and iou_thresh <= 0:   # IoU 0 meets it too
             s[:] = 0.0
         else:
-            # tIoU with the cluster's pick, in evaluate.tiou's arithmetic; a
-            # row that does not overlap it gets a value <= 0 and keeps its
-            # score, as it would with IoU 0 and exp(-0) = 1
-            pa, pb = a[best], b[best]
-            inter = np.minimum(pb.repeat(count), b)
-            inter -= np.maximum(pa.repeat(count), a)
-            iou = inter / (((pb - pa).repeat(count) + (b - a)) - inter)
+            # tIoU with the cluster's pick; a row that does not overlap it
+            # keeps its score, as it would with IoU 0 and exp(-0) = 1
+            hit, x = overlap_tiou(a[best].repeat(count), b[best].repeat(count), a, b)
             if method == "hard":
-                s[iou >= iou_thresh] = 0.0
+                s[hit[x >= iou_thresh]] = 0.0
             else:
                 # math.exp, not np.exp: the scores must match the scalar form
                 # to the bit
-                hit = (iou > 0).nonzero()[0]
-                x = iou[hit]
                 s[hit] *= np.fromiter(map(math.exp, (-(x * x) / sigma).tolist()),
                                       dtype=np.float64, count=hit.size)
         live = s >= floor

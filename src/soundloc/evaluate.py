@@ -5,8 +5,8 @@ depend on the threshold and is built once per class:
 
 * predictions are ranked by score descending, then earlier start, then input
   order (a stable ``np.lexsort``);
-* every same-video (prediction, ground truth) pair gets its tIoU, with the
-  arithmetic of ``tiou``;
+* every same-video (prediction, ground truth) pair gets its tIoU from
+  ``decode.overlap_tiou``, whose arithmetic is that of ``tiou``;
 * pairs are sorted by (video, prediction rank, -tIoU, GT start, GT index).
 
 The pairs are formed in chunks of about ``_PAIR_CHUNK``, whole predictions
@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import write_json
-from .decode import Interval
-from .errors import EmptyInputError
+from .decode import Interval, overlap_tiou
+from .errors import ConfigError, EmptyInputError
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
 # (prediction, GT) pairs formed at a time while a pair table is built
@@ -57,18 +57,6 @@ def tiou(a: Interval, b: Interval) -> float:
         return 0.0
     union = (a.end_sec - a.start_sec) + (b.end_sec - b.start_sec) - inter
     return inter / union
-
-
-def overlap_tiou(a_start, a_end, b_start, b_end) -> tuple[np.ndarray, np.ndarray]:
-    """The rows where intervals a and b overlap, and their tIoU there.
-
-    The arithmetic is tiou's, so each value equals it to the bit; every
-    other row has tIoU 0.
-    """
-    inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
-    hit = (~(inter <= 0)).nonzero()[0]
-    i = inter[hit]
-    return hit, i / ((a_end[hit] - a_start[hit]) + (b_end[hit] - b_start[hit]) - i)
 
 
 @dataclass
@@ -287,6 +275,9 @@ def mean_ap(preds: list[Interval], gts: list[Interval],
             thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
             class_names: list[str] | None = None) -> EvalReport:
     """AP averaged over classes with ground truth, per threshold and overall."""
+    if not thresholds or any(math.isnan(t) for t in thresholds):
+        raise ConfigError(f"tIoU thresholds must be a non-empty list of numbers, "
+                          f"got {tuple(thresholds)}")
     if not gts:
         raise EmptyInputError("no ground-truth events: nothing to evaluate")
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
@@ -189,6 +190,24 @@ class TestGenData:
         assert err.startswith("error[config]") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_fractional_duration_dataset_loads(self, tmp_path):
+        # 10.4 s at a 1 s stride is recorded as 10 steps, 10 s
+        out = tmp_path / "d"
+        assert cli.main(["gen-data", "--out", str(out), "--videos", "20",
+                         "--duration", "10.4", "--stride", "1",
+                         "--event-length", "2", "4", "--seed", "3"]) == 0
+        anns = load_dataset(out).annotations.values()
+        assert {a.duration_sec for a in anns} == {10.0}
+        assert max(ev.end_sec for a in anns for ev in a.events) <= 10.0
+
+    def test_event_longer_than_recorded_duration_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert cli.main(["gen-data", "--out", str(out), "--duration", "10.4",
+                         "--event-length", "2", "10.2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and "duration 10.0" in err
+        assert not out.exists()
+
     def test_refuses_nonempty_without_force(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert cli.main(["gen-data", "--out", str(out), "--videos", "2"]) == 0
@@ -226,6 +245,16 @@ class TestConfigFile:
         path = tmp_path / "c.ini"
         path.write_text("[train]\nlearning_rte = 0.1\n")
         with pytest.raises(ConfigError, match="learning_rte"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ("[train]\nvalidate = 1\n", "validate"),       # a method, not a field
+        ("[model]\nbackbone = 1\n", "backbone"),       # a section, not a key
+        ("[train]\ndecode = 1\n", "decode")])
+    def test_only_field_keys_accepted(self, tmp_path, text, key):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -908,6 +937,22 @@ class TestPredictEvalCli:
         assert rc == 2
         assert "ghost" in capsys.readouterr().err
 
+    def test_eval_unknown_label_rejected(self, tiny_dataset, tmp_path, capsys):
+        # three annotation classes: 0, 1 and 2
+        vid = dio.load_annotations(tiny_dataset / "annotations.json")[0].video_id
+        pred_path = tmp_path / "labels.json"
+        dio.write_predictions({vid: [
+            {"label": label, "score": 0.5, "start_sec": 0.0, "end_sec": 1.0}
+            for label in (99, 2, 3, 7, 0, 12, 5, 4, 8)]}, pred_path)
+        rc = cli.main(["eval", "--predictions", str(pred_path),
+                       "--annotations", str(tiny_dataset / "annotations.json"),
+                       "--out", str(tmp_path / "report.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error[validation]: predictions use labels that are "
+                                "not annotation classes: 3, 4, 5, 7, 8\n")
+        assert captured.out == "" and not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("end_sec", math.inf), ("start_sec", -math.inf), ("start_sec", math.nan),
         ("end_sec", math.nan)])
@@ -1189,3 +1234,33 @@ class TestOutputErrors:
         assert info.value.filename == str(target)
         assert ".tmp" not in str(info.value)
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+class TestPinnedOutputBytes:
+    """gen-data, predict with seed-0 desk weights, then eval, on a tiny
+    seeded dataset: the SHA-256 of each output file is pinned, so a change
+    that moves any of their bytes fails here."""
+
+    DIGESTS = {
+        "data/annotations.json":
+            "a73c23cbee7a729ba73f76c4914012f7ecfa81cb0f568eea207175e5f8ed4c11",
+        "predictions.json":
+            "661377c5aaf9ce7676512e769bb01ba784aac8ef79db8615e8277c7732f4010a",
+        "report.json":
+            "556ed84b05c8f67786a75cf420f9bc04b830cf21a7d9a2b18cff754814e1565d",
+    }
+
+    def test_gen_data_predict_eval_digests(self, tmp_path):
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--out", str(data), "--videos", "4",
+                         "--duration", "64", "--seed", "11"]) == 0
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_model_arrays(desk_scale_config().model, 0), ckpt)
+        assert cli.main(["predict", "--checkpoint", str(ckpt),
+                         "--features", str(data / "features"),
+                         "--out", str(tmp_path / "predictions.json")]) == 0
+        assert cli.main(["eval", "--predictions", str(tmp_path / "predictions.json"),
+                         "--annotations", str(data / "annotations.json"),
+                         "--out", str(tmp_path / "report.json")]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in self.DIGESTS} == self.DIGESTS

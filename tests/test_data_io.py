@@ -520,7 +520,82 @@ def writable_predictions(draw):
     return videos
 
 
+DET_KEYS = ("label", "score", "start_sec", "end_sec")
+BAD_VALUES = {"label": BAD_LABELS, "score": BAD_SCORES,
+              "start_sec": ODD_TIMES, "end_sec": ODD_TIMES}
+
+
+def reference_write_error(preds_by_video) -> str | None:
+    """Detection by detection; the oracle of write_predictions' checks.
+
+    The error text for the first detection the writer must refuse, None if
+    it may write them all: dicts of just the four keys, an int (not a bool)
+    label that fits int64, and exact ints or floats (no bools, no subclasses)
+    elsewhere, start and end compared as the floats they become.
+    """
+    def number(x):
+        return type(x) in (int, float)
+
+    def as_float(x):
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+
+    for vid, dets in preds_by_video.items():
+        for i, det in enumerate(dets):
+            where = f"cannot write predictions: video {vid!r} det {i}: "
+            if not (type(det) is dict and det.keys() == set(DET_KEYS)):
+                return where + ("must be an object with just the keys "
+                                "label, score, start_sec, end_sec")
+            label, score, start, end = (det[k] for k in DET_KEYS)
+            if not (type(label) is int and 0 <= label < 2 ** 63):
+                return where + "bad label"
+            if not (number(score) and 0.0 <= score <= 1.0):
+                return where + "score must be in [0, 1]"
+            if not (number(start) and number(end)
+                    and -math.inf < as_float(start) < as_float(end) < math.inf):
+                return where + "start must precede end, both finite"
+    return None
+
+
+@st.composite
+def mutated_predictions(draw):
+    """writable_predictions with some detections broken, or changed to
+    other values that may still be valid."""
+    preds = draw(writable_predictions())
+    for dets in preds.values():
+        for i, det in enumerate(dets):
+            key = draw(st.sampled_from(DET_KEYS))
+            how = draw(st.integers(0, 11))
+            if how == 0:
+                dets[i] = draw(st.sampled_from([[], 5, "det", None, (1, 2, 3, 4)]))
+            elif how == 1:
+                det[key] = draw(st.sampled_from(BAD_VALUES[key]))
+            elif how == 2:
+                del det[key]
+            elif how == 3:
+                det["extra"] = 1
+            elif how == 4:   # still four keys, one of them misspelled
+                det[key[:-1]] = det.pop(key)
+    return preds
+
+
 class TestWritePredictions:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_predictions())
+    def test_fuzz_same_bytes_or_same_first_error(self, tmp_path_factory, preds):
+        path = tmp_path_factory.mktemp("w") / "pred.json"
+        problem = reference_write_error(preds)
+        if problem is None:
+            dio.write_predictions(preds, path)
+            assert path.read_bytes() == json_reference(preds).encode("utf-8")
+        else:
+            with pytest.raises(ValidationError) as info:
+                dio.write_predictions(preds, path)
+            assert str(info.value) == problem
+            assert not path.exists()
+
     @settings(max_examples=300, deadline=None)
     @given(writable_predictions())
     def test_bytes_match_json_module(self, tmp_path_factory, preds):
@@ -593,6 +668,11 @@ class TestWritePredictions:
     @pytest.mark.parametrize("det", [
         {"label": 0, "score": 0.5, "start_sec": 0.0},
         ["not", "a", "dict"],
+        # four keys, one misspelled
+        {"lable": 0, "score": 0.5, "start_sec": 0.0, "end_sec": 1.0},
+        {"label": 0, "scor": 0.5, "start_sec": 0.0, "end_sec": 1.0},
+        {"label": 0, "score": 0.5, "start": 0.0, "end_sec": 1.0},
+        {"label": 0, "score": 0.5, "start_sec": 0.0, "end": 1.0},
     ])
     def test_malformed_detection_rejected(self, tmp_path, det):
         with pytest.raises(ValidationError, match="det 0: must be an object"):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from soundloc import decode
 from soundloc import evaluate
 from soundloc.decode import Interval
-from soundloc.errors import EmptyInputError
+from soundloc.errors import ConfigError, EmptyInputError
 from soundloc.evaluate import (
     DEFAULT_THRESHOLDS,
     EvalReport,
@@ -318,6 +318,17 @@ class TestMeanAp:
     def test_empty_gt_rejected(self):
         with pytest.raises(EmptyInputError):
             mean_ap([], [])
+
+    @pytest.mark.parametrize("thresholds", [(), (0.5, math.nan), (math.nan,)])
+    def test_bad_thresholds_rejected_before_any_work(self, monkeypatch, thresholds):
+        def forbidden(*args):
+            raise AssertionError("no pair table for bad thresholds")
+
+        monkeypatch.setattr(evaluate, "_pair_table", forbidden)
+        gts = [iv(1.0, 3.0, label=0)]
+        for preds, truth in (([iv(1.0, 3.0, 0.9)], gts), ([], [])):
+            with pytest.raises(ConfigError, match="thresholds"):
+                mean_ap(preds, truth, thresholds=thresholds)
 
     def test_classes_without_gt_excluded(self):
         gts = [iv(1.0, 3.0, label=0)]
