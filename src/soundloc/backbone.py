@@ -80,12 +80,7 @@ class BackboneConfig:
 class PyramidLevel:
     features: Tensor          # (T_level, d_model), the videos' rows in turn
     stride_units: int         # input timesteps per position
-    # rows per video, in order; None means the level holds one video
-    segments: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if self.segments is None:
-            self.segments = (self.features.shape[0],)
+    segments: tuple[int, ...]  # rows per video, in order
 
 
 @dataclass

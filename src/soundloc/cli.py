@@ -22,17 +22,13 @@ from .model import check_checkpoint_shapes, load_checkpoint, predict_intervals
 from .train import train
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="INI config file; defaults to the desk-scale preset")
-    p.add_argument("--seed", type=int, default=None, help="override the seed")
 
 
 def _resolve_config(args) -> TrainConfig:
-    cfg = load_config(args.config) if args.config else desk_scale_config()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    return load_config(args.config) if args.config else desk_scale_config()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,13 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a model on a dataset directory")
     t.add_argument("--data", type=Path, required=True)
     t.add_argument("--out", type=Path, required=True)
-    _add_common(t)
+    _add_config(t)
+    t.add_argument("--seed", type=int, default=None, help="override the seed")
 
     p = sub.add_parser("predict", help="decode detections for a features dir")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_common(p)
+    _add_config(p)
 
     e = sub.add_parser("eval", help="score predictions against annotations")
     e.add_argument("--predictions", type=Path, required=True)
@@ -105,6 +102,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    if args.seed is not None:
+        cfg.seed = args.seed
     dataset = datasets.load_dataset(args.data)
     manifest = train(cfg, dataset, args.out)
     last = manifest.epochs[-1]

@@ -14,8 +14,9 @@ from pathlib import Path
 
 from .backbone import BackboneConfig
 from .data import atomic_write
+from .decode import DecodeConfig
 from .errors import ConfigError
-from .model import DecodeConfig, ModelConfig
+from .model import ModelConfig
 
 
 @dataclass

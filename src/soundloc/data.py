@@ -37,6 +37,7 @@ from .errors import (
 
 TSLF_MAGIC = b"TSLF"
 TSLF_VERSION = 1
+TSLF_MAX_TIMESTEPS = 2**32 - 1   # the header stores T as a u32
 
 MODALITY_CODES = {"visual": 0, "audio": 1, "fused": 2}
 MODALITY_NAMES = {v: k for k, v in MODALITY_CODES.items()}
@@ -58,8 +59,9 @@ class FeatureSequence:
         if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise ValidationError(
                 f"feature data must be a non-empty (T, D) matrix, got shape {self.data.shape}")
-        if not (self.stride_sec > 0):
-            raise ValidationError(f"stride_sec must be positive, got {self.stride_sec}")
+        if not (0 < self.stride_sec < math.inf):
+            raise ValidationError(
+                f"stride_sec must be finite and positive, got {self.stride_sec}")
         if not np.isfinite(self.data).all():
             raise ValidationError(f"feature data for {self.video_id!r} contains non-finite values")
 
@@ -132,6 +134,11 @@ class SyntheticSpec:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (0 < self.duration_sec < math.inf and self.stride_sec > 0):
             raise ConfigError("duration_sec must be finite and > 0, stride_sec > 0")
+        steps = self.duration_sec / self.stride_sec
+        if not (steps < math.inf and round(steps) <= TSLF_MAX_TIMESTEPS):
+            raise ConfigError(
+                f"duration_sec / stride_sec is {steps} timesteps; a feature "
+                f"file holds at most {TSLF_MAX_TIMESTEPS}")
         if not (self.signal_to_noise > 0):
             raise ConfigError(f"signal_to_noise must be > 0, got {self.signal_to_noise}")
         lo, hi = self.events_per_video
@@ -242,10 +249,6 @@ def load_features(path) -> FeatureSequence:
         raise FeatureFileError(f"{path}: unknown modality code {modality_code}")
     if pad != b"\x00\x00\x00":
         raise FeatureFileError(f"{path}: reserved bytes are not zero")
-    if t < 1 or d < 1:
-        raise FeatureFileError(f"{path}: non-positive shape ({t}, {d})")
-    if not (np.isfinite(stride_sec) and stride_sec > 0):
-        raise FeatureFileError(f"{path}: invalid stride_sec {stride_sec}")
 
     offset = fixed
     if len(blob) < offset + vid_len:
@@ -264,11 +267,11 @@ def load_features(path) -> FeatureSequence:
         raise FeatureFileError(
             f"{path}: {len(blob) - offset - expected} trailing bytes after payload")
     data = np.frombuffer(blob, dtype="<f4", count=t * d, offset=offset)
-    data = data.reshape(t, d)
-    if not np.isfinite(data).all():
-        raise FeatureFileError(f"{path}: payload contains non-finite values")
-    return FeatureSequence(video_id, MODALITY_NAMES[modality_code],
-                           float(stride_sec), data.copy())
+    try:
+        return FeatureSequence(video_id, MODALITY_NAMES[modality_code],
+                               float(stride_sec), data.reshape(t, d).copy())
+    except ValidationError as exc:
+        raise FeatureFileError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ recover_intervals thresholds the per-point class probabilities, converts the
 stride-normalized boundary distances back to seconds and keeps the top
 candidates, in one pass over the head outputs' rows (one per pyramid point,
 levels end to end); soft_nms decays overlapping ones per class and keeps the
-best max_out; select_top_k builds Interval objects for the best rows only.
+best max_out; select_top_k turns those rows into Interval objects.
 The stages pass Candidates, columns with one row per candidate in
 (-score, start, label, end) order, so a permuted input yields an identical
 output.
@@ -44,12 +44,41 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .heads import HeadOutput, PointSet
 
-SCORE_THRESH = 0.001
-PRE_NMS_TOPK = 2000
-NMS_SIGMA = 0.5
-NMS_IOU_THRESH = 0.5
-NMS_MIN_SCORE = 0.001
-NMS_MAX_OUT = 200
+
+def _check_suppression(method: str, sigma: float) -> None:
+    """The rule for the suppression settings, in either mode; NaN fails it."""
+    if method not in ("gaussian", "hard"):
+        raise ConfigError(f"method must be 'gaussian' or 'hard', got {method!r}")
+    if not sigma > 0:
+        raise ConfigError(f"sigma must be > 0, got {sigma}")
+
+
+@dataclass
+class DecodeConfig:
+    """Every decode setting; the fields' defaults are the functions' too."""
+
+    score_thresh: float = 0.001
+    pre_nms_topk: int = 2000
+    method: str = "gaussian"
+    sigma: float = 0.5
+    iou_thresh: float = 0.5
+    min_score: float = 0.001
+    max_out: int = 200
+
+    def validate(self) -> None:
+        # written as `not (ok)` so that NaN fails every check
+        _check_suppression(self.method, self.sigma)
+        if not 0 <= self.iou_thresh <= 1:
+            raise ConfigError(f"iou_thresh must be in [0, 1], got {self.iou_thresh}")
+        if not 0 <= self.score_thresh <= 1:
+            raise ConfigError(
+                f"score_thresh must be in [0, 1], got {self.score_thresh}")
+        if not self.min_score >= 0:
+            raise ConfigError(f"min_score must be >= 0, got {self.min_score}")
+        if min(self.pre_nms_topk, self.max_out) < 1:
+            raise ConfigError(
+                f"pre_nms_topk and max_out must be >= 1, got "
+                f"{self.pre_nms_topk} and {self.max_out}")
 
 
 class _IntervalFields(NamedTuple):
@@ -102,8 +131,9 @@ class Candidates:
 
 
 def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
-                      duration_sec: float, score_thresh: float = SCORE_THRESH,
-                      pre_nms_topk: int = PRE_NMS_TOPK) -> Candidates:
+                      duration_sec: float,
+                      score_thresh: float = DecodeConfig.score_thresh,
+                      pre_nms_topk: int = DecodeConfig.pre_nms_topk) -> Candidates:
     """Candidate intervals from every (point, class) above threshold.
 
     Boundaries are t -/+ d * stride (grid units) scaled to seconds and
@@ -159,10 +189,11 @@ def _run_starts(key: np.ndarray) -> np.ndarray:
     return first
 
 
-def soft_nms(cands: Candidates, sigma: float = NMS_SIGMA,
-             method: str = "gaussian", iou_thresh: float = NMS_IOU_THRESH,
-             min_score: float = NMS_MIN_SCORE,
-             max_out: int = NMS_MAX_OUT) -> Candidates:
+def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
+             method: str = DecodeConfig.method,
+             iou_thresh: float = DecodeConfig.iou_thresh,
+             min_score: float = DecodeConfig.min_score,
+             max_out: int = DecodeConfig.max_out) -> Candidates:
     """Score-decaying suppression per class; the best max_out results.
 
     Gaussian mode multiplies competitors by exp(-IoU^2 / sigma); hard mode
@@ -171,15 +202,13 @@ def soft_nms(cands: Candidates, sigma: float = NMS_SIGMA,
     repeats, until it has max_out picks or everything left is below
     min_score (its first pick is made whatever its score). The picks carry
     their decayed scores; the first max_out of them in
-    (-score, start, label, end) order are returned.
+    (-score, start, label, end) order are returned. The method and sigma
+    follow DecodeConfig's rule: sigma > 0 in hard mode too.
 
     The rounds run per overlap cluster, not per class, and stop once no
     later pick could enter the result; see the module docstring.
     """
-    if method not in ("gaussian", "hard"):
-        raise ConfigError(f"unknown suppression method {method!r}")
-    if method == "gaussian" and not sigma > 0:
-        raise ConfigError(f"gaussian suppression needs sigma > 0, got {sigma}")
+    _check_suppression(method, sigma)
     if not len(cands) or max_out < 1:
         return cands.take(slice(0))
 
@@ -261,13 +290,8 @@ def soft_nms(cands: Candidates, sigma: float = NMS_SIGMA,
     return Candidates(top.label, s, top.start, top.end).take(order)
 
 
-def select_top_k(cands: Candidates, video_id: str,
-                 k: int = NMS_MAX_OUT) -> list[Interval]:
-    """The first k rows, best first as soft_nms orders them, as Intervals.
-
-    A k below 1 keeps nothing, as soft_nms's max_out does.
-    """
-    top = cands.take(slice(max(k, 0)))
+def select_top_k(cands: Candidates, video_id: str) -> list[Interval]:
+    """soft_nms's rows, already its best max_out in order, as Intervals."""
     return [Interval(video_id, c, s, a, b) for c, s, a, b in zip(
-        top.label.tolist(), top.score.tolist(), top.start.tolist(),
-        top.end.tolist())]
+        cands.label.tolist(), cands.score.tolist(), cands.start.tolist(),
+        cands.end.tolist())]

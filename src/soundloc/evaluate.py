@@ -257,9 +257,9 @@ class EvalReport:
     def save_json(self, path) -> None:
         write_json(self.to_dict(), path)
 
-    def format_table(self, row_name: str = "model") -> str:
+    def format_table(self) -> str:
         header = ["Method"] + [f"@{t:g}" for t in self.thresholds] + ["Avg"]
-        cells = [row_name] + [f"{100.0 * v:.1f}" for v in self.map_per_threshold]
+        cells = ["model"] + [f"{100.0 * v:.1f}" for v in self.map_per_threshold]
         cells.append(f"{100.0 * self.average_map:.1f}")
         widths = [max(len(h), len(c), 6) for h, c in zip(header, cells)]
         fmt = "  ".join(f"{{:<{w}}}" for w in widths)

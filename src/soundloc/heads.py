@@ -97,9 +97,9 @@ def head_param_shapes(d_model: int, num_classes: int,
     return p
 
 
-def init_head_params(d_model: int, num_classes: int, rng: np.random.Generator,
-                     prior_prob: float = PRIOR_PROB) -> dict[str, np.ndarray]:
-    return pr.init_params(head_param_shapes(d_model, num_classes, prior_prob), rng)
+def init_head_params(d_model: int, num_classes: int,
+                     rng: np.random.Generator) -> dict[str, np.ndarray]:
+    return pr.init_params(head_param_shapes(d_model, num_classes), rng)
 
 
 def _head_trunk(x: Tensor, p: Mapping[str, Tensor], branch: str,

@@ -56,8 +56,7 @@ def join_assignments(parts: Sequence[Assignment]) -> Assignment:
 
 
 def assign_targets(points: PointSet, ann: AnnotationSet,
-                   stride_sec: float, num_classes: int,
-                   center_radius: float = CENTER_SAMPLING_RADIUS) -> Assignment:
+                   stride_sec: float, num_classes: int) -> Assignment:
     """Label every pyramid point against one video's ground-truth events."""
     ts, strides = points.timestamps, points.strides
     n = ts.shape[0]
@@ -75,7 +74,7 @@ def assign_targets(points: PointSet, ann: AnnotationSet,
     label, s_u, e_u = label[order], s_u[order, None], e_u[order, None]
 
     center = 0.5 * (s_u + e_u)
-    radius = center_radius * strides
+    radius = CENTER_SAMPLING_RADIUS * strides
     inside = ((ts >= np.maximum(s_u, center - radius))
               & (ts <= np.minimum(e_u, center + radius)))
     far = np.maximum(ts - s_u, e_u - ts)
@@ -188,16 +187,14 @@ def diou_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return tape.record(loss.reshape(()) if squeeze else loss, bwd)
 
 
-def loss_sums(head_out: HeadOutput, assignment: Assignment,
-              alpha: float = FOCAL_ALPHA, gamma: float = FOCAL_GAMMA
-              ) -> tuple[Tensor, Tensor, int]:
+def loss_sums(head_out: HeadOutput,
+              assignment: Assignment) -> tuple[Tensor, Tensor, int]:
     """Unnormalized loss sums: (focal sum, DIoU sum, T_plus).
 
     Focal runs over every point and class; DIoU only over positive
     points. :func:`objective` divides them by the positive count.
     """
-    _, cls_sum = focal_loss(head_out.cls_logits, assignment.cls_targets,
-                            alpha, gamma)
+    _, cls_sum = focal_loss(head_out.cls_logits, assignment.cls_targets)
     idx = np.flatnonzero(assignment.positive)
     if not idx.size:
         return cls_sum, cls_sum.tape.constant(0.0), 0
@@ -221,11 +218,9 @@ def objective(cls_sum: Tensor, reg_sum: Tensor, t_plus: int,
 
 
 def total_loss(head_out: HeadOutput, assignment: Assignment,
-               lambda_reg: float = 1.0,
-               alpha: float = FOCAL_ALPHA, gamma: float = FOCAL_GAMMA
-               ) -> tuple[Tensor, dict]:
+               lambda_reg: float = 1.0) -> tuple[Tensor, dict]:
     """Combined objective for one video, normalized by max(T_plus, 1)."""
-    return objective(*loss_sums(head_out, assignment, alpha, gamma), lambda_reg)
+    return objective(*loss_sums(head_out, assignment), lambda_reg)
 
 
 def _gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:

@@ -22,12 +22,7 @@ from .autodiff import Tape
 from .backbone import BackboneConfig, backbone_param_shapes, build_pyramid
 from .data import FeatureSequence, atomic_write
 from .decode import (
-    NMS_IOU_THRESH,
-    NMS_MAX_OUT,
-    NMS_MIN_SCORE,
-    NMS_SIGMA,
-    PRE_NMS_TOPK,
-    SCORE_THRESH,
+    DecodeConfig,
     Interval,
     recover_intervals,
     select_top_k,
@@ -46,36 +41,6 @@ from .heads import (
 
 CHECKPOINT_MAGIC = b"TSCP"
 CHECKPOINT_VERSION = 1
-
-
-@dataclass
-class DecodeConfig:
-    score_thresh: float = SCORE_THRESH
-    pre_nms_topk: int = PRE_NMS_TOPK
-    method: str = "gaussian"
-    sigma: float = NMS_SIGMA
-    iou_thresh: float = NMS_IOU_THRESH
-    min_score: float = NMS_MIN_SCORE
-    max_out: int = NMS_MAX_OUT
-
-    def validate(self) -> None:
-        # written as `not (ok)` so that NaN fails every check
-        if self.method not in ("gaussian", "hard"):
-            raise ConfigError(
-                f"method must be 'gaussian' or 'hard', got {self.method!r}")
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
-        if not 0 <= self.iou_thresh <= 1:
-            raise ConfigError(f"iou_thresh must be in [0, 1], got {self.iou_thresh}")
-        if not 0 <= self.score_thresh <= 1:
-            raise ConfigError(
-                f"score_thresh must be in [0, 1], got {self.score_thresh}")
-        if not self.min_score >= 0:
-            raise ConfigError(f"min_score must be >= 0, got {self.min_score}")
-        if min(self.pre_nms_topk, self.max_out) < 1:
-            raise ConfigError(
-                f"pre_nms_topk and max_out must be >= 1, got "
-                f"{self.pre_nms_topk} and {self.max_out}")
 
 
 @dataclass
@@ -130,7 +95,7 @@ def forward_video(bound, cfg: ModelConfig, fused: Sequence[np.ndarray],
 def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
                       fused_seq: FeatureSequence,
                       decode_cfg: DecodeConfig | None = None) -> list[Interval]:
-    """Pure inference for one video: forward, recover, suppress, cap."""
+    """Pure inference for one video: forward, recover, suppress."""
     dc = decode_cfg or DecodeConfig()
     tape = Tape(dtype=np.float32, record=False)   # no backward pass
     bound = pr.bind(tape, arrays)
@@ -141,7 +106,7 @@ def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
     kept = soft_nms(cands, sigma=dc.sigma, method=dc.method,
                     iou_thresh=dc.iou_thresh, min_score=dc.min_score,
                     max_out=dc.max_out)
-    return select_top_k(kept, fused_seq.video_id, dc.max_out)
+    return select_top_k(kept, fused_seq.video_id)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from . import data as dio
 from . import params as pr
 from .config import TrainConfig, save_config
 from .datasets import Dataset
-from .decode import Interval
+from .decode import DecodeConfig, Interval
 from .errors import NumericError, ValidationError
 from .evaluate import mean_ap
 from .losses import (
@@ -34,7 +34,6 @@ from .losses import (
     objective,
 )
 from .model import (
-    DecodeConfig,
     ModelConfig,
     forward_video,
     init_model_arrays,
@@ -46,10 +45,10 @@ from .model import (
 class AdamW:
     """Adam with decoupled weight decay; decay skips 1-D parameters."""
 
-    def __init__(self, arrays: dict[str, np.ndarray], weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, arrays: dict[str, np.ndarray], weight_decay: float = 0.0):
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
@@ -146,18 +145,20 @@ def evaluate_on(arrays: dict[str, np.ndarray], cfg: ModelConfig,
     return mean_ap(preds, gts, class_names=dataset.class_names), preds
 
 
-def train(cfg: TrainConfig, dataset: Dataset, out_dir,
-          train_split: str = "train", val_split: str = "val") -> RunManifest:
+def train(cfg: TrainConfig, dataset: Dataset, out_dir) -> RunManifest:
     """Run the full optimization and return the populated manifest.
 
-    Writes ``config.ini``, per-epoch checkpoints plus ``best.ckpt`` (highest
-    validation mAP) and ``manifest.json`` under ``out_dir``. The config, the
-    splits and the labels are checked first: a rejected run writes nothing.
+    Fits the ``train`` split and scores the ``val`` split, if there is one,
+    after every epoch. Writes ``config.ini``, per-epoch checkpoints plus
+    ``best.ckpt`` (highest validation mAP) and ``manifest.json`` under
+    ``out_dir``, and deletes the epoch checkpoints of an earlier, longer run
+    there. The config, the splits and the labels are checked first: a
+    rejected run writes and deletes nothing.
     """
     cfg.validate()
     t0 = time.perf_counter()
-    train_ids = dataset.videos(train_split)
-    val_ids = dataset.videos(val_split) if val_split in dataset.splits else []
+    train_ids = dataset.videos("train")
+    val_ids = dataset.videos("val") if "val" in dataset.splits else []
     if not train_ids:
         raise ValidationError("training split is empty")
     mcfg = cfg.model
@@ -175,12 +176,16 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
                     f"num_classes {mcfg.num_classes}")
     if val_ids and not any(dataset.annotations[vid].events for vid in val_ids):
         raise ValidationError(
-            f"validation split {val_split!r} holds no ground-truth event, so "
-            f"it cannot be scored")
+            "validation split 'val' holds no ground-truth event, so it "
+            "cannot be scored")
 
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_paths = [ckpt_dir / f"epoch_{e:03d}.ckpt" for e in range(cfg.epochs)]
+    for stale in ckpt_dir.glob("epoch_*.ckpt"):
+        if stale not in ckpt_paths:   # an earlier, longer run's epoch
+            stale.unlink()
     save_config(cfg, out / "config.ini")
     arrays = init_model_arrays(mcfg, cfg.seed)
     optimizer = AdamW(arrays, weight_decay=cfg.weight_decay)
@@ -220,9 +225,8 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir,
             report, _ = evaluate_on(arrays, mcfg, dataset, val_ids, cfg.decode)
             val_map = report.average_map
 
-        ckpt_path = ckpt_dir / f"epoch_{epoch:03d}.ckpt"
-        save_checkpoint(arrays, ckpt_path)
-        manifest.checkpoints.append(str(ckpt_path))
+        save_checkpoint(arrays, ckpt_paths[epoch])
+        manifest.checkpoints.append(str(ckpt_paths[epoch]))
         if val_map is None or val_map >= manifest.best_val_map:
             manifest.best_val_map = -1.0 if val_map is None else val_map
             manifest.best_checkpoint = str(ckpt_dir / "best.ckpt")

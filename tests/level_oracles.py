@@ -16,11 +16,7 @@ import numpy as np
 from soundloc import autodiff as ad
 from soundloc import params as pr
 from soundloc.backbone import build_pyramid
-from soundloc.decode import (
-    PRE_NMS_TOPK,
-    SCORE_THRESH,
-    Candidates,
-)
+from soundloc.decode import Candidates, DecodeConfig
 from soundloc.errors import EmptyInputError, ValidationError
 from soundloc.heads import DEFAULT_RANGE_BASE, HeadOutput, PointSet
 from soundloc.losses import (
@@ -168,7 +164,8 @@ def loss_sums(heads, assignment, alpha=FOCAL_ALPHA, gamma=FOCAL_GAMMA):
 
 
 def recover_intervals(heads, levels, stride_sec, duration_sec,
-                      score_thresh=SCORE_THRESH, pre_nms_topk=PRE_NMS_TOPK):
+                      score_thresh=DecodeConfig.score_thresh,
+                      pre_nms_topk=DecodeConfig.pre_nms_topk):
     cols = []
     for lvl, logits, dist in zip(levels, heads.cls_logits, heads.distances):
         probs = 1.0 / (1.0 + np.exp(-np.asarray(logits.values, dtype=np.float64)))

@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import math
+import re
 import shutil
+import struct
 import tempfile
 import weakref
 from dataclasses import fields
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from soundloc import autodiff as ad
 from soundloc import cli
+from soundloc import config as config_mod
 from soundloc import model as model_mod
 from soundloc import data as dio
 from soundloc import params as pr
@@ -26,7 +29,7 @@ from soundloc import train as train_mod
 from soundloc.backbone import BackboneConfig
 from soundloc.config import TrainConfig, desk_scale_config, load_config, save_config
 from soundloc.datasets import load_dataset, write_dataset
-from soundloc.errors import CheckpointError, ConfigError, NumericError
+from soundloc.errors import CheckpointError, ConfigError, NumericError, ValidationError
 from soundloc.losses import assign_targets, total_loss
 from soundloc.model import (
     ModelConfig,
@@ -182,7 +185,10 @@ class TestGenData:
         assert len(anns) == 8
 
     @pytest.mark.parametrize("flags", [
-        ["--seed", "-2"], ["--duration", "inf"], ["--split-counts", "5", "-1", "4"]])
+        ["--seed", "-2"], ["--duration", "inf"], ["--split-counts", "5", "-1", "4"],
+        # T = inf and T = 10^18, beyond the feature file header's u32 T
+        ["--duration", "1e308", "--stride", "1e-10", "--event-length", "1", "2"],
+        ["--duration", "1e9", "--stride", "1e-9"]])
     def test_bad_spec_exits_2_writing_nothing(self, tmp_path, capsys, flags):
         out = tmp_path / "d"
         assert cli.main(["gen-data", "--out", str(out), "--videos", "8"] + flags) == 2
@@ -445,6 +451,25 @@ class TestTraining:
             docs.append(doc)
         assert docs[0] == docs[1]
 
+    def test_shorter_run_clears_stale_epoch_checkpoints(self, tiny_dataset,
+                                                         tmp_path):
+        ds = load_dataset(tiny_dataset)
+        out = tmp_path / "run"
+        ckpts = out / "checkpoints"
+        train(tiny_train_config(epochs=3), ds, out)
+        before = tree_bytes(ckpts)
+        # a rejected run writes and deletes nothing
+        bad = tiny_train_config(epochs=1)
+        bad.model.num_classes = 2
+        with pytest.raises(ValidationError, match="num_classes"):
+            train(bad, ds, out)
+        assert tree_bytes(ckpts) == before
+        train(tiny_train_config(epochs=1), ds, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["checkpoints"] == ["checkpoints/epoch_000.ckpt"]
+        assert sorted(p.relative_to(out).as_posix() for p in ckpts.iterdir()) == (
+            ["checkpoints/best.ckpt"] + manifest["checkpoints"])
+
     def test_loss_decreases_on_easy_data(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(epochs=4)
         ds = load_dataset(tiny_dataset)
@@ -462,7 +487,7 @@ class TestTraining:
         good = 0
         for seed in range(10):
             cfg = tiny_train_config(epochs=5, warmup_epochs=1, seed=seed)
-            manifest = train(cfg, ds, tmp_path / f"seed{seed}", val_split="none")
+            manifest = train(cfg, ds, tmp_path / f"seed{seed}")
             totals = [e["mean_total"] for e in manifest.epochs]
             if all(b < a for a, b in zip(totals, totals[1:])):
                 good += 1
@@ -1034,6 +1059,37 @@ class TestPredictEvalCli:
         assert err.startswith("error[validation]") and needle in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stride", [math.inf, math.nan])
+    def test_predict_non_finite_stride_file_exits_4(self, trained, tmp_path,
+                                                    capsys, stride):
+        data = tmp_path / "data"
+        shutil.copytree(trained["data"], data)
+        path = sorted((data / "features").glob("*.visual.tslf"))[0]
+        blob = bytearray(path.read_bytes())
+        # the f64 stride follows magic, version, modality, 3 reserved bytes, T, D
+        struct.pack_into("<d", blob, struct.calcsize("<4sIB3sII"), stride)
+        path.write_bytes(bytes(blob))
+        out = tmp_path / "x.json"
+        rc = cli.main(["predict", "--checkpoint", trained["ckpt"],
+                       "--features", str(data / "features"),
+                       "--out", str(out), "--config", str(trained["config"])])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[feature-file]") and err.count("\n") == 1
+        assert f"{path}: stride_sec must be finite and positive" in err
+        assert not out.exists()
+
+    def test_predict_takes_no_seed(self, trained, tmp_path, capsys):
+        # predict draws nothing at random, so a seed would change nothing
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--checkpoint", trained["ckpt"],
+                      "--features", str(trained["data"] / "features"),
+                      "--out", str(out), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("score", True), ("start_sec", False), ("end_sec", True),
         ("end_sec", 10 ** 400), ("start_sec", -(10 ** 400)), ("label", 2 ** 63),
@@ -1264,3 +1320,45 @@ class TestPinnedOutputBytes:
                          "--out", str(tmp_path / "report.json")]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in self.DIGESTS} == self.DIGESTS
+
+
+class TestSettingSurface:
+    """Every setting a user can give, pinned: adding or dropping one is a
+    deliberate edit here."""
+
+    def test_command_line_options(self):
+        parser = cli.build_parser()
+        (commands,) = [a.choices for a in parser._actions if a.choices]
+        got = {name: [o for a in sub._actions for o in a.option_strings
+                      if o not in ("-h", "--help")]
+               for name, sub in commands.items()}
+        assert got == {
+            "gen-data": ["--out", "--videos", "--classes", "--dim-visual",
+                         "--dim-audio", "--duration", "--stride", "--snr",
+                         "--events", "--event-length", "--seed",
+                         "--split-counts", "--force"],
+            "train": ["--data", "--out", "--config", "--seed"],
+            "predict": ["--checkpoint", "--features", "--out", "--config"],
+            "eval": ["--predictions", "--annotations", "--out"],
+        }
+
+    def test_config_file_keys(self):
+        got = {name: list(config_mod._values(obj))
+               for name, obj in config_mod._sections(TrainConfig()).items()}
+        assert got == {
+            "train": ["learning_rate", "batch_size", "epochs", "warmup_epochs",
+                      "weight_decay", "grad_clip", "seed", "lambda_reg"],
+            "model": ["num_classes", "range_base", "prior_prob"],
+            "backbone": ["input_dim", "d_model", "num_blocks", "window",
+                         "num_heads", "mlp_ratio", "stride_schedule",
+                         "layerscale_init", "msa_residual"],
+            "decode": ["score_thresh", "pre_nms_topk", "method", "sigma",
+                       "iou_thresh", "min_score", "max_out"],
+        }
+
+    def test_readme_config_example_is_the_desk_preset(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text(example)
+        assert load_config(path) == desk_scale_config()

@@ -5,6 +5,7 @@ import errno
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -108,6 +109,11 @@ class TestFusion:
         with pytest.raises(ValidationError):
             dio.FeatureSequence("v", "audio", 1.0, np.zeros((4, 0), dtype=np.float32))
 
+    @pytest.mark.parametrize("stride", [math.inf, math.nan, 0.0, -1.0])
+    def test_stride_must_be_finite_and_positive(self, stride):
+        with pytest.raises(ValidationError, match="stride_sec must be finite"):
+            dio.FeatureSequence("v", "visual", stride, np.zeros((4, 2)))
+
 
 class TestFeatureFiles:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -148,6 +154,28 @@ class TestFeatureFiles:
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(FeatureFileError, match="trailing"):
             dio.load_features(p)
+
+    @pytest.mark.parametrize("stride, data, needle", [
+        (math.inf, None, "stride_sec must be finite and positive, got inf"),
+        (math.nan, None, "stride_sec must be finite and positive, got nan"),
+        (1.0, [[0.0, math.nan]], "contains non-finite values"),
+        (1.0, np.zeros((0, 3)), "non-empty (T, D) matrix")])
+    def test_sequence_rule_applies_to_files(self, tmp_path, stride, data, needle):
+        p = tmp_path / "s.tslf"
+        seq = make_seq()
+        dio.save_features(seq, p)
+        blob = bytearray(p.read_bytes())
+        # header: magic, version, modality, 3 reserved bytes, T, D, f64 stride
+        at = struct.calcsize("<4sIB3sII")
+        if data is not None:
+            data = np.asarray(data, dtype="<f4")
+            struct.pack_into("<II", blob, at - 8, *data.shape)
+            blob[len(blob) - seq.data.nbytes:] = data.tobytes()
+        struct.pack_into("<d", blob, at, stride)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FeatureFileError) as exc:
+            dio.load_features(p)
+        assert str(exc.value).startswith(f"{p}: ") and needle in str(exc.value)
 
     def test_fuzz_truncation_and_bit_flips(self, tmp_path):
         """Corrupted files must yield typed errors or still-valid sequences."""
@@ -721,6 +749,18 @@ class TestSynthetic:
     def test_negative_seed_and_non_finite_duration_rejected(self, kw, needle):
         with pytest.raises(ConfigError, match=needle):
             self.desk_spec(**kw).validate()
+
+    @pytest.mark.parametrize("duration, stride", [
+        (1e308, 1e-10), (1e9, 1e-9), (2.0 ** 32, 1.0), (2.0 ** 32 - 0.5, 1.0)])
+    def test_more_timesteps_than_a_feature_file_holds_rejected(self, duration,
+                                                                stride):
+        spec = self.desk_spec(duration_sec=duration, stride_sec=stride)
+        with pytest.raises(ConfigError, match="at most 4294967295"):
+            spec.validate()
+
+    def test_most_timesteps_a_feature_file_holds_pass(self):
+        # validate only: a dataset this long does not fit in memory
+        self.desk_spec(duration_sec=2.0 ** 32 - 1.0).validate()
 
     def test_signature_recoverable_from_event_windows(self):
         # one event per video keeps windows free of cross-class overlap

@@ -25,6 +25,7 @@ from soundloc.data import (
 )
 from soundloc.decode import (
     Candidates,
+    DecodeConfig,
     Interval,
     recover_intervals,
     select_top_k,
@@ -44,8 +45,8 @@ def sort_key(iv):
 
 
 def oracle_recover_intervals(head_out, points, stride_sec, duration_sec,
-                             score_thresh=decode.SCORE_THRESH,
-                             pre_nms_topk=decode.PRE_NMS_TOPK):
+                             score_thresh=DecodeConfig.score_thresh,
+                             pre_nms_topk=DecodeConfig.pre_nms_topk):
     """recover_intervals with one Interval per candidate, sorted, then cut."""
     out = []
     probs = 1.0 / (1.0 + np.exp(-np.asarray(head_out.cls_logits.values,
@@ -65,9 +66,9 @@ def oracle_recover_intervals(head_out, points, stride_sec, duration_sec,
     return out[:pre_nms_topk]
 
 
-def oracle_soft_nms(preds, sigma=decode.NMS_SIGMA, method="gaussian",
-                    iou_thresh=decode.NMS_IOU_THRESH,
-                    min_score=decode.NMS_MIN_SCORE, max_out=decode.NMS_MAX_OUT):
+def oracle_soft_nms(preds, sigma=DecodeConfig.sigma, method=DecodeConfig.method,
+                    iou_thresh=DecodeConfig.iou_thresh,
+                    min_score=DecodeConfig.min_score, max_out=DecodeConfig.max_out):
     """soft_nms one group and one candidate at a time, scored with tiou."""
     groups = {}
     for p in preds:
@@ -380,13 +381,21 @@ class TestSoftNms:
         assert sorted(p.score for p in got) == [0.8, 0.9]
 
     def test_unknown_method(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="method must be 'gaussian' or 'hard'"):
             soft_nms(columns([iv(0.5, 0.0, 1.0)]), method="linear")
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
     def test_nonpositive_sigma_rejected(self, sigma):
         with pytest.raises(ConfigError):
             soft_nms(columns([iv(0.9, 0.0, 1.0), iv(0.8, 0.0, 1.0)]), sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_nonpositive_sigma_rejected_in_hard_mode_too(self, sigma):
+        # the config file's rule: DecodeConfig.validate and soft_nms share it
+        with pytest.raises(ConfigError, match="sigma must be > 0"):
+            soft_nms(columns([iv(0.9, 0.0, 1.0)]), method="hard", sigma=sigma)
+        with pytest.raises(ConfigError, match="sigma must be > 0"):
+            DecodeConfig(method="hard", sigma=sigma).validate()
 
     def test_max_out_cap(self):
         preds = [iv(0.5, float(i), float(i) + 0.5) for i in range(30)]
@@ -407,18 +416,13 @@ class TestSoftNms:
 
 
 class TestTopK:
-    def test_first_k_rows_of_the_video(self):
+    def test_every_row_in_order_as_an_interval_of_the_video(self):
+        # soft_nms has already cut its output to max_out rows
         preds = [iv(0.5 + 0.01 * i, float(i), i + 0.5) for i in range(10)]
-        got = select_top_k(columns(preds), "a", k=3)
-        assert [p.score for p in got] == [0.5, 0.51, 0.52]
+        got = select_top_k(columns(preds), "a")
+        assert [p.score for p in got] == [p.score for p in preds]
         assert {p.video_id for p in got} == {"a"}
-        assert len(select_top_k(columns(preds), "a", k=20)) == 10
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_k_below_one_keeps_nothing(self, k):
-        # as soft_nms with max_out < 1, not a slice that drops the last rows
-        preds = [iv(0.5 + 0.01 * i, float(i), i + 0.5) for i in range(10)]
-        assert select_top_k(columns(preds), "a", k=k) == []
+        assert select_top_k(columns([]), "a") == []
 
 
 # Few distinct values, so that scores, starts and ends tie often.
@@ -454,7 +458,7 @@ def bits(preds):
 
 def oracle_top(preds, **kwargs):
     """The rows predict keeps: the oracle's first max_out survivors."""
-    return oracle_soft_nms(preds, **kwargs)[:kwargs.get("max_out", decode.NMS_MAX_OUT)]
+    return oracle_soft_nms(preds, **kwargs)[:kwargs.get("max_out", DecodeConfig.max_out)]
 
 
 class TestSoftNmsMatchesOracle:
@@ -519,7 +523,7 @@ class TestSoftNmsMatchesOracle:
         # candidates reach the loop and overlap heavily; over 500 survivors
         # in 5 classes, of which predict keeps the best 200
         cands = model_candidates(512.0, 0, (8, 16))
-        assert len(cands) == decode.PRE_NMS_TOPK
+        assert len(cands) == DecodeConfig.pre_nms_topk
         preds = intervals_of(cands)
         for method in ("gaussian", "hard"):
             for max_out in (200, 7):
@@ -643,7 +647,7 @@ class TestWorkCount:
         built = count_intervals(monkeypatch)
         got = recover_intervals(head_out, points, 1.0, float(t))
         assert len(built) == 0
-        assert bits(got) == bits(every[:decode.PRE_NMS_TOPK])
+        assert bits(got) == bits(every[:DecodeConfig.pre_nms_topk])
 
     def test_soft_nms_builds_no_interval(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -710,8 +714,8 @@ class TestWorkCount:
         rounds = count_rounds(monkeypatch)
         got = soft_nms(cands)
         assert len(rounds) < 0.8 * picks
-        assert len(every) > len(got) == decode.NMS_MAX_OUT
-        assert bits(got) == bits(every[:decode.NMS_MAX_OUT])
+        assert len(every) > len(got) == DecodeConfig.max_out
+        assert bits(got) == bits(every[:DecodeConfig.max_out])
 
     def test_predict_builds_one_per_result(self, monkeypatch):
         # untrained desk-preset weights put most points above the score

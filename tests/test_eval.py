@@ -379,8 +379,8 @@ class TestReportedAveraging:
             map_per_threshold=[0.162, 0.135, 0.108, 0.084, 0.058],
             average_map=self.row_average([16.2, 13.5, 10.8, 8.4, 5.8]),
         )
-        table = report.format_table(row_name="audio")
+        table = report.format_table()
         lines = table.splitlines()
         assert "@0.1" in lines[0] and "Avg" in lines[0]
-        assert lines[1].split()[0] == "audio"
+        assert lines[1].split()[0] == "model"
         assert lines[1].split()[-1] == "10.9"

@@ -16,7 +16,7 @@ from tests import level_oracles
 def fake_pyramid(tape, lengths, strides, d=8, seed=0):
     rng = np.random.default_rng(seed)
     levels = [
-        PyramidLevel(tape.constant(rng.normal(size=(t, d))), s)
+        PyramidLevel(tape.constant(rng.normal(size=(t, d))), s, (t,))
         for t, s in zip(lengths, strides)
     ]
     return Pyramid(levels)
@@ -169,7 +169,7 @@ class TestHeads:
 
         def f(x):
             p = pr.bind(x.tape, arrays)
-            pyr = Pyramid([PyramidLevel(x, 1)])
+            pyr = Pyramid([PyramidLevel(x, 1, (x.shape[0],))])
             out = run_heads(pyr, p)
             return ad.add(ad.sum_all(ad.square(out.cls_logits)),
                           ad.sum_all(ad.square(out.distances)))
@@ -203,7 +203,7 @@ class TestPackedVideos:
         levels = [PyramidLevel(tape.constant(np.concatenate([v[l] for v in per_video])),
                                s, tuple(rows[l] for rows in video_lengths))
                   for l, s in enumerate(strides)]
-        alone = [Pyramid([PyramidLevel(tape.constant(a), s)
+        alone = [Pyramid([PyramidLevel(tape.constant(a), s, (len(a),))
                           for a, s in zip(v, strides)]) for v in per_video]
         return Pyramid(levels), alone
 
