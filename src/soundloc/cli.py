@@ -16,10 +16,18 @@ from . import data as dio
 from . import datasets
 from .config import TrainConfig, desk_scale_config, load_config
 from .decode import Interval
-from .errors import FileFormatError, SoundlocError, ValidationError
+from .errors import FileFormatError, SoundlocError, UsageError, ValidationError
 from .evaluate import mean_ap
 from .model import check_checkpoint_shapes, load_checkpoint, predict_intervals
 from .train import train
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' too, that raises UsageError on a
+    bad command line instead of printing usage and exiting."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _add_config(p: argparse.ArgumentParser) -> None:
@@ -32,7 +40,7 @@ def _resolve_config(args) -> TrainConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="soundloc",
         description="Train and evaluate a temporal sound localization model "
                     "on fused audio-visual feature sequences.")
@@ -175,8 +183,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except SoundlocError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

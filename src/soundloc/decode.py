@@ -14,23 +14,36 @@ predict keeps, and does only the work they need:
 
 * A pick decays only the rows it overlaps, so each class is cut into overlap
   clusters (its rows sorted by start, cut wherever a start is at or after
-  every earlier end) that run side by side: every live cluster picks once
-  per round, in the order its class would. The rounds number at most the
-  largest cluster's rows, and at most max_out. Within a class the output
-  order is the pick order, so the first max_out output rows hold at most
-  max_out of any class, as the per-class cap requires. Hard suppression at
-  a threshold <= 0 reaches every row of a class, which is then one cluster.
-* No pick scores more than its row does now. Once max_out rows are picked,
-  a row below the max_out-th best picked score cannot enter the output and
-  is dropped; the rounds end when no row is left.
+  every earlier end) that run side by side. In each round, every live
+  cluster takes all of its next picks that no decay can change: ranked by
+  score, ties to the earlier (start, end), its rows above x*, the best row
+  that overlaps a better one. None of them overlaps another, so its class
+  would pick them next, in rank order, at the scores they have now. A row
+  that several picks of a round overlap takes their factors in that order.
+  Every live cluster picks at least once per round, so the rounds number at
+  most the largest cluster's rows, and at most max_out. Within a class the
+  output order is the pick order, so the first max_out output rows hold at
+  most max_out of any class, as the per-class cap requires. Hard
+  suppression at a threshold <= 0 reaches every row of a class, which is
+  then one cluster that picks once per round.
+* Where the pairs would number more than _PAIRS, a cluster whose rows each
+  overlap more than 16 others on average, as a class's rows inside one
+  event do under trained weights, picks about once per round under any
+  rule. It takes its best row each round and sweeps its rows for the ones
+  that pick decays, so the pairs number at most _PAIRS or 8 per row.
+* No pick scores more than its row does now. Each cluster's best row is a
+  pick at its score, and once max_out rows are picked, so are those rows: a
+  row below the max_out-th best of either cannot enter the output and is
+  dropped; the rounds end when no row is left.
 
-The rows are sorted once per call, by (label, start, end), so the first row
-at a cluster's best score is the one the (start, end) tie rule picks, and
-the picks once more into output order. Overlaps come from overlap_tiou, the
-column tIoU that evaluate uses too, and the gaussian factor from math.exp,
-not np.exp, whose vectorized kernels can differ from the C library's exp
-by one ulp: the scores match a one-candidate-at-a-time implementation to
-the bit.
+The rows are sorted once per call, by (label, start, end), so a cluster's
+overlapping pairs are found by binary search and a row outranks the later
+rows at its score, and the picks once more into output order; a round sorts
+its picks' pairs only when a row is hit by two of them. Overlaps come from
+overlap_tiou, the column tIoU that evaluate uses too, and the gaussian
+factor from math.exp, not np.exp, whose vectorized kernels can differ from
+the C library's exp by one ulp: the scores match a one-candidate-at-a-time
+implementation to the bit.
 """
 
 from __future__ import annotations
@@ -189,6 +202,37 @@ def _run_starts(key: np.ndarray) -> np.ndarray:
     return first
 
 
+# soft_nms's pairs below which a round's scan of them costs about what
+# numpy's per-call overhead costs a sweep of a cluster's rows
+_PAIRS = 2 ** 14
+
+
+def _reach(label: np.ndarray, a: np.ndarray, b: np.ndarray,
+           clear: bool) -> np.ndarray:
+    """Per row in (label, start, end) order, the first row of its class that
+    starts at or after its end: the rows between them are the later rows it
+    overlaps. With clear, every row reaches its class's end."""
+    lo = _run_starts(label).nonzero()[0]
+    hi = np.append(lo[1:], label.size)
+    if clear:
+        return hi.repeat(hi - lo)
+    reach = np.empty(label.size, dtype=np.intp)
+    for i, j in zip(lo.tolist(), hi.tolist()):
+        reach[i:j] = np.searchsorted(a[i:j], b[i:j]) + i
+    return reach
+
+
+def _clusters(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's first row and row count: a cluster starts at each row
+    that no earlier row reaches."""
+    cut = np.empty(reach.size, dtype=bool)
+    cut[:1] = True
+    np.less_equal(np.maximum.accumulate(reach[:-1]), np.arange(1, reach.size),
+                  out=cut[1:])
+    first = cut.nonzero()[0]
+    return first, np.diff(first, append=reach.size)
+
+
 def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
              method: str = DecodeConfig.method,
              iou_thresh: float = DecodeConfig.iou_thresh,
@@ -205,15 +249,17 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
     (-score, start, label, end) order are returned. The method and sigma
     follow DecodeConfig's rule: sigma > 0 in hard mode too.
 
-    The rounds run per overlap cluster, not per class, and stop once no
-    later pick could enter the result; see the module docstring.
+    The rounds run per overlap cluster, not per class: each takes a
+    cluster's picks up to the first one that an earlier pick could decay,
+    and they stop once no later pick could enter the result; see the module
+    docstring.
     """
     _check_suppression(method, sigma)
     if not len(cands) or max_out < 1:
         return cands.take(slice(0))
 
     # rows in (label, start, end) order: in each class, and in each cluster,
-    # the first row at a score is the one the (start, end) tie rule picks
+    # a row outranks the later rows at its score
     rows = np.lexsort((cands.end, cands.start, cands.label))
     label, s = cands.label[rows], cands.score[rows]
     # a row below min_score can only be its class's first pick, its best row
@@ -226,35 +272,84 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
         rows, label = rows[keep], label[keep]
     s, a, b = cands.score[rows], cands.start[rows], cands.end[rows]
 
-    # clusters: a class's rows cut wherever a start is at or after every
-    # earlier end; hard suppression at a threshold <= 0 reaches every row
-    cut = _run_starts(label)
-    if method == "gaussian" or iou_thresh > 0:
-        bounds = np.append(cut.nonzero()[0], label.size).tolist()
-        for i, j in zip(bounds, bounds[1:]):
-            np.greater_equal(a[i + 1:j], np.maximum.accumulate(b[i:j - 1]),
-                             out=cut[i + 1:j])
-    first = cut.nonzero()[0]
-    count = np.diff(first, append=label.size)
-
-    # One pick per live cluster and round; every live cluster has picked in
-    # every round, so max_out rounds retire them all. The live rows are the
-    # ones not yet picked, at or above min_score and, once max_out rows are
-    # picked, at or above the max_out-th best picked score: no row scores
-    # more later than it does now.
+    # hard suppression at a threshold <= 0 reaches every row of the class
+    clear = method == "hard" and iou_thresh <= 0
+    reach = _reach(label, a, b, clear)
+    first, count = _clusters(reach)
     floor = min_score
+    if first.size >= max_out:
+        # each cluster's best row is a pick at its score now, so a row below
+        # the max_out-th best of them cannot enter the output
+        tops = np.maximum.reduceat(s, first)
+        least = np.partition(tops, tops.size - max_out)[tops.size - max_out]
+        floor = max(min_score, least)
+        keep = s >= least
+        if not keep.all():
+            # a kept row reaches the first kept row at or after its reach
+            kept = keep.cumsum()
+            rows, s, a, b = rows[keep], s[keep], a[keep], b[keep]
+            reach = kept[reach[keep] - 1]
+            first, count = _clusters(reach)
+    n = s.size
+    at = np.arange(n)
+    # Past _PAIRS pairs, a cluster whose rows each overlap more than 16
+    # others on average takes its best row each round, as its class would
+    # pick about once per round anyway, and sweeps its rows for the ones
+    # that pick decays: its pairs would cost more than its rows, and the
+    # pairs stay at most 8 per row. Every other cluster lists its
+    # overlapping pairs (u, v), u < v, once, with their tIoU (0 for the
+    # rows of a class that clear pairs).
+    span = reach - at - 1
+    swept = np.add.reduceat(span, first) > 8 * count
+    swept = (swept & (span.sum() > _PAIRS)).repeat(count)
+    sweeping = swept.any()
+    span[swept] = 0
+    u = at.repeat(span)
+    v = np.arange(u.size) - (span.cumsum() - span).repeat(span) + u + 1
+
+    def decay(p, r):
+        """Per pick p and row r of its cluster, the factor that hard mode
+        puts on r's score, or the exponent of gaussian mode's, which is
+        taken once the pick is made."""
+        hit, t = overlap_tiou(a[p], b[p], a[r], b[r])
+        x = np.zeros(r.size)
+        x[hit] = t
+        return (np.where(x >= iou_thresh, 0.0, 1.0) if method == "hard"
+                else -(x * x) / sigma)
+
+    w = decay(u, v)
+
+    # The live rows are the ones not yet picked, at or above the floor: no
+    # row scores more later than it does now. A retired row scores -inf.
     pool = np.empty(0)   # the max_out best picked scores
     picked: list[np.ndarray] = []
     picked_score: list[np.ndarray] = []
     n_picked = 0
+    paired = n   # live rows when the pairs were last cut to the live ones
     for _ in range(max_out):
-        top = np.maximum.reduceat(s, first)
-        best = (s == top.repeat(count)).nonzero()[0]
-        if best.size > first.size:   # ties at a top: the cluster's first row
-            best = best[_run_starts(np.searchsorted(first, best, side="right"))]
-        picked.append(rows[best])
-        picked_score.append(s[best])
-        n_picked += best.size
+        # x: each row's score where a better live row overlaps it, and each
+        # swept row's, so x* scores best, the cluster's highest x; the rows
+        # above it pick. A pair's worse row is the later one at a tie.
+        x = np.where(swept, s, -np.inf) if sweeping else np.full(n, -np.inf)
+        if u.size:
+            su, sv = s[u], s[v]
+            lo = np.minimum(su, sv)   # -inf where a row is retired
+            x[np.where(su >= sv, v, u)] = lo
+        best = np.maximum.reduceat(x, first).repeat(count)
+        pick = s > best
+        # x* is the first row at best: a row before it that no live row
+        # outranks picks, and a swept cluster's x*, its best row, picks
+        tie = (s == best) & (x < s)
+        if sweeping or tie.any():
+            x_at = np.minimum.reduceat(np.where(x == best, at, n),
+                                       first).repeat(count)
+            pick |= tie & (at < x_at)
+            if sweeping:
+                pick |= swept & (at == x_at) & (best > -np.inf)
+        top = pick.nonzero()[0]
+        picked.append(rows[top])
+        picked_score.append(s[top])
+        n_picked += top.size
         if n_picked >= max_out:
             pool = np.concatenate((pool, picked_score[-1]) if pool.size
                                   else picked_score)
@@ -262,27 +357,45 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
             pool = pool[pool.size - max_out:]
             floor = max(min_score, pool[0])
 
-        if method == "hard" and iou_thresh <= 0:   # IoU 0 meets it too
-            s[:] = 0.0
+        # each row a pick decays, the pick and its factor: from the live
+        # pairs with a pick, and from the sweeps
+        if u.size:
+            pu = pick[u]
+            hit = ((pu | pick[v]) & (lo > -np.inf)).nonzero()[0]
+            pu = pu[hit]
+            row, by = np.where(pu, v[hit], u[hit]), np.where(pu, u[hit], v[hit])
+            f = w[hit]
         else:
-            # tIoU with the cluster's pick; a row that does not overlap it
-            # keeps its score, as it would with IoU 0 and exp(-0) = 1
-            hit, x = overlap_tiou(a[best].repeat(count), b[best].repeat(count), a, b)
-            if method == "hard":
-                s[hit[x >= iou_thresh]] = 0.0
+            row = by = f = np.empty(0, dtype=np.intp)
+        if sweeping:
+            more = (swept & (s > -np.inf) & ~pick).nonzero()[0]
+            row, by = np.append(row, more), np.append(by, x_at[more])
+            f = np.append(f, decay(x_at[more], more))
+        if row.size:
+            if method == "gaussian":
+                # math.exp, not np.exp: the scores must match the scalar
+                # form to the bit
+                f = np.fromiter(map(math.exp, f.tolist()), dtype=np.float64,
+                                count=f.size)
+            if np.bincount(row).max() > 1:
+                # a row that two picks overlap takes their factors in pick
+                # order
+                k = np.lexsort((by, -s[by]))
+                np.multiply.at(s, row[k], f[k])
             else:
-                # math.exp, not np.exp: the scores must match the scalar form
-                # to the bit
-                s[hit] *= np.fromiter(map(math.exp, (-(x * x) / sigma).tolist()),
-                                      dtype=np.float64, count=hit.size)
+                s[row] *= f
+        s[top] = -np.inf
         live = s >= floor
-        live[best] = False
-        count = np.add.reduceat(live, first, dtype=np.intp)
-        rows, s, a, b = rows[live], s[live], a[live], b[live]
-        if not rows.size:
+        n_live = np.count_nonzero(live)
+        if not n_live:
             break
-        count = count[count > 0]
-        first = count.cumsum() - count
+        s[~live] = -np.inf
+        # a retired row's pairs cost less than cutting them until half the
+        # rows that had pairs are gone
+        if 2 * n_live <= paired:
+            keep = live[u] & live[v]
+            u, v, w = u[keep], v[keep], w[keep]
+            paired = n_live
 
     top = cands.take(np.concatenate(picked))
     s = np.concatenate(picked_score)

@@ -32,6 +32,12 @@ class ConfigError(ValidationError):
     code = "config"
 
 
+class UsageError(ValidationError):
+    """A command line that the argument parser rejects."""
+
+    code = "usage"
+
+
 class EmptyInputError(ValidationError):
     """An operation received an empty sequence where data is required."""
 

@@ -1082,13 +1082,35 @@ class TestPredictEvalCli:
     def test_predict_takes_no_seed(self, trained, tmp_path, capsys):
         # predict draws nothing at random, so a seed would change nothing
         out = tmp_path / "x.json"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["predict", "--checkpoint", trained["ckpt"],
-                      "--features", str(trained["data"] / "features"),
-                      "--out", str(out), "--seed", "1"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert cli.main(["predict", "--checkpoint", trained["ckpt"],
+                         "--features", str(trained["data"] / "features"),
+                         "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error[usage]: unrecognized arguments: --seed 1\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["predict", "--checkpoint", "a"],
+         "the following arguments are required: --features, --out"),
+        (["gen-data", "--videos", "x"],
+         "argument --videos: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_bad_command_line_is_one_usage_line(self, argv, message, capsys):
+        # the parser's own rejections, a subcommand's too, keep the
+        # one-line error contract
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error[usage]: {message}\n"
+        assert captured.out == ""
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: soundloc predict")
+        assert captured.err == ""
 
     @pytest.mark.parametrize("key, value", [
         ("score", True), ("start_sec", False), ("end_sec", True),

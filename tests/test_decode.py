@@ -160,20 +160,22 @@ def count_intervals(monkeypatch):
 
 
 def count_lexsorts(monkeypatch):
-    """Counts the np.lexsort calls made until the test ends."""
+    """Records the length of each np.lexsort call's keys until the test ends."""
     calls = []
     lexsort = np.lexsort
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return lexsort(*args, **kwargs)
+    def counting(keys, *args, **kwargs):
+        calls.append(len(keys[0]))
+        return lexsort(keys, *args, **kwargs)
 
     monkeypatch.setattr(np, "lexsort", counting)
     return calls
 
 
 def count_rounds(monkeypatch):
-    """Counts soft_nms's rounds, one np.maximum.reduceat call each."""
+    """Counts soft_nms's rounds, one np.maximum.reduceat call each, plus the
+    set-up's call over the clusters' best scores when there are at least
+    max_out clusters."""
     calls = []
     maximum = np.maximum
 
@@ -208,6 +210,17 @@ def largest_cluster(cands):
                 size, reach = 1, b
             largest = max(largest, size)
     return largest
+
+
+def overlapping_pairs(cands):
+    """Same-class pairs of rows that overlap: each decays at most once."""
+    pairs = 0
+    for c in set(cands.label.tolist()):
+        mine = cands.label == c
+        a, b = cands.start[mine], cands.end[mine]
+        hit = (np.minimum(b[:, None], b) > np.maximum(a[:, None], a)).sum()
+        pairs += (hit - a.size) // 2
+    return pairs
 
 
 def model_candidates(duration_sec, seed, events_per_video):
@@ -461,6 +474,30 @@ def oracle_top(preds, **kwargs):
     return oracle_soft_nms(preds, **kwargs)[:kwargs.get("max_out", DecodeConfig.max_out)]
 
 
+@st.composite
+def dense_clusters(draw):
+    """One or two classes of up to 300 rows in a few dense clusters.
+
+    Starts and ends are whole numbers, so that rows touch end to start and
+    tIoU 0 decides; scores tie often; long rows lie over short ones, so that
+    one row overlaps two disjoint rows that pick in the same round.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tie_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    preds = []
+    for label in range(draw(st.integers(1, 2))):
+        clusters = draw(st.integers(1, 4))
+        size = draw(st.integers(1, 300 // clusters))
+        for k in range(clusters):
+            start = 30 * k + rng.integers(0, draw(st.integers(1, 24)), size)
+            length = rng.choice([1, 1, 2, 3, 5, 9], size)
+            score = np.where(rng.random(size) < tie_share,
+                             rng.choice(TIE_SCORES, size), rng.random(size))
+            preds += [iv(float(p), float(a), float(a + n), label)
+                      for p, a, n in zip(score, start, length)]
+    return preds
+
+
 class TestSoftNmsMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(intervals, max_size=40), nms_settings, st.randoms())
@@ -489,6 +526,17 @@ class TestSoftNmsMatchesOracle:
                 assert bits(got) == bits(oracle_top(preds, method=method,
                                                     max_out=max_out))
 
+    @settings(max_examples=60, deadline=None)
+    @given(dense_clusters(), nms_settings)
+    def test_exact_on_dense_clusters_of_whole_seconds(self, preds, kwargs):
+        # several picks per cluster and round, on the shapes where the rule
+        # for them is tightest; hard suppression at threshold 0 without a
+        # score floor runs on every example
+        for kw in (kwargs, {"method": "hard", "iou_thresh": 0.0,
+                            "min_score": 0.0, "max_out": kwargs["max_out"]}):
+            got = soft_nms(columns(preds), **kw)
+            assert bits(got) == bits(oracle_top(preds, **kw)), kw
+
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_on_sparse_clusters_with_ties(self, seed):
         # short rows on a whole-number grid over a long span: many small
@@ -507,6 +555,36 @@ class TestSoftNmsMatchesOracle:
                 got = soft_nms(columns(preds), max_out=max_out, **kwargs)
                 want = oracle_top(preds, max_out=max_out, **kwargs)
                 assert bits(got) == bits(want), (kwargs, max_out)
+
+    def test_rows_that_all_overlap_sweep_instead_of_pairing(self, monkeypatch):
+        # 300 long rows of one class that all overlap each other, with
+        # better short rows inside them, and a class of short rows: the
+        # first class's pairs would cost more per round than its rows, so
+        # it picks its best row each round and sweeps its rows, of which a
+        # short pick overlaps only some; the set-up lists at most 8 pairs
+        # per row
+        rng = np.random.default_rng(5)
+        preds = [iv(float(p), float(a), float(a + n)) for p, a, n in zip(
+            rng.uniform(0.3, 0.9, 300), rng.uniform(0.0, 5.0, 300),
+            rng.uniform(90.0, 100.0, 300))]
+        preds += [iv(float(p), float(a), float(a + 1.0)) for p, a in zip(
+            rng.uniform(0.9, 0.99, 100), rng.uniform(5.0, 90.0, 100))]
+        preds += [iv(float(p), float(a), float(a + 1.0), label=1) for p, a in zip(
+            rng.uniform(0.3, 0.95, 100), rng.uniform(0.0, 100.0, 100))]
+        pairs = []
+        overlap_tiou = decode.overlap_tiou
+
+        def recording(a_start, *args):
+            pairs.append(len(a_start))
+            return overlap_tiou(a_start, *args)
+
+        monkeypatch.setattr(decode, "overlap_tiou", recording)
+        for kwargs in ({}, {"method": "hard"},
+                       {"method": "hard", "iou_thresh": 0.0, "min_score": 0.0}):
+            pairs.clear()
+            got = soft_nms(columns(preds), **kwargs)
+            assert pairs[0] <= 8 * len(preds)
+            assert bits(got) == bits(oracle_top(preds, **kwargs)), kwargs
 
     @pytest.mark.parametrize("min_score", [0.0, 1e-3])
     def test_hard_thresh_zero_clears_the_class(self, min_score):
@@ -663,8 +741,11 @@ class TestWorkCount:
 
     @pytest.mark.parametrize("max_out", [10, 200])
     def test_soft_nms_sorts_once_per_call(self, monkeypatch, max_out):
-        # the only sorts are the (label, start, end) row order and the
-        # output order, however many rounds run
+        # two sorts reach every row or every pick: the (label, start, end)
+        # row order and the output order, however many rounds run. A round
+        # sorts its picks' pairs only when a row is hit by two picks, and a
+        # pair decays at most once, so those sorts together cover at most
+        # the overlapping pairs
         rng = np.random.default_rng(4)
         n = 2000
         start = rng.uniform(0.0, 500.0, n)
@@ -672,9 +753,14 @@ class TestWorkCount:
                            start, start + rng.uniform(0.5, 8.0, n))
         assert np.unique(cands.score).size == n
         sorts = count_lexsorts(monkeypatch)
+        rounds = count_rounds(monkeypatch)
         got = soft_nms(cands, max_out=max_out)
         assert len(got) == max_out
-        assert len(sorts) == 2
+        assert sorts[0] == n
+        assert max_out <= sorts[-1] < n
+        per_round = sorts[1:-1]
+        assert len(per_round) < len(rounds)
+        assert sum(per_round) <= overlapping_pairs(cands)
 
     def test_ties_at_the_best_score_over_several_rounds(self, monkeypatch):
         # class 0 has rows tied at 0.9 for three rounds, where the first
@@ -690,7 +776,24 @@ class TestWorkCount:
         assert got == want
         assert bits(got) == bits(want)
         # rows run in (start, end) order, so a tie needs no sort of its own
-        assert len(sorts) == 2
+        assert sorts == [len(preds), len(preds)]
+
+    @pytest.mark.parametrize("scores", [(0.9, 0.8), (0.8, 0.9)])
+    def test_a_row_two_picks_overlap_takes_their_factors_in_pick_order(
+            self, monkeypatch, scores):
+        # the long row overlaps both short rows, which overlap nothing else:
+        # both pick in the first round, and the long row takes their factors
+        # in their pick order, which the last bit of its score shows
+        short = [iv(scores[0], 0.0, 1.0), iv(scores[1], 2.0, 3.0)]
+        long = iv(0.45, 0.5, 2.25)
+        f = [math.exp(-(tiou(p, long) ** 2) / DecodeConfig.sigma) for p in short]
+        assert (0.45 * f[0]) * f[1] != (0.45 * f[1]) * f[0]
+        rounds = count_rounds(monkeypatch)
+        sorts = count_lexsorts(monkeypatch)
+        got = nms(short + [long])
+        assert len(rounds) == 2
+        assert sorts == [3, 2, 3]   # rows, the first round's pairs, output
+        assert bits(got) == bits(oracle_soft_nms(short + [long]))
 
     def test_rounds_bounded_by_the_largest_cluster(self, monkeypatch):
         # the predict_long shape: 2000 candidates of a T=2048 video, whose
@@ -701,6 +804,16 @@ class TestWorkCount:
         rounds = count_rounds(monkeypatch)
         got = soft_nms(cands)
         assert 0 < len(rounds) <= largest
+        assert bits(got) == bits(oracle_top(intervals_of(cands)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dense_video_takes_several_picks_per_round(self, monkeypatch, seed):
+        # T=64: one pick per cluster and round took 64-76 rounds here; each
+        # round now takes a cluster's picks up to its x*
+        cands = model_candidates(64.0, seed, (1, 3))
+        rounds = count_rounds(monkeypatch)
+        got = soft_nms(cands)
+        assert 0 < len(rounds) <= 25
         assert bits(got) == bits(oracle_top(intervals_of(cands)))
 
     def test_dense_video_stops_before_its_classes_run_out(self, monkeypatch):
