@@ -23,21 +23,22 @@ predict keeps, and does only the work they need:
   Every live cluster picks at least once per round, so the rounds number at
   most the largest cluster's rows, and at most max_out. Within a class the
   output order is the pick order, so the first max_out output rows hold at
-  most max_out of any class, as the per-class cap requires. Hard
-  suppression at a threshold <= 0 reaches every row of a class, which is
-  then one cluster that picks once per round.
-* Where the pairs would number more than _PAIRS, a cluster whose rows each
-  overlap more than 16 others on average, as a class's rows inside one
-  event do under trained weights, picks about once per round under any
-  rule. It takes its best row each round and sweeps its rows for the ones
-  that pick decays, so the pairs number at most _PAIRS or 8 per row.
+  most max_out of any class, as the per-class cap requires.
+* x* is found from each row's best later overlapping row, those up to its
+  reach (the first row of its class that starts at or after its end): a
+  table of the best score of every run of 2^k rows answers each row with
+  two runs, and is refilled once per round in log2(longest reach) passes.
+  Hard suppression at a threshold <= 0 reaches every row of a class, which
+  is then one cluster that picks its best row each round and zeroes the
+  rest, without a table.
 * No pick scores more than its row does now. Each cluster's best row is a
   pick at its score, and once max_out rows are picked, so are those rows: a
   row below the max_out-th best of either cannot enter the output and is
-  dropped; the rounds end when no row is left.
+  dropped; the rounds end when no row is left. Dropped and picked rows stay
+  in the table at -inf until half of its rows are gone.
 
-The rows are sorted once per call, by (label, start, end), so a cluster's
-overlapping pairs are found by binary search and a row outranks the later
+The rows are sorted once per call, by (label, start, end), so a row's later
+overlapping rows are found by binary search and a row outranks the later
 rows at its score, and the picks once more into output order; a round sorts
 its picks' pairs only when a row is hit by two of them. Overlaps come from
 overlap_tiou, the column tIoU that evaluate uses too, and the gaussian
@@ -190,8 +191,10 @@ def overlap_tiou(a_start, a_end, b_start, b_end) -> tuple[np.ndarray, np.ndarray
     """
     inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
     hit = (~(inter <= 0)).nonzero()[0]
-    i = inter[hit]
-    return hit, i / ((a_end[hit] - a_start[hit]) + (b_end[hit] - b_start[hit]) - i)
+    if hit.size < inter.size:
+        inter, a_start, a_end = inter[hit], a_start[hit], a_end[hit]
+        b_start, b_end = b_start[hit], b_end[hit]
+    return hit, inter / ((a_end - a_start) + (b_end - b_start) - inter)
 
 
 def _run_starts(key: np.ndarray) -> np.ndarray:
@@ -200,11 +203,6 @@ def _run_starts(key: np.ndarray) -> np.ndarray:
     first[:1] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
     return first
-
-
-# soft_nms's pairs below which a round's scan of them costs about what
-# numpy's per-call overhead costs a sweep of a cluster's rows
-_PAIRS = 2 ** 14
 
 
 def _reach(label: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -223,14 +221,38 @@ def _reach(label: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _clusters(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each cluster's first row and row count: a cluster starts at each row
-    that no earlier row reaches."""
+    """Each overlap cluster's first row and row count: a cluster starts at
+    each row that no earlier row reaches."""
     cut = np.empty(reach.size, dtype=bool)
     cut[:1] = True
     np.less_equal(np.maximum.accumulate(reach[:-1]), np.arange(1, reach.size),
                   out=cut[1:])
     first = cut.nonzero()[0]
-    return first, np.diff(first, append=reach.size)
+    count = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=count[:-1])
+    count[-1:] = reach.size - first[-1:]
+    return first, count
+
+
+def _range_table(s: np.ndarray, reach: np.ndarray):
+    """A table for the best score of each row's later overlapping rows.
+
+    Row 1 of the table holds s and row k + 1 the best of each run of 2^k
+    rows, which soft_nms refills each round; row 0 is left for it. Row q's
+    rows q + 1 to reach[q] - 1 are two runs of 2^k rows, at the two returned
+    indices into the flat table; a row without any reads column n of row 0
+    twice, which stays -inf.
+    """
+    n = s.size
+    at = np.arange(n)
+    span = reach - at - 1
+    k = np.frexp(np.maximum(span, 1))[1] - 1   # the largest 2^k <= span
+    table = np.empty((int(k.max()) + 2, n + 1))
+    table[0, n] = -np.inf
+    table[1, :n] = s
+    base = (k + 1) * (n + 1)
+    return (table, np.where(span > 0, base + at + 1, n),
+            np.where(span > 0, base + reach - (1 << k), n))
 
 
 def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
@@ -272,11 +294,13 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
         rows, label = rows[keep], label[keep]
     s, a, b = cands.score[rows], cands.start[rows], cands.end[rows]
 
-    # hard suppression at a threshold <= 0 reaches every row of the class
+    # hard suppression at a threshold <= 0 reaches every row of the class,
+    # which is then one cluster that picks its best row each round
     clear = method == "hard" and iou_thresh <= 0
     reach = _reach(label, a, b, clear)
     first, count = _clusters(reach)
     floor = min_score
+    keep = None   # the rows to keep when the table is next built
     if first.size >= max_out:
         # each cluster's best row is a pick at its score now, so a row below
         # the max_out-th best of them cannot enter the output
@@ -284,118 +308,100 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
         least = np.partition(tops, tops.size - max_out)[tops.size - max_out]
         floor = max(min_score, least)
         keep = s >= least
-        if not keep.all():
-            # a kept row reaches the first kept row at or after its reach
-            kept = keep.cumsum()
-            rows, s, a, b = rows[keep], s[keep], a[keep], b[keep]
-            reach = kept[reach[keep] - 1]
-            first, count = _clusters(reach)
-    n = s.size
-    at = np.arange(n)
-    # Past _PAIRS pairs, a cluster whose rows each overlap more than 16
-    # others on average takes its best row each round, as its class would
-    # pick about once per round anyway, and sweeps its rows for the ones
-    # that pick decays: its pairs would cost more than its rows, and the
-    # pairs stay at most 8 per row. Every other cluster lists its
-    # overlapping pairs (u, v), u < v, once, with their tIoU (0 for the
-    # rows of a class that clear pairs).
-    span = reach - at - 1
-    swept = np.add.reduceat(span, first) > 8 * count
-    swept = (swept & (span.sum() > _PAIRS)).repeat(count)
-    sweeping = swept.any()
-    span[swept] = 0
-    u = at.repeat(span)
-    v = np.arange(u.size) - (span.cumsum() - span).repeat(span) + u + 1
 
-    def decay(p, r):
-        """Per pick p and row r of its cluster, the factor that hard mode
-        puts on r's score, or the exponent of gaussian mode's, which is
-        taken once the pick is made."""
-        hit, t = overlap_tiou(a[p], b[p], a[r], b[r])
-        x = np.zeros(r.size)
-        x[hit] = t
-        return (np.where(x >= iou_thresh, 0.0, 1.0) if method == "hard"
-                else -(x * x) / sigma)
-
-    w = decay(u, v)
-
-    # The live rows are the ones not yet picked, at or above the floor: no
-    # row scores more later than it does now. A retired row scores -inf.
     pool = np.empty(0)   # the max_out best picked scores
     picked: list[np.ndarray] = []
     picked_score: list[np.ndarray] = []
     n_picked = 0
-    paired = n   # live rows when the pairs were last cut to the live ones
+    n = 0   # the rows in the table
     for _ in range(max_out):
-        # x: each row's score where a better live row overlaps it, and each
-        # swept row's, so x* scores best, the cluster's highest x; the rows
-        # above it pick. A pair's worse row is the later one at a tie.
-        x = np.where(swept, s, -np.inf) if sweeping else np.full(n, -np.inf)
-        if u.size:
-            su, sv = s[u], s[v]
-            lo = np.minimum(su, sv)   # -inf where a row is retired
-            x[np.where(su >= sv, v, u)] = lo
-        best = np.maximum.reduceat(x, first).repeat(count)
-        pick = s > best
-        # x* is the first row at best: a row before it that no live row
-        # outranks picks, and a swept cluster's x*, its best row, picks
-        tie = (s == best) & (x < s)
-        if sweeping or tie.any():
-            x_at = np.minimum.reduceat(np.where(x == best, at, n),
-                                       first).repeat(count)
-            pick |= tie & (at < x_at)
-            if sweeping:
-                pick |= swept & (at == x_at) & (best > -np.inf)
+        if not n:
+            if keep is not None and not keep.all():
+                # a kept row reaches the first kept row at or after its reach
+                rows, s, a, b = rows[keep], s[keep], a[keep], b[keep]
+                reach = keep.cumsum()[reach[keep] - 1]
+                first, count = _clusters(reach)
+            n = s.size
+            if not clear:
+                table, f1, f2 = _range_table(s, reach)
+                x, s = table[0, :n], table[1, :n]
+                runs = table.ravel()
+                before = reach - 1
+        if clear:
+            most = np.maximum.reduceat(s, first)
+            pick = np.zeros(n, dtype=bool)
+            alone = most > -np.inf
+        else:
+            for k in range(2, table.shape[0]):
+                h = 1 << (k - 2)
+                np.maximum(table[k - 1, :n - h], table[k - 1, h:n],
+                           out=table[k, :n - h])
+            # x: per row, the lower score of it and its best later
+            # overlapping row. A cluster's best x is x*'s score, as the worse
+            # row of a pair is the later one at a tie: every row above it
+            # picks.
+            np.minimum(s, np.maximum(runs[f1], runs[f2]), out=x)
+            best, most = np.maximum.reduceat(table[:2, :n], first, axis=1)
+            pick = s > best.repeat(count)
+            alone = (best == most) & (most > -np.inf)
+        # a live cluster whose best row ties with x*, or one of clear's,
+        # picks its first best row
+        if alone.any():
+            top = ((s == most.repeat(count)) & alone.repeat(count)).nonzero()[0]
+            pick[top[_run_starts(np.searchsorted(first, top, side="right"))]] = True
         top = pick.nonzero()[0]
+        score = s[top]
         picked.append(rows[top])
-        picked_score.append(s[top])
+        picked_score.append(score)
         n_picked += top.size
         if n_picked >= max_out:
-            pool = np.concatenate((pool, picked_score[-1]) if pool.size
-                                  else picked_score)
+            pool = np.concatenate((pool, score) if pool.size else picked_score)
             pool.partition(pool.size - max_out)
             pool = pool[pool.size - max_out:]
             floor = max(min_score, pool[0])
+        s[top] = -np.inf
 
-        # each row a pick decays, the pick and its factor: from the live
-        # pairs with a pick, and from the sweeps
-        if u.size:
-            pu = pick[u]
-            hit = ((pu | pick[v]) & (lo > -np.inf)).nonzero()[0]
-            pu = pu[hit]
-            row, by = np.where(pu, v[hit], u[hit]), np.where(pu, u[hit], v[hit])
-            f = w[hit]
+        if clear:
+            # IoU 0 meets the threshold too; a retired row stays retired
+            s[s > -np.inf] = 0.0
         else:
-            row = by = f = np.empty(0, dtype=np.intp)
-        if sweeping:
-            more = (swept & (s > -np.inf) & ~pick).nonzero()[0]
-            row, by = np.append(row, more), np.append(by, x_at[more])
-            f = np.append(f, decay(x_at[more], more))
-        if row.size:
-            if method == "gaussian":
+            # No two picks overlap, so their reach grows with their row: the
+            # picks a row q overlaps, those before reach[q] whose reach is
+            # past q, are picks lo[q] to hi[q] - 1.
+            hi = pick.cumsum()[before]
+            lo = np.bincount(reach[top], minlength=n + 1).cumsum()[:n]
+            row = ((hi > lo) & (s > -np.inf)).nonzero()[0]
+            lo = lo[row]
+            w = hi[row] - lo
+            several = w.size and w.max() > 1
+            if several:
+                row = row.repeat(w)
+                lo = np.arange(row.size) - (w.cumsum() - w - lo).repeat(w)
+            by = top[lo]
+            _, t = overlap_tiou(a[by], b[by], a[row], b[row])
+            if method == "hard":
+                f = np.where(t >= iou_thresh, 0.0, 1.0)
+            else:
                 # math.exp, not np.exp: the scores must match the scalar
                 # form to the bit
-                f = np.fromiter(map(math.exp, f.tolist()), dtype=np.float64,
-                                count=f.size)
-            if np.bincount(row).max() > 1:
+                f = np.fromiter(map(math.exp, (-(t * t) / sigma).tolist()),
+                                dtype=np.float64, count=t.size)
+            if several:
                 # a row that two picks overlap takes their factors in pick
                 # order
-                k = np.lexsort((by, -s[by]))
+                k = np.lexsort((lo, -score[lo]))
                 np.multiply.at(s, row[k], f[k])
             else:
                 s[row] *= f
-        s[top] = -np.inf
-        live = s >= floor
-        n_live = np.count_nonzero(live)
+        keep = s >= floor
+        n_live = np.count_nonzero(keep)
         if not n_live:
             break
-        s[~live] = -np.inf
-        # a retired row's pairs cost less than cutting them until half the
-        # rows that had pairs are gone
-        if 2 * n_live <= paired:
-            keep = live[u] & live[v]
-            u, v, w = u[keep], v[keep], w[keep]
-            paired = n_live
+        if 2 * n_live > n:
+            # retired rows stay in place until half of the rows are
+            s[~keep] = -np.inf
+        else:
+            n = 0
 
     top = cands.take(np.concatenate(picked))
     s = np.concatenate(picked_score)

@@ -556,13 +556,11 @@ class TestSoftNmsMatchesOracle:
                 want = oracle_top(preds, max_out=max_out, **kwargs)
                 assert bits(got) == bits(want), (kwargs, max_out)
 
-    def test_rows_that_all_overlap_sweep_instead_of_pairing(self, monkeypatch):
+    def test_exact_on_long_rows_over_short_ones(self):
         # 300 long rows of one class that all overlap each other, with
         # better short rows inside them, and a class of short rows: the
-        # first class's pairs would cost more per round than its rows, so
-        # it picks its best row each round and sweeps its rows, of which a
-        # short pick overlaps only some; the set-up lists at most 8 pairs
-        # per row
+        # short rows of a round's picks each decay only some long rows, and
+        # every long row that two of them overlap takes both factors
         rng = np.random.default_rng(5)
         preds = [iv(float(p), float(a), float(a + n)) for p, a, n in zip(
             rng.uniform(0.3, 0.9, 300), rng.uniform(0.0, 5.0, 300),
@@ -571,19 +569,9 @@ class TestSoftNmsMatchesOracle:
             rng.uniform(0.9, 0.99, 100), rng.uniform(5.0, 90.0, 100))]
         preds += [iv(float(p), float(a), float(a + 1.0), label=1) for p, a in zip(
             rng.uniform(0.3, 0.95, 100), rng.uniform(0.0, 100.0, 100))]
-        pairs = []
-        overlap_tiou = decode.overlap_tiou
-
-        def recording(a_start, *args):
-            pairs.append(len(a_start))
-            return overlap_tiou(a_start, *args)
-
-        monkeypatch.setattr(decode, "overlap_tiou", recording)
         for kwargs in ({}, {"method": "hard"},
                        {"method": "hard", "iou_thresh": 0.0, "min_score": 0.0}):
-            pairs.clear()
             got = soft_nms(columns(preds), **kwargs)
-            assert pairs[0] <= 8 * len(preds)
             assert bits(got) == bits(oracle_top(preds, **kwargs)), kwargs
 
     @pytest.mark.parametrize("min_score", [0.0, 1e-3])
@@ -794,6 +782,19 @@ class TestWorkCount:
         assert len(rounds) == 2
         assert sorts == [3, 2, 3]   # rows, the first round's pairs, output
         assert bits(got) == bits(oracle_soft_nms(short + [long]))
+
+    @pytest.mark.parametrize("min_score", [0.0, 1e-3])
+    def test_hard_thresh_zero_takes_no_overlaps(self, monkeypatch, min_score):
+        # at threshold 0 every row of a class is suppressed, so a round
+        # zeroes the class's rows without computing any tIoU
+        cands = model_candidates(64.0, 1, (1, 3))
+        calls = []
+        monkeypatch.setattr(decode, "overlap_tiou",
+                            lambda *args: calls.append(1))
+        kwargs = {"method": "hard", "iou_thresh": 0.0, "min_score": min_score}
+        got = soft_nms(cands, **kwargs)
+        assert not calls
+        assert bits(got) == bits(oracle_top(intervals_of(cands), **kwargs))
 
     def test_rounds_bounded_by_the_largest_cluster(self, monkeypatch):
         # the predict_long shape: 2000 candidates of a T=2048 video, whose
