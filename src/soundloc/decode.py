@@ -34,8 +34,9 @@ predict keeps, and does only the work they need:
 * No pick scores more than its row does now. Each cluster's best row is a
   pick at its score, and once max_out rows are picked, so are those rows: a
   row below the max_out-th best of either cannot enter the output and is
-  dropped; the rounds end when no row is left. Dropped and picked rows stay
-  in the table at -inf until half of its rows are gone.
+  dropped; the rounds end when no row is left. Every row keeps its place
+  for the whole call, so the reach, the clusters and the table are built
+  once: a dropped or picked row stays in the table at -inf.
 
 The rows are sorted once per call, by (label, start, end), so a row's later
 overlapping rows are found by binary search and a row outranks the later
@@ -273,7 +274,8 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
 
     The rounds run per overlap cluster, not per class: each takes a
     cluster's picks up to the first one that an earlier pick could decay,
-    and they stop once no later pick could enter the result; see the module
+    and they stop once no later pick could enter the result. The clusters
+    are cut once; a row that retires stays in place at -inf. See the module
     docstring.
     """
     _check_suppression(method, sigma)
@@ -300,33 +302,24 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
     reach = _reach(label, a, b, clear)
     first, count = _clusters(reach)
     floor = min_score
-    keep = None   # the rows to keep when the table is next built
     if first.size >= max_out:
         # each cluster's best row is a pick at its score now, so a row below
-        # the max_out-th best of them cannot enter the output
+        # the max_out-th best of them cannot enter the output: it retires
         tops = np.maximum.reduceat(s, first)
         least = np.partition(tops, tops.size - max_out)[tops.size - max_out]
         floor = max(min_score, least)
-        keep = s >= least
+        s[s < least] = -np.inf
+    n = s.size
+    if not clear:
+        table, f1, f2 = _range_table(s, reach)
+        x, s = table[0, :n], table[1, :n]
+        runs = table.ravel()
+        before = reach - 1
 
-    pool = np.empty(0)   # the max_out best picked scores
     picked: list[np.ndarray] = []
     picked_score: list[np.ndarray] = []
     n_picked = 0
-    n = 0   # the rows in the table
     for _ in range(max_out):
-        if not n:
-            if keep is not None and not keep.all():
-                # a kept row reaches the first kept row at or after its reach
-                rows, s, a, b = rows[keep], s[keep], a[keep], b[keep]
-                reach = keep.cumsum()[reach[keep] - 1]
-                first, count = _clusters(reach)
-            n = s.size
-            if not clear:
-                table, f1, f2 = _range_table(s, reach)
-                x, s = table[0, :n], table[1, :n]
-                runs = table.ravel()
-                before = reach - 1
         if clear:
             most = np.maximum.reduceat(s, first)
             pick = np.zeros(n, dtype=bool)
@@ -355,10 +348,10 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
         picked_score.append(score)
         n_picked += top.size
         if n_picked >= max_out:
-            pool = np.concatenate((pool, score) if pool.size else picked_score)
-            pool.partition(pool.size - max_out)
-            pool = pool[pool.size - max_out:]
-            floor = max(min_score, pool[0])
+            # no row below the max_out-th best pick can enter the output
+            every = np.concatenate(picked_score)
+            every.partition(every.size - max_out)
+            floor = max(min_score, every[every.size - max_out])
         s[top] = -np.inf
 
         if clear:
@@ -393,15 +386,10 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
                 np.multiply.at(s, row[k], f[k])
             else:
                 s[row] *= f
-        keep = s >= floor
-        n_live = np.count_nonzero(keep)
-        if not n_live:
+        live = s >= floor
+        if not live.any():
             break
-        if 2 * n_live > n:
-            # retired rows stay in place until half of the rows are
-            s[~keep] = -np.inf
-        else:
-            n = 0
+        s[~live] = -np.inf
 
     top = cands.take(np.concatenate(picked))
     s = np.concatenate(picked_score)

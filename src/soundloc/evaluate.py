@@ -164,6 +164,12 @@ def _video_codes(gts: list[Interval]) -> dict[str, int]:
     return {vid: i for i, vid in enumerate(dict.fromkeys(g.video_id for g in gts))}
 
 
+def _check_thresholds(thresholds) -> None:
+    if not thresholds or any(math.isnan(t) for t in thresholds):
+        raise ConfigError(f"tIoU thresholds must be a non-empty list of numbers, "
+                          f"got {tuple(thresholds)}")
+
+
 def average_precision(preds: list[Interval], gts: list[Interval],
                       tau: float) -> float:
     """All-point-interpolated AP for a single class slice.
@@ -171,6 +177,7 @@ def average_precision(preds: list[Interval], gts: list[Interval],
     Each prediction greedily claims the unmatched same-video ground truth
     with the highest tIoU >= tau (ties: earlier GT start, then input order).
     """
+    _check_thresholds((tau,))
     if not gts or not preds:
         return 0.0
     codes = _video_codes(gts)
@@ -181,6 +188,7 @@ def average_precision(preds: list[Interval], gts: list[Interval],
 
 def oracle_ap(preds: list[Interval], gts: list[Interval], tau: float) -> float:
     """Naive reference AP: quadratic matching, direct staircase summation."""
+    _check_thresholds((tau,))
     if not gts or not preds:
         return 0.0
 
@@ -275,9 +283,7 @@ def mean_ap(preds: list[Interval], gts: list[Interval],
             thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
             class_names: list[str] | None = None) -> EvalReport:
     """AP averaged over classes with ground truth, per threshold and overall."""
-    if not thresholds or any(math.isnan(t) for t in thresholds):
-        raise ConfigError(f"tIoU thresholds must be a non-empty list of numbers, "
-                          f"got {tuple(thresholds)}")
+    _check_thresholds(thresholds)
     if not gts:
         raise EmptyInputError("no ground-truth events: nothing to evaluate")
 

@@ -149,6 +149,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             off += 2
             name = bytes(view[off:off + name_len]).decode("utf-8")
             off += name_len
+            if name in arrays:
+                raise CheckpointError(f"{path}: parameter {name!r} appears twice")
             (ndim,) = struct.unpack_from("<B", view, off)
             off += 1
             dims = struct.unpack_from(f"<{ndim}I", view, off)

@@ -878,6 +878,27 @@ class TestCheckpoints:
         assert err.startswith("error[checkpoint]") and repr(name) in err
         assert not out.exists()
 
+    def test_parameter_named_twice_rejected(self, trained, tmp_path, capsys):
+        # a second copy of a parameter, appended after the others, would
+        # otherwise replace the first and pass the shape check
+        name = "head.cls.out.b"
+        arrays = load_checkpoint(trained["ckpt"])
+        path, extra = tmp_path / "twice.ckpt", tmp_path / "extra.ckpt"
+        save_checkpoint(arrays, path)
+        save_checkpoint({name: arrays[name] + 1.0}, extra)
+        header = struct.calcsize("<4sII")
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, header - 4, len(arrays) + 1)
+        path.write_bytes(bytes(blob) + extra.read_bytes()[header:])
+        out = tmp_path / "x.json"
+        rc = cli.main(["predict", "--checkpoint", str(path),
+                       "--features", str(trained["data"] / "features"),
+                       "--out", str(out), "--config", str(trained["config"])])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[checkpoint]") and repr(name) in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tiny_dataset, tmp_path_factory):

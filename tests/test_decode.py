@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from soundloc import autodiff as ad
@@ -498,8 +498,13 @@ def dense_clusters(draw):
     return preds
 
 
+# a failing example is reported unshrunk: each shrink step reruns the
+# oracle, which rescores every remaining row after each pick
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
 class TestSoftNmsMatchesOracle:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
     @given(st.lists(intervals, max_size=40), nms_settings, st.randoms())
     def test_exact_and_permutation_invariant(self, preds, kwargs, rnd):
         got = soft_nms(columns(preds), **kwargs)
@@ -508,7 +513,7 @@ class TestSoftNmsMatchesOracle:
         rnd.shuffle(perm)
         assert bits(soft_nms(columns(perm), **kwargs)) == bits(got)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, phases=NO_SHRINK)
     @given(st.integers(min_value=0, max_value=10 ** 9))
     def test_exact_on_dense_groups(self, seed):
         # a few hundred rows over several classes, every row overlapping
@@ -526,7 +531,7 @@ class TestSoftNmsMatchesOracle:
                 assert bits(got) == bits(oracle_top(preds, method=method,
                                                     max_out=max_out))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     @given(dense_clusters(), nms_settings)
     def test_exact_on_dense_clusters_of_whole_seconds(self, preds, kwargs):
         # several picks per cluster and round, on the shapes where the rule
@@ -806,6 +811,23 @@ class TestWorkCount:
         got = soft_nms(cands)
         assert 0 < len(rounds) <= largest
         assert bits(got) == bits(oracle_top(intervals_of(cands)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("duration, events", [(64.0, (1, 3)),
+                                                  (2048.0, (32, 64))])
+    def test_one_range_table_per_call(self, monkeypatch, seed, duration, events):
+        # rows keep their place for the whole call: a retired row stays in
+        # the table at -inf, so reach, clusters and table are built once
+        cands = model_candidates(duration, seed, events)
+        calls = Counter()
+        for name in ("_reach", "_clusters", "_range_table"):
+            def counting(*args, name=name, build=getattr(decode, name)):
+                calls[name] += 1
+                return build(*args)
+
+            monkeypatch.setattr(decode, name, counting)
+        soft_nms(cands)
+        assert calls == {"_reach": 1, "_clusters": 1, "_range_table": 1}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_dense_video_takes_several_picks_per_round(self, monkeypatch, seed):

@@ -142,6 +142,18 @@ class TestAveragePrecision:
         gts = [iv(1.0, 3.0, video="b")]
         assert average_precision(preds, gts, 0.5) == 0.0
 
+    @pytest.mark.parametrize("ap", [average_precision, oracle_ap])
+    def test_nan_threshold_rejected_like_mean_ap(self, ap):
+        # on one matching pair a NaN threshold would otherwise score 0.0 in
+        # the column AP and 1.0 in the oracle
+        preds, gts = [iv(1.0, 3.0, 0.9)], [iv(1.0, 3.0)]
+        with pytest.raises(ConfigError) as want:
+            mean_ap(preds, gts, thresholds=(math.nan,))
+        for p, g in ((preds, gts), ([], [])):
+            with pytest.raises(ConfigError) as got:
+                ap(p, g, math.nan)
+            assert str(got.value) == str(want.value)
+
     def test_each_gt_matched_once(self):
         preds = [iv(1.0, 3.0, 0.9), iv(1.0, 3.0, 0.8)]
         gts = [iv(1.0, 3.0)]
