@@ -36,10 +36,13 @@ class TrainConfig:
 
     def validate(self) -> None:
         # written as `not (ok)` so that NaN fails every check
-        for key in ("learning_rate", "weight_decay", "grad_clip", "lambda_reg"):
+        for key in ("learning_rate", "weight_decay", "lambda_reg"):
             value = getattr(self, key)
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{key} must be finite and >= 0, got {value}")
+        if not 0 < self.grad_clip < math.inf:   # 0 would zero every update
+            raise ConfigError(
+                f"grad_clip must be finite and > 0, got {self.grad_clip}")
         if min(self.batch_size, self.epochs) < 1 or min(self.warmup_epochs, self.seed) < 0:
             raise ConfigError(
                 "batch_size and epochs must be >= 1, warmup_epochs and seed >= 0")

@@ -4,7 +4,10 @@ One optimization step packs its batch of videos into one sequence and
 makes one pass of each kind over it: forward through backbone and heads,
 target assignment, the combined focal/DIoU objective normalized by the
 batch positive count, backward, global-norm clipping and a parameter
-update. The tape's length does not grow with the batch size. Everything is
+update. The tape's length does not grow with the batch size. Parameters,
+gradients and AdamW's moments live in flat buffers of one layout
+(``params.ParamStore``), so a step copies and allocates none of them, and
+clipping and the update are block passes over the buffers. Everything is
 seeded, so two runs with the same config produce identical loss
 trajectories on the same platform.
 """
@@ -43,31 +46,58 @@ from .model import (
 
 
 class AdamW:
-    """Adam with decoupled weight decay; decay skips 1-D parameters."""
+    """Adam with decoupled weight decay over a store's flat buffers.
+
+    Decay skips 1-D parameters. Both moments share the store's layout
+    (``params.ParamStore``): the decayed parameters, those with two or more
+    axes, form one prefix of every buffer, and parameters of equal size sit
+    in runs. A step runs the per-array update's elementwise chain, in its
+    operation order, over the store's blocks of 2^15 elements with
+    block-sized scratch, so every value is what updating the parameters one
+    array at a time gives, to the bit.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, arrays: dict[str, np.ndarray], weight_decay: float = 0.0):
+    def __init__(self, store: pr.ParamStore, weight_decay: float = 0.0):
+        self.store = store
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
-        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.m = np.zeros_like(store.values)
+        self.v = np.zeros_like(store.values)
+        width = max((hi - lo for lo, hi, _ in store.blocks), default=0)
+        self._scratch = np.empty((2, width), dtype=np.float32)
 
-    def step(self, arrays: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, lr: float) -> None:
+        """Update the store's parameters from its gradients."""
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for name, p in arrays.items():
-            g = grads[name].astype(p.dtype, copy=False)
-            m = self.m[name]
-            v = self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and p.ndim >= 2:
-                update = update + self.weight_decay * p
-            p -= (lr * update).astype(p.dtype, copy=False)
+        values, grad = self.store.values, self.store.grad
+        for lo, hi, decayed in self.store.blocks:
+            p, g = values[lo:hi], grad[lo:hi]
+            m, v = self.m[lo:hi], self.v[lo:hi]
+            t, u = self._scratch[:, :hi - lo]
+            # m += (1 - beta1) * (g - m)
+            np.subtract(g, m, out=t)
+            t *= 1.0 - self.beta1
+            m += t
+            # v += (1 - beta2) * (g * g - v)
+            np.multiply(g, g, out=t)
+            t -= v
+            t *= 1.0 - self.beta2
+            v += t
+            # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay * p]
+            np.divide(v, bc2, out=u)
+            np.sqrt(u, out=u)
+            u += self.eps
+            np.divide(m, bc1, out=t)
+            t /= u
+            if self.weight_decay and decayed:
+                t += np.multiply(p, self.weight_decay, out=u)
+            # p -= lr * update
+            t *= lr
+            p -= t
 
 
 def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> float:
@@ -109,16 +139,17 @@ def _relative(path: str, root: Path) -> str:
     return Path(path).relative_to(root).as_posix() if path else path
 
 
-def train_step(arrays: dict[str, np.ndarray], cfg: ModelConfig,
+def train_step(params: dict[str, np.ndarray] | pr.ParamStore, cfg: ModelConfig,
                batch: list[str], dataset: Dataset,
                lambda_reg: float) -> tuple[dict[str, np.ndarray], dict]:
     """Forward/backward over one batch; returns gradients and loss scalars.
 
     The batch's videos go through the model as one packed sequence, and
-    their targets are joined in the same row order for one loss.
+    their targets are joined in the same row order for one loss. Given a
+    store, the gradients are its gradient views, overwritten by the step.
     """
     tape = ad.Tape(dtype=np.float32)
-    bound = pr.bind(tape, arrays)
+    bound = pr.bind(tape, params)
     videos = sorted(batch)
     fused = [dataset.fused[vid] for vid in videos]
     points, head_out = forward_video(bound, cfg, [f.data for f in fused], tape)
@@ -187,8 +218,9 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir) -> RunManifest:
         if stale not in ckpt_paths:   # an earlier, longer run's epoch
             stale.unlink()
     save_config(cfg, out / "config.ini")
-    arrays = init_model_arrays(mcfg, cfg.seed)
-    optimizer = AdamW(arrays, weight_decay=cfg.weight_decay)
+    store = pr.ParamStore(init_model_arrays(mcfg, cfg.seed))
+    arrays = store.arrays
+    optimizer = AdamW(store, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
 
     steps_per_epoch = math.ceil(len(train_ids) / cfg.batch_size)
@@ -200,25 +232,27 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir) -> RunManifest:
     for epoch in range(cfg.epochs):
         order = list(train_ids)
         rng.shuffle(order)
-        epoch_scalars = []
+        epoch_scalars, norms = [], []
         for bi, batch in enumerate(
                 order[i:i + cfg.batch_size]
                 for i in range(0, len(order), cfg.batch_size)):
-            grads, scalars = train_step(arrays, mcfg, batch, dataset,
-                                        cfg.lambda_reg)
+            _, scalars = train_step(store, mcfg, batch, dataset, cfg.lambda_reg)
             where = (f"at epoch {epoch} batch {bi} "
                      f"(videos: {', '.join(sorted(batch))})")
             if not math.isfinite(scalars["total"]):
                 raise NumericError(f"non-finite loss {where}: {scalars}")
-            if not math.isfinite(pr.clip_by_global_norm(grads, cfg.grad_clip)):
-                bad = next(n for n in sorted(grads) if not np.isfinite(grads[n]).all())
+            norm = pr.clip_by_global_norm(store, cfg.grad_clip)
+            if not math.isfinite(norm):
+                bad = next(n for n in sorted(store.grads)
+                           if not np.isfinite(store.grads[n]).all())
                 raise NumericError(
                     f"non-finite gradient norm {where}: parameter {bad!r} has "
                     f"a non-finite gradient")
-            optimizer.step(arrays, grads, lr_at(step, total_steps,
-                                                warmup_steps, cfg.learning_rate))
+            optimizer.step(lr_at(step, total_steps, warmup_steps,
+                                 cfg.learning_rate))
             step += 1
             epoch_scalars.append(scalars)
+            norms.append(norm)
 
         val_map = None
         if val_ids:
@@ -239,6 +273,8 @@ def train(cfg: TrainConfig, dataset: Dataset, out_dir) -> RunManifest:
             "mean_cls": math.fsum(s["l_cls"] for s in epoch_scalars) / n,
             "mean_reg": math.fsum(s["l_reg"] for s in epoch_scalars) / n,
             "t_plus": int(sum(s["t_plus"] for s in epoch_scalars)),
+            "grad_norm_max": max(norms),
+            "clipped_steps": sum(norm > cfg.grad_clip for norm in norms),
             "val_map": val_map,
             "lr": lr_at(step - 1, total_steps, warmup_steps, cfg.learning_rate),
         })

@@ -494,10 +494,9 @@ class TestTraining:
         assert good >= 9, f"only {good}/10 seeds decreased monotonically"
 
     def test_nan_loss_aborts_with_batch_id(self, tiny_dataset, tmp_path, monkeypatch):
-        def poisoned(arrays, cfg, batch, dataset, lambda_reg):
-            grads = {k: np.zeros_like(v) for k, v in arrays.items()}
-            return grads, {"total": float("nan"), "l_cls": 0.0,
-                           "l_reg": 0.0, "t_plus": 0}
+        def poisoned(store, cfg, batch, dataset, lambda_reg):
+            return store.grads, {"total": float("nan"), "l_cls": 0.0,
+                                 "l_reg": 0.0, "t_plus": 0}
 
         monkeypatch.setattr(train_mod, "train_step", poisoned)
         ds = load_dataset(tiny_dataset)
@@ -541,10 +540,29 @@ class TestTraining:
         assert f"parameter {min(names)!r}" in msg
 
     def test_non_finite_norm_leaves_gradients_unscaled(self):
-        grads = {"a": np.array([3.0, math.inf]), "b": np.array([math.nan])}
-        norm = pr.clip_by_global_norm(grads, 1.0)
+        store = pr.ParamStore({"a": np.zeros(2), "b": np.zeros(1)})
+        store.grads["a"][:] = [3.0, math.inf]
+        store.grads["b"][:] = math.nan
+        norm = pr.clip_by_global_norm(store, 1.0)
         assert math.isnan(norm)
-        assert grads["a"].tolist() == [3.0, math.inf]
+        assert store.grads["a"].tolist() == [3.0, math.inf]
+
+    def test_train_step_accumulates_into_the_store(self, desk_four):
+        # every leaf adds its gradient into the store's buffer, which bind
+        # zeroes: two steps give the gradients of a plain-dict step, bitwise
+        cfg = desk_scale_config().model
+        arrays = init_model_arrays(cfg, seed=0)
+        store = pr.ParamStore(arrays)
+        batch = desk_four.videos("train")[:2]
+        want, want_scalars = train_step(arrays, cfg, batch, desk_four, 1.0)
+        for _ in range(2):
+            grads, scalars = train_step(store, cfg, batch, desk_four, 1.0)
+            assert scalars == want_scalars
+            assert list(grads) == list(want)
+            for name, g in grads.items():
+                assert g is store.grads[name]
+                assert np.shares_memory(g, store.grad), name
+                assert np.array_equal(g, want[name]), name
 
     def test_train_step_scalars_equal_total_loss(self, tiny_dataset):
         # train_step and total_loss share one objective: on a one-video
@@ -683,6 +701,9 @@ class TestTraining:
         ("train", "learning_rate", -1e-3),
         ("train", "weight_decay", float("inf")),
         ("train", "grad_clip", float("nan")),
+        # a clip of 0 scales every gradient to 0: nothing would train
+        ("train", "grad_clip", 0.0),
+        ("train", "grad_clip", -1.0),
         ("train", "lambda_reg", float("inf")),
         ("train", "lambda_reg", -0.5),
         ("model", "prior_prob", 0.0),
@@ -1337,8 +1358,8 @@ class TestOutputErrors:
 
 class TestPinnedOutputBytes:
     """gen-data, predict with seed-0 desk weights, then eval, on a tiny
-    seeded dataset: the SHA-256 of each output file is pinned, so a change
-    that moves any of their bytes fails here."""
+    seeded dataset, and gen-data then train: the SHA-256 of each output
+    file is pinned, so a change that moves any of their bytes fails here."""
 
     DIGESTS = {
         "data/annotations.json":
@@ -1363,6 +1384,29 @@ class TestPinnedOutputBytes:
                          "--out", str(tmp_path / "report.json")]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in self.DIGESTS} == self.DIGESTS
+
+    # the last epoch checkpoint of a 2-epoch desk-preset run with weight
+    # decay on, as training wrote it when it kept one array per parameter
+    TRAIN_DIGEST = "edb5b52138eacb6e031e202dbdc484797d16aa729ec3dbb77a7544a0c2b12ee6"
+
+    def test_train_digest_with_clipping_on_some_steps(self, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert cli.main(["gen-data", "--out", str(data), "--videos", "6",
+                         "--duration", "64", "--seed", "1",
+                         "--split-counts", "6", "0", "0"]) == 0
+        cfg = desk_scale_config()
+        cfg.epochs, cfg.warmup_epochs, cfg.grad_clip = 2, 1, 3.0
+        assert cfg.weight_decay > 0
+        save_config(cfg, tmp_path / "c.ini")
+        assert cli.main(["train", "--data", str(data), "--out", str(run),
+                         "--config", str(tmp_path / "c.ini")]) == 0
+        # pre-clip norms 3.29, 3.24, 2.94 in epoch 0 and 2.27, 2.51, 2.21
+        # in epoch 1: clipping fires on the first two steps only
+        epochs = json.loads((run / "manifest.json").read_text())["epochs"]
+        assert [e["clipped_steps"] for e in epochs] == [2, 0]
+        assert epochs[0]["grad_norm_max"] > cfg.grad_clip > epochs[1]["grad_norm_max"]
+        ckpt = run / "checkpoints" / "epoch_001.ckpt"
+        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == self.TRAIN_DIGEST
 
 
 class TestSettingSurface:
