@@ -5,14 +5,19 @@ of parameter name -> shape -> float32 payload. Entries are sorted by name,
 each stored as u16 name length + UTF-8 name, u8 rank, u32 dims, then the
 row-major payload. Names come from the initializers and are stable across
 runs, so a checkpoint can be validated shape-by-shape against any config.
+
+The reader takes the entries in file order and reads each payload once,
+straight from the file into its own array: no copy of the whole file is
+held, and a payload that does not fit in the rest of the file is rejected
+before its array is allocated. Any problem is a CheckpointError (exit 4).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -123,20 +128,25 @@ def save_checkpoint(arrays: dict[str, np.ndarray], path) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(memoryview(arr))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The parameter map a checkpoint file holds, one fresh array per entry;
+    a CheckpointError names the first problem in file order."""
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size, path)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
-    view = memoryview(blob)
-    off = struct.calcsize("<4sII")
-    if len(blob) < off:
+
+def _read_checkpoint(fh, size: int, path) -> dict[str, np.ndarray]:
+    fixed = struct.calcsize("<4sII")
+    head = fh.read(fixed)
+    if len(head) < fixed:
         raise CheckpointError(f"{path}: truncated checkpoint header")
-    magic, version, count = struct.unpack_from("<4sII", view)
+    magic, version, count = struct.unpack("<4sII", head)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
@@ -145,26 +155,28 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         try:
-            (name_len,) = struct.unpack_from("<H", view, off)
-            off += 2
-            name = bytes(view[off:off + name_len]).decode("utf-8")
-            off += name_len
+            (name_len,) = struct.unpack("<H", fh.read(2))
+            name = fh.read(name_len).decode("utf-8")
             if name in arrays:
                 raise CheckpointError(f"{path}: parameter {name!r} appears twice")
-            (ndim,) = struct.unpack_from("<B", view, off)
-            off += 1
-            dims = struct.unpack_from(f"<{ndim}I", view, off)
-            off += 4 * ndim
-            size = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-            arr = np.frombuffer(blob, dtype="<f4", count=size, offset=off)
-            off += 4 * size
-            arrays[name] = arr.reshape(dims).copy()
-        except (struct.error, ValueError, UnicodeDecodeError) as exc:
+            (ndim,) = struct.unpack("<B", fh.read(1))
+            dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        except (struct.error, UnicodeDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt checkpoint entry: {exc}") from exc
-        if not np.isfinite(arrays[name]).all():
+        need = 4 * math.prod(dims)
+        # the file may shrink after fstat: what readinto gets is what counts
+        have = size - fh.tell()
+        if have >= need:
+            arr = np.empty(dims, "<f4")
+            have = fh.readinto(arr)
+        if have < need:
+            raise CheckpointError(f"{path}: parameter {name!r} payload truncated "
+                                  f"({have} of {need} bytes)")
+        if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: parameter {name!r} has non-finite values")
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
+        arrays[name] = arr
+    if fh.tell() != size:
+        raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes")
     return arrays
 
 

@@ -10,6 +10,7 @@ import re
 import shutil
 import struct
 import tempfile
+import tracemalloc
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -732,6 +733,17 @@ class TestTraining:
         assert err.startswith("error[config]") and key in err
 
 
+def raw_checkpoint(entries, magic=b"TSCP", version=1):
+    """Checkpoint bytes written field by field from (name, dims, payload)
+    entries, whatever the payloads' lengths."""
+    blob = struct.pack("<4sII", magic, version, len(entries))
+    for name, dims, payload in entries:
+        encoded = name.encode("utf-8")
+        blob += struct.pack(f"<H{len(encoded)}sB{len(dims)}I", len(encoded),
+                            encoded, len(dims), *dims) + payload
+    return blob
+
+
 class TestCheckpoints:
     def test_roundtrip_exact(self, tmp_path):
         cfg = tiny_train_config()
@@ -878,6 +890,55 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:50])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(2**32 - 1,) * 3, (2**31, 2**31),
+                                      (2**32 - 1,) * 4],
+                             ids=["3x(2^32-1)", "2^31x2^31", "4x(2^32-1)"])
+    def test_payload_beyond_the_file_rejected_before_allocation(self, tmp_path,
+                                                                dims):
+        # the first and last products overflow int64; the middle one fits
+        # but is more than numpy can allocate
+        path = tmp_path / "big.ckpt"
+        path.write_bytes(raw_checkpoint([("a", dims, bytes(16))]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError) as exc:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (f"{path}: parameter 'a' payload truncated "
+                                  f"(16 of {4 * math.prod(dims)} bytes)")
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("cut", [4, 14], ids=["payload", "dims"])
+    def test_first_problem_in_file_order_is_reported(self, tmp_path, cut):
+        # the first parameter holds a NaN and the last entry is cut short:
+        # the NaN comes first in the file, so it is what the error names
+        path = tmp_path / "m.ckpt"
+        blob = raw_checkpoint([
+            ("a", (2,), np.array([math.nan, 1.0], "<f4").tobytes()),
+            ("b", (3,), bytes(12))])
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: parameter 'a' has non-finite values"
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"TSCP\x01", "truncated checkpoint header"),
+        (raw_checkpoint([], magic=b"NOPE"), "bad checkpoint magic b'NOPE'"),
+        (raw_checkpoint([], version=2), "unsupported checkpoint version 2"),
+        (raw_checkpoint([("a", (1,), bytes(4))] * 2), "parameter 'a' appears twice"),
+        (raw_checkpoint([("a", (1,), bytes(4)), ("b", (3,), bytes(8))]),
+         "parameter 'b' payload truncated (8 of 12 bytes)"),
+        (raw_checkpoint([("a", (1,), bytes(4))]) + b"xyz", "3 trailing bytes"),
+    ], ids=["header", "magic", "version", "twice", "payload", "trailing"])
+    def test_rejection_messages(self, tmp_path, blob, message):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("name, value", [
         ("head.cls.out.b", float("nan")),
