@@ -74,33 +74,39 @@ def load_feature_dir(features_dir) -> dict[str, dio.FeatureSequence]:
     root = Path(features_dir)
     if not root.is_dir():
         raise ValidationError(f"features directory not found: {root}")
+    # sequences still waiting for their partner; a pair is fused once both
+    # are read, so the directory is not resident twice
     visual: dict[str, dio.FeatureSequence] = {}
     audio: dict[str, dio.FeatureSequence] = {}
+    fused: dict[str, dio.FeatureSequence] = {}
     files: dict[tuple[str, bool], str] = {}
     for path in sorted(root.glob("*.tslf")):
         seq = dio.load_features(path)
+        vid = seq.video_id
         # already-fused files pass straight through, in the visual slot
         is_audio = seq.modality == "audio"
-        first = files.setdefault((seq.video_id, is_audio), path.name)
+        first = files.setdefault((vid, is_audio), path.name)
         if first != path.name:
             raise ValidationError(
                 f"{root}: {first} and {path.name} both hold "
                 f"{'audio' if is_audio else 'visual or fused'} features of video "
-                f"{seq.video_id!r}")
-        (audio if is_audio else visual)[seq.video_id] = seq
-    paired = {vid for vid, seq in visual.items() if seq.modality == "visual"}
-    orphans = sorted(files[vid, True] for vid in set(audio) - paired)
+                f"{vid!r}")
+        if seq.modality == "fused":
+            fused[vid] = seq
+        elif is_audio and vid in visual:
+            fused[vid] = dio.fuse_features(visual.pop(vid), seq)
+        elif not is_audio and vid in audio:
+            fused[vid] = dio.fuse_features(seq, audio.pop(vid))
+        else:
+            (audio if is_audio else visual)[vid] = seq
+    for vid in list(visual):
+        fused[vid] = dio.fuse_features(visual.pop(vid), None)
+    orphans = sorted(files[vid, True] for vid in audio)
     if orphans:
         raise ValidationError(
             f"{root}: audio files without a visual partner: "
             f"{', '.join(orphans[:5])}")
-    fused = {}
-    for vid, v in sorted(visual.items()):
-        if v.modality == "fused":
-            fused[vid] = v
-        else:
-            fused[vid] = dio.fuse_features(v, audio.get(vid))
-    return fused
+    return dict(sorted(fused.items()))
 
 
 def load_dataset(root_dir) -> Dataset:

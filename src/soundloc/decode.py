@@ -28,9 +28,9 @@ predict keeps, and does only the work they need:
   reach (the first row of its class that starts at or after its end): a
   table of the best score of every run of 2^k rows answers each row with
   two runs, and is refilled once per round in log2(longest reach) passes.
-  Hard suppression at a threshold <= 0 reaches every row of a class, which
-  is then one cluster that picks its best row each round and zeroes the
-  rest, without a table.
+  Hard suppression at a threshold <= 0 meets tIoU 0 too, so each row
+  reaches its class's end: a class is then one cluster, which picks its
+  best row each round and zeroes the rest in the same round as any other.
 * No pick scores more than its row does now. Each cluster's best row is a
   pick at its score, and once max_out rows are picked, so are those rows: a
   row below the max_out-th best of either cannot enter the output and is
@@ -206,15 +206,12 @@ def _run_starts(key: np.ndarray) -> np.ndarray:
     return first
 
 
-def _reach(label: np.ndarray, a: np.ndarray, b: np.ndarray,
-           clear: bool) -> np.ndarray:
+def _reach(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row in (label, start, end) order, the first row of its class that
     starts at or after its end: the rows between them are the later rows it
-    overlaps. With clear, every row reaches its class's end."""
+    overlaps. A row that ends at inf reaches its class's end."""
     lo = _run_starts(label).nonzero()[0]
     hi = np.append(lo[1:], label.size)
-    if clear:
-        return hi.repeat(hi - lo)
     reach = np.empty(label.size, dtype=np.intp)
     for i, j in zip(lo.tolist(), hi.tolist()):
         reach[i:j] = np.searchsorted(a[i:j], b[i:j]) + i
@@ -265,12 +262,13 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
 
     Gaussian mode multiplies competitors by exp(-IoU^2 / sigma); hard mode
     zeroes them at IoU >= iou_thresh (so a threshold of 1 removes only exact
-    duplicates). A class picks its best row, decays the rest against it and
-    repeats, until it has max_out picks or everything left is below
-    min_score (its first pick is made whatever its score). The picks carry
-    their decayed scores; the first max_out of them in
-    (-score, start, label, end) order are returned. The method and sigma
-    follow DecodeConfig's rule: sigma > 0 in hard mode too.
+    duplicates, and one of 0 every other row of the class). A class picks
+    its best row, decays the rest against it and repeats, until it has
+    max_out picks or everything left is below min_score (its first pick is
+    made whatever its score). The picks carry their decayed scores; the
+    first max_out of them in (-score, start, label, end) order are
+    returned. The method and sigma follow DecodeConfig's rule: sigma > 0 in
+    hard mode too.
 
     The rounds run per overlap cluster, not per class: each takes a
     cluster's picks up to the first one that an earlier pick could decay,
@@ -296,10 +294,10 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
         rows, label = rows[keep], label[keep]
     s, a, b = cands.score[rows], cands.start[rows], cands.end[rows]
 
-    # hard suppression at a threshold <= 0 reaches every row of the class,
-    # which is then one cluster that picks its best row each round
+    # hard suppression at a threshold <= 0 also suppresses the rows a pick
+    # does not overlap (tIoU 0), so each row reaches its class's end
     clear = method == "hard" and iou_thresh <= 0
-    reach = _reach(label, a, b, clear)
+    reach = _reach(label, a, np.full(b.size, np.inf) if clear else b)
     first, count = _clusters(reach)
     floor = min_score
     if first.size >= max_out:
@@ -310,35 +308,27 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
         floor = max(min_score, least)
         s[s < least] = -np.inf
     n = s.size
-    if not clear:
-        table, f1, f2 = _range_table(s, reach)
-        x, s = table[0, :n], table[1, :n]
-        runs = table.ravel()
-        before = reach - 1
+    table, f1, f2 = _range_table(s, reach)
+    x, s = table[0, :n], table[1, :n]
+    runs = table.ravel()
+    before = reach - 1
 
     picked: list[np.ndarray] = []
     picked_score: list[np.ndarray] = []
     n_picked = 0
     for _ in range(max_out):
-        if clear:
-            most = np.maximum.reduceat(s, first)
-            pick = np.zeros(n, dtype=bool)
-            alone = most > -np.inf
-        else:
-            for k in range(2, table.shape[0]):
-                h = 1 << (k - 2)
-                np.maximum(table[k - 1, :n - h], table[k - 1, h:n],
-                           out=table[k, :n - h])
-            # x: per row, the lower score of it and its best later
-            # overlapping row. A cluster's best x is x*'s score, as the worse
-            # row of a pair is the later one at a tie: every row above it
-            # picks.
-            np.minimum(s, np.maximum(runs[f1], runs[f2]), out=x)
-            best, most = np.maximum.reduceat(table[:2, :n], first, axis=1)
-            pick = s > best.repeat(count)
-            alone = (best == most) & (most > -np.inf)
-        # a live cluster whose best row ties with x*, or one of clear's,
-        # picks its first best row
+        for k in range(2, table.shape[0]):
+            h = 1 << (k - 2)
+            np.maximum(table[k - 1, :n - h], table[k - 1, h:n],
+                       out=table[k, :n - h])
+        # x: per row, the lower score of it and its best later overlapping
+        # row. A cluster's best x is x*'s score, as the worse row of a pair
+        # is the later one at a tie: every row above it picks.
+        np.minimum(s, np.maximum(runs[f1], runs[f2]), out=x)
+        best, most = np.maximum.reduceat(table[:2, :n], first, axis=1)
+        pick = s > best.repeat(count)
+        alone = (best == most) & (most > -np.inf)
+        # a live cluster whose best row ties with x* picks its first best row
         if alone.any():
             top = ((s == most.repeat(count)) & alone.repeat(count)).nonzero()[0]
             pick[top[_run_starts(np.searchsorted(first, top, side="right"))]] = True
@@ -354,38 +344,35 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
             floor = max(min_score, every[every.size - max_out])
         s[top] = -np.inf
 
-        if clear:
-            # IoU 0 meets the threshold too; a retired row stays retired
-            s[s > -np.inf] = 0.0
+        # No two picks overlap, so their reach grows with their row: the
+        # picks a row q overlaps, those before reach[q] whose reach is past
+        # q, are picks lo[q] to hi[q] - 1.
+        hi = pick.cumsum()[before]
+        lo = np.bincount(reach[top], minlength=n + 1).cumsum()[:n]
+        row = ((hi > lo) & (s > -np.inf)).nonzero()[0]
+        lo = lo[row]
+        w = hi[row] - lo
+        several = w.size and w.max() > 1
+        if several:
+            row = row.repeat(w)
+            lo = np.arange(row.size) - (w.cumsum() - w - lo).repeat(w)
+        by = top[lo]
+        hit, t = overlap_tiou(a[by], b[by], a[row], b[row])
+        if method == "hard":
+            # a reached row that misses the pick has tIoU 0
+            f = np.zeros(row.size)
+            f[hit] = t < iou_thresh
         else:
-            # No two picks overlap, so their reach grows with their row: the
-            # picks a row q overlaps, those before reach[q] whose reach is
-            # past q, are picks lo[q] to hi[q] - 1.
-            hi = pick.cumsum()[before]
-            lo = np.bincount(reach[top], minlength=n + 1).cumsum()[:n]
-            row = ((hi > lo) & (s > -np.inf)).nonzero()[0]
-            lo = lo[row]
-            w = hi[row] - lo
-            several = w.size and w.max() > 1
-            if several:
-                row = row.repeat(w)
-                lo = np.arange(row.size) - (w.cumsum() - w - lo).repeat(w)
-            by = top[lo]
-            _, t = overlap_tiou(a[by], b[by], a[row], b[row])
-            if method == "hard":
-                f = np.where(t >= iou_thresh, 0.0, 1.0)
-            else:
-                # math.exp, not np.exp: the scores must match the scalar
-                # form to the bit
-                f = np.fromiter(map(math.exp, (-(t * t) / sigma).tolist()),
-                                dtype=np.float64, count=t.size)
-            if several:
-                # a row that two picks overlap takes their factors in pick
-                # order
-                k = np.lexsort((lo, -score[lo]))
-                np.multiply.at(s, row[k], f[k])
-            else:
-                s[row] *= f
+            # math.exp, not np.exp: the scores match the scalar form to the
+            # bit; every reached row overlaps its pick
+            f = np.fromiter(map(math.exp, (-(t * t) / sigma).tolist()),
+                            dtype=np.float64, count=t.size)
+        if several:
+            # a row that two picks overlap takes their factors in pick order
+            k = np.lexsort((lo, -score[lo]))
+            np.multiply.at(s, row[k], f[k])
+        else:
+            s[row] *= f
         live = s >= floor
         if not live.any():
             break

@@ -10,9 +10,12 @@ depend on the threshold and is built once per class:
 * pairs are sorted by (video, prediction rank, -tIoU, GT start, GT index).
 
 The pairs are formed in chunks of about ``_PAIR_CHUNK``, whole predictions
-at a time, and when the smallest threshold is above 0 a chunk keeps only
-the pairs that reach it, which are all that matching reads. So memory grows
-with the pairs that can match, not with every same-video pair.
+at a time, and a chunk keeps only the overlapping pairs that reach the
+smallest threshold, which are all that matching reads above 0. At a
+threshold <= 0 every GT of a video is eligible, so the matches are each
+video's first G predictions in rank order, G being its GT count, and need
+no pairs. So memory grows with the pairs that can match, not with every
+same-video pair.
 
 Greedy matching lets each prediction, in rank order, claim the best unmatched
 same-video GT with tIoU >= tau. Per threshold it runs in rounds over the pairs
@@ -73,6 +76,8 @@ class _PairTable:
     rank: np.ndarray
     gt: np.ndarray
     iou: np.ndarray
+    # the true positives at every threshold <= 0, when one is asked for
+    tp_at_zero: np.ndarray | None = None
 
 
 def _pair_table(p_video, p_score, p_start, p_end,
@@ -80,8 +85,9 @@ def _pair_table(p_video, p_score, p_start, p_end,
     """Rank the predictions and pair each with every GT of its video.
 
     Video codes are integers shared by both sides; a prediction whose code
-    no GT carries gets no pair. With ``min_tau`` > 0, pairs whose tIoU is
-    below it are left out.
+    no GT carries gets no pair. Only overlapping pairs whose tIoU reaches
+    ``min_tau`` are kept. With ``min_tau`` <= 0, where every GT of a video
+    is eligible, each video's first G ranked predictions are its matches.
     """
     order = np.lexsort((p_start, -p_score))
     r_video, r_start, r_end = p_video[order], p_start[order], p_end[order]
@@ -91,6 +97,12 @@ def _pair_table(p_video, p_score, p_start, p_end,
     lo = np.searchsorted(gv, r_video, side="left")
     count = np.searchsorted(gv, r_video, side="right") - lo
     by_video = np.argsort(r_video, kind="stable")
+    tp_at_zero = None
+    if min_tau <= 0:
+        v = r_video[by_video]
+        tp_at_zero = np.empty(len(order), dtype=bool)
+        tp_at_zero[by_video] = (np.arange(v.size) - np.searchsorted(v, v)
+                                < count[by_video])
     preds = by_video[count[by_video] > 0]          # ranks, in (video, rank) order
     ends = np.cumsum(count[preds])
     total = int(ends[-1]) if ends.size else 0
@@ -103,22 +115,21 @@ def _pair_table(p_video, p_score, p_start, p_end,
         rank = np.repeat(chunk, n)
         gt = np.repeat(lo[chunk], n) + (np.arange(int(n.sum())) - np.repeat(first, n))
         row = np.repeat(np.arange(chunk.size), n)
-        hit, hit_iou = overlap_tiou(r_start[rank], r_end[rank], gs[gt], ge[gt])
-        if min_tau > 0:
-            keep = hit_iou >= min_tau
-            hit, iou = hit[keep], hit_iou[keep]
-            rank, gt, row = rank[hit], gt[hit], row[hit]
-        else:
-            iou = np.zeros(rank.size)
-            iou[hit] = hit_iou
+        hit, iou = overlap_tiou(r_start[rank], r_end[rank], gs[gt], ge[gt])
+        keep = iou >= min_tau
+        hit, iou = hit[keep], iou[keep]
+        rank, gt, row = rank[hit], gt[hit], row[hit]
         regroup = np.lexsort((-iou, row))
         parts.append((rank[regroup], gt[regroup], iou[regroup]))
     rank, gt, iou = (np.concatenate(col) for col in zip(*parts))
-    return _PairTable(len(order), len(g_order), r_video[rank], rank, gt, iou)
+    return _PairTable(len(order), len(g_order), r_video[rank], rank, gt, iou,
+                      tp_at_zero)
 
 
 def _greedy_tp(table: _PairTable, tau: float) -> np.ndarray:
     """True-positive flags of the ranked predictions at threshold tau."""
+    if tau <= 0:
+        return table.tp_at_zero
     keep = table.iou >= tau
     video, rank, gt = table.video[keep], table.rank[keep], table.gt[keep]
     tp = np.zeros(table.num_preds, dtype=bool)

@@ -10,7 +10,8 @@ import pytest
 
 from soundloc import autodiff as ad
 from soundloc import config, model
-from soundloc.data import FeatureSequence, load_features, save_features
+from soundloc.data import FeatureSequence, SyntheticSpec, load_features, save_features
+from soundloc.datasets import load_feature_dir, write_dataset
 from soundloc.errors import ConfigError, EmptyInputError, ShapeError
 
 
@@ -996,6 +997,15 @@ class TestLoadAllocationBudget:
         seq, peak = traced_peak(lambda: load_features(path))
         ratio = peak / seq.data.nbytes
         assert ratio <= 1.1, f"{ratio:.2f}"
+
+    def test_feature_directory(self, tmp_path):
+        # ceiling over the fused bytes: 8 videos at T=64, as predict reads
+        # them; fusing every pair after the last read took 2.18
+        write_dataset(tmp_path, SyntheticSpec(seed=3))
+        fused, peak = traced_peak(lambda: load_feature_dir(tmp_path / "features"))
+        assert len(fused) == 8
+        ratio = peak / sum(seq.data.nbytes for seq in fused.values())
+        assert ratio <= 1.5, f"{ratio:.2f}"
 
 
 # ---------------------------------------------------------------------------

@@ -789,16 +789,18 @@ class TestWorkCount:
         assert bits(got) == bits(oracle_soft_nms(short + [long]))
 
     @pytest.mark.parametrize("min_score", [0.0, 1e-3])
-    def test_hard_thresh_zero_takes_no_overlaps(self, monkeypatch, min_score):
-        # at threshold 0 every row of a class is suppressed, so a round
-        # zeroes the class's rows without computing any tIoU
+    def test_hard_thresh_zero_picks_once_per_class_and_round(
+            self, monkeypatch, min_score):
+        # at threshold 0 every row reaches its class's end, so a class is
+        # one cluster: each round picks its best row and zeroes the rest,
+        # which a positive min_score then drops
         cands = model_candidates(64.0, 1, (1, 3))
-        calls = []
-        monkeypatch.setattr(decode, "overlap_tiou",
-                            lambda *args: calls.append(1))
+        rows = max(Counter(cands.label.tolist()).values())
+        rounds = count_rounds(monkeypatch)
         kwargs = {"method": "hard", "iou_thresh": 0.0, "min_score": min_score}
         got = soft_nms(cands, **kwargs)
-        assert not calls
+        assert len(rounds) == (min(rows, DecodeConfig.max_out) if min_score == 0
+                               else 1)
         assert bits(got) == bits(oracle_top(intervals_of(cands), **kwargs))
 
     def test_rounds_bounded_by_the_largest_cluster(self, monkeypatch):
@@ -812,12 +814,15 @@ class TestWorkCount:
         assert 0 < len(rounds) <= largest
         assert bits(got) == bits(oracle_top(intervals_of(cands)))
 
+    @pytest.mark.parametrize("kwargs", [{}, {"method": "hard", "iou_thresh": 0.0}])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("duration, events", [(64.0, (1, 3)),
                                                   (2048.0, (32, 64))])
-    def test_one_range_table_per_call(self, monkeypatch, seed, duration, events):
+    def test_one_range_table_per_call(self, monkeypatch, seed, duration, events,
+                                      kwargs):
         # rows keep their place for the whole call: a retired row stays in
-        # the table at -inf, so reach, clusters and table are built once
+        # the table at -inf, so reach, clusters and table are built once,
+        # also where hard suppression at threshold 0 reaches whole classes
         cands = model_candidates(duration, seed, events)
         calls = Counter()
         for name in ("_reach", "_clusters", "_range_table"):
@@ -826,7 +831,7 @@ class TestWorkCount:
                 return build(*args)
 
             monkeypatch.setattr(decode, name, counting)
-        soft_nms(cands)
+        soft_nms(cands, **kwargs)
         assert calls == {"_reach": 1, "_clusters": 1, "_range_table": 1}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

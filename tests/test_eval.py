@@ -185,7 +185,7 @@ class TestOracleEquivalence:
         assert average_precision(preds, gts, 0.5) == oracle_ap(preds, gts, 0.5)
 
 
-TAUS = (0.0, 1e-12, 0.5, 1.0)
+TAUS = (-0.5, 0.0, 1e-12, 0.5, 1.0)
 
 
 @st.composite
@@ -250,11 +250,11 @@ class TestColumnKernel:
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunked_tables_equal_the_oracle(self, monkeypatch, chunk):
         # chunk edges inside one video's predictions and at a video's
-        # end; TAUS[1:] starts above 0, so pairs below 1e-12 are dropped
+        # end; TAUS[2:] starts above 0, so pairs below 1e-12 are dropped
         monkeypatch.setattr(evaluate, "_PAIR_CHUNK", chunk)
         for seed in range(20):
             preds, gts = random_instance(np.random.default_rng(seed), n_gt_max=30)
-            for taus in (TAUS, TAUS[1:]):
+            for taus in (TAUS, TAUS[2:]):
                 report = mean_ap(preds, gts, thresholds=taus)
                 for c in sorted({g.label_id for g in gts}):
                     p = [x for x in preds if x.label_id == c]
@@ -280,6 +280,24 @@ class TestColumnKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 10e6, f"{peak / 1e6:.1f} MB"
+
+    def test_one_video_table_memory_at_tau_zero(self):
+        # every GT is eligible at tau 0, so the first 100 ranked predictions
+        # match; the table of every same-video pair peaked at 87.6 MiB
+        rng = np.random.default_rng(0)
+        gts = [iv(s, s + float(rng.uniform(2, 20)))
+               for s in rng.uniform(0, 900, 100).tolist()]
+        preds = [iv(s, s + float(rng.uniform(1, 30)), score=float(rng.random()))
+                 for s in rng.uniform(0, 950, 10_000).tolist()]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ap = average_precision(preds, gts, 0.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ap == 1.0
+        assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
     def test_disjoint_gt_is_eligible_at_tau_zero(self):
         preds = [iv(0.0, 1.0, 0.9), iv(5.0, 6.0, 0.8)]
