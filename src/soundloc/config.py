@@ -105,7 +105,8 @@ def _coerce(raw: str, current):
 
 
 def load_config(path) -> TrainConfig:
-    parser = configparser.ConfigParser()
+    # no header can name "\n", so [DEFAULT] is an unknown section, not defaults
+    parser = configparser.ConfigParser(default_section="\n")
     try:
         parser.read_string(Path(path).read_text(encoding="utf-8"), str(path))
         sections = {name: parser.items(name) for name in parser.sections()}

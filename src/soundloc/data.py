@@ -395,41 +395,34 @@ def save_annotations(annotations: list[AnnotationSet], path) -> None:
 _DET_KEYS = ("label", "score", "start_sec", "end_sec")
 
 
-def _detection_problem(det, exact_keys: bool) -> str | None:
-    """What is wrong with one detection, as its error message ends; None if valid.
-
-    With ``exact_keys`` it must hold just the four keys, as the writer needs.
-    """
-    if exact_keys and not (type(det) is dict and det.keys() == set(_DET_KEYS)):
-        return f"must be an object with just the keys {', '.join(_DET_KEYS)}"
-    if not isinstance(det, dict):
-        return "not an object"
-    label, score, start, end = (det.get(k) for k in _DET_KEYS)
-    if not (type(label) is int and 0 <= label < 2 ** 63):
-        return "bad label"
-    if not (type(score) in _NUMBER_TYPES and 0.0 <= score <= 1.0):
-        return "score must be in [0, 1]"
-    if not (type(start) in _NUMBER_TYPES and type(end) in _NUMBER_TYPES
-            and -math.inf < _to_float(start) < _to_float(end) < math.inf):
-        return "start must precede end, both finite"
-    return None
-
-
 def _first_bad_detection(by_video: dict[str, list], exact_keys: bool) -> str | None:
     """``video <id> det <i>: <problem>`` for the first invalid detection in
-    order, None if every detection is valid."""
+    order, None if every detection is valid; with ``exact_keys`` each must
+    hold just the four keys, as the writer needs."""
     for vid, dets in by_video.items():
         for i, det in enumerate(dets):
-            problem = _detection_problem(det, exact_keys)
-            if problem is not None:
-                return f"video {vid!r} det {i}: {problem}"
+            where = f"video {vid!r} det {i}: "
+            if exact_keys and not (type(det) is dict
+                                   and det.keys() == set(_DET_KEYS)):
+                return (where + "must be an object with just the keys "
+                        + ", ".join(_DET_KEYS))
+            if not isinstance(det, dict):
+                return where + "not an object"
+            label, score, start, end = (det.get(k) for k in _DET_KEYS)
+            if not (type(label) is int and 0 <= label < 2 ** 63):
+                return where + "bad label"
+            if not (type(score) in _NUMBER_TYPES and 0.0 <= score <= 1.0):
+                return where + "score must be in [0, 1]"
+            if not (type(start) in _NUMBER_TYPES and type(end) in _NUMBER_TYPES
+                    and -math.inf < _to_float(start) < _to_float(end) < math.inf):
+                return where + "start must precede end, both finite"
     return None
 
 
 def _detection_columns(dets: list, exact_keys: bool):
     """(labels, score, start, end, as_parsed) if every detection passes, else None.
 
-    Accepts exactly what ``_detection_problem`` accepts: dicts (of just the
+    Accepts exactly what ``_first_bad_detection`` accepts: dicts (of just the
     four keys, with ``exact_keys``), ints (no bools) that fit int64 as
     labels, ints or floats that fit a float64 elsewhere. ``as_parsed`` says
     that each detection holds just the four keys, with floats where the

@@ -40,12 +40,12 @@ predict keeps, and does only the work they need:
 
 The rows are sorted once per call, by (label, start, end), so a row's later
 overlapping rows are found by binary search and a row outranks the later
-rows at its score, and the picks once more into output order; a round sorts
-its picks' pairs only when a row is hit by two of them. Overlaps come from
-overlap_tiou, the column tIoU that evaluate uses too, and the gaussian
-factor from math.exp, not np.exp, whose vectorized kernels can differ from
-the C library's exp by one ulp: the scores match a one-candidate-at-a-time
-implementation to the bit.
+rows at its score, and the picks once more into output order; each round
+sorts its picks' pairs by pick order. Overlaps come from overlap_tiou, the
+column tIoU that evaluate uses too, and the gaussian factor from math.exp,
+not np.exp, whose vectorized kernels can differ from the C library's exp by
+one ulp: the scores match a one-candidate-at-a-time implementation to the
+bit.
 """
 
 from __future__ import annotations
@@ -192,10 +192,7 @@ def overlap_tiou(a_start, a_end, b_start, b_end) -> tuple[np.ndarray, np.ndarray
     """
     inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
     hit = (~(inter <= 0)).nonzero()[0]
-    if hit.size < inter.size:
-        inter, a_start, a_end = inter[hit], a_start[hit], a_end[hit]
-        b_start, b_end = b_start[hit], b_end[hit]
-    return hit, inter / ((a_end - a_start) + (b_end - b_start) - inter)
+    return hit, (inter / ((a_end - a_start) + (b_end - b_start) - inter))[hit]
 
 
 def _run_starts(key: np.ndarray) -> np.ndarray:
@@ -352,10 +349,8 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
         row = ((hi > lo) & (s > -np.inf)).nonzero()[0]
         lo = lo[row]
         w = hi[row] - lo
-        several = w.size and w.max() > 1
-        if several:
-            row = row.repeat(w)
-            lo = np.arange(row.size) - (w.cumsum() - w - lo).repeat(w)
+        row = row.repeat(w)
+        lo = np.arange(row.size) - (w.cumsum() - w - lo).repeat(w)
         by = top[lo]
         hit, t = overlap_tiou(a[by], b[by], a[row], b[row])
         if method == "hard":
@@ -367,12 +362,9 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
             # bit; every reached row overlaps its pick
             f = np.fromiter(map(math.exp, (-(t * t) / sigma).tolist()),
                             dtype=np.float64, count=t.size)
-        if several:
-            # a row that two picks overlap takes their factors in pick order
-            k = np.lexsort((lo, -score[lo]))
-            np.multiply.at(s, row[k], f[k])
-        else:
-            s[row] *= f
+        # a row that two picks overlap takes their factors in pick order
+        k = np.lexsort((lo, -score[lo]))
+        np.multiply.at(s, row[k], f[k])
         live = s >= floor
         if not live.any():
             break

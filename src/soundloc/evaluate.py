@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import write_json
-from .decode import Interval, overlap_tiou
+from .decode import Interval, _run_starts, overlap_tiou
 from .errors import ConfigError, EmptyInputError
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -135,9 +135,7 @@ def _greedy_tp(table: _PairTable, tau: float) -> np.ndarray:
     tp = np.zeros(table.num_preds, dtype=bool)
     matched = np.zeros(table.num_gts, dtype=bool)
     while video.size:
-        head = np.empty(video.size, dtype=bool)
-        head[0] = True
-        np.not_equal(video[1:], video[:-1], out=head[1:])
+        head = _run_starts(video)
         firsts = np.flatnonzero(head)
         tp[rank[firsts]] = True
         matched[gt[firsts]] = True
@@ -189,8 +187,6 @@ def average_precision(preds: list[Interval], gts: list[Interval],
     with the highest tIoU >= tau (ties: earlier GT start, then input order).
     """
     _check_thresholds((tau,))
-    if not gts or not preds:
-        return 0.0
     codes = _video_codes(gts)
     g_video, _, g_start, g_end = _columns(gts, codes)
     table = _pair_table(*_columns(preds, codes), g_video, g_start, g_end, tau)
@@ -299,6 +295,12 @@ def mean_ap(preds: list[Interval], gts: list[Interval],
         raise EmptyInputError("no ground-truth events: nothing to evaluate")
 
     labels = sorted({g.label_id for g in gts})
+    names = [class_names[c] if class_names and 0 <= c < len(class_names)
+             else str(c) for c in labels]
+    if len(set(names)) < len(names):
+        name = next(n for n in names if names.count(n) > 1)
+        clash = [c for c, n in zip(labels, names) if n == name]
+        raise ConfigError(f"classes {clash} share the name {name!r}")
     label_codes = {c: i for i, c in enumerate(labels)}
     video_codes = _video_codes(gts)
     p_cols = _columns(preds, video_codes)
@@ -322,25 +324,12 @@ def mean_ap(preds: list[Interval], gts: list[Interval],
                             min_tau)
         aps_by_class.append([_table_ap(table, tau) for tau in thresholds])
 
-    def name(c: int) -> str:
-        if class_names and 0 <= c < len(class_names):
-            return class_names[c]
-        return str(c)
-
-    per_class: dict[str, list[float]] = {}
-    maps = []
-    for t in range(len(thresholds)):
-        aps = []
-        for c, class_aps in zip(labels, aps_by_class):
-            per_class.setdefault(name(c), []).append(class_aps[t])
-            aps.append(class_aps[t])
-        maps.append(math.fsum(aps) / len(aps))
-
+    maps = [math.fsum(aps) / len(aps) for aps in zip(*aps_by_class)]
     return EvalReport(
         thresholds=tuple(thresholds),
         map_per_threshold=maps,
         average_map=average_over_thresholds(maps),
-        per_class_ap=per_class,
+        per_class_ap=dict(zip(names, aps_by_class)),
         num_gt=len(gts),
         num_predictions=len(preds),
     )

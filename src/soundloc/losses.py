@@ -48,8 +48,6 @@ class Assignment:
 
 def join_assignments(parts: Sequence[Assignment]) -> Assignment:
     """The targets of several videos' points laid end to end, in order."""
-    if len(parts) == 1:
-        return parts[0]
     return Assignment(np.concatenate([a.cls_targets for a in parts]),
                       np.concatenate([a.positive for a in parts]),
                       np.concatenate([a.reg_targets for a in parts]))

@@ -270,6 +270,28 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="optimizer"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", [
+        # configparser's default section held a typo, which the full-scale
+        # defaults silently replaced
+        "[DEFAULT]\nepochz = 3\n",
+        # it copied a [train] key into every section, so the error named
+        # the wrong one
+        "[DEFAULT]\nlearning_rate = 0.5\n[model]\nnum_classes = 3\n",
+    ], ids=["typo", "train-key"])
+    def test_default_section_rejected(self, tiny_dataset, tmp_path, capsys, text):
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(text)
+        message = f"{cfg_path}: unknown config section [DEFAULT]"
+        with pytest.raises(ConfigError) as exc:
+            load_config(cfg_path)
+        assert str(exc.value) == message
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(tiny_dataset), "--out", str(out),
+                       "--config", str(cfg_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error[config]: {message}\n"
+        assert not out.exists()
+
     def test_warmup_exceeding_epochs_rejected(self):
         cfg = tiny_train_config(epochs=1, warmup_epochs=5)
         with pytest.raises(ConfigError, match="warmup"):

@@ -118,6 +118,8 @@ class TestAveragePrecision:
 
     def test_no_predictions(self):
         assert average_precision([], [iv(0.0, 1.0)], 0.5) == 0.0
+        assert average_precision([iv(0.0, 1.0, 0.9)], [], 0.5) == 0.0
+        assert average_precision([], [], 0.0) == 0.0
 
     def test_score_rescaling_invariance(self):
         rng = np.random.default_rng(0)
@@ -379,6 +381,16 @@ class TestMeanAp:
         report = mean_ap(preds, gts)
         hand = math.fsum(report.map_per_threshold) / 5.0
         assert abs(report.average_map - hand) <= 1e-12
+
+    def test_two_classes_under_one_name_rejected_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("no pair table for clashing names")
+
+        monkeypatch.setattr(evaluate, "_pair_table", forbidden)
+        gts = [iv(1.0, 3.0, label=0), iv(4.0, 6.0, label=5)]
+        # label 5 has no name, so it takes "5", which label 0 is called
+        with pytest.raises(ConfigError, match=r"classes \[0, 5\] share the name '5'"):
+            mean_ap(gts, gts, thresholds=(0.5,), class_names=["5"])
 
     def test_counts(self):
         gts = [iv(1.0, 3.0, label=0), iv(4.0, 6.0, label=1)]
