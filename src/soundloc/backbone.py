@@ -3,6 +3,13 @@
 A convolutional embedding projects the fused features to model width, then a
 stack of transformer blocks with windowed local self-attention and learnable
 per-channel branch scaling runs, downsampling by 2 on the configured blocks.
+Every block runs ActionFormer's recurrence (Zhang et al., arXiv 2202.07925,
+eq. 3), where both branches add their input:
+``z_bar = scale_attn * MSA(LN(x)) + x`` and
+``z_hat = scale_mlp * MLP(LN(z_bar)) + z_bar``. The source paper prints the
+attention branch without ``+ x``; that stack does not learn at the
+full-scale depth (9 blocks at d_model 32, 24 synthetic videos at T=256,
+6 epochs: best val mAP 0.121, against 0.886 with the residual).
 The attention is computed on a band of key offsets
 (:func:`soundloc.autodiff.local_attention`), so a forward pass costs time and
 memory linear in the sequence length.
@@ -47,9 +54,6 @@ class BackboneConfig:
     mlp_ratio: int = 4
     stride_schedule: tuple[int, ...] = DEFAULT_STRIDE_SCHEDULE
     layerscale_init: float = 1e-4
-    # the block recurrence as written has no residual on the attention
-    # branch; this flag adds the conventional one
-    msa_residual: bool = False
 
     def validate(self) -> None:
         if self.num_blocks < 1:
@@ -186,9 +190,17 @@ def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,
                       segments: Optional[Sequence[int]] = None) -> Tensor:
     """One block of the scaled-branch recurrence, then optional downsampling.
 
-    attn branch:  z_bar = scale_attn * MSA(LN(x))            [+ x if configured]
+    attn branch:  z_bar = scale_attn * MSA(LN(x)) + x
     mlp branch:   z_hat = scale_mlp * MLP(LN(z_bar)) + z_bar
     downsample:   stride-2 convolution when scheduled, identity otherwise.
+
+    This is ActionFormer's eq. 3 (arXiv 2202.07925). Without the ``+ x``,
+    the only path from a block's output back to its input runs through
+    scale_attn (1e-4 at init), and the full-scale depth does not learn.
+    With 9 blocks at d_model 32, the first step's gradient norm was 2e-9 on
+    the embedding against 1.5e4 on the heads (0.86 and 1.5 with the
+    residual), and best val mAP on 24 videos at T=256 after 6 epochs was
+    0.121 (0.886 with it).
 
     ``segments`` are the rows of each packed video; the attention and the
     downsampling stay inside them, and a downsampled video of n rows keeps
@@ -200,9 +212,7 @@ def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,
     ln1 = ad.layer_norm(x, p[f"{pref}.ln1.gamma"], p[f"{pref}.ln1.beta"])
     attn = windowed_msa(ln1, p, f"{pref}.attn", cfg.window, cfg.num_heads,
                         segments)
-    z_bar = ad.mul(attn, p[f"{pref}.scale_attn"])
-    if cfg.msa_residual:
-        z_bar = ad.add(z_bar, x)
+    z_bar = ad.add(ad.mul(attn, p[f"{pref}.scale_attn"]), x)
 
     ln2 = ad.layer_norm(z_bar, p[f"{pref}.ln2.gamma"], p[f"{pref}.ln2.beta"])
     h = ad.gelu(ad.matmul(ln2, p[f"{pref}.mlp.w1"], bias=p[f"{pref}.mlp.b1"]))

@@ -63,7 +63,6 @@ def desk_scale_config() -> TrainConfig:
         window=11,
         num_heads=4,
         stride_schedule=(1, 1, 2, 2, 2),
-        msa_residual=True,       # keep an identity path through the stack
     )
     model = ModelConfig(backbone=backbone, num_classes=5)
     return TrainConfig(
@@ -88,13 +87,6 @@ def _values(obj) -> dict:
 
 
 def _coerce(raw: str, current):
-    if isinstance(current, bool):
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -123,11 +115,21 @@ def load_config(path) -> TrainConfig:
             raise ConfigError(f"{path}: unknown config section [{section}]")
         target = targets[section]
         for key, raw in items:
+            if (section, key) == ("backbone", "msa_residual"):
+                # retired: every block adds the attention branch's input, and
+                # the files saved while this was a flag hold `true`
+                if raw.lower() not in ("1", "true", "yes", "on"):
+                    raise ConfigError(
+                        f"{path}: msa_residual = {raw} in [backbone] "
+                        f"is no longer accepted: the block recurrence without "
+                        f"the attention residual does not train; remove the "
+                        f"key")
+                continue
             if key not in _values(target):
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             try:
                 setattr(target, key, _coerce(raw, getattr(target, key)))
-            except (ValueError, ConfigError) as exc:
+            except ValueError as exc:
                 raise ConfigError(
                     f"{path}: bad value for {key!r} in [{section}]: {exc}") from exc
     cfg.validate()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from soundloc import autodiff as ad
 from soundloc import params as pr
 from soundloc.backbone import (
+    DEFAULT_STRIDE_SCHEDULE,
     BackboneConfig,
     build_pyramid,
     embed,
@@ -16,8 +17,11 @@ from soundloc.backbone import (
     windowed_msa,
 )
 from soundloc.config import desk_scale_config
+from soundloc.data import SyntheticSpec
+from soundloc.datasets import load_dataset, write_dataset
 from soundloc.errors import ConfigError, ShapeError
 from soundloc.model import forward_video, init_model_arrays
+from soundloc.train import train
 
 
 def _band_mask(t: int, window: int) -> np.ndarray:
@@ -307,50 +311,58 @@ class TestTransformerBlock:
         out = transformer_block(x, p, 0, cfg)
         assert out.shape == (5, 8)
 
-    def test_zero_scales_zero_output(self):
-        # with both branch scales zero and zero downsample bias, the block
-        # output collapses to zero
-        for schedule in [(1,), (2,)]:
-            cfg = tiny_cfg(num_blocks=1, stride_schedule=schedule)
-            rng = np.random.default_rng(5)
-            arrays = init_backbone_params(cfg, rng)
-            arrays["block0.scale_attn"][:] = 0.0
-            arrays["block0.scale_mlp"][:] = 0.0
-            tape = ad.Tape(dtype=np.float64)
-            p = pr.bind(tape, arrays)
-            x = tape.constant(rng.normal(size=(10, 8)))
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_zero_scales_pass_input_through(self, stride):
+        # with both branch scales zero, each branch adds nothing to its
+        # input: the block is x, then the stride-2 convolution if scheduled
+        cfg = tiny_cfg(num_blocks=1, stride_schedule=(stride,))
+        rng = np.random.default_rng(5)
+        arrays = init_backbone_params(cfg, rng)
+        arrays["block0.scale_attn"][:] = 0.0
+        arrays["block0.scale_mlp"][:] = 0.0
+        tape = ad.Tape(dtype=np.float64)
+        p = pr.bind(tape, arrays)
+        x = tape.constant(rng.normal(size=(10, 8)))
+        out = transformer_block(x, p, 0, cfg)
+        want = x if stride == 1 else ad.conv1d(
+            x, p["block0.down.w"], stride=2, bias=p["block0.down.b"])
+        np.testing.assert_array_equal(out.values, want.values)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_block_gradients(self, stride):
+        cfg = tiny_cfg(num_blocks=1, stride_schedule=(stride,))
+        rng = np.random.default_rng(2)
+        arrays = init_backbone_params(cfg, rng)
+        # scales of order 1, so that both branches' gradients count
+        for name in ("block0.scale_attn", "block0.scale_mlp"):
+            arrays[name][:] = rng.uniform(0.5, 1.5, size=cfg.d_model)
+
+        def f(x):
+            p = pr.bind(x.tape, arrays)
             out = transformer_block(x, p, 0, cfg)
-            np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
+            return ad.sum_all(ad.square(out))
 
-    def test_msa_residual_flag(self):
-        rng = np.random.default_rng(7)
-        x0 = rng.normal(size=(10, 8))
-        outs = {}
-        for flag in (False, True):
-            cfg = tiny_cfg(num_blocks=1, stride_schedule=(1,), msa_residual=flag)
-            arrays = init_backbone_params(cfg, np.random.default_rng(5))
-            arrays["block0.scale_attn"][:] = 0.0
-            arrays["block0.scale_mlp"][:] = 0.0
-            tape = ad.Tape(dtype=np.float64)
-            p = pr.bind(tape, arrays)
-            out = transformer_block(tape.constant(x0), p, 0, cfg)
-            outs[flag] = out.values
-        # zero scales: as-printed recurrence gives 0, residual variant keeps x
-        np.testing.assert_allclose(outs[False], 0.0, atol=1e-15)
-        assert not np.allclose(outs[True], 0.0)
+        err = ad.grad_check(f, rng.normal(size=(6, 8)))
+        assert err <= 1e-4, f"stride {stride}: {err}"
 
-    def test_both_residual_paths_differentiable(self):
-        for flag in (False, True):
-            cfg = tiny_cfg(num_blocks=1, stride_schedule=(1,), msa_residual=flag)
-            arrays = init_backbone_params(cfg, np.random.default_rng(2))
 
-            def f(x):
-                p = pr.bind(x.tape, arrays)
-                out = transformer_block(x, p, 0, cfg)
-                return ad.sum_all(ad.square(out))
-
-            err = ad.grad_check(f, np.random.default_rng(4).normal(size=(6, 8)))
-            assert err <= 1e-4, f"msa_residual={flag}: {err}"
+class TestFullDepthLearning:
+    def test_full_scale_depth_learns(self, tmp_path):
+        # the full-scale depth and 3+6 stride schedule at desk width, with
+        # the desk preset's training settings. On one BLAS thread this
+        # reached best val mAP 0.886 in 1.6 s, and 0.121 without the
+        # attention branch's residual (0.884 and 0.078 on two threads)
+        write_dataset(tmp_path / "data",
+                      SyntheticSpec(num_videos=24, duration_sec=256.0,
+                                    events_per_video=(2, 6), seed=7),
+                      split_counts=(16, 8, 0))
+        cfg = desk_scale_config()
+        cfg.model.backbone = BackboneConfig(
+            input_dim=40, d_model=32, num_blocks=9,
+            stride_schedule=DEFAULT_STRIDE_SCHEDULE)
+        cfg.epochs, cfg.warmup_epochs, cfg.seed = 6, 1, 1
+        manifest = train(cfg, load_dataset(tmp_path / "data"), tmp_path / "run")
+        assert manifest.best_val_map >= 0.6
 
 
 class TestPyramid:

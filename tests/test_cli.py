@@ -59,8 +59,7 @@ def tiny_spec(**kw):
 
 def tiny_train_config(**kw):
     backbone = BackboneConfig(input_dim=12, d_model=16, num_blocks=3,
-                              window=5, num_heads=2, stride_schedule=(1, 2, 2),
-                              msa_residual=True)
+                              window=5, num_heads=2, stride_schedule=(1, 2, 2))
     cfg = TrainConfig(learning_rate=1e-3, batch_size=2, epochs=2,
                       warmup_epochs=1,
                       model=ModelConfig(backbone=backbone, num_classes=3))
@@ -118,6 +117,16 @@ def oracle_init_model_arrays(cfg, seed):
         dtype=np.float32)
     yield "head.reg.out.w", conv(3, d, 2)
     yield "head.reg.out.b", np.zeros(2, dtype=np.float32)
+
+
+def config_with_retired_key(cfg, path, value):
+    """``cfg`` saved to ``path`` as when ``[backbone]`` had ``msa_residual``."""
+    save_config(cfg, path)
+    text = path.read_text()
+    assert "msa_residual" not in text
+    path.write_text(text.replace("[backbone]\n",
+                                 f"[backbone]\nmsa_residual = {value}\n"))
+    return path
 
 
 def config_sections(cfg):
@@ -290,6 +299,30 @@ class TestConfigFile:
                        "--config", str(cfg_path)])
         assert rc == 2
         assert capsys.readouterr().err == f"error[config]: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["true", "True", "1", "yes", "on"])
+    def test_retired_residual_key_true_loads(self, tmp_path, value):
+        # the key's only value is the recurrence every block now runs
+        cfg = desk_scale_config()
+        old = config_with_retired_key(cfg, tmp_path / "old.ini", value)
+        save_config(cfg, tmp_path / "new.ini")
+        assert load_config(old) == load_config(tmp_path / "new.ini") == cfg
+
+    @pytest.mark.parametrize("value", ["false", "0", "off", "maybe"])
+    def test_retired_residual_key_false_exits_2_writing_nothing(
+            self, tiny_dataset, tmp_path, capsys, value):
+        cfg_path = config_with_retired_key(tiny_train_config(),
+                                           tmp_path / "old.ini", value)
+        with pytest.raises(ConfigError, match="does not train"):
+            load_config(cfg_path)
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--data", str(tiny_dataset), "--out", str(out),
+                       "--config", str(cfg_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and err.count("\n") == 1
+        assert f"msa_residual = {value}" in err and "does not train" in err
         assert not out.exists()
 
     def test_warmup_exceeding_epochs_rejected(self):
@@ -1047,6 +1080,19 @@ class TestPredictEvalCli:
         assert rc == 4
         assert "shape mismatch" in capsys.readouterr().err
 
+    def test_predict_retired_residual_false_exit_code(self, trained, tmp_path,
+                                                       capsys):
+        cfg_path = config_with_retired_key(tiny_train_config(),
+                                           tmp_path / "old.ini", "false")
+        out = tmp_path / "x.json"
+        rc = cli.main(["predict", "--checkpoint", trained["ckpt"],
+                       "--features", str(trained["data"] / "features"),
+                       "--out", str(out), "--config", str(cfg_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and "does not train" in err
+        assert not out.exists()
+
     def test_eval_perfect_predictions_all_hundred(self, tiny_dataset, tmp_path, capsys):
         anns = dio.load_annotations(tiny_dataset / "annotations.json")
         preds = {
@@ -1521,7 +1567,7 @@ class TestSettingSurface:
             "model": ["num_classes", "range_base", "prior_prob"],
             "backbone": ["input_dim", "d_model", "num_blocks", "window",
                          "num_heads", "mlp_ratio", "stride_schedule",
-                         "layerscale_init", "msa_residual"],
+                         "layerscale_init"],
             "decode": ["score_thresh", "pre_nms_topk", "method", "sigma",
                        "iou_thresh", "min_score", "max_out"],
         }
