@@ -28,9 +28,6 @@ predict keeps, and does only the work they need:
   reach (the first row of its class that starts at or after its end): a
   table of the best score of every run of 2^k rows answers each row with
   two runs, and is refilled once per round in log2(longest reach) passes.
-  Hard suppression at a threshold <= 0 meets tIoU 0 too, so each row
-  reaches its class's end: a class is then one cluster, which picks its
-  best row each round and zeroes the rest in the same round as any other.
 * No pick scores more than its row does now. Each cluster's best row is a
   pick at its score, and once max_out rows are picked, so are those rows: a
   row below the max_out-th best of either cannot enter the output and is
@@ -60,12 +57,18 @@ from .errors import ConfigError, ValidationError
 from .heads import HeadOutput, PointSet
 
 
-def _check_suppression(method: str, sigma: float) -> None:
-    """The rule for the suppression settings, in either mode; NaN fails it."""
+def _check_suppression(method: str, sigma: float, iou_thresh: float,
+                       min_score: float) -> None:
+    """The rule for the suppression settings, in either mode; NaN fails it.
+    A tIoU threshold is an overlap: a pick suppresses only rows it overlaps."""
     if method not in ("gaussian", "hard"):
         raise ConfigError(f"method must be 'gaussian' or 'hard', got {method!r}")
     if not sigma > 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
+    if not 0 < iou_thresh <= 1:
+        raise ConfigError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
+    if not min_score >= 0:
+        raise ConfigError(f"min_score must be >= 0, got {min_score}")
 
 
 @dataclass
@@ -82,14 +85,11 @@ class DecodeConfig:
 
     def validate(self) -> None:
         # written as `not (ok)` so that NaN fails every check
-        _check_suppression(self.method, self.sigma)
-        if not 0 <= self.iou_thresh <= 1:
-            raise ConfigError(f"iou_thresh must be in [0, 1], got {self.iou_thresh}")
+        _check_suppression(self.method, self.sigma, self.iou_thresh,
+                           self.min_score)
         if not 0 <= self.score_thresh <= 1:
             raise ConfigError(
                 f"score_thresh must be in [0, 1], got {self.score_thresh}")
-        if not self.min_score >= 0:
-            raise ConfigError(f"min_score must be >= 0, got {self.min_score}")
         if min(self.pre_nms_topk, self.max_out) < 1:
             raise ConfigError(
                 f"pre_nms_topk and max_out must be >= 1, got "
@@ -181,7 +181,8 @@ def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
         kth = np.partition(score, score.size - pre_nms_topk)[score.size - pre_nms_topk]
         rows = np.flatnonzero(score >= kth)
     order = rows[np.lexsort((end[rows], label[rows], start[rows], -score[rows]))]
-    return Candidates(label, score, start, end).take(order[:pre_nms_topk])
+    # a negative cut would count from the end; below 1 nothing is kept
+    return Candidates(label, score, start, end).take(order[:max(pre_nms_topk, 0)])
 
 
 def overlap_tiou(a_start, a_end, b_start, b_end) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +207,7 @@ def _run_starts(key: np.ndarray) -> np.ndarray:
 def _reach(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row in (label, start, end) order, the first row of its class that
     starts at or after its end: the rows between them are the later rows it
-    overlaps. A row that ends at inf reaches its class's end."""
+    overlaps."""
     lo = _run_starts(label).nonzero()[0]
     hi = np.append(lo[1:], label.size)
     reach = np.empty(label.size, dtype=np.intp)
@@ -259,13 +260,12 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
 
     Gaussian mode multiplies competitors by exp(-IoU^2 / sigma); hard mode
     zeroes them at IoU >= iou_thresh (so a threshold of 1 removes only exact
-    duplicates, and one of 0 every other row of the class). A class picks
-    its best row, decays the rest against it and repeats, until it has
-    max_out picks or everything left is below min_score (its first pick is
-    made whatever its score). The picks carry their decayed scores; the
-    first max_out of them in (-score, start, label, end) order are
-    returned. The method and sigma follow DecodeConfig's rule: sigma > 0 in
-    hard mode too.
+    duplicates). A class picks its best row, decays the rest against it and
+    repeats, until it has max_out picks or everything left is below
+    min_score (its first pick is made whatever its score). The picks carry
+    their decayed scores; the first max_out of them in (-score, start,
+    label, end) order are returned. The settings follow DecodeConfig's rule in both modes: sigma
+    > 0, iou_thresh in (0, 1] and min_score >= 0.
 
     The rounds run per overlap cluster, not per class: each takes a
     cluster's picks up to the first one that an earlier pick could decay,
@@ -273,7 +273,7 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
     are cut once; a row that retires stays in place at -inf. See the module
     docstring.
     """
-    _check_suppression(method, sigma)
+    _check_suppression(method, sigma, iou_thresh, min_score)
     if not len(cands) or max_out < 1:
         return cands.take(slice(0))
 
@@ -291,10 +291,7 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
         rows, label = rows[keep], label[keep]
     s, a, b = cands.score[rows], cands.start[rows], cands.end[rows]
 
-    # hard suppression at a threshold <= 0 also suppresses the rows a pick
-    # does not overlap (tIoU 0), so each row reaches its class's end
-    clear = method == "hard" and iou_thresh <= 0
-    reach = _reach(label, a, np.full(b.size, np.inf) if clear else b)
+    reach = _reach(label, a, b)
     first, count = _clusters(reach)
     floor = min_score
     if first.size >= max_out:
@@ -352,14 +349,12 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
         row = row.repeat(w)
         lo = np.arange(row.size) - (w.cumsum() - w - lo).repeat(w)
         by = top[lo]
-        hit, t = overlap_tiou(a[by], b[by], a[row], b[row])
+        # every reached row overlaps its pick, so t has one value per row
+        t = overlap_tiou(a[by], b[by], a[row], b[row])[1]
         if method == "hard":
-            # a reached row that misses the pick has tIoU 0
-            f = np.zeros(row.size)
-            f[hit] = t < iou_thresh
+            f = t < iou_thresh
         else:
-            # math.exp, not np.exp: the scores match the scalar form to the
-            # bit; every reached row overlaps its pick
+            # math.exp, not np.exp: the scores match the scalar form to the bit
             f = np.fromiter(map(math.exp, (-(t * t) / sigma).tolist()),
                             dtype=np.float64, count=t.size)
         # a row that two picks overlap takes their factors in pick order

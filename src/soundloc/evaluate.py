@@ -11,11 +11,9 @@ depend on the threshold and is built once per class:
 
 The pairs are formed in chunks of about ``_PAIR_CHUNK``, whole predictions
 at a time, and a chunk keeps only the overlapping pairs that reach the
-smallest threshold, which are all that matching reads above 0. At a
-threshold <= 0 every GT of a video is eligible, so the matches are each
-video's first G predictions in rank order, G being its GT count, and need
-no pairs. So memory grows with the pairs that can match, not with every
-same-video pair.
+smallest threshold, which are all that matching reads: a threshold is an
+overlap, in (0, 1]. So memory grows with the pairs that can match, not with
+every same-video pair.
 
 Greedy matching lets each prediction, in rank order, claim the best unmatched
 same-video GT with tIoU >= tau. Per threshold it runs in rounds over the pairs
@@ -76,8 +74,6 @@ class _PairTable:
     rank: np.ndarray
     gt: np.ndarray
     iou: np.ndarray
-    # the true positives at every threshold <= 0, when one is asked for
-    tp_at_zero: np.ndarray | None = None
 
 
 def _pair_table(p_video, p_score, p_start, p_end,
@@ -86,8 +82,7 @@ def _pair_table(p_video, p_score, p_start, p_end,
 
     Video codes are integers shared by both sides; a prediction whose code
     no GT carries gets no pair. Only overlapping pairs whose tIoU reaches
-    ``min_tau`` are kept. With ``min_tau`` <= 0, where every GT of a video
-    is eligible, each video's first G ranked predictions are its matches.
+    ``min_tau`` are kept.
     """
     order = np.lexsort((p_start, -p_score))
     r_video, r_start, r_end = p_video[order], p_start[order], p_end[order]
@@ -97,12 +92,6 @@ def _pair_table(p_video, p_score, p_start, p_end,
     lo = np.searchsorted(gv, r_video, side="left")
     count = np.searchsorted(gv, r_video, side="right") - lo
     by_video = np.argsort(r_video, kind="stable")
-    tp_at_zero = None
-    if min_tau <= 0:
-        v = r_video[by_video]
-        tp_at_zero = np.empty(len(order), dtype=bool)
-        tp_at_zero[by_video] = (np.arange(v.size) - np.searchsorted(v, v)
-                                < count[by_video])
     preds = by_video[count[by_video] > 0]          # ranks, in (video, rank) order
     ends = np.cumsum(count[preds])
     total = int(ends[-1]) if ends.size else 0
@@ -122,14 +111,11 @@ def _pair_table(p_video, p_score, p_start, p_end,
         regroup = np.lexsort((-iou, row))
         parts.append((rank[regroup], gt[regroup], iou[regroup]))
     rank, gt, iou = (np.concatenate(col) for col in zip(*parts))
-    return _PairTable(len(order), len(g_order), r_video[rank], rank, gt, iou,
-                      tp_at_zero)
+    return _PairTable(len(order), len(g_order), r_video[rank], rank, gt, iou)
 
 
 def _greedy_tp(table: _PairTable, tau: float) -> np.ndarray:
     """True-positive flags of the ranked predictions at threshold tau."""
-    if tau <= 0:
-        return table.tp_at_zero
     keep = table.iou >= tau
     video, rank, gt = table.video[keep], table.rank[keep], table.gt[keep]
     tp = np.zeros(table.num_preds, dtype=bool)
@@ -174,9 +160,10 @@ def _video_codes(gts: list[Interval]) -> dict[str, int]:
 
 
 def _check_thresholds(thresholds) -> None:
-    if not thresholds or any(math.isnan(t) for t in thresholds):
-        raise ConfigError(f"tIoU thresholds must be a non-empty list of numbers, "
-                          f"got {tuple(thresholds)}")
+    """A tIoU threshold is an overlap, in (0, 1]; NaN fails too."""
+    if not thresholds or not all(0 < t <= 1 for t in thresholds):
+        raise ConfigError(f"tIoU thresholds must be a non-empty list of numbers "
+                          f"in (0, 1], got {tuple(thresholds)}")
 
 
 def average_precision(preds: list[Interval], gts: list[Interval],
@@ -314,7 +301,7 @@ def mean_ap(preds: list[Interval], gts: list[Interval],
     p_bounds = np.searchsorted(p_label[p_order], np.arange(len(labels) + 1))
     g_bounds = np.searchsorted(g_label[g_order], np.arange(len(labels) + 1))
 
-    min_tau = min(thresholds, default=0.0)
+    min_tau = min(thresholds)
     aps_by_class = []
     for i in range(len(labels)):
         p_idx = p_order[p_bounds[i]:p_bounds[i + 1]]

@@ -9,12 +9,14 @@ gradients and AdamW's moments live in flat buffers of one layout
 (``params.ParamStore``), so a step copies and allocates none of them, and
 clipping and the update are block passes over the buffers. Everything is
 seeded, so two runs with the same config produce identical loss
-trajectories on the same platform.
+trajectories at one numpy build and one BLAS thread count, which the run
+manifest records.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -109,12 +111,22 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> flo
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+def _environment() -> dict:
+    """What a run's bytes depend on beyond its config and seed: the numpy
+    build and the BLAS thread settings (None when unset)."""
+    return {"numpy_version": np.__version__,
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "cpu_count": os.cpu_count()}
+
+
 @dataclass
 class RunManifest:
     """Everything needed to reproduce and audit one training run."""
 
     config: dict
     code_version: str
+    environment: dict = field(default_factory=_environment)
     epochs: list[dict] = field(default_factory=list)
     checkpoints: list[str] = field(default_factory=list)
     best_checkpoint: str = ""

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import struct
@@ -506,6 +507,18 @@ class TestTraining:
             del doc["wall_time_sec"]
             docs.append(doc)
         assert docs[0] == docs[1]
+
+    def test_manifest_records_the_environment(self, tiny_dataset, tmp_path,
+                                              monkeypatch):
+        # the bytes of a run hold at one numpy build and BLAS thread count
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        train(tiny_train_config(epochs=1), load_dataset(tiny_dataset),
+              tmp_path / "run")
+        doc = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert doc["environment"] == {
+            "numpy_version": np.__version__, "OMP_NUM_THREADS": "1",
+            "OPENBLAS_NUM_THREADS": None, "cpu_count": os.cpu_count()}
 
     def test_shorter_run_clears_stale_epoch_checkpoints(self, tiny_dataset,
                                                          tmp_path):
@@ -1392,7 +1405,9 @@ class TestPredictEvalCli:
         ("sigma", 0.0), ("sigma", -1.0), ("sigma", float("nan")),
         ("pre_nms_topk", -5), ("pre_nms_topk", 0), ("max_out", 0),
         ("method", "linear"), ("iou_thresh", 1.5), ("iou_thresh", -0.1),
+        ("iou_thresh", 0.0), ("iou_thresh", float("nan")),
         ("score_thresh", 1.5), ("score_thresh", -0.1), ("min_score", -0.001),
+        ("min_score", float("nan")),
     ])
     def test_predict_bad_decode_config_exit_code(self, trained, tmp_path, capsys,
                                                   key, value):

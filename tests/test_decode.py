@@ -363,6 +363,18 @@ class TestRecoverIntervals:
         assert len(got) == 3
         assert got[0].score >= got[1].score >= got[2].score
 
+    @pytest.mark.parametrize("topk", [0, -1, -5])
+    def test_topk_below_one_keeps_nothing(self, topk):
+        # as soft_nms keeps nothing at max_out < 1; a negative cut is not
+        # a count from the end
+        points = level_oracles.flatten(
+            [LevelPoints((np.arange(10) + 0.5), 1, 0.0, math.inf)])
+        out = head_output_from_arrays(np.full((10, 1), logit(0.9)),
+                                      np.full((10, 2), 0.5))
+        assert len(recover_intervals(out, points, 1.0, 100.0)) == 10
+        assert len(recover_intervals(out, points, 1.0, 100.0,
+                                     pre_nms_topk=topk)) == 0
+
 
 class TestSoftNms:
     def test_single_prediction_unchanged(self):
@@ -444,6 +456,25 @@ class TestSoftNms:
         with pytest.raises(ConfigError, match="sigma must be > 0"):
             DecodeConfig(method="hard", sigma=sigma).validate()
 
+    @pytest.mark.parametrize("method", ["gaussian", "hard"])
+    @pytest.mark.parametrize("key, value", [
+        ("iou_thresh", 0.0), ("iou_thresh", -0.5), ("iou_thresh", 1.5),
+        ("iou_thresh", math.nan), ("min_score", math.nan)])
+    def test_thresh_outside_zero_one_rejected(self, monkeypatch, method, key,
+                                              value):
+        # a tIoU threshold is an overlap, in (0, 1]: at 0 disjoint rows
+        # would count as overlapping. DecodeConfig.validate and soft_nms
+        # share the rule, in both modes, and fail before any work
+        def forbidden(*args):
+            raise AssertionError("no reach for bad settings")
+
+        monkeypatch.setattr(decode, "_reach", forbidden)
+        kwargs = {"method": method, key: value}
+        with pytest.raises(ConfigError, match=key):
+            soft_nms(columns([iv(0.9, 0.0, 1.0), iv(0.8, 5.0, 6.0)]), **kwargs)
+        with pytest.raises(ConfigError, match=key):
+            DecodeConfig(**kwargs).validate()
+
     def test_max_out_cap(self):
         preds = [iv(0.5, float(i), float(i) + 0.5) for i in range(30)]
         got = soft_nms(columns(preds), max_out=10)
@@ -486,7 +517,7 @@ intervals = st.builds(
 nms_settings = st.fixed_dictionaries({
     "method": st.sampled_from(["gaussian", "hard"]),
     "sigma": st.one_of(st.sampled_from([0.5, 0.1, 2.0]), st.floats(0.01, 10.0)),
-    "iou_thresh": st.sampled_from([0.0, 1e-9, 0.3, 0.5, 1.0]),
+    "iou_thresh": st.sampled_from([1e-9, 0.3, 0.5, 1.0]),
     "min_score": st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
     "max_out": st.sampled_from([1, 2, 3, 7, 200]),
 })
@@ -569,9 +600,9 @@ class TestSoftNmsMatchesOracle:
     @given(dense_clusters(), nms_settings)
     def test_exact_on_dense_clusters_of_whole_seconds(self, preds, kwargs):
         # several picks per cluster and round, on the shapes where the rule
-        # for them is tightest; hard suppression at threshold 0 without a
-        # score floor runs on every example
-        for kw in (kwargs, {"method": "hard", "iou_thresh": 0.0,
+        # for them is tightest; hard suppression at the least threshold
+        # without a score floor runs on every example
+        for kw in (kwargs, {"method": "hard", "iou_thresh": 1e-9,
                             "min_score": 0.0, "max_out": kwargs["max_out"]}):
             got = soft_nms(columns(preds), **kw)
             assert bits(got) == bits(oracle_top(preds, **kw)), kw
@@ -587,7 +618,7 @@ class TestSoftNmsMatchesOracle:
                     label=int(rng.integers(0, 3)))
                  for s in rng.integers(0, 120, 250)]
         for kwargs in ({}, {"method": "hard"},
-                       {"method": "hard", "iou_thresh": 0.0, "min_score": 0.0},
+                       {"method": "hard", "iou_thresh": 1e-9, "min_score": 0.0},
                        {"method": "hard", "iou_thresh": 1.0},
                        {"min_score": 0.5}, {"sigma": 0.1, "min_score": 0.0}):
             for max_out in (1, 5, 40, 200):
@@ -609,18 +640,9 @@ class TestSoftNmsMatchesOracle:
         preds += [iv(float(p), float(a), float(a + 1.0), label=1) for p, a in zip(
             rng.uniform(0.3, 0.95, 100), rng.uniform(0.0, 100.0, 100))]
         for kwargs in ({}, {"method": "hard"},
-                       {"method": "hard", "iou_thresh": 0.0, "min_score": 0.0}):
+                       {"method": "hard", "iou_thresh": 1e-9, "min_score": 0.0}):
             got = soft_nms(columns(preds), **kwargs)
             assert bits(got) == bits(oracle_top(preds, **kwargs)), kwargs
-
-    @pytest.mark.parametrize("min_score", [0.0, 1e-3])
-    def test_hard_thresh_zero_clears_the_class(self, min_score):
-        # a row without overlap has IoU 0, which a zero threshold also meets
-        preds = [iv(0.9, 0.0, 1.0), iv(0.8, 5.0, 6.0), iv(0.7, 0.5, 2.0),
-                 iv(0.6, 3.0, 4.0, label=1)]
-        kwargs = {"method": "hard", "iou_thresh": 0.0, "min_score": min_score}
-        got = soft_nms(columns(preds), **kwargs)
-        assert bits(got) == bits(oracle_soft_nms(preds, **kwargs))
 
     def test_exact_on_a_long_video(self):
         # the shape predict runs on a long video: untrained desk-preset
@@ -834,21 +856,6 @@ class TestWorkCount:
         assert sorts == [3, 2, 0, 3]
         assert bits(got) == bits(oracle_soft_nms(short + [long]))
 
-    @pytest.mark.parametrize("min_score", [0.0, 1e-3])
-    def test_hard_thresh_zero_picks_once_per_class_and_round(
-            self, monkeypatch, min_score):
-        # at threshold 0 every row reaches its class's end, so a class is
-        # one cluster: each round picks its best row and zeroes the rest,
-        # which a positive min_score then drops
-        cands = model_candidates(64.0, 1, (1, 3))
-        rows = max(Counter(cands.label.tolist()).values())
-        rounds = count_rounds(monkeypatch)
-        kwargs = {"method": "hard", "iou_thresh": 0.0, "min_score": min_score}
-        got = soft_nms(cands, **kwargs)
-        assert len(rounds) == (min(rows, DecodeConfig.max_out) if min_score == 0
-                               else 1)
-        assert bits(got) == bits(oracle_top(intervals_of(cands), **kwargs))
-
     def test_rounds_bounded_by_the_largest_cluster(self, monkeypatch):
         # the predict_long shape: 2000 candidates of a T=2048 video, whose
         # overlapping same-class rows form hundreds of small clusters
@@ -860,15 +867,14 @@ class TestWorkCount:
         assert 0 < len(rounds) <= largest
         assert bits(got) == bits(oracle_top(intervals_of(cands)))
 
-    @pytest.mark.parametrize("kwargs", [{}, {"method": "hard", "iou_thresh": 0.0}])
+    @pytest.mark.parametrize("kwargs", [{}, {"method": "hard"}])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("duration, events", [(64.0, (1, 3)),
                                                   (2048.0, (32, 64))])
     def test_one_range_table_per_call(self, monkeypatch, seed, duration, events,
                                       kwargs):
         # rows keep their place for the whole call: a retired row stays in
-        # the table at -inf, so reach, clusters and table are built once,
-        # also where hard suppression at threshold 0 reaches whole classes
+        # the table at -inf, so reach, clusters and table are built once
         cands = model_candidates(duration, seed, events)
         calls = Counter()
         for name in ("_reach", "_clusters", "_range_table"):
