@@ -30,10 +30,21 @@ touch cost more than the arithmetic on them; a block-sized scratch is
 reused from the heap and stays in cache. So temporaries are computed in
 place (``out=``, ``+=``, ``*=``), and :func:`gelu` runs its elementwise
 chain over blocks of ``_BLOCK`` elements, in the original operation order,
-so values are bit-identical to the plain expressions. Two ops keep
-full-size temporaries on a ``record=False`` tape, by measurement:
-:func:`conv1d` gathers its windows for one whole GEMM (a one-row block
-would take BLAS's matrix-vector path and round differently), and
+so values are bit-identical to the plain expressions.
+
+GEMM-led work runs in row blocks by one rule, :func:`row_blocks`: on a
+``record=False`` tape, the fewest balanced blocks of at most ``_GEMM_ROWS``
+(512) rows. :func:`conv1d` gathers the windows of one block of output rows
+into one scratch and multiplies it into that block of its output, and
+:func:`in_row_blocks` runs a row-local chain (the MLP) a block at a time.
+Row-block bits are a property of the BLAS build, not of numpy: on the
+OpenBLAS build measured (0.3.31, AVX-512 kernels), a block's GEMM gives
+the whole GEMM's bits for output widths that are multiples of 16 from 64
+up, and not for other widths (nor for a one-row block, which takes BLAS's
+matrix-vector path). So a GEMM of another width, such as the heads' 2- and
+C-wide output convolutions, stays whole, and outputs do not depend on the
+blocks. A recording tape runs one block, since backward keeps the whole
+window matrix; its records are those of the whole op.
 :func:`local_attention` keeps its (w, T, H) weights and one output-sized
 product (in row blocks it was slower at T=2048).
 
@@ -56,6 +67,15 @@ _GELU_A = 0.044715
 # step's (128, 256) hidden layer is one block; over 2^12..2^20, gelu's self
 # time in T=2048 predict was lowest at 2^15 and 2^16
 _BLOCK = 1 << 15
+# rows per block of inference's row-blocked GEMMs (row_blocks). A GEMM cut
+# into row blocks of 33 to 1,024 rows gives the whole GEMM's bits on the
+# OpenBLAS build these figures come from (0.3.31, AVX-512 kernels), for
+# output widths that are multiples of 16 from 64 up; blocks or tails of 1, 2
+# or 8 rows, and widths such as 2, 5, 8, 17, 24 or 65, do not. Balanced
+# blocks of at most 512 rows are never shorter than 256. Of 128, 256, 512
+# and 1,024 rows, 128 and 256 made T=2048 predict slower than whole GEMMs;
+# 512 did not, at d_model 64 or 512.
+_GEMM_ROWS = 512
 
 
 class Tensor:
@@ -563,6 +583,70 @@ def _window_plan(segments: tuple[int, ...], reach: int, stride: int):
 
 
 # ---------------------------------------------------------------------------
+# row blocks: inference's row-local work in pieces of fixed size
+
+def row_blocks(tape: Tape, rows: int,
+               gemm_cols: Sequence[int]) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` row ranges that GEMM-led work on ``rows`` rows runs
+    in, given the output widths of its GEMMs.
+
+    A recording tape runs one block, so its records, and what backward
+    keeps, are those of the whole; so does a GEMM width whose row blocks
+    would not give the whole GEMM's bits (see ``_GEMM_ROWS``). Otherwise
+    the rows are cut into the fewest blocks of at most ``_GEMM_ROWS`` rows,
+    balanced, so that their sizes differ by at most one; the first block
+    is among the largest.
+    """
+    if tape.recording or rows <= _GEMM_ROWS or \
+            not all(c >= 64 and c % 16 == 0 for c in gemm_cols):
+        return [(0, rows)]
+    n = -(-rows // _GEMM_ROWS)
+    q, r = divmod(rows, n)   # the first r blocks take one row more
+    return [(i * q + min(i, r), (i + 1) * q + min(i + 1, r)) for i in range(n)]
+
+
+def in_row_blocks(fn: Callable[[Tensor], Tensor], x: Tensor,
+                  gemm_cols: Sequence[int]) -> Tensor:
+    """``fn(x)`` for a row-local ``fn`` whose GEMMs have the output widths
+    ``gemm_cols``, run over :func:`row_blocks`.
+
+    Row i of the result depends on row i of ``x`` alone, so each block runs
+    ``fn`` on a view of its rows and writes into one output; ``fn``'s
+    temporaries are block-sized. With one block (a recording tape among
+    others) this is ``fn(x)`` itself, records and all.
+    """
+    blocks = row_blocks(x.tape, x.shape[0], gemm_cols)
+    if len(blocks) == 1:
+        return fn(x)
+    out = None
+    for lo, hi in blocks:
+        y = fn(x.tape.constant(x.values[lo:hi])).values
+        if out is None:
+            out = np.empty((x.shape[0],) + y.shape[1:], dtype=y.dtype)
+        out[lo:hi] = y
+    return x.tape.record(out, None)   # no record: the tape does not record
+
+
+def _plan_rows(reads, edges, lo: int, hi: int, stride: int):
+    """A window plan cut to output rows ``lo..hi``, renumbered from 0."""
+    cut_reads = []
+    for pairs in reads:
+        cut = []
+        for rows, src in pairs:
+            a, b = max(rows.start, lo), min(rows.stop, hi)
+            if b > a:
+                at = src.start + (a - rows.start) * stride
+                cut.append((slice(a - lo, b - lo),
+                            slice(at, at + (b - a) * stride, stride)))
+        cut_reads.append(cut)
+    cut_edges = []
+    for rows in edges:
+        a, b = np.searchsorted(rows, (lo, hi))
+        cut_edges.append(rows[a:b] - lo)
+    return cut_reads, cut_edges
+
+
+# ---------------------------------------------------------------------------
 # linear algebra / network primitives
 
 def _bias_values(bias: Tensor, c_out: int, op: str) -> np.ndarray:
@@ -607,6 +691,12 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
     order, summing to T. Each is convolved on its own, with zero padding at
     its own ends, and gives ceil(n / stride) output rows, in order; a tap
     that would read another segment reads zero.
+
+    The windows are gathered over :func:`row_blocks`: without a record,
+    one block of output rows at a time into one block-sized scratch, the
+    window plan cut to the block, so the (T_out, k * C_in) window matrix is
+    never whole. A recording tape gathers it whole, for the kernel's
+    gradient.
     """
     tape = _same_tape(x, kernel) if bias is None else _same_tape(x, kernel, bias)
     if x.values.ndim != 2:
@@ -626,16 +716,23 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
 
     t_out, reads, edges = _window_plan(
         segment_lengths(segments, t_in, "conv1d"), k // 2, stride)
-    # gather windows: cols[i, j, :] is the row tap j of window i reads, or
-    # zero where that row lies outside row i's segment
-    cols = np.empty((t_out, k, c_in), dtype=x.values.dtype)
-    for j in range(k):
-        for rows, src in reads[j]:
-            cols[rows, j] = x.values[src]
-        cols[edges[j], j] = 0.0
-    cols2d = cols.reshape(t_out, k * c_in)
     w2d = kernel.values.reshape(k * c_in, c_out)
-    out = cols2d @ w2d
+    blocks = row_blocks(tape, t_out, (c_out,))
+    out = np.empty((t_out, c_out), dtype=np.result_type(x.values, w2d))
+    # gather windows: cols[i, j, :] is the row tap j of window i reads, or
+    # zero where that row lies outside row i's segment; one block of rows
+    # at a time, into one scratch
+    cols = np.empty((blocks[0][1], k, c_in), dtype=x.values.dtype)
+    for lo, hi in blocks:
+        block_reads, block_edges = (reads, edges) if len(blocks) == 1 else \
+            _plan_rows(reads, edges, lo, hi, stride)
+        for j in range(k):
+            for rows, src in block_reads[j]:
+                cols[rows, j] = x.values[src]
+            cols[block_edges[j], j] = 0.0
+        cols2d = cols[:hi - lo].reshape(hi - lo, k * c_in)
+        np.matmul(cols2d, w2d, out=out[lo:hi])
+    # with a record there is one block: cols2d is every window, for backward
     if bias is not None:
         out += _bias_values(bias, c_out, "conv1d")
 

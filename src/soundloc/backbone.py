@@ -185,6 +185,26 @@ def windowed_msa(x: Tensor, p: Mapping[str, Tensor], prefix: str,
     return ad.matmul(attn, p[f"{prefix}.wo"], bias=p[f"{prefix}.bo"])
 
 
+def mlp(x: Tensor, p: Mapping[str, Tensor], prefix: str) -> Tensor:
+    """``gelu(x @ w1 + b1) @ w2 + b2``, over row blocks.
+
+    The chain is row-local, so on a tape that does not record it runs over
+    :func:`~soundloc.autodiff.in_row_blocks`: the (T, mlp_ratio * d_model)
+    hidden layer exists one block of rows at a time, and only the
+    (T, d_model) output is whole. The blocks give the whole GEMMs' bits,
+    so the output is that of one block. A recording tape runs one block,
+    so training's records are those of ``matmul``, ``gelu`` and ``matmul``.
+    """
+    w1, b1 = p[f"{prefix}.w1"], p[f"{prefix}.b1"]
+    w2, b2 = p[f"{prefix}.w2"], p[f"{prefix}.b2"]
+    hidden, d_out = w2.values.shape
+
+    def chain(rows: Tensor) -> Tensor:
+        return ad.matmul(ad.gelu(ad.matmul(rows, w1, bias=b1)), w2, bias=b2)
+
+    return ad.in_row_blocks(chain, x, (hidden, d_out))
+
+
 def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,
                       cfg: BackboneConfig,
                       segments: Optional[Sequence[int]] = None) -> Tensor:
@@ -215,8 +235,7 @@ def transformer_block(x: Tensor, p: Mapping[str, Tensor], block_index: int,
     z_bar = ad.add(ad.mul(attn, p[f"{pref}.scale_attn"]), x)
 
     ln2 = ad.layer_norm(z_bar, p[f"{pref}.ln2.gamma"], p[f"{pref}.ln2.beta"])
-    h = ad.gelu(ad.matmul(ln2, p[f"{pref}.mlp.w1"], bias=p[f"{pref}.mlp.b1"]))
-    h = ad.matmul(h, p[f"{pref}.mlp.w2"], bias=p[f"{pref}.mlp.b2"])
+    h = mlp(ln2, p, f"{pref}.mlp")
     z_hat = ad.add(ad.mul(h, p[f"{pref}.scale_mlp"]), z_bar)
     if stride == 2:
         return ad.conv1d(z_hat, p[f"{pref}.down.w"], stride=2,

@@ -48,6 +48,7 @@ bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,12 +58,28 @@ from .errors import ConfigError, ValidationError
 from .heads import HeadOutput, PointSet
 
 
+def _is_real(value) -> bool:
+    """Whether a setting is a real number (a bool is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    """Whether a setting is an integer (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_suppression(method: str, sigma: float, iou_thresh: float,
-                       min_score: float) -> None:
+                       min_score: float, max_out: int) -> None:
     """The rule for the suppression settings, in either mode; NaN fails it.
     A tIoU threshold is an overlap: a pick suppresses only rows it overlaps."""
     if method not in ("gaussian", "hard"):
         raise ConfigError(f"method must be 'gaussian' or 'hard', got {method!r}")
+    for name, value in (("sigma", sigma), ("iou_thresh", iou_thresh),
+                        ("min_score", min_score)):
+        if not _is_real(value):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not _is_count(max_out):
+        raise ConfigError(f"max_out must be an integer, got {max_out!r}")
     if not sigma > 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
     if not 0 < iou_thresh <= 1:
@@ -86,8 +103,11 @@ class DecodeConfig:
     def validate(self) -> None:
         # written as `not (ok)` so that NaN fails every check
         _check_suppression(self.method, self.sigma, self.iou_thresh,
-                           self.min_score)
-        if not 0 <= self.score_thresh <= 1:
+                           self.min_score, self.max_out)
+        if not _is_count(self.pre_nms_topk):
+            raise ConfigError(
+                f"pre_nms_topk must be an integer, got {self.pre_nms_topk!r}")
+        if not (_is_real(self.score_thresh) and 0 <= self.score_thresh <= 1):
             raise ConfigError(
                 f"score_thresh must be in [0, 1], got {self.score_thresh}")
         if min(self.pre_nms_topk, self.max_out) < 1:
@@ -264,8 +284,9 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
     repeats, until it has max_out picks or everything left is below
     min_score (its first pick is made whatever its score). The picks carry
     their decayed scores; the first max_out of them in (-score, start,
-    label, end) order are returned. The settings follow DecodeConfig's rule in both modes: sigma
-    > 0, iou_thresh in (0, 1] and min_score >= 0.
+    label, end) order are returned. The settings follow DecodeConfig's
+    rule in both modes: sigma > 0, iou_thresh in (0, 1] and min_score >= 0,
+    each a number, and max_out an integer; anything else is a ConfigError.
 
     The rounds run per overlap cluster, not per class: each takes a
     cluster's picks up to the first one that an earlier pick could decay,
@@ -273,7 +294,7 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
     are cut once; a row that retires stays in place at -inf. See the module
     docstring.
     """
-    _check_suppression(method, sigma, iou_thresh, min_score)
+    _check_suppression(method, sigma, iou_thresh, min_score, max_out)
     if not len(cands) or max_out < 1:
         return cands.take(slice(0))
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import write_json
-from .decode import Interval, _run_starts, overlap_tiou
+from .decode import Interval, _is_real, _run_starts, overlap_tiou
 from .errors import ConfigError, EmptyInputError
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -159,11 +159,17 @@ def _video_codes(gts: list[Interval]) -> dict[str, int]:
     return {vid: i for i, vid in enumerate(dict.fromkeys(g.video_id for g in gts))}
 
 
-def _check_thresholds(thresholds) -> None:
-    """A tIoU threshold is an overlap, in (0, 1]; NaN fails too."""
-    if not thresholds or not all(0 < t <= 1 for t in thresholds):
+def _check_thresholds(thresholds) -> tuple:
+    """The thresholds, read once into a tuple and checked: a tIoU threshold
+    is an overlap, a number in (0, 1]; NaN fails too."""
+    try:
+        taus = tuple(thresholds)
+    except TypeError:   # a lone number, or None
+        taus = None
+    if not taus or not all(_is_real(t) and 0 < t <= 1 for t in taus):
         raise ConfigError(f"tIoU thresholds must be a non-empty list of numbers "
-                          f"in (0, 1], got {tuple(thresholds)}")
+                          f"in (0, 1], got {thresholds if taus is None else taus!r}")
+    return taus
 
 
 def average_precision(preds: list[Interval], gts: list[Interval],
@@ -277,7 +283,7 @@ def mean_ap(preds: list[Interval], gts: list[Interval],
             thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
             class_names: list[str] | None = None) -> EvalReport:
     """AP averaged over classes with ground truth, per threshold and overall."""
-    _check_thresholds(thresholds)
+    thresholds = _check_thresholds(thresholds)
     if not gts:
         raise EmptyInputError("no ground-truth events: nothing to evaluate")
 
@@ -313,7 +319,7 @@ def mean_ap(preds: list[Interval], gts: list[Interval],
 
     maps = [math.fsum(aps) / len(aps) for aps in zip(*aps_by_class)]
     return EvalReport(
-        thresholds=tuple(thresholds),
+        thresholds=thresholds,
         map_per_threshold=maps,
         average_map=average_over_thresholds(maps),
         per_class_ap=dict(zip(names, aps_by_class)),

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from soundloc import autodiff as ad
-from soundloc import config, model
+from soundloc import backbone, config, model
+from soundloc import params as pr
 from soundloc.data import FeatureSequence, SyntheticSpec, load_features, save_features
 from soundloc.datasets import load_feature_dir, write_dataset
 from soundloc.errors import ConfigError, EmptyInputError, ShapeError
@@ -928,10 +929,11 @@ class TestAllocationBudget:
     width (D=64) and T=2048 on a record=False tape; the expressions with a
     fresh array per step took 4.0, 4.1, 2.07, 6.1 and 6.8. gelu took 2.0
     with a full-size tanh term and takes 1.06 with one block of it.
-    local_attention reads its keys and values in place and keeps the
-    (w, T, H) weights, the output and one output-sized product: 2.76. The
-    broadcast bias add takes numpy's 32 KiB ufunc buffer, 0.06 of the
-    matmul output here.
+    conv1d took 4.07 with its whole (T, 3 * D) window matrix and takes 1.83
+    with one block of 512 rows of it. local_attention reads its keys and
+    values in place and keeps the (w, T, H) weights, the output and one
+    output-sized product: 2.76. The broadcast bias add takes numpy's 32 KiB
+    ufunc buffer, 0.06 of the matmul output here.
     """
 
     T, D = 2048, 64
@@ -954,7 +956,7 @@ class TestAllocationBudget:
         ("gelu", ad.gelu, 1.15),
         ("layer_norm", ad.layer_norm, 2.2),
         ("matmul", lambda a, b, c: ad.matmul(a, b, bias=c), 1.1),
-        ("conv1d", lambda x, w, b: ad.conv1d(x, w, bias=b), 4.1),
+        ("conv1d", lambda x, w, b: ad.conv1d(x, w, bias=b), 2.0),
         # 4.78 while it copied k and v into zero-padded arrays
         ("local_attention", lambda q, k, v: ad.local_attention(q, k, v, 11, 4), 2.8),
     ])
@@ -962,16 +964,28 @@ class TestAllocationBudget:
         ratio = peak_over_output(op, self.operands(name))
         assert ratio <= ceiling, f"{name}: {ratio:.2f}"
 
-    def test_desk_predict_at_t2048(self):
-        # one video's forward pass and decoding: 9.26 MB with gelu's
-        # full-size tanh term, 7.29 MB with one block of it
+    @staticmethod
+    def desk_predict_peak(t):
         cfg = config.desk_scale_config()
         arrays = model.init_model_arrays(cfg.model, 0)
         seq = FeatureSequence("v", "fused", 0.5, np.random.default_rng(8).normal(
-            size=(self.T, cfg.model.backbone.input_dim)))
+            size=(t, cfg.model.backbone.input_dim)))
         _, peak = traced_peak(
             lambda: model.predict_intervals(arrays, cfg.model, seq, cfg.decode))
-        assert peak <= 8e6, f"{peak / 1e6:.2f} MB"
+        return peak
+
+    def test_desk_predict_at_t2048(self):
+        # one video's forward pass and decoding: 9.26 MB with gelu's
+        # full-size tanh term, 7.29 MB with one block of it, 6.18 MB with
+        # the MLP and the wide convolutions in row blocks
+        peak = self.desk_predict_peak(self.T)
+        assert peak <= 6.5e6, f"{peak / 1e6:.2f} MB"
+
+    def test_desk_predict_at_t8192(self):
+        # 28.72 MB with the MLP's hidden layer and every window matrix
+        # whole, 24.57 MB in row blocks
+        peak = self.desk_predict_peak(4 * self.T)
+        assert peak <= 26e6, f"{peak / 1e6:.2f} MB"
 
 
 class TestLoadAllocationBudget:
@@ -1265,3 +1279,138 @@ class TestSegments:
         a, b = t.leaf(np.ones((4, 2))), t.leaf(np.ones((2, 2)))
         with pytest.raises(ShapeError, match="group count"):
             ad.concat_rows([a, b], [[2, 2], [2]])
+
+
+# ---------------------------------------------------------------------------
+# row blocks: inference's MLP and wide convolutions, a block of rows at a time
+
+def one_block(tape, rows, gemm_cols):
+    return [(0, rows)]
+
+
+def spy_blocks(monkeypatch):
+    """Route ad.row_blocks through a spy; returns the block counts it gave."""
+    counts = []
+    real = ad.row_blocks
+
+    def spy(*args):
+        blocks = real(*args)
+        counts.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(ad, "row_blocks", spy)
+    return counts
+
+
+def normal_leaves(tape, rng, **shapes):
+    return {name: tape.leaf(rng.normal(scale=0.5, size=shape))
+            for name, shape in shapes.items()}
+
+
+class TestRowBlocks:
+    """On a tape that does not record, the MLP and every conv1d whose GEMMs
+    are wide enough run in row blocks, and give the bits of the whole ops.
+
+    Row-block bits are a property of the BLAS build: these tests pin them
+    at the lengths where blocks leave short and odd tails."""
+
+    LENGTHS = [2048, 2049, 8192, 8193]
+
+    @pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1024, 1025, 2049, 8193])
+    def test_blocks_balanced(self, rows):
+        blocks = ad.row_blocks(ad.Tape(record=False), rows, (64,))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == max(1, -(-rows // ad._GEMM_ROWS))
+        assert max(sizes) - min(sizes) <= 1
+        if len(blocks) > 1:
+            assert ad._GEMM_ROWS // 2 <= min(sizes) <= max(sizes) <= ad._GEMM_ROWS
+
+    @pytest.mark.parametrize("record, cols, blocked", [
+        (True, (64,), False), (True, (256, 64), False), (False, (64,), True),
+        (False, (256, 64), True), (False, (2048, 512), True), (False, (5,), False),
+        (False, (2,), False), (False, (17,), False), (False, (256, 24), False),
+        (False, (65,), False), (False, (32,), False)])
+    def test_one_block_on_a_recording_tape_or_a_narrow_gemm(self, record, cols,
+                                                             blocked):
+        blocks = ad.row_blocks(ad.Tape(record=record), 8193, cols)
+        assert (len(blocks) > 1) == blocked
+
+    @pytest.mark.parametrize("t", LENGTHS)
+    def test_desk_predict_and_heads_equal_whole(self, monkeypatch, t):
+        cfg = config.desk_scale_config()
+        arrays = model.init_model_arrays(cfg.model, 0)
+        data = np.random.default_rng(t).normal(size=(t, cfg.model.backbone.input_dim))
+        seq = FeatureSequence("v", "fused", 0.5, data)
+
+        def run():
+            tape = ad.Tape(record=False)
+            _, heads = model.forward_video(pr.bind(tape, arrays), cfg.model, [data], tape)
+            return (heads.cls_logits.values, heads.distances.values,
+                    model.predict_intervals(arrays, cfg.model, seq, cfg.decode))
+
+        with monkeypatch.context() as m:
+            counts = spy_blocks(m)
+            *got, got_preds = run()
+        assert max(counts) > 1   # the blocked side ran in blocks
+        with monkeypatch.context() as m:
+            m.setattr(ad, "row_blocks", one_block)
+            *want, want_preds = run()
+        for g, w in zip(got, want):
+            assert bit_equal(g, w)
+        assert got_preds == want_preds and got_preds
+
+    @pytest.mark.parametrize("t", LENGTHS)
+    def test_full_width_mlp_equals_oracle(self, t):
+        # one block's MLP at the full-scale width, against the whole chain
+        cfg = config.TrainConfig().model.backbone
+        d, hidden = cfg.d_model, cfg.mlp_ratio * cfg.d_model
+        tape = ad.Tape(record=False)
+        p = normal_leaves(tape, np.random.default_rng(t), x=(t, d),
+                          **{"m.w1": (d, hidden), "m.b1": (hidden,),
+                             "m.w2": (hidden, d), "m.b2": (d,)})
+        assert len(ad.row_blocks(tape, t, (hidden, d))) > 1
+        got = backbone.mlp(p["x"], p, "m").values
+        want = oracle_matmul(oracle_gelu(oracle_matmul(p["x"], p["m.w1"], p["m.b1"])),
+                             p["m.w2"], p["m.b2"]).values
+        assert bit_equal(got, want)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("t", LENGTHS)
+    def test_full_width_conv1d_equals_oracle(self, t, stride):
+        d = config.TrainConfig().model.backbone.d_model
+        tape = ad.Tape(record=False)
+        p = normal_leaves(tape, np.random.default_rng(t), x=(t, d), w=(3, d, d), b=(d,))
+        assert len(ad.row_blocks(tape, -(-t // stride), (d,))) > 1
+        got = ad.conv1d(p["x"], p["w"], stride=stride, bias=p["b"]).values
+        want = oracle_segmented_conv1d(p["x"], p["w"], p["b"], stride, [t]).values
+        assert bit_equal(got, want)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_segmented_conv1d_blocks_equal_oracle(self, k, stride):
+        # many segments, so block edges fall inside segments, on their
+        # boundaries and on the edge rows of a window plan
+        rng = np.random.default_rng(10 * k + stride)
+        segments = [int(n) for n in rng.integers(1, 120, size=40)] + [513, 1, 2]
+        tape = ad.Tape(record=False)
+        p = normal_leaves(tape, rng, x=(sum(segments), 8), w=(k, 8, 64), b=(64,))
+        t_out = sum(-(-n // stride) for n in segments)
+        assert len(ad.row_blocks(tape, t_out, (64,))) > 1
+        got = ad.conv1d(p["x"], p["w"], stride=stride, bias=p["b"],
+                        segments=segments).values
+        want = oracle_segmented_conv1d(p["x"], p["w"], p["b"], stride,
+                                       segments).values
+        assert bit_equal(got, want)
+
+    def test_recording_tape_keeps_whole_records(self):
+        # a recording tape runs one block: the MLP is matmul, gelu, matmul
+        tape = ad.Tape()
+        p = normal_leaves(tape, np.random.default_rng(0), x=(1500, 64),
+                          **{"m.w1": (64, 256), "m.b1": (256,),
+                             "m.w2": (256, 64), "m.b2": (64,)})
+        out = backbone.mlp(p["x"], p, "m")
+        assert len(tape._nodes) == 3 and tape._nodes[-1][0] is out
+        ad.conv1d(out, tape.leaf(np.ones((3, 64, 64))))
+        assert len(tape._nodes) == 4

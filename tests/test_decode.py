@@ -459,7 +459,11 @@ class TestSoftNms:
     @pytest.mark.parametrize("method", ["gaussian", "hard"])
     @pytest.mark.parametrize("key, value", [
         ("iou_thresh", 0.0), ("iou_thresh", -0.5), ("iou_thresh", 1.5),
-        ("iou_thresh", math.nan), ("min_score", math.nan)])
+        ("iou_thresh", math.nan), ("min_score", math.nan),
+        # a setting that is not a number is a ConfigError, not a TypeError
+        ("iou_thresh", "0.5"), ("iou_thresh", None), ("sigma", "x"),
+        ("min_score", None), ("min_score", True), ("max_out", "3"),
+        ("max_out", 2.5), ("max_out", None)])
     def test_thresh_outside_zero_one_rejected(self, monkeypatch, method, key,
                                               value):
         # a tIoU threshold is an overlap, in (0, 1]: at 0 disjoint rows
@@ -474,6 +478,13 @@ class TestSoftNms:
             soft_nms(columns([iv(0.9, 0.0, 1.0), iv(0.8, 5.0, 6.0)]), **kwargs)
         with pytest.raises(ConfigError, match=key):
             DecodeConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("score_thresh", "0.1"), ("score_thresh", None), ("pre_nms_topk", "3"),
+        ("pre_nms_topk", 2.5)])
+    def test_recover_settings_not_numbers_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            DecodeConfig(**{key: value}).validate()
 
     def test_max_out_cap(self):
         preds = [iv(0.5, float(i), float(i) + 0.5) for i in range(30)]

@@ -340,7 +340,9 @@ class TestMeanAp:
             mean_ap([], [])
 
     @pytest.mark.parametrize("thresholds", [(), (0.5, math.nan), (math.nan,),
-                                            (0.0,), (-0.5,), (1.5,)])
+                                            (0.0,), (-0.5,), (1.5,), (None,),
+                                            ("0.5",), "0.5", 0.5, None,
+                                            (True,)])
     def test_bad_thresholds_rejected_before_any_work(self, monkeypatch, thresholds):
         def forbidden(*args):
             raise AssertionError("no pair table for bad thresholds")
@@ -350,6 +352,13 @@ class TestMeanAp:
         for preds, truth in (([iv(1.0, 3.0, 0.9)], gts), ([], [])):
             with pytest.raises(ConfigError, match="thresholds"):
                 mean_ap(preds, truth, thresholds=thresholds)
+
+    def test_thresholds_read_once(self):
+        # a generator is used up by one pass: the check must not be that pass
+        rng = np.random.default_rng(5)
+        preds, gts = random_instance(rng)
+        assert mean_ap(preds, gts, thresholds=(t for t in DEFAULT_THRESHOLDS)) \
+            == mean_ap(preds, gts)
 
     def test_classes_without_gt_excluded(self):
         gts = [iv(1.0, 3.0, label=0)]
