@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from . import params as pr
 from .autodiff import Tensor
-from .errors import ConfigError, EmptyInputError
+from .errors import ConfigError, EmptyInputError, check_numbers, is_count
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +56,13 @@ class BackboneConfig:
     layerscale_init: float = 1e-4
 
     def validate(self) -> None:
+        check_numbers(self, reals=("layerscale_init",),
+                      counts=("input_dim", "d_model", "num_blocks", "window",
+                              "num_heads", "mlp_ratio"))
+        if not (isinstance(self.stride_schedule, tuple)
+                and all(map(is_count, self.stride_schedule))):
+            raise ConfigError(f"stride_schedule must be a tuple of integers, "
+                              f"got {self.stride_schedule!r}")
         if self.num_blocks < 1:
             raise ConfigError("num_blocks must be >= 1")
         if self.window < 1 or self.window % 2 == 0:

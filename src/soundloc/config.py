@@ -15,7 +15,7 @@ from pathlib import Path
 from .backbone import BackboneConfig
 from .data import atomic_write
 from .decode import DecodeConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_numbers
 from .model import ModelConfig
 
 
@@ -35,6 +35,9 @@ class TrainConfig:
     decode: DecodeConfig = field(default_factory=DecodeConfig)
 
     def validate(self) -> None:
+        check_numbers(self, reals=("learning_rate", "weight_decay", "grad_clip",
+                                   "lambda_reg"),
+                      counts=("batch_size", "epochs", "warmup_epochs", "seed"))
         # written as `not (ok)` so that NaN fails every check
         for key in ("learning_rate", "weight_decay", "lambda_reg"):
             value = getattr(self, key)

@@ -33,6 +33,9 @@ from .errors import (
     EmptyInputError,
     FeatureFileError,
     ValidationError,
+    check_numbers,
+    is_count,
+    is_real,
 )
 
 TSLF_MAGIC = b"TSLF"
@@ -141,6 +144,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        check_numbers(self, reals=("duration_sec", "stride_sec", "signal_to_noise"),
+                      counts=("num_videos", "num_classes", "dim_visual",
+                              "dim_audio", "seed"))
+        for name, ok, kind in (("events_per_video", is_count, "integers"),
+                               ("event_length_sec", is_real, "numbers")):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and len(value) == 2
+                    and all(map(ok, value))):
+                raise ConfigError(f"{name} must be a pair of {kind}, got {value!r}")
         if min(self.num_videos, self.num_classes, self.dim_visual, self.dim_audio) < 1:
             raise ConfigError("all synthetic counts must be positive")
         if self.seed < 0:

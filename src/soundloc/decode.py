@@ -4,7 +4,8 @@ recover_intervals thresholds the per-point class probabilities, converts the
 stride-normalized boundary distances back to seconds and keeps the top
 candidates, in one pass over the head outputs' rows (one per pyramid point,
 levels end to end); soft_nms decays overlapping ones per class and keeps the
-best max_out; select_top_k turns those rows into Interval objects.
+best max_out; select_top_k turns those rows into Interval objects. Both
+stages take a DecodeConfig whole and check it before any work.
 The stages pass Candidates, columns with one row per candidate in
 (-score, start, label, end) order, so a permuted input yields an identical
 output.
@@ -48,49 +49,18 @@ bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_numbers
 from .heads import HeadOutput, PointSet
-
-
-def _is_real(value) -> bool:
-    """Whether a setting is a real number (a bool is not one)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    """Whether a setting is an integer (a bool is not one)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_suppression(method: str, sigma: float, iou_thresh: float,
-                       min_score: float, max_out: int) -> None:
-    """The rule for the suppression settings, in either mode; NaN fails it.
-    A tIoU threshold is an overlap: a pick suppresses only rows it overlaps."""
-    if method not in ("gaussian", "hard"):
-        raise ConfigError(f"method must be 'gaussian' or 'hard', got {method!r}")
-    for name, value in (("sigma", sigma), ("iou_thresh", iou_thresh),
-                        ("min_score", min_score)):
-        if not _is_real(value):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not _is_count(max_out):
-        raise ConfigError(f"max_out must be an integer, got {max_out!r}")
-    if not sigma > 0:
-        raise ConfigError(f"sigma must be > 0, got {sigma}")
-    if not 0 < iou_thresh <= 1:
-        raise ConfigError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
-    if not min_score >= 0:
-        raise ConfigError(f"min_score must be >= 0, got {min_score}")
 
 
 @dataclass
 class DecodeConfig:
-    """Every decode setting; the fields' defaults are the functions' too."""
+    """Every decode setting: both stages take it whole."""
 
     score_thresh: float = 0.001
     pre_nms_topk: int = 2000
@@ -101,15 +71,25 @@ class DecodeConfig:
     max_out: int = 200
 
     def validate(self) -> None:
-        # written as `not (ok)` so that NaN fails every check
-        _check_suppression(self.method, self.sigma, self.iou_thresh,
-                           self.min_score, self.max_out)
-        if not _is_count(self.pre_nms_topk):
+        """The one rule for the decode settings, in either mode; NaN fails
+        it. A tIoU threshold is an overlap: a pick suppresses only rows it
+        overlaps."""
+        if self.method not in ("gaussian", "hard"):
             raise ConfigError(
-                f"pre_nms_topk must be an integer, got {self.pre_nms_topk!r}")
-        if not (_is_real(self.score_thresh) and 0 <= self.score_thresh <= 1):
+                f"method must be 'gaussian' or 'hard', got {self.method!r}")
+        check_numbers(self, reals=("score_thresh", "sigma", "iou_thresh",
+                                   "min_score"),
+                      counts=("pre_nms_topk", "max_out"))
+        # written as `not (ok)` so that NaN fails every check
+        if not 0 <= self.score_thresh <= 1:
             raise ConfigError(
                 f"score_thresh must be in [0, 1], got {self.score_thresh}")
+        if not self.sigma > 0:
+            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.iou_thresh <= 1:
+            raise ConfigError(f"iou_thresh must be in (0, 1], got {self.iou_thresh}")
+        if not self.min_score >= 0:
+            raise ConfigError(f"min_score must be >= 0, got {self.min_score}")
         if min(self.pre_nms_topk, self.max_out) < 1:
             raise ConfigError(
                 f"pre_nms_topk and max_out must be >= 1, got "
@@ -166,15 +146,14 @@ class Candidates:
 
 
 def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
-                      duration_sec: float,
-                      score_thresh: float = DecodeConfig.score_thresh,
-                      pre_nms_topk: int = DecodeConfig.pre_nms_topk) -> Candidates:
+                      duration_sec: float, cfg: DecodeConfig) -> Candidates:
     """Candidate intervals from every (point, class) above threshold.
 
     Boundaries are t -/+ d * stride (grid units) scaled to seconds and
     clamped to [0, duration]; zero-length results after clamping are dropped,
-    and only the pre_nms_topk best-scored candidates survive.
+    and only the cfg.pre_nms_topk best-scored candidates survive.
     """
+    cfg.validate()
     probs = 1.0 / (1.0 + np.exp(-np.asarray(head_out.cls_logits.values,
                                             dtype=np.float64)))
     d = np.asarray(head_out.distances.values, dtype=np.float64)
@@ -184,7 +163,7 @@ def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
     # one row per candidate, in (point, class) order; a NaN boundary passes
     # this mask and is rejected below, as Interval rejects it
     point_ok = ~(starts >= ends)
-    pt, label = np.nonzero((probs >= score_thresh) & point_ok[:, None])
+    pt, label = np.nonzero((probs >= cfg.score_thresh) & point_ok[:, None])
     score, start, end = probs[pt, label], starts[pt], ends[pt]
 
     # starts are clipped at 0, so this is Interval's rule
@@ -195,14 +174,14 @@ def recover_intervals(head_out: HeadOutput, points: PointSet, stride_sec: float,
             f"interval must have finite start < end, got "
             f"[{float(start[i])}, {float(end[i])}]")
 
+    k = cfg.pre_nms_topk
     rows = np.arange(score.size)
-    if 0 < pre_nms_topk < score.size:
+    if k < score.size:
         # a row scored below the k-th best cannot make the cut
-        kth = np.partition(score, score.size - pre_nms_topk)[score.size - pre_nms_topk]
+        kth = np.partition(score, score.size - k)[score.size - k]
         rows = np.flatnonzero(score >= kth)
     order = rows[np.lexsort((end[rows], label[rows], start[rows], -score[rows]))]
-    # a negative cut would count from the end; below 1 nothing is kept
-    return Candidates(label, score, start, end).take(order[:max(pre_nms_topk, 0)])
+    return Candidates(label, score, start, end).take(order[:k])
 
 
 def overlap_tiou(a_start, a_end, b_start, b_end) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +195,7 @@ def overlap_tiou(a_start, a_end, b_start, b_end) -> tuple[np.ndarray, np.ndarray
     return hit, (inter / ((a_end - a_start) + (b_end - b_start) - inter))[hit]
 
 
-def _run_starts(key: np.ndarray) -> np.ndarray:
+def run_starts(key: np.ndarray) -> np.ndarray:
     """True where a run of equal values in a sorted key begins."""
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
@@ -228,7 +207,7 @@ def _reach(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row in (label, start, end) order, the first row of its class that
     starts at or after its end: the rows between them are the later rows it
     overlaps."""
-    lo = _run_starts(label).nonzero()[0]
+    lo = run_starts(label).nonzero()[0]
     hi = np.append(lo[1:], label.size)
     reach = np.empty(label.size, dtype=np.intp)
     for i, j in zip(lo.tolist(), hi.tolist()):
@@ -271,11 +250,7 @@ def _range_table(s: np.ndarray, reach: np.ndarray):
             np.where(span > 0, base + reach - (1 << k), n))
 
 
-def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
-             method: str = DecodeConfig.method,
-             iou_thresh: float = DecodeConfig.iou_thresh,
-             min_score: float = DecodeConfig.min_score,
-             max_out: int = DecodeConfig.max_out) -> Candidates:
+def soft_nms(cands: Candidates, cfg: DecodeConfig) -> Candidates:
     """Score-decaying suppression per class; the best max_out results.
 
     Gaussian mode multiplies competitors by exp(-IoU^2 / sigma); hard mode
@@ -284,9 +259,7 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
     repeats, until it has max_out picks or everything left is below
     min_score (its first pick is made whatever its score). The picks carry
     their decayed scores; the first max_out of them in (-score, start,
-    label, end) order are returned. The settings follow DecodeConfig's
-    rule in both modes: sigma > 0, iou_thresh in (0, 1] and min_score >= 0,
-    each a number, and max_out an integer; anything else is a ConfigError.
+    label, end) order are returned. The settings are cfg's.
 
     The rounds run per overlap cluster, not per class: each takes a
     cluster's picks up to the first one that an earlier pick could decay,
@@ -294,9 +267,10 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
     are cut once; a row that retires stays in place at -inf. See the module
     docstring.
     """
-    _check_suppression(method, sigma, iou_thresh, min_score, max_out)
-    if not len(cands) or max_out < 1:
+    cfg.validate()
+    if not len(cands):
         return cands.take(slice(0))
+    min_score, max_out = cfg.min_score, cfg.max_out
 
     # rows in (label, start, end) order: in each class, and in each cluster,
     # a row outranks the later rows at its score
@@ -305,7 +279,7 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
     # a row below min_score can only be its class's first pick, its best row
     keep = s >= min_score
     if not keep.all():
-        lo = _run_starts(label).nonzero()[0]
+        lo = run_starts(label).nonzero()[0]
         hi = np.append(lo[1:], label.size)
         for i in (~np.logical_or.reduceat(keep, lo)).nonzero()[0].tolist():
             keep[lo[i] + s[lo[i]:hi[i]].argmax()] = True
@@ -346,7 +320,7 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
         # a live cluster whose best row ties with x* picks its first best row
         if alone.any():
             top = ((s == most.repeat(count)) & alone.repeat(count)).nonzero()[0]
-            pick[top[_run_starts(np.searchsorted(first, top, side="right"))]] = True
+            pick[top[run_starts(np.searchsorted(first, top, side="right"))]] = True
         top = pick.nonzero()[0]
         score = s[top]
         picked.append(rows[top])
@@ -372,11 +346,11 @@ def soft_nms(cands: Candidates, sigma: float = DecodeConfig.sigma,
         by = top[lo]
         # every reached row overlaps its pick, so t has one value per row
         t = overlap_tiou(a[by], b[by], a[row], b[row])[1]
-        if method == "hard":
-            f = t < iou_thresh
+        if cfg.method == "hard":
+            f = t < cfg.iou_thresh
         else:
             # math.exp, not np.exp: the scores match the scalar form to the bit
-            f = np.fromiter(map(math.exp, (-(t * t) / sigma).tolist()),
+            f = np.fromiter(map(math.exp, (-(t * t) / cfg.sigma).tolist()),
                             dtype=np.float64, count=t.size)
         # a row that two picks overlap takes their factors in pick order
         k = np.lexsort((lo, -score[lo]))

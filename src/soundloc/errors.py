@@ -3,7 +3,13 @@
 Every error a caller can hit maps to one of three families, mirroring the
 CLI exit codes: validation (bad inputs/config, exit 2), numeric (training
 blew up, exit 3) and I/O format (unreadable files, exit 4).
+
+The settings dataclasses share one type rule, check_numbers: a setting is a
+real number or an integer, and a bool is neither; anything else is a
+ConfigError before any range check runs.
 """
+
+import numbers
 
 
 class SoundlocError(Exception):
@@ -74,3 +80,24 @@ class CheckpointError(FileFormatError):
     """A checkpoint file is unreadable or incompatible with the model."""
 
     code = "checkpoint"
+
+
+def is_real(value) -> bool:
+    """Whether a setting is a real number (a bool is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """Whether a setting is an integer (a bool is not one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_numbers(obj, reals=(), counts=()) -> None:
+    """A ConfigError naming the first of obj's settings that is not a real
+    number (those in reals) or not an integer (those in counts)."""
+    for names, ok, kind in ((reals, is_real, "a number"),
+                            (counts, is_count, "an integer")):
+        for name in names:
+            value = getattr(obj, name)
+            if not ok(value):
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")

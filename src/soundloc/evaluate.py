@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import write_json
-from .decode import Interval, _is_real, _run_starts, overlap_tiou
-from .errors import ConfigError, EmptyInputError
+from .decode import Interval, overlap_tiou, run_starts
+from .errors import ConfigError, EmptyInputError, is_real
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
 # (prediction, GT) pairs formed at a time while a pair table is built
@@ -121,7 +121,7 @@ def _greedy_tp(table: _PairTable, tau: float) -> np.ndarray:
     tp = np.zeros(table.num_preds, dtype=bool)
     matched = np.zeros(table.num_gts, dtype=bool)
     while video.size:
-        head = _run_starts(video)
+        head = run_starts(video)
         firsts = np.flatnonzero(head)
         tp[rank[firsts]] = True
         matched[gt[firsts]] = True
@@ -166,7 +166,7 @@ def _check_thresholds(thresholds) -> tuple:
         taus = tuple(thresholds)
     except TypeError:   # a lone number, or None
         taus = None
-    if not taus or not all(_is_real(t) and 0 < t <= 1 for t in taus):
+    if not taus or not all(is_real(t) and 0 < t <= 1 for t in taus):
         raise ConfigError(f"tIoU thresholds must be a non-empty list of numbers "
                           f"in (0, 1], got {thresholds if taus is None else taus!r}")
     return taus

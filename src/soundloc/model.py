@@ -33,7 +33,7 @@ from .decode import (
     select_top_k,
     soft_nms,
 )
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError, check_numbers
 from .heads import (
     DEFAULT_RANGE_BASE,
     PRIOR_PROB,
@@ -57,6 +57,8 @@ class ModelConfig:
 
     def validate(self) -> None:
         self.backbone.validate()
+        check_numbers(self, reals=("range_base", "prior_prob"),
+                      counts=("num_classes",))
         if self.num_classes < 1:
             raise ConfigError("num_classes must be positive")
         # written as `not (ok)` so that NaN fails every check
@@ -105,13 +107,9 @@ def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
     tape = Tape(dtype=np.float32, record=False)   # no backward pass
     bound = pr.bind(tape, arrays)
     (points,), head_out = forward_video(bound, cfg, [fused_seq.data], tape)
-    cands = recover_intervals(
-        head_out, points, fused_seq.stride_sec, fused_seq.duration_sec,
-        score_thresh=dc.score_thresh, pre_nms_topk=dc.pre_nms_topk)
-    kept = soft_nms(cands, sigma=dc.sigma, method=dc.method,
-                    iou_thresh=dc.iou_thresh, min_score=dc.min_score,
-                    max_out=dc.max_out)
-    return select_top_k(kept, fused_seq.video_id)
+    cands = recover_intervals(head_out, points, fused_seq.stride_sec,
+                              fused_seq.duration_sec, dc)
+    return select_top_k(soft_nms(cands, dc), fused_seq.video_id)
 
 
 # ---------------------------------------------------------------------------

@@ -91,9 +91,10 @@ def test_counters_read_real_results(bench_modules):
     assert spans._counters("losses.loss_sums", (head_out, assignment), sums) == {
         "losses.positives": assignment.t_plus}
 
+    dc = decode.DecodeConfig()
     cands = decode.recover_intervals(head_out, points, seq.stride_sec,
-                                     seq.duration_sec)
-    kept = decode.soft_nms(cands)
+                                     seq.duration_sec, dc)
+    kept = decode.soft_nms(cands, dc)
     top = decode.select_top_k(kept, seq.video_id)
     for name, args, result, counter in [
             ("decode.recover_intervals", (head_out, points), cands,

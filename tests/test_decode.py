@@ -23,7 +23,7 @@ from soundloc.data import (
     fuse_features,
     generate_synthetic,
 )
-from soundloc.datasets import load_dataset, write_dataset
+from soundloc.datasets import Dataset, load_dataset, write_dataset
 from soundloc.decode import (
     Candidates,
     DecodeConfig,
@@ -42,7 +42,7 @@ from soundloc.model import (
     load_checkpoint,
     predict_intervals,
 )
-from soundloc.train import train
+from soundloc.train import evaluate_on, train
 from tests import level_oracles
 from tests.level_oracles import LevelPoints
 
@@ -124,11 +124,12 @@ def intervals_of(cands):
 
 def nms(preds, **kwargs):
     """soft_nms on one video's Intervals, its survivors as Intervals."""
-    return intervals_of(soft_nms(columns(preds), **kwargs))
+    return intervals_of(soft_nms(columns(preds), DecodeConfig(**kwargs)))
 
 
-def recover(*args, **kwargs):
-    return intervals_of(recover_intervals(*args, **kwargs))
+def recover(head_out, points, stride_sec, duration_sec, **kwargs):
+    return intervals_of(recover_intervals(head_out, points, stride_sec,
+                                          duration_sec, DecodeConfig(**kwargs)))
 
 
 def head_output_from_arrays(logits, dist):
@@ -242,7 +243,8 @@ def model_candidates(duration_sec, seed, events_per_video):
     tape = ad.Tape(dtype=np.float32, record=False)
     (points,), head_out = forward_video(pr.bind(tape, arrays), cfg.model,
                                         [seq.data], tape)
-    return recover_intervals(head_out, points, seq.stride_sec, seq.duration_sec)
+    return recover_intervals(head_out, points, seq.stride_sec, seq.duration_sec,
+                             DecodeConfig())
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +270,7 @@ def trained_candidates(tmp_path_factory):
         (points,), head_out = forward_video(pr.bind(tape, arrays), cfg.model,
                                             [seq.data], tape)
         out.append(recover_intervals(head_out, points, seq.stride_sec,
-                                     seq.duration_sec))
+                                     seq.duration_sec, DecodeConfig()))
     return out
 
 
@@ -321,7 +323,7 @@ class TestInterval:
     def test_recover_with_infinite_duration_raises(self):
         points, head_out = multi_level_output([(1, [[2.0]], [1.0, math.inf])])
         with pytest.raises(ValidationError, match="finite start < end"):
-            recover_intervals(head_out, points, 1.0, math.inf)
+            recover_intervals(head_out, points, 1.0, math.inf, DecodeConfig())
 
 
 class TestRecoverIntervals:
@@ -341,7 +343,7 @@ class TestRecoverIntervals:
 
     def test_all_below_threshold(self):
         points, out = self.single_point(4, 1, 1.0, 1.0, 0.0005)
-        assert len(recover_intervals(out, points, 1.0, 100.0)) == 0
+        assert len(recover(out, points, 1.0, 100.0)) == 0
 
     def test_start_clamps_at_zero(self):
         points, out = self.single_point(1, 1, 5.0, 1.0, 0.9)
@@ -351,7 +353,7 @@ class TestRecoverIntervals:
     def test_zero_length_after_clamp_dropped(self):
         # both ends clamp to the duration bound
         points, out = self.single_point(9, 1, -0.0, 5.0, 0.9)
-        assert len(recover_intervals(out, points, 1.0, duration_sec=8.0)) == 0
+        assert len(recover(out, points, 1.0, duration_sec=8.0)) == 0
 
     def test_topk_keeps_best(self):
         points = level_oracles.flatten(
@@ -364,16 +366,16 @@ class TestRecoverIntervals:
         assert got[0].score >= got[1].score >= got[2].score
 
     @pytest.mark.parametrize("topk", [0, -1, -5])
-    def test_topk_below_one_keeps_nothing(self, topk):
-        # as soft_nms keeps nothing at max_out < 1; a negative cut is not
-        # a count from the end
+    def test_topk_below_one_rejected(self, topk):
+        # DecodeConfig's rule, as soft_nms rejects max_out < 1: no cut
+        # below 1 keeps an empty result, nor counts from the end
         points = level_oracles.flatten(
             [LevelPoints((np.arange(10) + 0.5), 1, 0.0, math.inf)])
         out = head_output_from_arrays(np.full((10, 1), logit(0.9)),
                                       np.full((10, 2), 0.5))
-        assert len(recover_intervals(out, points, 1.0, 100.0)) == 10
-        assert len(recover_intervals(out, points, 1.0, 100.0,
-                                     pre_nms_topk=topk)) == 0
+        assert len(recover(out, points, 1.0, 100.0)) == 10
+        with pytest.raises(ConfigError, match="pre_nms_topk and max_out must be >= 1"):
+            recover(out, points, 1.0, 100.0, pre_nms_topk=topk)
 
 
 class TestSoftNms:
@@ -441,18 +443,19 @@ class TestSoftNms:
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match="method must be 'gaussian' or 'hard'"):
-            soft_nms(columns([iv(0.5, 0.0, 1.0)]), method="linear")
+            nms([iv(0.5, 0.0, 1.0)], method="linear")
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
     def test_nonpositive_sigma_rejected(self, sigma):
         with pytest.raises(ConfigError):
-            soft_nms(columns([iv(0.9, 0.0, 1.0), iv(0.8, 0.0, 1.0)]), sigma=sigma)
+            nms([iv(0.9, 0.0, 1.0), iv(0.8, 0.0, 1.0)], sigma=sigma)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
     def test_nonpositive_sigma_rejected_in_hard_mode_too(self, sigma):
-        # the config file's rule: DecodeConfig.validate and soft_nms share it
+        # the config file's rule, which soft_nms checks: sigma is unused in
+        # hard mode, but a bad one is still a ConfigError there
         with pytest.raises(ConfigError, match="sigma must be > 0"):
-            soft_nms(columns([iv(0.9, 0.0, 1.0)]), method="hard", sigma=sigma)
+            nms([iv(0.9, 0.0, 1.0)], method="hard", sigma=sigma)
         with pytest.raises(ConfigError, match="sigma must be > 0"):
             DecodeConfig(method="hard", sigma=sigma).validate()
 
@@ -467,15 +470,15 @@ class TestSoftNms:
     def test_thresh_outside_zero_one_rejected(self, monkeypatch, method, key,
                                               value):
         # a tIoU threshold is an overlap, in (0, 1]: at 0 disjoint rows
-        # would count as overlapping. DecodeConfig.validate and soft_nms
-        # share the rule, in both modes, and fail before any work
+        # would count as overlapping. soft_nms checks DecodeConfig's rule,
+        # in both modes, and fails before any work
         def forbidden(*args):
             raise AssertionError("no reach for bad settings")
 
         monkeypatch.setattr(decode, "_reach", forbidden)
         kwargs = {"method": method, key: value}
         with pytest.raises(ConfigError, match=key):
-            soft_nms(columns([iv(0.9, 0.0, 1.0), iv(0.8, 5.0, 6.0)]), **kwargs)
+            nms([iv(0.9, 0.0, 1.0), iv(0.8, 5.0, 6.0)], **kwargs)
         with pytest.raises(ConfigError, match=key):
             DecodeConfig(**kwargs).validate()
 
@@ -483,22 +486,27 @@ class TestSoftNms:
         ("score_thresh", "0.1"), ("score_thresh", None), ("pre_nms_topk", "3"),
         ("pre_nms_topk", 2.5)])
     def test_recover_settings_not_numbers_rejected(self, key, value):
+        points, out = multi_level_output([(1, [[2.0]], [1.0, 1.0])])
+        with pytest.raises(ConfigError, match=key):
+            recover(out, points, 1.0, 10.0, **{key: value})
         with pytest.raises(ConfigError, match=key):
             DecodeConfig(**{key: value}).validate()
 
     def test_max_out_cap(self):
         preds = [iv(0.5, float(i), float(i) + 0.5) for i in range(30)]
-        got = soft_nms(columns(preds), max_out=10)
+        got = nms(preds, max_out=10)
         assert len(got) == 10
 
     def test_input_columns_unchanged(self):
         cands = columns([iv(0.9, 1.0, 3.0), iv(0.8, 1.5, 3.0), iv(0.7, 2.0, 4.0)])
         before = bits(cands)
-        soft_nms(cands)
+        soft_nms(cands, DecodeConfig())
         assert bits(cands) == before
 
-    def test_max_out_below_one_keeps_nothing(self):
-        assert len(soft_nms(columns([iv(0.5, 0.0, 1.0)]), max_out=0)) == 0
+    @pytest.mark.parametrize("max_out", [0, -3])
+    def test_max_out_below_one_rejected(self, max_out):
+        with pytest.raises(ConfigError, match="pre_nms_topk and max_out must be >= 1"):
+            nms([iv(0.5, 0.0, 1.0)], max_out=max_out)
 
     def test_no_candidates(self):
         assert nms([]) == []
@@ -583,11 +591,11 @@ class TestSoftNmsMatchesOracle:
     @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
     @given(st.lists(intervals, max_size=40), nms_settings, st.randoms())
     def test_exact_and_permutation_invariant(self, preds, kwargs, rnd):
-        got = soft_nms(columns(preds), **kwargs)
+        got = soft_nms(columns(preds), DecodeConfig(**kwargs))
         assert bits(got) == bits(oracle_top(preds, **kwargs))
         perm = list(preds)
         rnd.shuffle(perm)
-        assert bits(soft_nms(columns(perm), **kwargs)) == bits(got)
+        assert bits(soft_nms(columns(perm), DecodeConfig(**kwargs))) == bits(got)
 
     @settings(max_examples=20, deadline=None, phases=NO_SHRINK)
     @given(st.integers(min_value=0, max_value=10 ** 9))
@@ -603,7 +611,8 @@ class TestSoftNmsMatchesOracle:
                             label=int(rng.integers(0, 3))))
         for method in ("gaussian", "hard"):
             for max_out in (200, 20):
-                got = soft_nms(columns(preds), method=method, max_out=max_out)
+                got = soft_nms(columns(preds),
+                               DecodeConfig(method=method, max_out=max_out))
                 assert bits(got) == bits(oracle_top(preds, method=method,
                                                     max_out=max_out))
 
@@ -615,7 +624,7 @@ class TestSoftNmsMatchesOracle:
         # without a score floor runs on every example
         for kw in (kwargs, {"method": "hard", "iou_thresh": 1e-9,
                             "min_score": 0.0, "max_out": kwargs["max_out"]}):
-            got = soft_nms(columns(preds), **kw)
+            got = soft_nms(columns(preds), DecodeConfig(**kw))
             assert bits(got) == bits(oracle_top(preds, **kw)), kw
 
     @pytest.mark.parametrize("seed", range(6))
@@ -633,7 +642,7 @@ class TestSoftNmsMatchesOracle:
                        {"method": "hard", "iou_thresh": 1.0},
                        {"min_score": 0.5}, {"sigma": 0.1, "min_score": 0.0}):
             for max_out in (1, 5, 40, 200):
-                got = soft_nms(columns(preds), max_out=max_out, **kwargs)
+                got = soft_nms(columns(preds), DecodeConfig(max_out=max_out, **kwargs))
                 want = oracle_top(preds, max_out=max_out, **kwargs)
                 assert bits(got) == bits(want), (kwargs, max_out)
 
@@ -652,7 +661,7 @@ class TestSoftNmsMatchesOracle:
             rng.uniform(0.3, 0.95, 100), rng.uniform(0.0, 100.0, 100))]
         for kwargs in ({}, {"method": "hard"},
                        {"method": "hard", "iou_thresh": 1e-9, "min_score": 0.0}):
-            got = soft_nms(columns(preds), **kwargs)
+            got = soft_nms(columns(preds), DecodeConfig(**kwargs))
             assert bits(got) == bits(oracle_top(preds, **kwargs)), kwargs
 
     def test_exact_on_a_long_video(self):
@@ -665,7 +674,7 @@ class TestSoftNmsMatchesOracle:
         preds = intervals_of(cands)
         for method in ("gaussian", "hard"):
             for max_out in (200, 7):
-                got = soft_nms(cands, method=method, max_out=max_out)
+                got = soft_nms(cands, DecodeConfig(method=method, max_out=max_out))
                 want = oracle_soft_nms(preds, method=method, max_out=max_out)
                 assert len(want) > (500 if max_out == 200 else max_out)
                 assert bits(got) == bits(want[:max_out])
@@ -676,7 +685,7 @@ class TestSoftNmsMatchesOracle:
         # the threshold, and the best ones crowd round its events, where a
         # row is hit by several picks of a round most often
         for cands in trained_candidates:
-            got = soft_nms(cands, **kwargs)
+            got = soft_nms(cands, DecodeConfig(**kwargs))
             assert bits(got) == bits(oracle_top(intervals_of(cands), **kwargs))
         assert len(trained_candidates[-1]) == DecodeConfig.pre_nms_topk
 
@@ -719,9 +728,10 @@ class TestRecoverMatchesOracle:
            st.sampled_from([0.001, 0.3]), st.integers(1, 40))
     def test_exact(self, levels, stride_sec, duration, thresh, topk):
         points, head_out = multi_level_output(levels)
-        args = (head_out, points, stride_sec, duration, thresh, topk)
-        want = outcome(oracle_recover_intervals, *args)
-        assert outcome(recover_intervals, *args) == want
+        args = (head_out, points, stride_sec, duration)
+        want = outcome(oracle_recover_intervals, *args, thresh, topk)
+        assert outcome(recover_intervals, *args, DecodeConfig(
+            score_thresh=thresh, pre_nms_topk=topk)) == want
         per_level, heads = level_output(levels)
         assert outcome(level_oracles.recover_intervals, heads, per_level,
                        stride_sec, duration, thresh, topk) == want
@@ -750,7 +760,7 @@ class TestRecoverMatchesOracle:
             per_level[name] = [tape.constant(v) for v in np.split(flat, ends)]
         # the same rows decode to the same bits flat and per level
         got = recover_intervals(heads, generate_points(pyramid, cfg.range_base),
-                                0.5, t / 2.0)
+                                0.5, t / 2.0, DecodeConfig())
         want = level_oracles.recover_intervals(
             level_oracles.LevelHeads(per_level["cls_logits"], None,
                                      per_level["distances"]),
@@ -775,12 +785,12 @@ class TestRecoverMatchesOracle:
     def test_nan_boundary_raises(self):
         points, head_out = multi_level_output([(1, [[2.0]], [math.nan, 1.0])])
         with pytest.raises(ValidationError, match="start < end"):
-            recover_intervals(head_out, points, 1.0, 10.0)
+            recover_intervals(head_out, points, 1.0, 10.0, DecodeConfig())
 
     def test_nan_boundary_below_threshold_ignored(self):
         points, head_out = multi_level_output([
             (1, [[-30.0], [2.0]], [math.nan, 1.0, 1.0, 1.0])])
-        assert len(recover_intervals(head_out, points, 1.0, 10.0)) == 1
+        assert len(recover(head_out, points, 1.0, 10.0)) == 1
 
 
 class TestWorkCount:
@@ -793,7 +803,7 @@ class TestWorkCount:
                                          pre_nms_topk=10 ** 6)
         assert len(every) == 10 ** 4
         built = count_intervals(monkeypatch)
-        got = recover_intervals(head_out, points, 1.0, float(t))
+        got = recover_intervals(head_out, points, 1.0, float(t), DecodeConfig())
         assert len(built) == 0
         assert bits(got) == bits(every[:DecodeConfig.pre_nms_topk])
 
@@ -805,7 +815,7 @@ class TestWorkCount:
             preds.append(iv(float(rng.uniform(0, 1)), s, s + float(rng.uniform(0.1, 5.0)),
                             label=int(rng.integers(0, 4))))
         built = count_intervals(monkeypatch)
-        got = soft_nms(columns(preds))
+        got = soft_nms(columns(preds), DecodeConfig())
         assert 0 < len(got) < len(preds)
         assert len(built) == 0
 
@@ -823,7 +833,7 @@ class TestWorkCount:
         assert np.unique(cands.score).size == n
         sorts = count_lexsorts(monkeypatch)
         rounds = count_rounds(monkeypatch)
-        got = soft_nms(cands, max_out=max_out)
+        got = soft_nms(cands, DecodeConfig(max_out=max_out))
         assert len(got) == max_out
         assert sorts[0] == n
         assert max_out <= sorts[-1] < n
@@ -874,7 +884,7 @@ class TestWorkCount:
         largest = largest_cluster(cands)
         assert largest < 50
         rounds = count_rounds(monkeypatch)
-        got = soft_nms(cands)
+        got = soft_nms(cands, DecodeConfig())
         assert 0 < len(rounds) <= largest
         assert bits(got) == bits(oracle_top(intervals_of(cands)))
 
@@ -894,7 +904,7 @@ class TestWorkCount:
                 return build(*args)
 
             monkeypatch.setattr(decode, name, counting)
-        soft_nms(cands, **kwargs)
+        soft_nms(cands, DecodeConfig(**kwargs))
         assert calls == {"_reach": 1, "_clusters": 1, "_range_table": 1}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -903,7 +913,7 @@ class TestWorkCount:
         # round now takes a cluster's picks up to its x*
         cands = model_candidates(64.0, seed, (1, 3))
         rounds = count_rounds(monkeypatch)
-        got = soft_nms(cands)
+        got = soft_nms(cands, DecodeConfig())
         assert 0 < len(rounds) <= 25
         assert bits(got) == bits(oracle_top(intervals_of(cands)))
 
@@ -916,7 +926,7 @@ class TestWorkCount:
         every = oracle_soft_nms(preds)
         picks = max(Counter(p.label_id for p in every).values())
         rounds = count_rounds(monkeypatch)
-        got = soft_nms(cands)
+        got = soft_nms(cands, DecodeConfig())
         assert len(rounds) < 0.8 * picks
         assert len(every) > len(got) == DecodeConfig.max_out
         assert bits(got) == bits(every[:DecodeConfig.max_out])
@@ -940,3 +950,68 @@ class TestWorkCount:
         got = predict_intervals(arrays, cfg.model, seq, cfg.decode)
         assert len(kept[0]) == len(got) == cfg.decode.max_out
         assert len(built) == len(got)
+
+
+# one value per DecodeConfig field that its rule rejects: NaN, out of range,
+# a string, a bool, or not a whole number
+BAD_DECODE_SETTINGS = [
+    ("score_thresh", math.nan), ("score_thresh", 2.0), ("score_thresh", "0.1"),
+    ("score_thresh", True), ("pre_nms_topk", 0), ("pre_nms_topk", -1),
+    ("pre_nms_topk", 2.5), ("pre_nms_topk", True), ("method", "linear"),
+    ("method", None), ("sigma", math.nan), ("sigma", 0.0), ("sigma", "0.5"),
+    ("sigma", True), ("iou_thresh", math.nan), ("iou_thresh", 1.5),
+    ("iou_thresh", "0.5"), ("iou_thresh", False), ("min_score", math.nan),
+    ("min_score", -0.1), ("min_score", "0"), ("min_score", True),
+    ("max_out", 0), ("max_out", -3), ("max_out", 2.5), ("max_out", "3"),
+    ("max_out", True)]
+
+
+class UnreadHeads:
+    """Stands in for head outputs or points that must not be read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} read before the settings were checked")
+
+
+@pytest.fixture(scope="module")
+def one_video():
+    """Untrained desk-preset weights and a one-video dataset to decode."""
+    cfg = desk_scale_config()
+    (pair,), (ann,) = generate_synthetic(SyntheticSpec(
+        num_videos=1, duration_sec=32.0, seed=0))
+    seq = fuse_features(*pair)
+    dataset = Dataset(fused={seq.video_id: seq},
+                      annotations={seq.video_id: ann},
+                      class_names=ann.class_names)
+    return init_model_arrays(cfg.model, seed=0), cfg.model, dataset
+
+
+class TestOneDecodeRule:
+    """Every decode stage takes DecodeConfig whole and checks its rule
+    before any work: a setting the rule rejects is a ConfigError naming it,
+    never an empty result."""
+
+    @pytest.mark.parametrize("key, value", BAD_DECODE_SETTINGS)
+    def test_recover_rejects_before_reading_head_outputs(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            recover_intervals(UnreadHeads(), UnreadHeads(), 1.0, 10.0,
+                              DecodeConfig(**{key: value}))
+
+    @pytest.mark.parametrize("key, value", BAD_DECODE_SETTINGS)
+    def test_soft_nms_rejects_before_any_work(self, monkeypatch, key, value):
+        def forbidden(*args):
+            raise AssertionError("no reach for bad settings")
+
+        monkeypatch.setattr(decode, "_reach", forbidden)
+        with pytest.raises(ConfigError, match=key):
+            nms([iv(0.9, 0.0, 1.0), iv(0.8, 5.0, 6.0)], **{key: value})
+
+    @pytest.mark.parametrize("key, value", BAD_DECODE_SETTINGS)
+    def test_predict_and_evaluate_reject(self, one_video, key, value):
+        arrays, cfg, dataset = one_video
+        dc = DecodeConfig(**{key: value})
+        (vid,) = dataset.videos()
+        with pytest.raises(ConfigError, match=key):
+            predict_intervals(arrays, cfg, dataset.fused[vid], dc)
+        with pytest.raises(ConfigError, match=key):
+            evaluate_on(arrays, cfg, dataset, [vid], dc)
