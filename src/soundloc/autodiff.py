@@ -12,6 +12,9 @@ concurrently because there is no shared mutable state.
 Besides elementwise ops, reductions and shape ops, the network primitives
 include :func:`local_attention`: windowed multi-head attention computed on a
 band of key offsets, linear in sequence length, with a hand-written backward.
+Every offset is handled by the same array op: the keys and values of the
+whole band are gathered into one array, and each product is one einsum
+over it, forward and backward.
 :func:`matmul` and :func:`conv1d` take an optional bias, so a layer is one
 record, and compute no gradient for an operand that is a constant leaf (such
 as the input features under the first convolution).
@@ -21,7 +24,8 @@ take ``segments``: several sequences packed end to end, given by their row
 counts. No window crosses a segment boundary, so a batch of sequences (or
 the levels of a pyramid) costs one record per layer, whatever its size.
 Where every window falls comes from one cached plan: per offset, the strided
-slices of rows it reads and the rows it must leave at zero.
+slices of rows it reads and the rows it must leave at zero. The plans are
+shared by every call with the same segments, so their arrays are read-only.
 
 An op allocates its output and what backward keeps; every other temporary
 is at most one block. Fresh arrays above glibc's mmap threshold (128 KiB
@@ -45,8 +49,9 @@ matrix-vector path). So a GEMM of another width, such as the heads' 2- and
 C-wide output convolutions, stays whole, and outputs do not depend on the
 blocks. A recording tape runs one block, since backward keeps the whole
 window matrix; its records are those of the whole op.
-:func:`local_attention` keeps its (w, T, H) weights and one output-sized
-product (in row blocks it was slower at T=2048).
+Without a record, :func:`local_attention` gathers its band ``_BAND_ROWS``
+(128) query rows at a time; a recording tape runs one block and keeps the
+(w, T, H) weights for backward.
 
 Values are float32 by default; gradient checking always runs in float64.
 """
@@ -76,6 +81,12 @@ _BLOCK = 1 << 15
 # and 1,024 rows, 128 and 256 made T=2048 predict slower than whole GEMMs;
 # 512 did not, at d_model 64 or 512.
 _GEMM_ROWS = 512
+# query rows per block of local_attention's gathered band on a record=False
+# tape. Over 64, 128, 192, 256 and 512 rows and the whole band, 128 to 256
+# were the fastest, within the host's noise, at T=2048 and T=8192 and in
+# T=2048 desk predict; the whole band took 1.6 to 2 times as long at
+# T=8192. Of those, 128 holds the fewest gathered rows.
+_BAND_ROWS = 128
 
 
 class Tensor:
@@ -550,7 +561,8 @@ def _window_plan(segments: tuple[int, ...], reach: int, stride: int):
     whose windows continue one stride apart, so a lone sequence gets one;
     ``edges[o]`` lists the output rows whose window position falls outside
     their own segment (every row no pair reads for among them), as integer
-    row indices. The plans are cached and shared: no caller writes to them.
+    row indices. The plans are cached and shared, so their arrays are
+    read-only.
     """
     n = np.array(segments, dtype=np.int64)
     n_out = -(-n // stride)
@@ -579,7 +591,23 @@ def _window_plan(segments: tuple[int, ...], reach: int, stride: int):
         else:         # rows from ceil((n - off) / stride) on reach past
             keep = np.clip(-((off - n) // stride), 0, n_out)
             edges.append(_ranges(first_out + keep, first_out + n_out))
+        edges[-1].flags.writeable = False
     return t_out, tuple(reads), tuple(edges)
+
+
+@functools.lru_cache(maxsize=256)
+def _band_mask(segments: tuple[int, ...], reach: int) -> np.ndarray:
+    """The (offset, query) pairs of :func:`local_attention` that may not
+    attend: ``mask[o, i]`` is True where key ``i + o - reach`` lies outside
+    query i's segment, the rows ``_window_plan``'s edges list for offset o.
+    Cached, shared and read-only.
+    """
+    t, _, edges = _window_plan(segments, reach, 1)
+    mask = np.zeros((2 * reach + 1, t), dtype=bool)
+    mask[np.repeat(np.arange(len(edges)), [len(e) for e in edges]),
+         np.concatenate(edges)] = True
+    mask.flags.writeable = False
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -832,14 +860,21 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
     [h * D/H, (h + 1) * D/H). Query i attends key j = i + o - window // 2,
     o in [0, window), when 0 <= j < T; offset o = window // 2 is the query
     itself, so no row is ever fully masked. Scores, softmax weights and the
-    weighted sum live on a (w, T, H) band, one slice per key offset, and the
-    backward pass reuses it: time and memory grow linearly in T, and the
-    whole attention is one tape record.
+    weighted sum live on a (w, T, H) band: the keys and values of every
+    offset are gathered into one (w, T, H, D/H) array and each product is
+    one einsum over it, summed over the offsets in offset order. Time and
+    memory grow linearly in T, and the whole attention is one tape record.
 
     ``segments`` packs several sequences end to end: their row counts, in
-    order, summing to T. A query attends only keys of its own segment.
-    Each offset takes its query and key rows from the window plan conv1d
-    uses, and masks the rows whose key lies outside their segment.
+    order, summing to T. A query attends only keys of its own segment: the
+    pairs whose key lies outside it are masked, by a cached plan built from
+    the window plan conv1d uses.
+
+    A recording tape runs one block of rows and keeps the (w, T, H) weights
+    for backward, which gathers the band again, and gathers by key for the
+    key and value gradients. Without a record the band is gathered
+    ``_BAND_ROWS`` query rows at a time, so it is never whole; the blocks
+    give the whole op's bits.
     """
     tape = _same_tape(q, k, v)
     if window < 1 or window % 2 == 0:
@@ -859,45 +894,46 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
     heads = (t, num_heads, d // num_heads)
     r = min(window // 2, max(seg) - 1)   # farther offsets reach no key
     w = 2 * r + 1
-    _, reads, drop = _window_plan(seg, r, 1)
-    # at stride 1 every offset has one pair: query rows qs meet key rows ks;
-    # the rows of drop[o] (those outside qs among them) may not attend
-    bounds = [pair for (pair,) in reads]
+    masked = _band_mask(seg, r)
     dt = np.result_type(q.values, k.values, v.values)
     scale = dt.type(1.0 / np.sqrt(heads[2]))
     q3 = q.values.reshape(heads)
     k3 = k.values.reshape(heads)
     v3 = v.values.reshape(heads)
 
-    # the scores become the softmax weights y in place
-    y = np.empty((w, t, num_heads), dtype=dt)
-    for o, (qs, ks) in enumerate(bounds):
-        np.einsum("thd,thd->th", q3[qs], k3[ks], out=y[o, qs])
-        y[o, drop[o]] = -np.inf
-    y *= scale
-    y -= y.max(axis=0)
-    np.exp(y, out=y)
-    y /= y.sum(axis=0)
-    out = np.zeros(heads, dtype=dt)
-    term = np.empty(heads, dtype=dt)
-    for o, (qs, ks) in enumerate(bounds):
-        out[qs] += np.multiply(y[o, qs, :, None], v3[ks], out=term[qs])
+    rows = t if tape.recording else min(t, _BAND_ROWS)
+    # (offset o, query i) meets key row i + o - r, here for a block from
+    # row 0, wrapped round the ends: every pair whose key lies outside
+    # 0..T-1 is masked, so the row it reads there is never used
+    shift = np.arange(-r, r + 1)[:, None] + np.arange(rows)
+    out = np.empty(heads, dtype=dt)
+    for lo in range(0, t, rows):
+        n = min(rows, t - lo)
+        keys = shift[:, :n] + lo
+        keys %= t
+        # the scores become the softmax weights y in place; with a record
+        # there is one block, and y is every weight, for backward
+        y = np.einsum("thd,wthd->wth", q3[lo:lo + n], k3.take(keys, axis=0))
+        y[masked[:, lo:lo + n]] = -np.inf
+        y *= scale
+        y -= y.max(axis=0)
+        np.exp(y, out=y)
+        y /= y.sum(axis=0)
+        np.einsum("wth,wthd->thd", y, v3.take(keys, axis=0), out=out[lo:lo + n])
 
     def bwd(g, acc):
         g3 = g.reshape(heads)
-        gt = np.result_type(g3, dt)
-        dy = np.zeros(y.shape, dtype=gt)
-        d_v = np.zeros(heads, dtype=gt)
-        for o, (qs, ks) in enumerate(bounds):
-            np.einsum("thd,thd->th", g3[qs], v3[ks], out=dy[o, qs])
-            d_v[ks] += y[o, qs, :, None] * g3[qs]
+        dy = np.einsum("thd,wthd->wth", g3, v3.take(keys, axis=0))
         ds = y * (dy - (dy * y).sum(axis=0)) * scale
-        d_q = np.zeros(heads, dtype=gt)
-        d_k = np.zeros(heads, dtype=gt)
-        for o, (qs, ks) in enumerate(bounds):
-            ds_o = ds[o, qs, :, None]
-            d_q[qs] += ds_o * k3[ks]
-            d_k[ks] += ds_o * q3[qs]
+        d_q = np.einsum("wth,wthd->thd", ds, k3.take(keys, axis=0))
+        # by key: at offset o, key j met query j + r - o, wrapped as the keys
+        # are; a pair that wraps is masked, so its weight and ds are 0
+        queries = keys[::-1]
+        at = queries + np.arange(0, w * t, t)[:, None]   # rows of (w * T, H)
+        y_k = y.reshape(w * t, num_heads).take(at, axis=0)
+        d_v = np.einsum("wth,wthd->thd", y_k, g3.take(queries, axis=0))
+        ds_k = ds.reshape(w * t, num_heads).take(at, axis=0)
+        d_k = np.einsum("wth,wthd->thd", ds_k, q3.take(queries, axis=0))
         acc(q, d_q.reshape(t, d))
         acc(k, d_k.reshape(t, d))
         acc(v, d_v.reshape(t, d))

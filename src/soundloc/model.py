@@ -102,8 +102,10 @@ def forward_video(bound, cfg: ModelConfig, fused: Sequence[np.ndarray],
 def predict_intervals(arrays: dict[str, np.ndarray], cfg: ModelConfig,
                       fused_seq: FeatureSequence,
                       decode_cfg: DecodeConfig | None = None) -> list[Interval]:
-    """Pure inference for one video: forward, recover, suppress."""
+    """Pure inference for one video: forward, recover, suppress. The decode
+    settings are checked before the forward pass."""
     dc = decode_cfg or DecodeConfig()
+    dc.validate()
     tape = Tape(dtype=np.float32, record=False)   # no backward pass
     bound = pr.bind(tape, arrays)
     (points,), head_out = forward_video(bound, cfg, [fused_seq.data], tape)

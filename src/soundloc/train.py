@@ -177,11 +177,14 @@ def train_step(params: dict[str, np.ndarray] | pr.ParamStore, cfg: ModelConfig,
 def evaluate_on(arrays: dict[str, np.ndarray], cfg: ModelConfig,
                 dataset: Dataset, video_ids: list[str],
                 decode_cfg: DecodeConfig | None = None):
-    """Predict the given videos and score them against their annotations."""
+    """Predict the given videos and score them against their annotations.
+    The decode settings are checked first, also when there is no video."""
+    dc = decode_cfg or DecodeConfig()
+    dc.validate()
     preds: list[Interval] = []
     gts: list[Interval] = []
     for vid in sorted(video_ids):
-        preds.extend(predict_intervals(arrays, cfg, dataset.fused[vid], decode_cfg))
+        preds.extend(predict_intervals(arrays, cfg, dataset.fused[vid], dc))
         ann = dataset.annotations[vid]
         for ev in ann.events:
             gts.append(Interval(vid, ev.label, 1.0, ev.start_sec, ev.end_sec))

@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundloc import autodiff as ad
 from soundloc import backbone, config, model
@@ -779,6 +781,58 @@ def oracle_local_attention(q, k, v, window, num_heads):
     return q.tape.record(out.reshape(t, d), bwd)
 
 
+def per_offset_local_attention(q, k, v, window, num_heads, segments=None):
+    """local_attention as it was before the gathered band: the window plan's
+    query and key slices taken one key offset at a time, forward and
+    backward, each offset's terms added in offset order."""
+    t, d = q.values.shape
+    seg = ad.segment_lengths(segments, t, "local_attention")
+    heads = (t, num_heads, d // num_heads)
+    r = min(window // 2, max(seg) - 1)
+    w = 2 * r + 1
+    _, reads, drop = ad._window_plan(seg, r, 1)
+    bounds = [pair for (pair,) in reads]
+    dt = np.result_type(q.values, k.values, v.values)
+    scale = dt.type(1.0 / np.sqrt(heads[2]))
+    q3 = q.values.reshape(heads)
+    k3 = k.values.reshape(heads)
+    v3 = v.values.reshape(heads)
+
+    y = np.empty((w, t, num_heads), dtype=dt)
+    for o, (qs, ks) in enumerate(bounds):
+        np.einsum("thd,thd->th", q3[qs], k3[ks], out=y[o, qs])
+        y[o, drop[o]] = -np.inf
+    y *= scale
+    y -= y.max(axis=0)
+    np.exp(y, out=y)
+    y /= y.sum(axis=0)
+    out = np.zeros(heads, dtype=dt)
+    term = np.empty(heads, dtype=dt)
+    for o, (qs, ks) in enumerate(bounds):
+        out[qs] += np.multiply(y[o, qs, :, None], v3[ks], out=term[qs])
+
+    def bwd(g, acc):
+        g3 = g.reshape(heads)
+        gt = np.result_type(g3, dt)
+        dy = np.zeros(y.shape, dtype=gt)
+        d_v = np.zeros(heads, dtype=gt)
+        for o, (qs, ks) in enumerate(bounds):
+            np.einsum("thd,thd->th", g3[qs], v3[ks], out=dy[o, qs])
+            d_v[ks] += y[o, qs, :, None] * g3[qs]
+        ds = y * (dy - (dy * y).sum(axis=0)) * scale
+        d_q = np.zeros(heads, dtype=gt)
+        d_k = np.zeros(heads, dtype=gt)
+        for o, (qs, ks) in enumerate(bounds):
+            ds_o = ds[o, qs, :, None]
+            d_q[qs] += ds_o * k3[ks]
+            d_k[ks] += ds_o * q3[qs]
+        acc(q, d_q.reshape(t, d))
+        acc(k, d_k.reshape(t, d))
+        acc(v, d_v.reshape(t, d))
+
+    return q.tape.record(out.reshape(t, d), bwd)
+
+
 def in_place_cases():
     """(name, new op, oracle op, operand arrays) for every rewritten kernel."""
     rng = np.random.default_rng(21)
@@ -930,9 +984,10 @@ class TestAllocationBudget:
     fresh array per step took 4.0, 4.1, 2.07, 6.1 and 6.8. gelu took 2.0
     with a full-size tanh term and takes 1.06 with one block of it.
     conv1d took 4.07 with its whole (T, 3 * D) window matrix and takes 1.83
-    with one block of 512 rows of it. local_attention reads its keys and
-    values in place and keeps the (w, T, H) weights, the output and one
-    output-sized product: 2.76. The broadcast bias add takes numpy's 32 KiB
+    with one block of 512 rows of it. local_attention took 2.76 with the
+    whole (w, T, H) weights and one output-sized product beside its output;
+    it takes 1.89 with one block of 128 query rows of its gathered keys and
+    values and of its weights. The broadcast bias add takes numpy's 32 KiB
     ufunc buffer, 0.06 of the matmul output here.
     """
 
@@ -1241,6 +1296,15 @@ class TestSegments:
                 return ad.sum_all(ad.square(out))
             assert ad.grad_check(f, value) <= 1e-4, i
 
+    def test_cached_plans_are_read_only(self):
+        # plans are shared by every call with the same segments, so one
+        # write through a caller would corrupt every later call
+        _, _, edges = ad._window_plan((5, 1, 7), 2, 1)
+        arrays = [*edges, ad._band_mask((5, 1, 7), 2)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
     def test_concat_rows_interleaves_groups(self):
         t = scalar_tape()
         a = t.leaf(np.arange(10.0).reshape(5, 2))        # groups of 3 and 2
@@ -1279,6 +1343,86 @@ class TestSegments:
         a, b = t.leaf(np.ones((4, 2))), t.leaf(np.ones((2, 2)))
         with pytest.raises(ShapeError, match="group count"):
             ad.concat_rows([a, b], [[2, 2], [2]])
+
+
+# ---------------------------------------------------------------------------
+# local attention: every key offset in one gathered band
+
+def attention_operands(rng, segments, width, dtype):
+    """q, k, v and an upstream gradient for ``sum(segments)`` rows."""
+    return [rng.normal(scale=2.0, size=(sum(segments), width)).astype(dtype)
+            for _ in range(4)]
+
+
+class TestBandAttention:
+    """local_attention against the per-offset kernel it replaced, bit for
+    bit, and its band's work and blocks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=5),
+           st.integers(0, 10).map(lambda i: 2 * i + 1), st.integers(1, 4),
+           st.integers(1, 8), st.sampled_from([np.float32, np.float64]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_bit_equal_to_per_offset_kernel(self, segments, window, num_heads,
+                                            head_width, dtype, seed):
+        # segments of 1 row and segments shorter than the window among them
+        *qkv, up = attention_operands(np.random.default_rng(seed), segments,
+                                      num_heads * head_width, dtype)
+
+        def op(q, k, v):
+            return ad.local_attention(q, k, v, window, num_heads, segments)
+
+        want, want_g = grads_through(
+            lambda q, k, v: per_offset_local_attention(q, k, v, window,
+                                                       num_heads, segments),
+            dtype, qkv, up)
+        got, got_g = grads_through(op, dtype, qkv, up)
+        assert bit_equal(got, want)
+        for g, w in zip(got_g, want_g):
+            assert bit_equal(g, w)
+        t = ad.Tape(dtype=dtype, record=False)
+        assert bit_equal(op(*[t.leaf(a) for a in qkv]).values, want)
+
+    @pytest.mark.parametrize("t", [2048, 2049, 8193])
+    def test_blocked_forward_equals_one_block(self, t):
+        # seeded segments whose ends fall inside blocks, on their edges
+        # and one row past them
+        rng = np.random.default_rng(t)
+        segments = []
+        while sum(segments) < t - 512:
+            segments.append(int(rng.integers(1, 300)))
+        # one segment ends on a block edge, two of 1 row follow it
+        segments += [ad._BAND_ROWS - sum(segments) % ad._BAND_ROWS, 1, 1]
+        segments.append(t - sum(segments))
+        assert t > 2 * ad._BAND_ROWS
+        *qkv, _ = attention_operands(rng, segments, 64, np.float32)
+        whole, blocked = ad.Tape(), ad.Tape(record=False)
+        want = ad.local_attention(*[whole.leaf(a) for a in qkv], 11, 4, segments)
+        got = ad.local_attention(*[blocked.leaf(a) for a in qkv], 11, 4, segments)
+        assert bit_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_einsum_calls_do_not_grow_with_the_window(self, monkeypatch, record):
+        calls = []
+        real = np.einsum
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        rng = np.random.default_rng(0)
+        *qkv, up = attention_operands(rng, [40, 24], 16, np.float32)
+        counts = []
+        for window in (1, 3, 21):
+            calls.clear()
+            tape = ad.Tape(record=record)
+            out = ad.local_attention(*[tape.leaf(a) for a in qkv], window, 4,
+                                     [40, 24])
+            if record:
+                ad.backward(tape, ad.sum_all(ad.mul(out, tape.constant(up))))
+            counts.append(len(calls))
+        assert counts[0] > 0 and len(set(counts)) == 1, counts
 
 
 # ---------------------------------------------------------------------------

@@ -1015,3 +1015,22 @@ class TestOneDecodeRule:
             predict_intervals(arrays, cfg, dataset.fused[vid], dc)
         with pytest.raises(ConfigError, match=key):
             evaluate_on(arrays, cfg, dataset, [vid], dc)
+
+    @pytest.mark.parametrize("key, value", BAD_DECODE_SETTINGS)
+    def test_predict_rejects_before_the_forward_pass(self, monkeypatch, one_video,
+                                                     key, value):
+        def forbidden(*args):
+            raise AssertionError("no forward pass for bad settings")
+
+        monkeypatch.setattr("soundloc.model.forward_video", forbidden)
+        arrays, cfg, dataset = one_video
+        (vid,) = dataset.videos()
+        with pytest.raises(ConfigError, match=key):
+            predict_intervals(arrays, cfg, dataset.fused[vid],
+                              DecodeConfig(**{key: value}))
+
+    @pytest.mark.parametrize("key, value", BAD_DECODE_SETTINGS)
+    def test_evaluate_on_no_videos_rejects(self, one_video, key, value):
+        arrays, cfg, dataset = one_video
+        with pytest.raises(ConfigError, match=key):
+            evaluate_on(arrays, cfg, dataset, [], DecodeConfig(**{key: value}))
