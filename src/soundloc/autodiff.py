@@ -23,9 +23,14 @@ The two windowed primitives, :func:`conv1d` and :func:`local_attention`,
 take ``segments``: several sequences packed end to end, given by their row
 counts. No window crosses a segment boundary, so a batch of sequences (or
 the levels of a pyramid) costs one record per layer, whatever its size.
-Where every window falls comes from one cached plan: per offset, the strided
-slices of rows it reads and the rows it must leave at zero. The plans are
-shared by every call with the same segments, so their arrays are read-only.
+Where every window falls comes from one cached plan, ``_window_plan``: the
+input row each output row is centered on, and a (taps, rows) mask of the
+taps that fall outside their row's segment and so read zero. conv1d's
+forward gathers by the two, a row block taking a slice of each, and
+local_attention masks its band with the mask; conv1d's backward adds its
+gradient back through the same windows, held as per-tap slice runs. The
+plans are shared by every call with the same segments, so their arrays are
+read-only.
 
 An op allocates its output and what backward keeps; every other temporary
 is at most one block. Fresh arrays above glibc's mmap threshold (128 KiB
@@ -542,40 +547,41 @@ def segment_lengths(segments: Optional[Sequence[int]], rows: int,
     return seg
 
 
-def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """The integers of every ``[begin[i], end[i])``, end to end."""
-    counts = end - begin
-    return (np.repeat(begin - (np.cumsum(counts) - counts), counts)
-            + np.arange(counts.sum()))
-
-
 @functools.lru_cache(maxsize=256)
 def _window_plan(segments: tuple[int, ...], reach: int, stride: int):
     """Where the windows of a segmented, strided sliding op fall.
 
     Segment s of n rows gives ceil(n / stride) output rows, the i-th centered
-    on the segment's own row i * stride. Returns ``(rows_out, reads, edges)``
-    for the offsets ``o - reach`` in ``-reach..reach``: ``reads[o]`` holds
-    slice pairs ``(out, src)``, output rows ``out`` reading input rows
-    ``src`` (strided, clipped to the input), one pair per run of segments
-    whose windows continue one stride apart, so a lone sequence gets one;
-    ``edges[o]`` lists the output rows whose window position falls outside
-    their own segment (every row no pair reads for among them), as integer
-    row indices. The plans are cached and shared, so their arrays are
-    read-only.
+    on the segment's own row i * stride. Returns ``(center, reads, outside)``
+    for the taps ``o - reach``, o in ``0..2 * reach``: ``center[i]`` is the
+    input row output row i is centered on, so its tap o reads input row
+    ``center[i] + o - reach``; ``outside[o, i]`` is True where that row lies
+    outside row i's own segment, a tap that reads zero. ``reads[o]`` holds
+    the same windows as slice pairs ``(out, src)``, output rows ``out``
+    reading input rows ``src`` (strided, clipped to the input), one pair per
+    run of segments whose windows continue one stride apart, so a lone
+    sequence gets one. A row block of the plan is a slice of ``center`` and
+    of ``outside``'s columns. The plans are cached and shared, so their
+    arrays are read-only.
     """
     n = np.array(segments, dtype=np.int64)
     n_out = -(-n // stride)
     first_out = np.cumsum(n_out) - n_out
     first_in = np.cumsum(n) - n
     t_in, t_out = int(n.sum()), int(n_out.sum())
+    seg = np.repeat(np.arange(len(n)), n_out)   # the segment of each output row
+    pos = (np.arange(t_out) - first_out[seg]) * stride   # its center in the segment
+    center = first_in[seg] + pos
+    # tap o reads the segment's row pos + o - reach
+    taps = np.arange(2 * reach + 1)[:, None]
+    outside = (taps < reach - pos) | (taps >= n[seg] + reach - pos)
     # runs of segments, cut after every length that is not whole strides;
     # output row i of a run reads input row base + i * stride + off
     cut = np.r_[0, np.flatnonzero(n[:-1] % stride) + 1]
     runs = list(zip(first_out[cut].tolist(),
                     np.append(first_out[cut[1:]], t_out).tolist(),
                     (first_in - stride * first_out)[cut].tolist()))
-    reads, edges = [], []
+    reads = []
     for off in range(-reach, reach + 1):
         pairs = []
         for first, end, base in runs:
@@ -585,29 +591,9 @@ def _window_plan(segments: tuple[int, ...], reach: int, stride: int):
                 pairs.append((slice(lo, hi),
                               slice(at + lo * stride, at + hi * stride, stride)))
         reads.append(tuple(pairs))
-        if off < 0:   # the first ceil(-off / stride) rows reach before
-            lead = np.minimum(n_out, -(off // stride))
-            edges.append(_ranges(first_out, first_out + lead))
-        else:         # rows from ceil((n - off) / stride) on reach past
-            keep = np.clip(-((off - n) // stride), 0, n_out)
-            edges.append(_ranges(first_out + keep, first_out + n_out))
-        edges[-1].flags.writeable = False
-    return t_out, tuple(reads), tuple(edges)
-
-
-@functools.lru_cache(maxsize=256)
-def _band_mask(segments: tuple[int, ...], reach: int) -> np.ndarray:
-    """The (offset, query) pairs of :func:`local_attention` that may not
-    attend: ``mask[o, i]`` is True where key ``i + o - reach`` lies outside
-    query i's segment, the rows ``_window_plan``'s edges list for offset o.
-    Cached, shared and read-only.
-    """
-    t, _, edges = _window_plan(segments, reach, 1)
-    mask = np.zeros((2 * reach + 1, t), dtype=bool)
-    mask[np.repeat(np.arange(len(edges)), [len(e) for e in edges]),
-         np.concatenate(edges)] = True
-    mask.flags.writeable = False
-    return mask
+    center.flags.writeable = False
+    outside.flags.writeable = False
+    return center, tuple(reads), outside
 
 
 # ---------------------------------------------------------------------------
@@ -653,25 +639,6 @@ def in_row_blocks(fn: Callable[[Tensor], Tensor], x: Tensor,
             out = np.empty((x.shape[0],) + y.shape[1:], dtype=y.dtype)
         out[lo:hi] = y
     return x.tape.record(out, None)   # no record: the tape does not record
-
-
-def _plan_rows(reads, edges, lo: int, hi: int, stride: int):
-    """A window plan cut to output rows ``lo..hi``, renumbered from 0."""
-    cut_reads = []
-    for pairs in reads:
-        cut = []
-        for rows, src in pairs:
-            a, b = max(rows.start, lo), min(rows.stop, hi)
-            if b > a:
-                at = src.start + (a - rows.start) * stride
-                cut.append((slice(a - lo, b - lo),
-                            slice(at, at + (b - a) * stride, stride)))
-        cut_reads.append(cut)
-    cut_edges = []
-    for rows in edges:
-        a, b = np.searchsorted(rows, (lo, hi))
-        cut_edges.append(rows[a:b] - lo)
-    return cut_reads, cut_edges
 
 
 # ---------------------------------------------------------------------------
@@ -720,11 +687,12 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
     its own ends, and gives ceil(n / stride) output rows, in order; a tap
     that would read another segment reads zero.
 
-    The windows are gathered over :func:`row_blocks`: without a record,
-    one block of output rows at a time into one block-sized scratch, the
-    window plan cut to the block, so the (T_out, k * C_in) window matrix is
-    never whole. A recording tape gathers it whole, for the kernel's
-    gradient.
+    The windows are gathered over :func:`row_blocks`, by the window plan's
+    center rows and outside mask: without a record, one block of output
+    rows at a time, by a slice of each, into one block-sized scratch, so
+    the (T_out, k * C_in) window matrix is never whole. A recording tape
+    gathers it whole, for the kernel's gradient; the backward adds through
+    the plan's slice runs.
     """
     tape = _same_tape(x, kernel) if bias is None else _same_tape(x, kernel, bias)
     if x.values.ndim != 2:
@@ -742,23 +710,26 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
     if x_c != c_in:
         raise ShapeError(f"conv1d channel mismatch: input {x_c}, kernel expects {c_in}")
 
-    t_out, reads, edges = _window_plan(
+    center, reads, outside = _window_plan(
         segment_lengths(segments, t_in, "conv1d"), k // 2, stride)
+    t_out = len(center)
     w2d = kernel.values.reshape(k * c_in, c_out)
     blocks = row_blocks(tape, t_out, (c_out,))
     out = np.empty((t_out, c_out), dtype=np.result_type(x.values, w2d))
-    # gather windows: cols[i, j, :] is the row tap j of window i reads, or
-    # zero where that row lies outside row i's segment; one block of rows
-    # at a time, into one scratch
+    # gather windows: cols[i, j, :] is input row center[i] + j - k // 2, or
+    # zero where that row lies outside row i's segment (a row off either end
+    # of the input is clipped to it, then zeroed); one block of rows at a
+    # time, into one scratch. The index is filled one tap at a time: a
+    # broadcast add would take numpy's 128 KiB ufunc buffer
+    idx = np.empty((blocks[0][1], k), dtype=center.dtype)
     cols = np.empty((blocks[0][1], k, c_in), dtype=x.values.dtype)
     for lo, hi in blocks:
-        block_reads, block_edges = (reads, edges) if len(blocks) == 1 else \
-            _plan_rows(reads, edges, lo, hi, stride)
+        n = hi - lo
         for j in range(k):
-            for rows, src in block_reads[j]:
-                cols[rows, j] = x.values[src]
-            cols[block_edges[j], j] = 0.0
-        cols2d = cols[:hi - lo].reshape(hi - lo, k * c_in)
+            np.add(center[lo:hi], j - k // 2, out=idx[:n, j])
+        x.values.take(idx[:n], axis=0, out=cols[:n], mode="clip")
+        cols[:n][outside[:, lo:hi].T] = 0.0
+        cols2d = cols[:n].reshape(n, k * c_in)
         np.matmul(cols2d, w2d, out=out[lo:hi])
     # with a record there is one block: cols2d is every window, for backward
     if bias is not None:
@@ -777,7 +748,7 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1,
         # tap that read zero passes nothing on
         d_x = np.zeros((t_in, c_in), dtype=x.values.dtype)
         for j in range(k - 1, -1, -1):
-            d_cols[edges[j], j] = 0.0
+            d_cols[outside[j], j] = 0.0
             for rows, src in reads[j]:
                 d_x[src] += d_cols[rows, j]
         acc(x, d_x)
@@ -867,8 +838,8 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
 
     ``segments`` packs several sequences end to end: their row counts, in
     order, summing to T. A query attends only keys of its own segment: the
-    pairs whose key lies outside it are masked, by a cached plan built from
-    the window plan conv1d uses.
+    pairs whose key lies outside it are masked, by the outside mask of the
+    window plan conv1d uses.
 
     A recording tape runs one block of rows and keeps the (w, T, H) weights
     for backward, which gathers the band again, and gathers by key for the
@@ -894,7 +865,7 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
     heads = (t, num_heads, d // num_heads)
     r = min(window // 2, max(seg) - 1)   # farther offsets reach no key
     w = 2 * r + 1
-    masked = _band_mask(seg, r)
+    _, _, outside = _window_plan(seg, r, 1)
     dt = np.result_type(q.values, k.values, v.values)
     scale = dt.type(1.0 / np.sqrt(heads[2]))
     q3 = q.values.reshape(heads)
@@ -914,7 +885,7 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, window: int,
         # the scores become the softmax weights y in place; with a record
         # there is one block, and y is every weight, for backward
         y = np.einsum("thd,wthd->wth", q3[lo:lo + n], k3.take(keys, axis=0))
-        y[masked[:, lo:lo + n]] = -np.inf
+        y[outside[:, lo:lo + n]] = -np.inf
         y *= scale
         y -= y.max(axis=0)
         np.exp(y, out=y)

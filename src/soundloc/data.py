@@ -69,6 +69,9 @@ class FeatureSequence:
     data: np.ndarray
 
     def __post_init__(self):
+        if not (isinstance(self.video_id, str) and self.video_id):
+            raise ValidationError(f"video id must be a non-empty string, "
+                                  f"got {self.video_id!r}")
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
         if self.modality not in MODALITY_CODES:
             raise ValidationError(f"unknown modality {self.modality!r}")

@@ -178,9 +178,13 @@ def evaluate_on(arrays: dict[str, np.ndarray], cfg: ModelConfig,
                 dataset: Dataset, video_ids: list[str],
                 decode_cfg: DecodeConfig | None = None):
     """Predict the given videos and score them against their annotations.
-    The decode settings are checked first, also when there is no video."""
+    The decode settings and the video ids are checked first, also when
+    there is no video."""
     dc = decode_cfg or DecodeConfig()
     dc.validate()
+    for vid in video_ids:
+        if vid not in dataset.fused or vid not in dataset.annotations:
+            raise ValidationError(f"evaluation references unknown video {vid!r}")
     preds: list[Interval] = []
     gts: list[Interval] = []
     for vid in sorted(video_ids):

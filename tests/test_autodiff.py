@@ -983,12 +983,14 @@ class TestAllocationBudget:
     width (D=64) and T=2048 on a record=False tape; the expressions with a
     fresh array per step took 4.0, 4.1, 2.07, 6.1 and 6.8. gelu took 2.0
     with a full-size tanh term and takes 1.06 with one block of it.
-    conv1d took 4.07 with its whole (T, 3 * D) window matrix and takes 1.83
-    with one block of 512 rows of it. local_attention took 2.76 with the
-    whole (w, T, H) weights and one output-sized product beside its output;
-    it takes 1.89 with one block of 128 query rows of its gathered keys and
-    values and of its weights. The broadcast bias add takes numpy's 32 KiB
-    ufunc buffer, 0.06 of the matmul output here.
+    conv1d took 4.07 with its whole (T, 3 * D) window matrix, 1.83 with one
+    block of 512 rows of it gathered by slice runs, and takes 1.89 gathered
+    by index, with a (512, 3) index scratch and the window plan's center
+    rows and outside mask. local_attention took 2.76 with the whole (w, T,
+    H) weights and one output-sized product beside its output; it takes
+    1.91 with one block of 128 query rows of its gathered keys and values
+    and of its weights. The broadcast bias add takes numpy's 32 KiB ufunc
+    buffer, 0.06 of the matmul output here.
     """
 
     T, D = 2048, 64
@@ -1032,13 +1034,16 @@ class TestAllocationBudget:
     def test_desk_predict_at_t2048(self):
         # one video's forward pass and decoding: 9.26 MB with gelu's
         # full-size tanh term, 7.29 MB with one block of it, 6.18 MB with
-        # the MLP and the wide convolutions in row blocks
+        # the MLP and the wide convolutions in row blocks, 6.38 MB with the
+        # windows gathered by index: the cached plans' center rows and
+        # outside masks, and the narrow output convolutions' whole index
         peak = self.desk_predict_peak(self.T)
         assert peak <= 6.5e6, f"{peak / 1e6:.2f} MB"
 
     def test_desk_predict_at_t8192(self):
         # 28.72 MB with the MLP's hidden layer and every window matrix
-        # whole, 24.57 MB in row blocks
+        # whole, 24.57 MB in row blocks, 25.52 MB with the windows gathered
+        # by index
         peak = self.desk_predict_peak(4 * self.T)
         assert peak <= 26e6, f"{peak / 1e6:.2f} MB"
 
@@ -1299,11 +1304,37 @@ class TestSegments:
     def test_cached_plans_are_read_only(self):
         # plans are shared by every call with the same segments, so one
         # write through a caller would corrupt every later call
-        _, _, edges = ad._window_plan((5, 1, 7), 2, 1)
-        arrays = [*edges, ad._band_mask((5, 1, 7), 2)]
-        for a in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                a[...] = 0
+        for stride in (1, 2):
+            center, _, outside = ad._window_plan((5, 1, 7), 2, stride)
+            for a in (center, outside):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           st.integers(0, 5), st.integers(1, 2))
+    def test_window_plan_views_agree(self, segments, reach, stride):
+        # the forward gathers by center and outside, the backward scatters
+        # by reads: reads names each (row, tap) once, with center's input
+        # row, and names every tap that outside keeps; a tap it names
+        # across a segment boundary is one outside zeroes
+        center, reads, outside = ad._window_plan(tuple(segments), reach, stride)
+        want_center, want_outside = [], []
+        for s, n in enumerate(segments):
+            for i in range(0, n, stride):
+                want_center.append(sum(segments[:s]) + i)
+                want_outside.append([not 0 <= i + o - reach < n
+                                     for o in range(2 * reach + 1)])
+        assert center.tolist() == want_center
+        assert outside.tolist() == np.array(want_outside, dtype=bool).T.tolist()
+        read = [(i, o, src) for o, pairs in enumerate(reads)
+                for rows, srcs in pairs
+                for i, src in zip(range(len(center))[rows],
+                                  range(sum(segments))[srcs])]
+        taps = {(i, o, c + o - reach): out for o, row in enumerate(outside)
+                for i, (c, out) in enumerate(zip(center.tolist(), row))}
+        assert len(set(read)) == len(read) and set(read) <= set(taps)
+        assert {t for t, out in taps.items() if not out} <= set(read)
 
     def test_concat_rows_interleaves_groups(self):
         t = scalar_tape()

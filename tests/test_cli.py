@@ -1263,6 +1263,26 @@ class TestPredictEvalCli:
         assert f"{path}: stride_sec must be finite and positive" in err
         assert not out.exists()
 
+    def test_predict_empty_video_id_file_exits_4(self, trained, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(trained["data"], data)
+        path = sorted((data / "features").glob("*.visual.tslf"))[0]
+        blob = path.read_bytes()
+        # the u16 id length ends the fixed header, and the id follows it
+        fixed = struct.calcsize(dio._TSLF_HEADER)
+        (vid_len,) = struct.unpack_from("<H", blob, fixed - 2)
+        path.write_bytes(blob[:fixed - 2] + struct.pack("<H", 0)
+                         + blob[fixed + vid_len:])
+        out = tmp_path / "x.json"
+        rc = cli.main(["predict", "--checkpoint", trained["ckpt"],
+                       "--features", str(data / "features"),
+                       "--out", str(out), "--config", str(trained["config"])])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[feature-file]") and err.count("\n") == 1
+        assert f"{path}: video id must be a non-empty string, got ''" in err
+        assert not out.exists()
+
     def test_predict_takes_no_seed(self, trained, tmp_path, capsys):
         # predict draws nothing at random, so a seed would change nothing
         out = tmp_path / "x.json"

@@ -114,6 +114,11 @@ class TestFusion:
         with pytest.raises(ValidationError, match="stride_sec must be finite"):
             dio.FeatureSequence("v", "visual", stride, np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("video_id", ["", None, 7])
+    def test_video_id_must_be_a_non_empty_string(self, video_id):
+        with pytest.raises(ValidationError, match="video id must be a non-empty"):
+            dio.FeatureSequence(video_id, "visual", 1.0, np.zeros((4, 2)))
+
 
 class TestFeatureFiles:
     def test_roundtrip_bit_exact(self, tmp_path):

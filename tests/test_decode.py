@@ -1029,6 +1029,17 @@ class TestOneDecodeRule:
             predict_intervals(arrays, cfg, dataset.fused[vid],
                               DecodeConfig(**{key: value}))
 
+    def test_evaluate_on_rejects_unknown_video_before_the_forward_pass(
+            self, monkeypatch, one_video):
+        def forbidden(*args):
+            raise AssertionError("no forward pass for an unknown video")
+
+        monkeypatch.setattr("soundloc.model.forward_video", forbidden)
+        arrays, cfg, dataset = one_video
+        (vid,) = dataset.videos()
+        with pytest.raises(ValidationError, match="unknown video 'nope'"):
+            evaluate_on(arrays, cfg, dataset, [vid, "nope"], DecodeConfig())
+
     @pytest.mark.parametrize("key, value", BAD_DECODE_SETTINGS)
     def test_evaluate_on_no_videos_rejects(self, one_video, key, value):
         arrays, cfg, dataset = one_video

@@ -1,7 +1,9 @@
 """Every top-level definition in src/soundloc has a caller.
 
-A top-level function or class must be named, as a word, somewhere outside
-its own definition: in another part of src/soundloc, in perfbench, or among
+A top-level function, class or constant (a name a top-level assignment
+binds, other than a dunder such as ``__all__``) must be named, as a word,
+somewhere outside its own definition: in another part of src/soundloc, in
+perfbench, or among
 the names that the acceptance gate imports from soundloc or reads through a
 soundloc module (``ad.grad_check``). The gate's names are read from the file
 with ``ast``, so the list follows it.
@@ -16,11 +18,20 @@ PACKAGE = ROOT / "src" / "soundloc"
 
 
 def definitions(source: str) -> list[tuple[str, int, int]]:
-    """The module's top-level functions and classes: name, first and last line."""
-    return [(node.name, node.lineno, node.end_lineno)
-            for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))]
+    """The module's top-level functions, classes and constants: name, first
+    and last line of the statement that defines it."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and not n.id.startswith("__")]
+        else:
+            continue
+        found += [(name, node.lineno, node.end_lineno) for name in names]
+    return found
 
 
 def acceptance_names(source: str) -> set[str]:
@@ -88,3 +99,20 @@ def test_an_uncalled_function_is_reported():
     # a caller in another module, or in a further source, counts
     assert uncalled({"lib": lib, "app": "orphan(3)\n"}, [], allowed) == []
     assert uncalled({"lib": lib}, ["orphan(3)\n"], allowed) == []
+
+
+def test_an_unused_constant_is_reported():
+    lib = ("__all__ = ['used']\n"
+           "_STEP = 2\n"
+           "_LEFT, _RIGHT = 0, 1\n"
+           "_LIMIT: int = 8\n"
+           "_STALE = _STALE_TOO = 3\n\n\n"
+           "def used(x):\n    return x * _STEP + _RIGHT\n")
+    gate = "from soundloc.lib import used\n"
+    assert [name for name, _, _ in definitions(lib)] == [
+        "_STEP", "_LEFT", "_RIGHT", "_LIMIT", "_STALE", "_STALE_TOO", "used"]
+    assert uncalled({"lib": lib}, [], acceptance_names(gate)) == [
+        "lib._LEFT", "lib._LIMIT", "lib._STALE", "lib._STALE_TOO"]
+    # a constant read in another module counts as used
+    assert uncalled({"lib": lib, "app": "print(_LEFT, _LIMIT)\n"}, [],
+                    {"used", "_STALE", "_STALE_TOO"}) == []
